@@ -38,7 +38,7 @@ from .policy import DEFAULT_POLICY, NumericPolicy
 from .scenarios import (SCENARIO_BUILDERS, Scenario, build_scenario,
                         evaluate_expected)
 from .spacetime import (CausalLattice, Point, build_full_net, build_tensor_net,
-                        derive_causal_order, foliate, verify_nesting)
+                        derive_causal_order, foliate)
 
 __all__ = [
     "RunConfig",
@@ -299,18 +299,12 @@ def _path_key(events) -> list:
 
 def _nesting_section(net, policy) -> dict:
     order = derive_causal_order(net, policy=policy)
-    pts = net.lattice.points()
-    pairs = []
-    for p in pts:
-        for q in pts:
-            if p == q:
-                continue
-            rep = verify_nesting(net, p, q, policy=policy)
-            pairs.append({"p": list(p), "q": list(q),
-                          "strict_inclusion": rep.strict_inclusion,
-                          "rel_commutant_dim": rep.rel_commutant_dim,
-                          "rel_commutant_abelian": rep.rel_commutant_abelian,
-                          "holds": rep.holds})
+    pairs = [{"p": list(rep.p), "q": list(rep.q),
+              "strict_inclusion": rep.strict_inclusion,
+              "rel_commutant_dim": rep.rel_commutant_dim,
+              "rel_commutant_abelian": rep.rel_commutant_abelian,
+              "holds": rep.holds}
+             for rep in order.reports]
     return {
         "pairs": pairs,
         "future_pairs": len(order.future_pairs),

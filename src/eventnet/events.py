@@ -56,14 +56,49 @@ class EventDetection:
     factor_projections: tuple[np.ndarray, ...] | None = None
 
 
-@dataclass
 class ActualEvent:
-    """One realized outcome: which projection fired, and its Born weight."""
+    """One realized outcome: which projection fired, and its Born weight.
 
-    point: Point | None
-    label: object
-    projection: Operator
-    born_prob: float
+    An event built from an ambient ``projection`` holds it as given.  An
+    event made by branching (:meth:`from_factor`) is held in factor form:
+    ``support`` names the tensor cells it acts on and ``factor`` is its
+    projection on them, slots in support order.  Its ambient
+    ``projection`` is embedded the first time it is read and then kept.
+    """
+
+    __slots__ = ("point", "label", "born_prob", "support", "factor", "_projection", "_net")
+
+    def __init__(self, point: Point | None, label: object, projection: Operator | None,
+                 born_prob: float):
+        self.point = point
+        self.label = label
+        self.born_prob = born_prob
+        self.support: tuple[int, ...] | None = None
+        self.factor: np.ndarray | None = None
+        self._projection = projection
+        self._net: AlgebraNet | None = None
+
+    @classmethod
+    def from_factor(cls, point: Point | None, label: object, factor: np.ndarray,
+                    support: tuple[int, ...], net: AlgebraNet,
+                    born_prob: float) -> "ActualEvent":
+        """An outcome given by its projection on the ``support`` cells of ``net``."""
+        event = cls(point, label, None, born_prob)
+        event.support = support
+        event.factor = factor
+        event._net = net
+        return event
+
+    @property
+    def projection(self) -> Operator:
+        """The outcome projection on the whole net."""
+        if self._projection is None:
+            self._projection = Operator(self._net.embed(self.factor, self.support))
+        return self._projection
+
+    def __repr__(self) -> str:
+        return (f"ActualEvent(point={self.point!r}, label={self.label!r}, "
+                f"born_prob={self.born_prob!r}, support={self.support!r})")
 
 
 def _spectral_family(rho_f: np.ndarray, policy: NumericPolicy):

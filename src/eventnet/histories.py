@@ -8,15 +8,23 @@ entry state, then forks over outcomes point by point in canonical spatial
 order, conditioning as it goes.  Chain-rule consistency (path probability
 = product of conditional probabilities = history-operator normalization)
 is exact by construction and re-verified in tests.
+
+Branching works on support factors.  A branch carries its state only on
+the tensor cells that later points still touch: after the outcomes at a
+point are applied, every cell that no later support, imposed family or
+propagator reaches is traced out.  Outcome weights are taken on the
+reduced state of a family's support, and a collapse acts on the support
+axes alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import BranchOverflowError, CommutationError, NullBranchError
 from .events import ActualEvent, _spectral_family
 from .linalg import operator_norm
@@ -104,12 +112,18 @@ def propagate_state(initial: State, history: HistoryOperator,
     return State((out + out.conj().T) / 2.0, policy=policy)
 
 
-def apply_propagator(u, state: State, *, policy: NumericPolicy = DEFAULT_POLICY) -> State:
-    """Conjugate the state by a unitary, verifying unitarity first."""
+def _unitary(u, policy: NumericPolicy) -> np.ndarray:
+    """The propagator's matrix, after checking that it is unitary."""
     mat = u.entries if isinstance(u, Operator) else np.asarray(u, dtype=complex)
     defect = operator_norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
     if defect > policy.tol_proj:
         raise ValueError(f"propagator is not unitary (defect {defect:.3e})")
+    return mat
+
+
+def apply_propagator(u, state: State, *, policy: NumericPolicy = DEFAULT_POLICY) -> State:
+    """Conjugate the state by a unitary, verifying unitarity first."""
+    mat = _unitary(u, policy)
     return State(mat @ state.rho @ mat.conj().T, policy=policy)
 
 
@@ -120,12 +134,24 @@ class BranchNode:
     ``cond_prob`` is the Born weight given the parent branch, ``cum_prob``
     the product along the path from the root.  ``event_dim`` is the
     dimension of the event algebra that fired here (the spectrum snapshot).
+
+    ``state_after`` is the conditioned state on the tensor cells the branch
+    still carries, and ``state_cells`` names those cells in slot order: the
+    partial trace of the ambient branch state onto them.  Cells that no
+    later point reads or acts on are dropped, so a leaf at the end of a
+    cone net carries no cells and a 1x1 state.  The root holds the initial
+    state on every cell.
+
+    ``children_prob_sum`` is the total weight of the outcomes at the next
+    applied family.  A node whose every outcome fell below ``prob_floor``
+    keeps it but has no children: it stays a leaf holding its own mass.
     """
 
     leaf_index: int
     point: Point | None
     actual: ActualEvent | None
     state_after: State
+    state_cells: tuple[int, ...]
     cond_prob: float
     cum_prob: float
     event_dim: int | None
@@ -135,7 +161,12 @@ class BranchNode:
 
 @dataclass
 class HistoryTree:
-    """Full enumeration of histories along a foliation."""
+    """Full enumeration of histories along a foliation.
+
+    ``pruned_mass`` is the mass of outcomes dropped below ``prob_floor``
+    beside a sibling that was kept.  The listed leaves and the pruned mass
+    together hold every unit of probability once.
+    """
 
     root: BranchNode
     foliation: Foliation
@@ -170,49 +201,166 @@ class HistoryTree:
         return paths
 
 
-def _leaf_families(net: AlgebraNet, leaf: Sequence[Point], rho: np.ndarray,
+# ---------------------------------------------------------------------------
+# branching on support factors
+
+
+class _Family(NamedTuple):
+    """Outcomes to fork over at one point.
+
+    ``projections`` act on the ``support`` cells, slots in support order;
+    an imposed family's support is every cell.  ``keep`` names the cells a
+    branch still needs once an outcome here is applied.
+    """
+
+    point: Point
+    support: tuple[int, ...]
+    labels: tuple
+    projections: tuple[np.ndarray, ...]
+    keep: tuple[int, ...]
+
+
+def _keep_cells(net: AlgebraNet, foliation: Foliation,
+                imposed: Mapping[Point, PotentialEvent] | None,
+                propagators: Mapping[int, object] | None) -> list[list[tuple[int, ...]]]:
+    """Per leaf and point, the cells that later points and propagators touch.
+
+    Walks the foliation backwards.  A detected family reads and acts on its
+    support; an imposed family or a propagator is an ambient operator, so it
+    touches every cell.
+    """
+    every = frozenset(range(net.n_cells))
+    later: frozenset[int] = frozenset()
+    keep: list[list[tuple[int, ...]]] = []
+    for li in reversed(range(len(foliation.leaves))):
+        row = []
+        for pt in reversed(foliation.leaves[li]):
+            row.append(tuple(sorted(later)))
+            touched = every if imposed is not None and pt in imposed else net.support(pt)
+            later = later.union(touched)
+        keep.append(row[::-1])
+        if propagators is not None and li in propagators:
+            later = every
+    return keep[::-1]
+
+
+def _reduce(rho: np.ndarray, cells: tuple[int, ...], keep: tuple[int, ...],
+            cell_dim: int) -> np.ndarray:
+    """Partial trace of a state on ``cells`` down to the subset ``keep``."""
+    if keep == cells:
+        return rho
+    pos = tuple(cells.index(c) for c in keep)
+    return linalg.partial_trace(rho, pos, len(cells), cell_dim)
+
+
+def _conjugate(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
+               proj: np.ndarray, cell_dim: int) -> np.ndarray:
+    """P rho P for a projection P on the ``support`` cells of a state on ``cells``."""
+    if support == cells:
+        return proj @ rho @ proj
+    n, k, d = len(cells), len(support), cell_dim
+    pos = [cells.index(c) for c in support]
+    cols = [n + q for q in pos]
+    p = proj.reshape((d,) * (2 * k))
+    t = rho.reshape((d,) * (2 * n))
+    # tensordot puts the new support rows first and the new support columns
+    # last; moveaxis returns them to their slots
+    t = np.moveaxis(np.tensordot(p, t, axes=(list(range(k, 2 * k)), pos)), range(k), pos)
+    t = np.moveaxis(np.tensordot(t, p, axes=(cols, list(range(k)))),
+                    range(2 * n - k, 2 * n), cols)
+    return t.reshape(d ** n, d ** n)
+
+
+def _leaf_families(net: AlgebraNet, leaf: Sequence[Point], keep: Sequence[tuple[int, ...]],
+                   rho: np.ndarray, cells: tuple[int, ...],
                    imposed: Mapping[Point, PotentialEvent] | None,
                    policy: NumericPolicy):
     """Outcome families to apply on one leaf, from the branch entry state.
 
-    Returns (families, dims_seen): families are (point, [(label, ambient
-    projection)...], dim) for imposed points and detections that happened;
-    dims_seen records every detection's algebra dimension for diagnostics.
+    Returns (families, dims_seen): families hold imposed points and the
+    detections that happened; dims_seen records every detection's algebra
+    dimension for diagnostics.
     """
     families, dims_seen = [], []
-    for pt in leaf:
+    for pt, after in zip(leaf, keep):
         if imposed is not None and pt in imposed:
             fam = imposed[pt]
-            pairs = [(lbl, p.entries) for lbl, p in fam.items()]
-            families.append((pt, pairs, len(fam)))
+            families.append(_Family(pt, tuple(range(net.n_cells)), fam.labels,
+                                    tuple(p.entries for p in fam.projections), after))
             dims_seen.append(len(fam))
             continue
         support = net.support(pt)
-        rho_f = net.reduce_state(rho, support)
-        projs_f, weights = _spectral_family(rho_f, policy)
+        projs_f, weights = _spectral_family(_reduce(rho, cells, support, net.cell_dim),
+                                            policy)
         dims_seen.append(len(projs_f))
         if sum(w >= policy.prob_floor for w in weights) < 2:
             continue
-        pairs = [(lbl, net.embed(p, support)) for lbl, p in enumerate(projs_f)]
-        families.append((pt, pairs, len(projs_f)))
+        families.append(_Family(pt, support, tuple(range(len(projs_f))), tuple(projs_f),
+                                after))
     return families, dims_seen
 
 
-def _family_commutators(families) -> list[tuple[Point, Point, float]]:
+def _family_commutators(families: Sequence[_Family],
+                        cell_dim: int) -> list[tuple[Point, Point, float]]:
+    """Worst commutator norm between the projections of every two families.
+
+    Each norm is taken on the union of the two supports: the ambient
+    commutator is that matrix tensor the identity, with the same norm.
+    Families on disjoint supports commute exactly and give 0.0.
+    """
     out = []
-    for i, (pa, pairs_a, _) in enumerate(families):
-        for pb, pairs_b, _ in families[i + 1:]:
+    for i, a in enumerate(families):
+        for b in families[i + 1:]:
             worst = 0.0
-            for _, ma in pairs_a:
-                for _, mb in pairs_b:
-                    worst = max(worst, operator_norm(ma @ mb - mb @ ma))
-            out.append((pa, pb, worst))
+            if not set(a.support).isdisjoint(b.support):
+                union = tuple(sorted(set(a.support) | set(b.support)))
+                mats_a = _on_cells(a, union, cell_dim)
+                mats_b = _on_cells(b, union, cell_dim)
+                for ma in mats_a:
+                    for mb in mats_b:
+                        worst = max(worst, operator_norm(ma @ mb - mb @ ma))
+            out.append((a.point, b.point, worst))
     return out
 
 
-def _outcome_probs(rho: np.ndarray, pairs) -> np.ndarray:
-    probs = np.array([np.einsum("ij,ji->", rho, m).real for _, m in pairs])
+def _on_cells(fam: _Family, cells: tuple[int, ...], cell_dim: int) -> tuple[np.ndarray, ...]:
+    """The family's projections on a superset of its support."""
+    if fam.support == cells:
+        return fam.projections
+    pos = tuple(cells.index(c) for c in fam.support)
+    return tuple(linalg.embed_factor(p, pos, len(cells), cell_dim) for p in fam.projections)
+
+
+def _check_commutators(families: Sequence[_Family], cell_dim: int, commutation: str,
+                       policy: NumericPolicy) -> list[tuple[Point, Point, float]]:
+    norms = _family_commutators(families, cell_dim)
+    for pa, pb, norm in norms:
+        if commutation == "abort" and norm > policy.tol_commutation:
+            raise CommutationError(
+                f"spacelike families at {pa} and {pb} fail to commute "
+                f"(norm {norm:.3e})")
+    return norms
+
+
+def _outcome_probs(rho: np.ndarray, cells: tuple[int, ...], fam: _Family,
+                   cell_dim: int) -> np.ndarray:
+    """Born weights tr(rho_S P_S) of the family's outcomes, clipped at 0."""
+    rho_s = _reduce(rho, cells, fam.support, cell_dim)
+    probs = np.array([np.einsum("ij,ji->", rho_s, m).real for m in fam.projections])
     return np.clip(probs, 0.0, None)
+
+
+def _condition(rho: np.ndarray, cells: tuple[int, ...], fam: _Family, k: int, w: float,
+               cell_dim: int) -> np.ndarray:
+    """Branch state after outcome ``k`` of weight ``w``, on the cells ``fam.keep``."""
+    out = _conjugate(rho, cells, fam.support, fam.projections[k], cell_dim) / w
+    out = _reduce(out, cells, fam.keep, cell_dim)
+    return (out + out.conj().T) / 2.0
+
+
+def _event(net: AlgebraNet, fam: _Family, k: int, w: float) -> ActualEvent:
+    return ActualEvent.from_factor(fam.point, fam.labels[k], fam.projections[k],
+                                   fam.support, net, w)
 
 
 def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
@@ -225,10 +373,15 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
 
     Per leaf and per branch: detect families from the branch entry state,
     then fork over outcomes point by point in spatial order, conditioning
-    the state as outcomes accumulate.  Branches whose cumulative
-    probability falls below ``prob_floor`` are pruned and their mass
-    reported.  ``propagators`` optionally maps a leaf index to a unitary
-    applied to every branch before that leaf is processed.
+    the state as outcomes accumulate.  An outcome whose cumulative
+    probability falls below ``prob_floor`` is pruned and its mass added to
+    ``pruned_mass``, unless every outcome of that family is pruned: then
+    the parent stays a leaf holding its own mass, and nothing is added.
+    ``propagators`` optionally maps a leaf index to a unitary applied to
+    every branch before that leaf is processed.  Each node's
+    ``state_after`` holds only the cells later points still touch (see
+    :class:`BranchNode`); imposed families and propagators act on every
+    cell, so with them branches keep every cell up to the last one.
 
     ``commutation`` controls the response to non-commuting spacelike
     families: "warn" records them, "abort" raises.
@@ -236,54 +389,54 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     if commutation not in ("warn", "abort"):
         raise ValueError("commutation policy must be 'warn' or 'abort'")
     cap = policy.branch_cap if max_branches is None else int(max_branches)
+    d = net.cell_dim
+    keep = _keep_cells(net, foliation, imposed, propagators)
+    every = tuple(range(net.n_cells))
     root = BranchNode(leaf_index=-1, point=None, actual=None, state_after=initial,
-                      cond_prob=1.0, cum_prob=1.0, event_dim=None)
-    frontier: list[tuple[BranchNode, np.ndarray]] = [(root, initial.rho)]
+                      state_cells=every, cond_prob=1.0, cum_prob=1.0, event_dim=None)
+    frontier: list[tuple[BranchNode, np.ndarray, tuple[int, ...]]] = [
+        (root, initial.rho, every)]
     pruned = 0.0
     dims: set[int] = set()
     comm_worst: dict[tuple[int, Point, Point], float] = {}
 
     for li, leaf in enumerate(foliation.leaves):
         if propagators is not None and li in propagators:
-            u = propagators[li]
-            mat = u.entries if isinstance(u, Operator) else np.asarray(u, dtype=complex)
-            defect = operator_norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
-            if defect > policy.tol_proj:
-                raise ValueError(f"propagator before leaf {li} is not unitary")
-            frontier = [(node, mat @ rho @ mat.conj().T) for node, rho in frontier]
-        next_frontier: list[tuple[BranchNode, np.ndarray]] = []
-        for node, rho in frontier:
-            families, dims_seen = _leaf_families(net, leaf, rho, imposed, policy)
+            mat = _unitary(propagators[li], policy)
+            frontier = [(node, mat @ rho @ mat.conj().T, cells)
+                        for node, rho, cells in frontier]
+        next_frontier: list[tuple[BranchNode, np.ndarray, tuple[int, ...]]] = []
+        for node, rho, cells in frontier:
+            families, dims_seen = _leaf_families(net, leaf, keep[li], rho, cells,
+                                                 imposed, policy)
             dims.update(dims_seen)
-            for pa, pb, norm in _family_commutators(families):
+            for pa, pb, norm in _check_commutators(families, d, commutation, policy):
                 key = (li, pa, pb)
                 comm_worst[key] = max(comm_worst.get(key, 0.0), norm)
-                if commutation == "abort" and norm > policy.tol_commutation:
-                    raise CommutationError(
-                        f"spacelike families at {pa} and {pb} fail to commute "
-                        f"(norm {norm:.3e})")
-            current = [(node, rho)]
-            for pt, pairs, dim in families:
+            current = [(node, rho, cells)]
+            for fam in families:
+                dim = len(fam.projections)
                 expanded = []
-                for parent, prho in current:
-                    probs = _outcome_probs(prho, pairs)
+                for parent, prho, pcells in current:
+                    probs = _outcome_probs(prho, pcells, fam, d)
                     parent.children_prob_sum = float(probs.sum())
-                    for (label, proj), w in zip(pairs, probs):
-                        cum = parent.cum_prob * float(w)
+                    lost = 0.0
+                    for k, w in enumerate(probs.tolist()):
+                        cum = parent.cum_prob * w
                         if cum < policy.prob_floor:
-                            pruned += cum
+                            lost += cum
                             continue
-                        child_rho = proj @ prho @ proj / w
-                        child_rho = (child_rho + child_rho.conj().T) / 2.0
-                        actual = ActualEvent(point=pt, label=label,
-                                             projection=Operator(proj),
-                                             born_prob=float(w))
-                        child = BranchNode(leaf_index=li, point=pt, actual=actual,
+                        child_rho = _condition(prho, pcells, fam, k, w, d)
+                        child = BranchNode(leaf_index=li, point=fam.point,
+                                           actual=_event(net, fam, k, w),
                                            state_after=State(child_rho, policy=policy),
-                                           cond_prob=float(w), cum_prob=cum,
-                                           event_dim=dim)
+                                           state_cells=fam.keep,
+                                           cond_prob=w, cum_prob=cum, event_dim=dim)
                         parent.children.append(child)
-                        expanded.append((child, child_rho))
+                        expanded.append((child, child_rho, fam.keep))
+                    # a parent that lost every outcome stays a leaf with its own mass
+                    if parent.children:
+                        pruned += lost
                 current = expanded
                 if len(current) + len(next_frontier) > cap:
                     raise BranchOverflowError(
@@ -299,10 +452,15 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
 
 @dataclass
 class SampledHistory:
-    """One Monte-Carlo trajectory through the event tree."""
+    """One Monte-Carlo trajectory through the event tree.
+
+    ``final_state`` is the conditioned state on the cells ``final_cells``,
+    the ones a branch still carries at the end (see :class:`BranchNode`).
+    """
 
     events: tuple[ActualEvent, ...]
     final_state: State
+    final_cells: tuple[int, ...]
     probability: float
     max_commutator: float
     spectrum_dims: list[int]
@@ -316,44 +474,41 @@ def sample_history(net: AlgebraNet, foliation: Foliation, initial: State,
                    commutation: str = "warn") -> SampledHistory:
     """Draw a single history by iterated Born sampling along the foliation."""
     gen = rng if rng is not None else np.random.default_rng(seed)
-    rho = initial.rho
+    d = net.cell_dim
+    keep = _keep_cells(net, foliation, imposed, propagators)
+    rho, cells = initial.rho, tuple(range(net.n_cells))
     events: list[ActualEvent] = []
     prob = 1.0
     worst = 0.0
     dims: set[int] = set()
     for li, leaf in enumerate(foliation.leaves):
         if propagators is not None and li in propagators:
-            u = propagators[li]
-            mat = u.entries if isinstance(u, Operator) else np.asarray(u, dtype=complex)
+            mat = _unitary(propagators[li], policy)
             rho = mat @ rho @ mat.conj().T
-        families, dims_seen = _leaf_families(net, leaf, rho, imposed, policy)
+        families, dims_seen = _leaf_families(net, leaf, keep[li], rho, cells,
+                                             imposed, policy)
         dims.update(dims_seen)
-        for _, _, norm in _family_commutators(families):
+        for _, _, norm in _check_commutators(families, d, commutation, policy):
             worst = max(worst, norm)
-            if commutation == "abort" and norm > policy.tol_commutation:
-                raise CommutationError("spacelike families fail to commute")
-        for pt, pairs, dim in families:
-            probs = _outcome_probs(rho, pairs)
+        for fam in families:
+            probs = _outcome_probs(rho, cells, fam, d)
             total = probs.sum()
             u_draw = gen.random() * total
             acc = 0.0
-            idx = len(pairs) - 1
+            idx = len(probs) - 1
             for i, w in enumerate(probs):
                 acc += w
                 if u_draw < acc:
                     idx = i
                     break
-            label, proj = pairs[idx]
             w = float(probs[idx])
             if w < policy.prob_floor:
                 raise NullBranchError("sampled an outcome below prob_floor")
-            rho = proj @ rho @ proj / w
-            rho = (rho + rho.conj().T) / 2.0
-            events.append(ActualEvent(point=pt, label=label,
-                                      projection=Operator(proj), born_prob=w))
+            rho, cells = _condition(rho, cells, fam, idx, w, d), fam.keep
+            events.append(_event(net, fam, idx, w))
             prob *= w
     return SampledHistory(events=tuple(events), final_state=State(rho, policy=policy),
-                          probability=prob, max_commutator=worst,
+                          final_cells=cells, probability=prob, max_commutator=worst,
                           spectrum_dims=sorted(dims))
 
 

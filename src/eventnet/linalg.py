@@ -17,7 +17,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "dagger",
-    "hs_inner",
     "hs_norm",
     "operator_norm",
     "orthonormal_rows",
@@ -37,11 +36,6 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 def dagger(mat: np.ndarray) -> np.ndarray:
     return mat.conj().T
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product ``trace(a* b)``, antilinear in ``a``."""
-    return complex(a.conj().ravel() @ b.ravel())
 
 
 def hs_norm(a: np.ndarray) -> float:

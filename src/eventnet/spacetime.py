@@ -333,24 +333,32 @@ def _verify_nesting_dense(net: AlgebraNet, p: Point, q: Point,
 
 @dataclass
 class CausalOrderReport:
-    """Causal order reconstructed from algebra inclusions alone."""
+    """Causal order reconstructed from algebra inclusions alone.
+
+    ``reports`` holds the nesting report of every ordered pair of distinct
+    points, in the order of the sweep (``p`` outer, ``q`` inner, both in
+    canonical point order).
+    """
 
     future_pairs: list[tuple[Point, Point]]
     geometric_pairs: list[tuple[Point, Point]]
     matches_geometric: bool
     mismatches: list[tuple[Point, Point, str, str]] = field(default_factory=list)
+    reports: list[NestingReport] = field(default_factory=list)
 
 
 def derive_causal_order(net: AlgebraNet,
                         *, policy: NumericPolicy = DEFAULT_POLICY) -> CausalOrderReport:
     """Recover the lattice order from nesting reports over all ordered pairs."""
     pts = net.lattice.points()
-    derived, geometric, mismatches = [], [], []
+    derived, geometric, mismatches, reports = [], [], [], []
     for p in pts:
         for q in pts:
             if p == q:
                 continue
-            alg_says = verify_nesting(net, p, q, policy=policy).holds
+            rep = verify_nesting(net, p, q, policy=policy)
+            reports.append(rep)
+            alg_says = rep.holds
             geom_says = causal_relate(net.lattice, p, q) is Relation.FUTURE
             if alg_says:
                 derived.append((p, q))
@@ -361,4 +369,5 @@ def derive_causal_order(net: AlgebraNet,
                                    "future" if alg_says else "unrelated",
                                    "future" if geom_says else "unrelated"))
     return CausalOrderReport(future_pairs=derived, geometric_pairs=geometric,
-                             matches_geometric=not mismatches, mismatches=mismatches)
+                             matches_geometric=not mismatches, mismatches=mismatches,
+                             reports=reports)

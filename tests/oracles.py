@@ -71,3 +71,116 @@ def random_faithful_state(n, rng, min_gap=1e-3):
 def binomial_four_sigma(p, n):
     """Acceptance band half-width for an empirical frequency."""
     return 4.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+class DenseNode:
+    """A node of the dense reference tree; ``rho`` is the ambient branch state."""
+
+    def __init__(self, leaf_index, point, label, projection, rho, cond_prob, cum_prob,
+                 event_dim):
+        self.leaf_index = leaf_index
+        self.point = point
+        self.label = label
+        self.projection = projection
+        self.rho = rho
+        self.cond_prob = cond_prob
+        self.cum_prob = cum_prob
+        self.event_dim = event_dim
+        self.children = []
+        self.children_prob_sum = None
+
+
+def enumerate_tree_dense(net, foliation, initial, *, policy, imposed=None,
+                         propagators=None, commutation="warn", max_branches=None):
+    """Branching tree built on the ambient space, the slow obvious way.
+
+    Every family is embedded into the full D x D space, weights are
+    tr(rho P), collapses are dense products P rho P, and every commutator
+    is the norm of an ambient D x D matrix.  A node whose every outcome is
+    pruned stays a leaf and adds nothing to the pruned mass.  Returns
+    (root, pruned_mass, spectrum_dims, commutation_norms) with the norms as
+    sorted (leaf, p, q, norm) rows, like ``HistoryTree``.
+    """
+    from eventnet.errors import BranchOverflowError, CommutationError
+    from eventnet.events import _spectral_family
+
+    cap = policy.branch_cap if max_branches is None else max_branches
+    root = DenseNode(-1, None, None, None, initial.rho, 1.0, 1.0, None)
+    frontier = [(root, initial.rho)]
+    pruned = 0.0
+    dims = set()
+    worst = {}
+    for li, leaf in enumerate(foliation.leaves):
+        if propagators is not None and li in propagators:
+            u = np.asarray(propagators[li], dtype=complex)
+            frontier = [(node, u @ rho @ u.conj().T) for node, rho in frontier]
+        next_frontier = []
+        for node, rho in frontier:
+            families = []
+            for pt in leaf:
+                if imposed is not None and pt in imposed:
+                    fam = imposed[pt]
+                    families.append((pt, [(lbl, p.entries) for lbl, p in fam.items()]))
+                    dims.add(len(fam))
+                    continue
+                support = net.support(pt)
+                projs, weights = _spectral_family(net.reduce_state(rho, support), policy)
+                dims.add(len(projs))
+                if sum(w >= policy.prob_floor for w in weights) >= 2:
+                    families.append((pt, [(lbl, net.embed(p, support))
+                                          for lbl, p in enumerate(projs)]))
+            for i, (pa, pairs_a) in enumerate(families):
+                for pb, pairs_b in families[i + 1:]:
+                    norm = 0.0
+                    for _, ma in pairs_a:
+                        for _, mb in pairs_b:
+                            norm = max(norm, float(np.linalg.norm(ma @ mb - mb @ ma, 2)))
+                    if commutation == "abort" and norm > policy.tol_commutation:
+                        raise CommutationError(f"{pa} and {pb} fail to commute")
+                    worst[(li, pa, pb)] = max(worst.get((li, pa, pb), 0.0), norm)
+            current = [(node, rho)]
+            for pt, pairs in families:
+                expanded = []
+                for parent, prho in current:
+                    probs = [max(0.0, float(np.trace(prho @ m).real)) for _, m in pairs]
+                    parent.children_prob_sum = float(sum(probs))
+                    lost = 0.0
+                    for (label, proj), w in zip(pairs, probs):
+                        cum = parent.cum_prob * w
+                        if cum < policy.prob_floor:
+                            lost += cum
+                            continue
+                        child_rho = proj @ prho @ proj / w
+                        child_rho = (child_rho + child_rho.conj().T) / 2.0
+                        child = DenseNode(li, pt, label, proj, child_rho, w, cum,
+                                          len(pairs))
+                        parent.children.append(child)
+                        expanded.append((child, child_rho))
+                    if parent.children:
+                        pruned += lost
+                current = expanded
+                if len(current) + len(next_frontier) > cap:
+                    raise BranchOverflowError(f"more than {cap} branches")
+            next_frontier.extend(current)
+        frontier = next_frontier
+    norms = sorted((li, pa, pb, n) for (li, pa, pb), n in worst.items())
+    return root, pruned, sorted(dims), norms
+
+
+def nesting_pairs_by_sweep(net, policy):
+    """The report's per-pair nesting rows, from one ``verify_nesting`` call per pair."""
+    from eventnet.spacetime import verify_nesting
+
+    pts = net.lattice.points()
+    rows = []
+    for p in pts:
+        for q in pts:
+            if p == q:
+                continue
+            rep = verify_nesting(net, p, q, policy=policy)
+            rows.append({"p": list(p), "q": list(q),
+                         "strict_inclusion": rep.strict_inclusion,
+                         "rel_commutant_dim": rep.rel_commutant_dim,
+                         "rel_commutant_abelian": rep.rel_commutant_abelian,
+                         "holds": rep.holds})
+    return rows

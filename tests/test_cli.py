@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eventnet import ConfigError
+from eventnet import SCENARIO_BUILDERS, ConfigError, build_scenario
 from eventnet.cli import (
     emit_report,
     load_config,
@@ -120,6 +120,15 @@ def test_run_report_bytes_deterministic():
     first = serialize_report(run(_cfg(scenario="epr"))[0])
     second = serialize_report(run(_cfg(scenario="epr"))[0])
     assert first == second
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_nesting_section_bytes_match_a_per_pair_sweep(name):
+    cfg = _cfg(scenario=name)
+    report, _ = run(cfg)
+    net = build_scenario(name, policy=cfg.policy).net
+    swept = {**report["nesting"], "pairs": oracles.nesting_pairs_by_sweep(net, cfg.policy)}
+    assert serialize_report(report) == serialize_report({**report, "nesting": swept})
 
 
 def test_run_sample_mode():

@@ -14,6 +14,7 @@ from eventnet import (
     State,
     apply_propagator,
     build_full_net,
+    build_scenario,
     build_tensor_net,
     enumerate_tree,
     epr_overlap_scenario,
@@ -26,7 +27,8 @@ from eventnet import (
     sample_paths,
     two_leaf_chain,
 )
-from eventnet.linalg import PAULI_X
+from eventnet.linalg import PAULI_X, partial_trace, random_unitary
+from eventnet.policy import NumericPolicy
 
 import oracles
 
@@ -235,6 +237,141 @@ def test_propagator_must_be_unitary():
     with pytest.raises(ValueError):
         enumerate_tree(net, foliate(net.lattice), initial,
                        propagators={0: np.diag([1.0, 2.0]).astype(complex)})
+    with pytest.raises(ValueError):
+        sample_history(net, foliate(net.lattice), initial, seed=1,
+                       propagators={0: np.diag([1.0, 2.0]).astype(complex)})
+
+
+# ---------------------------------------------------------------------------
+# Factor-local branching against the dense ambient reference
+# ---------------------------------------------------------------------------
+
+COARSE = NumericPolicy(prob_floor=1e-3)
+
+
+def _cone_case(extent_tau, extent_x, seed=3):
+    """Cone net with a seeded full-rank random state."""
+    net = build_tensor_net(CausalLattice(extent_tau, extent_x))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((net.dim, net.dim)) + 1j * rng.standard_normal((net.dim, net.dim))
+    rho = g @ g.conj().T
+    return net, State(rho / np.trace(rho).real)
+
+
+def _assert_matches_dense(net, tree, dense, tol=1e-12):
+    root, pruned, dims, norms = dense
+    assert tree.spectrum_dims == dims
+    assert abs(tree.pruned_mass - pruned) <= tol
+    assert [row[:3] for row in tree.commutation_norms] == [row[:3] for row in norms]
+    for got, want in zip(tree.commutation_norms, norms):
+        assert abs(got[3] - want[3]) <= tol
+    stack = [(tree.root, root)]
+    while stack:
+        node, ref = stack.pop()
+        assert (node.leaf_index, node.point, node.event_dim) == \
+            (ref.leaf_index, ref.point, ref.event_dim)
+        assert abs(node.cond_prob - ref.cond_prob) <= tol
+        assert abs(node.cum_prob - ref.cum_prob) <= tol
+        assert (node.children_prob_sum is None) == (ref.children_prob_sum is None)
+        if ref.children_prob_sum is not None:
+            assert abs(node.children_prob_sum - ref.children_prob_sum) <= tol
+        reduced = partial_trace(ref.rho, node.state_cells, net.n_cells, net.cell_dim)
+        assert np.max(np.abs(node.state_after.rho - reduced)) <= tol
+        if ref.label is not None:
+            assert node.actual.label == ref.label
+            assert np.max(np.abs(node.actual.projection.entries - ref.projection)) <= tol
+        assert len(node.children) == len(ref.children)
+        stack.extend(zip(node.children, ref.children))
+
+
+@pytest.fixture(scope="module")
+def cone_2x3():
+    net, initial = _cone_case(2, 3)
+    tree = enumerate_tree(net, foliate(net.lattice), initial, policy=COARSE)
+    return net, initial, tree
+
+
+@pytest.mark.parametrize("extents", [(2, 2), (2, 3)])
+def test_cone_tree_matches_dense_reference(extents, cone_2x3):
+    if extents == (2, 3):
+        net, initial, tree = cone_2x3
+    else:
+        net, initial = _cone_case(*extents)
+        tree = enumerate_tree(net, foliate(net.lattice), initial, policy=COARSE)
+    dense = oracles.enumerate_tree_dense(net, foliate(net.lattice), initial, policy=COARSE)
+    _assert_matches_dense(net, tree, dense)
+    assert tree.max_commutator > 0.1  # overlapping spacelike supports on leaf 0
+    # after the last point no later point touches any cell
+    last = [leaf for leaf in tree.leaves() if leaf.point == net.lattice.points()[-1]]
+    assert last and all(leaf.state_cells == () for leaf in last)
+
+
+def test_tree_mass_is_conserved_when_all_outcomes_are_pruned(cone_2x3):
+    net, _, tree = cone_2x3
+    leaves = tree.leaves()
+    # nodes whose every outcome fell below prob_floor stay leaves
+    assert any(leaf.children_prob_sum is not None for leaf in leaves)
+    total = sum(leaf.cum_prob for leaf in leaves) + tree.pruned_mass
+    assert total == pytest.approx(1.0, abs=COARSE.tol_tree)
+
+
+def test_propagator_tree_matches_dense_reference():
+    net, initial = _cone_case(2, 2, seed=5)
+    u = random_unitary(net.dim, np.random.default_rng(8))
+    fol = foliate(net.lattice)
+    tree = enumerate_tree(net, fol, initial, policy=COARSE, propagators={1: u})
+    dense = oracles.enumerate_tree_dense(net, fol, initial, policy=COARSE,
+                                         propagators={1: u})
+    _assert_matches_dense(net, tree, dense)
+    # the ambient propagator before leaf 1 keeps every cell until it runs
+    first = tree.root.children
+    assert first and all(len(n.state_cells) == net.n_cells
+                         for c in first for n in [c] + c.children)
+    run = sample_history(net, fol, initial, seed=2, policy=COARSE, propagators={1: u})
+    paths = {tuple((e.point, e.label) for e in events): prob
+             for events, prob in tree.leaf_paths()}
+    assert run.probability == pytest.approx(paths[tuple((e.point, e.label)
+                                                        for e in run.events)], abs=1e-12)
+    assert run.final_state.dim == net.cell_dim ** len(run.final_cells)
+
+
+@pytest.mark.parametrize("commutation", ["warn", "abort"])
+@pytest.mark.parametrize("name", ["epr", "epr-overlap", "two-leaf-chain"])
+def test_scenario_tree_matches_dense_reference(name, commutation):
+    sc = build_scenario(name)
+    kwargs = dict(policy=COARSE, imposed=sc.imposed, commutation=commutation)
+    try:
+        dense = oracles.enumerate_tree_dense(sc.net, sc.foliation, sc.initial, **kwargs)
+    except CommutationError:
+        with pytest.raises(CommutationError):
+            enumerate_tree(sc.net, sc.foliation, sc.initial, **kwargs)
+        return
+    tree = enumerate_tree(sc.net, sc.foliation, sc.initial, **kwargs)
+    _assert_matches_dense(sc.net, tree, dense)
+
+
+def test_cone_abort_matches_dense_reference():
+    net, initial = _cone_case(2, 2)
+    fol = foliate(net.lattice)
+    with pytest.raises(CommutationError):
+        oracles.enumerate_tree_dense(net, fol, initial, policy=COARSE, commutation="abort")
+    with pytest.raises(CommutationError):
+        enumerate_tree(net, fol, initial, policy=COARSE, commutation="abort")
+
+
+def test_branch_states_drop_cells_no_later_point_touches():
+    sc = two_leaf_chain()
+    tree = enumerate_tree(sc.net, sc.foliation, sc.initial)
+    assert tree.root.state_cells == (0, 1)
+    for first in tree.root.children:
+        # cell 0 is done after (0, 0); (1, 0) reads cell 1 only
+        assert first.state_cells == (1,)
+        assert first.state_after.dim == 2
+        assert first.actual.support == (0, 1)
+        for second in first.children:
+            assert second.state_cells == ()
+            assert second.actual.support == (1,)
+            assert second.actual.factor.shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------
