@@ -382,7 +382,8 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     elif cfg.mode == "sample":
         summary = sample_paths(net, foliation, initial, cfg.samples, cfg.seed,
                                policy=policy, imposed=imposed,
-                               commutation=cfg.commutation)
+                               commutation=cfg.commutation,
+                               max_branches=cfg.max_branches)
         rows = [{"path": [list(step) for step in key], "count": count,
                  "frequency": count / summary.n_samples}
                 for key, count in summary.counts.items()]

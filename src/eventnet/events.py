@@ -191,14 +191,7 @@ def sample_actual(detection: EventDetection, rng=None,
     total = float(weights.sum())
     if abs(total - 1.0) > policy.tol_proj:
         raise ValueError(f"outcome weights sum to {total!r}, not 1")
-    u = gen.random() * total
-    acc = 0.0
-    idx = len(weights) - 1
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            idx = i
-            break
+    idx = int(gen.choice(len(weights), p=weights / total))
     return ActualEvent(point=detection.point, label=detection.event.labels[idx],
                        projection=detection.event.projections[idx],
                        born_prob=float(weights[idx]))

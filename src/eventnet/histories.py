@@ -7,7 +7,9 @@ branch detects events at every point of the current leaf from its own
 entry state, then forks over outcomes point by point in canonical spatial
 order, conditioning as it goes.  Chain-rule consistency (path probability
 = product of conditional probabilities = history-operator normalization)
-is exact by construction and re-verified in tests.
+is exact by construction and re-verified in tests.  Sampling grows the
+same tree along the outcomes its draws reach: each parent splits its
+draws over its children with one multinomial draw.
 
 Branching works on support factors.  A branch carries its state only on
 the tensor cells that later points still touch: after the outcomes at a
@@ -331,17 +333,6 @@ def _on_cells(fam: _Family, cells: tuple[int, ...], cell_dim: int) -> tuple[np.n
     return tuple(linalg.embed_factor(p, pos, len(cells), cell_dim) for p in fam.projections)
 
 
-def _check_commutators(families: Sequence[_Family], cell_dim: int, commutation: str,
-                       policy: NumericPolicy) -> list[tuple[Point, Point, float]]:
-    norms = _family_commutators(families, cell_dim)
-    for pa, pb, norm in norms:
-        if commutation == "abort" and norm > policy.tol_commutation:
-            raise CommutationError(
-                f"spacelike families at {pa} and {pb} fail to commute "
-                f"(norm {norm:.3e})")
-    return norms
-
-
 def _outcome_probs(rho: np.ndarray, cells: tuple[int, ...], fam: _Family,
                    cell_dim: int) -> np.ndarray:
     """Born weights tr(rho_S P_S) of the family's outcomes, clipped at 0."""
@@ -358,9 +349,106 @@ def _condition(rho: np.ndarray, cells: tuple[int, ...], fam: _Family, k: int, w:
     return (out + out.conj().T) / 2.0
 
 
-def _event(net: AlgebraNet, fam: _Family, k: int, w: float) -> ActualEvent:
-    return ActualEvent.from_factor(fam.point, fam.labels[k], fam.projections[k],
-                                   fam.support, net, w)
+class _Branch(NamedTuple):
+    """A live branch: its node, its state on ``cells``, its draws and its events."""
+
+    node: BranchNode
+    rho: np.ndarray
+    cells: tuple[int, ...]
+    draws: int | None
+    events: tuple[ActualEvent, ...]
+
+
+def _grow(net: AlgebraNet, foliation: Foliation, initial: State, max_branches: int | None,
+          policy: NumericPolicy, imposed: Mapping[Point, PotentialEvent] | None,
+          propagators: Mapping[int, object] | None, commutation: str,
+          draws: int | None = None,
+          gen: np.random.Generator | None = None) -> tuple[HistoryTree, list[_Branch]]:
+    """The branching engine behind :func:`enumerate_tree` and the samplers.
+
+    With ``draws=None`` every outcome that is not pruned is expanded.  With
+    ``draws=n`` the root holds ``n`` draws, each parent splits its draws
+    over the outcomes with one multinomial draw from ``gen``, and only the
+    outcomes that receive draws are expanded.  Returns the tree and every
+    branch that ended, each at a leaf.
+    """
+    if commutation not in ("warn", "abort"):
+        raise ValueError("commutation policy must be 'warn' or 'abort'")
+    cap = policy.branch_cap if max_branches is None else int(max_branches)
+    d = net.cell_dim
+    keep = _keep_cells(net, foliation, imposed, propagators)
+    every = tuple(range(net.n_cells))
+    root = BranchNode(leaf_index=-1, point=None, actual=None, state_after=initial,
+                      state_cells=every, cond_prob=1.0, cum_prob=1.0, event_dim=None)
+    frontier = [_Branch(root, initial.rho, every, draws, ())]
+    ended: list[_Branch] = []
+    pruned = 0.0
+    dims: set[int] = set()
+    comm_worst: dict[tuple[int, Point, Point], float] = {}
+
+    for li, leaf in enumerate(foliation.leaves):
+        if propagators is not None and li in propagators:
+            mat = _unitary(propagators[li], policy)
+            frontier = [b._replace(rho=mat @ b.rho @ mat.conj().T) for b in frontier]
+        next_frontier: list[_Branch] = []
+        for branch in frontier:
+            families, dims_seen = _leaf_families(net, leaf, keep[li], branch.rho,
+                                                 branch.cells, imposed, policy)
+            dims.update(dims_seen)
+            for pa, pb, norm in _family_commutators(families, d):
+                if commutation == "abort" and norm > policy.tol_commutation:
+                    raise CommutationError(f"spacelike families at {pa} and {pb} fail to "
+                                           f"commute (norm {norm:.3e})")
+                key = (li, pa, pb)
+                comm_worst[key] = max(comm_worst.get(key, 0.0), norm)
+            current = [branch]
+            for fam in families:
+                dim = len(fam.projections)
+                expanded = []
+                for parent in current:
+                    node = parent.node
+                    probs = _outcome_probs(parent.rho, parent.cells, fam, d)
+                    node.children_prob_sum = float(probs.sum())
+                    weights = probs.tolist()
+                    cums = [node.cum_prob * w for w in weights]
+                    if max(cums) < policy.prob_floor:
+                        ended.append(parent)  # a leaf with its own mass and draws
+                        continue
+                    # draws per outcome; None marks enumeration, which expands them all
+                    split = ([None] * dim if parent.draws is None else
+                             gen.multinomial(parent.draws, probs / probs.sum()).tolist())
+                    lost = 0.0
+                    for k, (w, cum, n) in enumerate(zip(weights, cums, split)):
+                        if cum < policy.prob_floor:
+                            if n:
+                                raise NullBranchError("sampled an outcome below prob_floor")
+                            lost += cum
+                            continue
+                        if n == 0:
+                            continue
+                        child_rho = _condition(parent.rho, parent.cells, fam, k, w, d)
+                        actual = ActualEvent.from_factor(fam.point, fam.labels[k],
+                                                         fam.projections[k], fam.support,
+                                                         net, w)
+                        child = BranchNode(leaf_index=li, point=fam.point, actual=actual,
+                                           state_after=State(child_rho, policy=policy),
+                                           state_cells=fam.keep,
+                                           cond_prob=w, cum_prob=cum, event_dim=dim)
+                        node.children.append(child)
+                        expanded.append(_Branch(child, child_rho, fam.keep, n,
+                                                parent.events + (actual,)))
+                    pruned += lost
+                current = expanded
+                if len(current) + len(next_frontier) > cap:
+                    raise BranchOverflowError(f"branching exceeded the branch cap of {cap}")
+            next_frontier.extend(current)
+        frontier = next_frontier
+    ended.extend(frontier)
+    comm_list = sorted((li, pa, pb, n) for (li, pa, pb), n in comm_worst.items())
+    tree = HistoryTree(root=root, foliation=foliation, pruned_mass=pruned,
+                       spectrum_dims=sorted(dims), commutation_norms=comm_list,
+                       max_commutator=max((n for *_, n in comm_list), default=0.0))
+    return tree, ended
 
 
 def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
@@ -384,70 +472,13 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     cell, so with them branches keep every cell up to the last one.
 
     ``commutation`` controls the response to non-commuting spacelike
-    families: "warn" records them, "abort" raises.
+    families: "warn" records them, "abort" raises.  More than
+    ``max_branches`` live branches (default ``policy.branch_cap``) raise
+    :class:`BranchOverflowError`.
     """
-    if commutation not in ("warn", "abort"):
-        raise ValueError("commutation policy must be 'warn' or 'abort'")
-    cap = policy.branch_cap if max_branches is None else int(max_branches)
-    d = net.cell_dim
-    keep = _keep_cells(net, foliation, imposed, propagators)
-    every = tuple(range(net.n_cells))
-    root = BranchNode(leaf_index=-1, point=None, actual=None, state_after=initial,
-                      state_cells=every, cond_prob=1.0, cum_prob=1.0, event_dim=None)
-    frontier: list[tuple[BranchNode, np.ndarray, tuple[int, ...]]] = [
-        (root, initial.rho, every)]
-    pruned = 0.0
-    dims: set[int] = set()
-    comm_worst: dict[tuple[int, Point, Point], float] = {}
-
-    for li, leaf in enumerate(foliation.leaves):
-        if propagators is not None and li in propagators:
-            mat = _unitary(propagators[li], policy)
-            frontier = [(node, mat @ rho @ mat.conj().T, cells)
-                        for node, rho, cells in frontier]
-        next_frontier: list[tuple[BranchNode, np.ndarray, tuple[int, ...]]] = []
-        for node, rho, cells in frontier:
-            families, dims_seen = _leaf_families(net, leaf, keep[li], rho, cells,
-                                                 imposed, policy)
-            dims.update(dims_seen)
-            for pa, pb, norm in _check_commutators(families, d, commutation, policy):
-                key = (li, pa, pb)
-                comm_worst[key] = max(comm_worst.get(key, 0.0), norm)
-            current = [(node, rho, cells)]
-            for fam in families:
-                dim = len(fam.projections)
-                expanded = []
-                for parent, prho, pcells in current:
-                    probs = _outcome_probs(prho, pcells, fam, d)
-                    parent.children_prob_sum = float(probs.sum())
-                    lost = 0.0
-                    for k, w in enumerate(probs.tolist()):
-                        cum = parent.cum_prob * w
-                        if cum < policy.prob_floor:
-                            lost += cum
-                            continue
-                        child_rho = _condition(prho, pcells, fam, k, w, d)
-                        child = BranchNode(leaf_index=li, point=fam.point,
-                                           actual=_event(net, fam, k, w),
-                                           state_after=State(child_rho, policy=policy),
-                                           state_cells=fam.keep,
-                                           cond_prob=w, cum_prob=cum, event_dim=dim)
-                        parent.children.append(child)
-                        expanded.append((child, child_rho, fam.keep))
-                    # a parent that lost every outcome stays a leaf with its own mass
-                    if parent.children:
-                        pruned += lost
-                current = expanded
-                if len(current) + len(next_frontier) > cap:
-                    raise BranchOverflowError(
-                        f"enumeration exceeded the branch cap of {cap}")
-            next_frontier.extend(current)
-        frontier = next_frontier
-    comm_list = sorted((li, pa, pb, n) for (li, pa, pb), n in comm_worst.items())
-    return HistoryTree(root=root, foliation=foliation, pruned_mass=pruned,
-                       spectrum_dims=sorted(dims),
-                       commutation_norms=comm_list,
-                       max_commutator=max((n for *_, n in comm_list), default=0.0))
+    tree, _ = _grow(net, foliation, initial, max_branches, policy, imposed, propagators,
+                    commutation)
+    return tree
 
 
 @dataclass
@@ -472,44 +503,19 @@ def sample_history(net: AlgebraNet, foliation: Foliation, initial: State,
                    propagators: Mapping[int, object] | None = None,
                    rng: np.random.Generator | None = None,
                    commutation: str = "warn") -> SampledHistory:
-    """Draw a single history by iterated Born sampling along the foliation."""
+    """Draw a single history by iterated Born sampling along the foliation.
+
+    This is :func:`sample_paths` with one draw from ``rng`` (or a Generator
+    made from ``seed``): the history ends at a leaf of the enumerated tree,
+    or the draw lands on pruned mass and raises :class:`NullBranchError`.
+    """
     gen = rng if rng is not None else np.random.default_rng(seed)
-    d = net.cell_dim
-    keep = _keep_cells(net, foliation, imposed, propagators)
-    rho, cells = initial.rho, tuple(range(net.n_cells))
-    events: list[ActualEvent] = []
-    prob = 1.0
-    worst = 0.0
-    dims: set[int] = set()
-    for li, leaf in enumerate(foliation.leaves):
-        if propagators is not None and li in propagators:
-            mat = _unitary(propagators[li], policy)
-            rho = mat @ rho @ mat.conj().T
-        families, dims_seen = _leaf_families(net, leaf, keep[li], rho, cells,
-                                             imposed, policy)
-        dims.update(dims_seen)
-        for _, _, norm in _check_commutators(families, d, commutation, policy):
-            worst = max(worst, norm)
-        for fam in families:
-            probs = _outcome_probs(rho, cells, fam, d)
-            total = probs.sum()
-            u_draw = gen.random() * total
-            acc = 0.0
-            idx = len(probs) - 1
-            for i, w in enumerate(probs):
-                acc += w
-                if u_draw < acc:
-                    idx = i
-                    break
-            w = float(probs[idx])
-            if w < policy.prob_floor:
-                raise NullBranchError("sampled an outcome below prob_floor")
-            rho, cells = _condition(rho, cells, fam, idx, w, d), fam.keep
-            events.append(_event(net, fam, idx, w))
-            prob *= w
-    return SampledHistory(events=tuple(events), final_state=State(rho, policy=policy),
-                          final_cells=cells, probability=prob, max_commutator=worst,
-                          spectrum_dims=sorted(dims))
+    tree, (leaf,) = _grow(net, foliation, initial, None, policy, imposed, propagators,
+                          commutation, draws=1, gen=gen)
+    return SampledHistory(events=leaf.events, final_state=State(leaf.rho, policy=policy),
+                          final_cells=leaf.cells, probability=leaf.node.cum_prob,
+                          max_commutator=tree.max_commutator,
+                          spectrum_dims=tree.spectrum_dims)
 
 
 @dataclass
@@ -531,42 +537,28 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
                  *, policy: NumericPolicy = DEFAULT_POLICY,
                  imposed: Mapping[Point, PotentialEvent] | None = None,
                  propagators: Mapping[int, object] | None = None,
-                 commutation: str = "warn") -> SampleSummary:
-    """Sample many histories, with per-sample generators spawned from one seed.
+                 commutation: str = "warn",
+                 max_branches: int | None = None) -> SampleSummary:
+    """Sample many histories from one Generator seeded with ``seed``.
 
-    The branch structure depends only on the outcome path, so the tree is
-    enumerated once and each sample walks it root to leaf, drawing one
-    uniform per event against the conditional Born weights.  Path keys are
-    tuples of (tau, x, label), so identical seeds give identical summaries.
+    Each parent splits its draws over its outcomes with one multinomial
+    draw, so the tree grows only along outcomes some draw reaches and each
+    node is expanded once.  Pruning follows :func:`enumerate_tree`: a draw
+    on an outcome below ``prob_floor`` raises :class:`NullBranchError`,
+    and a node whose every outcome is pruned is a leaf that keeps its
+    draws.  ``max_branches`` caps the live branches as in enumeration, but
+    at most ``n_samples`` are live, so trees too large to enumerate can
+    still be sampled.  Path keys are tuples of (tau, x, label); identical
+    seeds give identical summaries, though not those of releases that drew
+    from one spawned Generator per sample.  ``max_commutator`` and
+    ``spectrum_dims`` cover the branches the draws visited.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    tree = enumerate_tree(net, foliation, initial, policy=policy,
-                          imposed=imposed, propagators=propagators,
-                          commutation=commutation)
-    ss = np.random.SeedSequence(seed)
-    counts: dict[tuple, int] = {}
-    for child in ss.spawn(n_samples):
-        gen = np.random.default_rng(child)
-        node = tree.root
-        key: list[tuple[int, int, int]] = []
-        while node.children:
-            u_draw = gen.random() * node.children_prob_sum
-            acc = 0.0
-            chosen = None
-            for candidate in node.children:
-                acc += candidate.cond_prob
-                if u_draw < acc:
-                    chosen = candidate
-                    break
-            if chosen is None:
-                # the draw landed in mass pruned below prob_floor
-                raise NullBranchError("sampled an outcome below prob_floor")
-            ev = chosen.actual
-            key.append((ev.point.tau, ev.point.x, ev.label))
-            node = chosen
-        path = tuple(key)
-        counts[path] = counts.get(path, 0) + 1
+    tree, ended = _grow(net, foliation, initial, max_branches, policy, imposed, propagators,
+                        commutation, draws=n_samples, gen=np.random.default_rng(seed))
+    counts = {tuple((e.point.tau, e.point.x, e.label) for e in b.events): b.draws
+              for b in ended}
     return SampleSummary(n_samples=n_samples, seed=seed, counts=counts,
                          max_commutator=tree.max_commutator,
                          spectrum_dims=tree.spectrum_dims)

@@ -2,9 +2,10 @@
 
 Each scenario bundles a net, an initial state, optionally a set of
 externally designated ("imposed") outcome families, named quantities,
-and a list of expected values with the arithmetic identity they come
-from.  ``evaluate_expected`` re-derives every expectation through the
-event machinery, so the closed forms act as end-to-end oracles.
+a list of expected values with the arithmetic identity they come from,
+and its own evaluator that re-derives those values through the event
+machinery.  ``evaluate_expected`` compares the two, so the closed forms
+act as end-to-end oracles.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ class Expected:
 
 @dataclass
 class Scenario:
+    """A shipped scenario.
+
+    ``evaluate(scenario, policy)`` returns the actual value of each name in
+    ``expected``, computed through the event machinery.
+    """
+
     name: str
     net: AlgebraNet
     initial: State
@@ -61,6 +68,7 @@ class Scenario:
     quantities: dict[str, PhysicalQuantity] = field(default_factory=dict)
     expected: list[Expected] = field(default_factory=list)
     params: dict = field(default_factory=dict)
+    evaluate: Callable[[Scenario, NumericPolicy], dict[str, float]] | None = None
 
 
 @dataclass
@@ -129,7 +137,33 @@ def epr_scenario(n_dir=(0.0, 0.0, 1.0), n_prime_dir=(1.0, 0.0, 0.0),
     return Scenario(name="epr", net=net, initial=_singlet_state(policy),
                     foliation=foliate(lattice), imposed=imposed,
                     quantities=quantities, expected=expected,
-                    params={"n": n.tolist(), "n_prime": npr.tolist()})
+                    params={"n": n.tolist(), "n_prime": npr.tolist()},
+                    evaluate=_evaluate_epr)
+
+
+def _evaluate_spacelike_pair(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
+    """Commutator and conditioning-order actuals of the first two imposed families."""
+    return {"commutator_max": _family_commutator_max(scenario),
+            "order_dependence": order_independence_check(scenario, policy=policy)}
+
+
+def _evaluate_epr(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
+    actuals = _evaluate_spacelike_pair(scenario, policy)
+    # zero-probability branches are pruned from the tree, so seed every
+    # joint outcome with 0 and let the enumerated paths overwrite it
+    pairs = _imposed_pairs_first_leaf(scenario)
+    for la in pairs[0][1].labels:
+        for lb in pairs[1][1].labels:
+            actuals[f"joint_prob[{la}{lb}]"] = 0.0
+    tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
+                          policy=policy, imposed=scenario.imposed)
+    for events, prob in tree.leaf_paths():
+        labels = "".join(str(e.label) for e in events)
+        actuals[f"joint_prob[{labels}]"] = prob
+    report = nonlocality_demo(scenario, ("+", "+"), policy=policy)
+    actuals["unconditioned_prob"] = report.unconditioned
+    actuals["conditioned_prob"] = report.conditioned
+    return actuals
 
 
 def epr_overlap_scenario(n_dir=(0.0, 0.0, 1.0), n_prime_dir=(1.0, 0.0, 0.0),
@@ -158,7 +192,8 @@ def epr_overlap_scenario(n_dir=(0.0, 0.0, 1.0), n_prime_dir=(1.0, 0.0, 0.0),
     ]
     return Scenario(name="epr-overlap", net=net, initial=base.initial,
                     foliation=base.foliation, imposed=imposed,
-                    quantities={}, expected=expected, params=base.params)
+                    quantities={}, expected=expected, params=base.params,
+                    evaluate=_evaluate_spacelike_pair)
 
 
 def massive_control(extent_tau: int = 2, spectrum: Sequence[float] = (0.75, 0.25),
@@ -189,7 +224,20 @@ def massive_control(extent_tau: int = 2, spectrum: Sequence[float] = (0.75, 0.25
     ]
     return Scenario(name="massive-control", net=net, initial=initial,
                     foliation=foliate(lattice), expected=expected,
-                    params={"spectrum": list(spectrum)})
+                    params={"spectrum": list(spectrum)}, evaluate=_evaluate_massive_control)
+
+
+def _evaluate_massive_control(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
+    tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial, policy=policy)
+    deep = max((sum(e.point.tau > 0 for e in events) for events, _ in tree.leaf_paths()),
+               default=0)
+    return {
+        "n_leaves": float(len(tree.leaves())),
+        "first_leaf_outcomes": float(len(tree.root.children)),
+        "later_branchings": float(deep),
+        "derived_future_pairs": float(
+            len(derive_causal_order(scenario.net, policy=policy).future_pairs)),
+    }
 
 
 def two_leaf_chain(seed: int = 7, spectrum: Sequence[float] = (0.4, 0.3, 0.2, 0.1),
@@ -234,7 +282,20 @@ def two_leaf_chain(seed: int = 7, spectrum: Sequence[float] = (0.4, 0.3, 0.2, 0.
                              "nondegenerate spectra at both steps"))
     return Scenario(name="two-leaf-chain", net=net, initial=initial,
                     foliation=foliate(lattice), expected=expected,
-                    params={"seed": seed, "spectrum": list(spectrum)})
+                    params={"seed": seed, "spectrum": list(spectrum)},
+                    evaluate=_evaluate_two_leaf_chain)
+
+
+def _evaluate_two_leaf_chain(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
+    tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial, policy=policy)
+    actuals: dict[str, float] = {}
+    total = 0.0
+    for events, prob in tree.leaf_paths():
+        actuals[f"leaf_prob[{','.join(str(e.label) for e in events)}]"] = prob
+        total += prob
+    actuals["total_prob"] = total
+    actuals["n_leaves"] = float(len(tree.leaves()))
+    return actuals
 
 
 def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
@@ -278,7 +339,26 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
                     expected=expected,
                     params={"spectrum": list(spectrum), "tilt": tilt,
                             "epsilon": 0.05, "default_quantity": "aligned",
-                            "record_point": [0, 0]})
+                            "record_point": [0, 0]},
+                    evaluate=_evaluate_recording_demo)
+
+
+def _evaluate_recording_demo(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
+    p = Point(0, 0)
+    eps = float(scenario.params.get("epsilon", 0.05))
+    reports = {name: recording_check(scenario.net, p, scenario.initial,
+                                     scenario.quantities[name], eps, policy=policy)
+               for name in ("aligned", "transverse", "tilted")}
+    actuals = {"aligned_max_norm": max(reports["aligned"].alignment_norms, default=0.0),
+               "tilted_passes": 1.0 if reports["tilted"].passes else 0.0}
+    for k, n in enumerate(reports["transverse"].alignment_norms):
+        actuals[f"transverse_norm[{k}]"] = n
+    units = [np.eye(2, dtype=complex)[:, [i]] @ np.eye(2, dtype=complex)[[j], :]
+             for i in range(2) for j in range(2)]
+    px_plus, px_minus = linalg.spin_projections((1.0, 0.0, 0.0))
+    actuals["mixture_defect_transverse"] = mixture_defect(
+        scenario.initial, [px_plus, px_minus], units)
+    return actuals
 
 
 SCENARIO_BUILDERS: dict[str, Callable[..., Scenario]] = {
@@ -391,67 +471,8 @@ def _family_commutator_max(scenario: Scenario) -> float:
 
 def evaluate_expected(scenario: Scenario,
                       *, policy: NumericPolicy = DEFAULT_POLICY) -> list[EvaluatedExpectation]:
-    """Re-derive every expected value through the event machinery."""
-    actuals: dict[str, float] = {}
-    name = scenario.name
-    if name in ("epr", "epr-overlap"):
-        actuals["commutator_max"] = _family_commutator_max(scenario)
-        actuals["order_dependence"] = order_independence_check(scenario, policy=policy)
-    if name == "epr":
-        # zero-probability branches are pruned from the tree, so seed every
-        # joint outcome with 0 and let the enumerated paths overwrite it
-        pairs = _imposed_pairs_first_leaf(scenario)
-        for la in pairs[0][1].labels:
-            for lb in pairs[1][1].labels:
-                actuals[f"joint_prob[{la}{lb}]"] = 0.0
-        tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
-                              policy=policy, imposed=scenario.imposed)
-        for events, prob in tree.leaf_paths():
-            labels = "".join(str(e.label) for e in events)
-            actuals[f"joint_prob[{labels}]"] = prob
-        report = nonlocality_demo(scenario, ("+", "+"), policy=policy)
-        actuals["unconditioned_prob"] = report.unconditioned
-        actuals["conditioned_prob"] = report.conditioned
-    elif name == "massive-control":
-        tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
-                              policy=policy)
-        actuals["n_leaves"] = float(len(tree.leaves()))
-        actuals["first_leaf_outcomes"] = float(len(tree.root.children))
-        deep = 0
-        for events, _ in tree.leaf_paths():
-            deep = max(deep, sum(e.point.tau > 0 for e in events))
-        actuals["later_branchings"] = float(deep)
-        actuals["derived_future_pairs"] = float(
-            len(derive_causal_order(scenario.net, policy=policy).future_pairs))
-    elif name == "two-leaf-chain":
-        tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
-                              policy=policy)
-        total = 0.0
-        for events, prob in tree.leaf_paths():
-            key = ",".join(str(e.label) for e in events)
-            actuals[f"leaf_prob[{key}]"] = prob
-            total += prob
-        actuals["total_prob"] = total
-        actuals["n_leaves"] = float(len(tree.leaves()))
-    elif name == "recording-demo":
-        p = Point(0, 0)
-        eps = float(scenario.params.get("epsilon", 0.05))
-        rep_aligned = recording_check(scenario.net, p, scenario.initial,
-                                      scenario.quantities["aligned"], eps, policy=policy)
-        actuals["aligned_max_norm"] = max(rep_aligned.alignment_norms, default=0.0)
-        rep_trans = recording_check(scenario.net, p, scenario.initial,
-                                    scenario.quantities["transverse"], eps, policy=policy)
-        for k, n in enumerate(rep_trans.alignment_norms):
-            actuals[f"transverse_norm[{k}]"] = n
-        rep_tilt = recording_check(scenario.net, p, scenario.initial,
-                                   scenario.quantities["tilted"], eps, policy=policy)
-        actuals["tilted_passes"] = 1.0 if rep_tilt.passes else 0.0
-        units = [np.eye(2, dtype=complex)[:, [i]] @ np.eye(2, dtype=complex)[[j], :]
-                 for i in range(2) for j in range(2)]
-        px_plus, px_minus = linalg.spin_projections((1.0, 0.0, 0.0))
-        actuals["mixture_defect_transverse"] = mixture_defect(
-            scenario.initial, [px_plus, px_minus], units)
-
+    """Compare every expected value with the scenario's own evaluation of it."""
+    actuals = scenario.evaluate(scenario, policy) if scenario.evaluate is not None else {}
     out = []
     for exp in scenario.expected:
         actual = actuals.get(exp.name, float("nan"))

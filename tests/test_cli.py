@@ -318,6 +318,15 @@ def test_main_cap_exceeded_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_sample_mode_applies_branch_cap(tmp_path, capsys):
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({"scenario": "epr", "mode": "sample",
+                                "max_branches": 1}))
+    rc = main(["--config", str(path)])
+    assert rc == 3
+    assert "branch cap" in capsys.readouterr().err
+
+
 def test_main_numeric_error_exit_code(tmp_path, capsys):
     # recording on a pure state: no event happens, resolution failure
     path = tmp_path / "pure.json"

@@ -8,6 +8,7 @@ from eventnet import (
     BranchOverflowError,
     CausalLattice,
     CommutationError,
+    NullBranchError,
     Operator,
     Point,
     PotentialEvent,
@@ -424,3 +425,72 @@ def test_sample_paths_needs_positive_count():
     with pytest.raises(ValueError):
         sample_paths(sc.net, sc.foliation, sc.initial, 0, seed=1,
                      imposed=sc.imposed)
+
+
+def _path_keys(tree):
+    return {tuple((e.point.tau, e.point.x, e.label) for e in events): prob
+            for events, prob in tree.leaf_paths()}
+
+
+def test_samplers_prune_like_the_tree():
+    # at this floor some outcomes of the chain fall below it and are pruned
+    sc = two_leaf_chain()
+    policy = NumericPolicy(prob_floor=0.05)
+    tree = enumerate_tree(sc.net, sc.foliation, sc.initial, policy=policy)
+    assert tree.pruned_mass > 0.0
+    paths = _path_keys(tree)
+    returned = raised = 0
+    for seed in range(300):
+        try:
+            run = sample_history(sc.net, sc.foliation, sc.initial, seed=seed, policy=policy)
+        except NullBranchError:
+            raised += 1
+            continue
+        returned += 1
+        key = tuple((e.point.tau, e.point.x, e.label) for e in run.events)
+        assert key in paths, seed
+        assert run.probability == pytest.approx(paths[key], abs=1e-12)
+    assert returned and raised
+    with pytest.raises(NullBranchError):
+        sample_paths(sc.net, sc.foliation, sc.initial, 1000, seed=1, policy=policy)
+
+
+def test_sample_history_is_one_draw_of_sample_paths():
+    sc = two_leaf_chain()
+    for seed in range(5):
+        run = sample_history(sc.net, sc.foliation, sc.initial, seed=seed)
+        summary = sample_paths(sc.net, sc.foliation, sc.initial, 1, seed=seed)
+        assert list(summary.counts) == [tuple((e.point.tau, e.point.x, e.label)
+                                              for e in run.events)]
+
+
+def test_sample_history_rejects_unknown_commutation_policy():
+    sc = two_leaf_chain()
+    with pytest.raises(ValueError):
+        sample_history(sc.net, sc.foliation, sc.initial, seed=1, commutation="bogus")
+
+
+def test_sample_paths_match_cone_tree_within_five_sigma():
+    net, initial = _cone_case(2, 2)
+    fol = foliate(net.lattice)
+    paths = _path_keys(enumerate_tree(net, fol, initial))
+    n = 100_000
+    summary = sample_paths(net, fol, initial, n, seed=4)
+    assert sum(summary.counts.values()) == n
+    assert set(summary.counts) <= set(paths)
+    for key, p in paths.items():
+        freq = summary.counts.get(key, 0) / n
+        assert abs(freq - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n), key
+
+
+def test_sample_paths_go_past_the_branch_cap():
+    net, initial = _cone_case(2, 3)
+    fol = foliate(net.lattice)
+    with pytest.raises(BranchOverflowError):
+        enumerate_tree(net, fol, initial, max_branches=200)
+    a = sample_paths(net, fol, initial, 100, seed=6, max_branches=200)
+    b = sample_paths(net, fol, initial, 100, seed=6, max_branches=200)
+    assert sum(a.counts.values()) == 100
+    assert a.counts == b.counts
+    with pytest.raises(BranchOverflowError):
+        sample_paths(net, fol, initial, 100, seed=6, max_branches=2)
