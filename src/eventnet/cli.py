@@ -22,15 +22,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    CommutationError,
-    ConfigError,
-    EigengapError,
-    EventNetError,
-    NullBranchError,
-    ResolutionError,
-)
+from .errors import CapExceededError, ConfigError, EventNetError
 from .histories import enumerate_tree, sample_paths
 from .measurement import recording_check
 from .opalg import State
@@ -56,8 +48,7 @@ _COMMUTATION = ("warn", "abort")
 
 _CONFIG_FIELDS = {
     "scenario", "scenario_params", "net", "initial_state", "mode", "samples",
-    "seed", "epsilon", "commutation", "record", "format", "out",
-    "max_branches", "policy",
+    "seed", "epsilon", "commutation", "record", "format", "out", "policy",
 }
 
 
@@ -77,7 +68,6 @@ class RunConfig:
     record: dict = field(default_factory=dict)
     format: str = "structured"
     out: str | None = None
-    max_branches: int | None = None
     policy: NumericPolicy = DEFAULT_POLICY
 
     def echo(self) -> dict:
@@ -93,7 +83,6 @@ class RunConfig:
             "commutation": self.commutation,
             "record": self.record,
             "format": self.format,
-            "max_branches": self.max_branches,
         }
 
 
@@ -175,13 +164,6 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
             problems.append("out: must be a path string")
         else:
             cfg.out = raw["out"]
-    if "max_branches" in raw and raw["max_branches"] is not None:
-        try:
-            cfg.max_branches = int(raw["max_branches"])
-            if cfg.max_branches < 1:
-                problems.append("max_branches: must be positive")
-        except (TypeError, ValueError):
-            problems.append(f"max_branches: {raw['max_branches']!r} is not an integer")
     if "policy" in raw and raw["policy"] is not None:
         if not isinstance(raw["policy"], dict):
             problems.append("policy: must be an object of tolerance overrides")
@@ -191,7 +173,10 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
             if bad:
                 problems.append(f"policy: unknown tolerances {sorted(bad)}")
             else:
-                cfg.policy = NumericPolicy(**{**DEFAULT_POLICY.as_dict(), **raw["policy"]})
+                try:
+                    cfg.policy = NumericPolicy(**{**DEFAULT_POLICY.as_dict(), **raw["policy"]})
+                except ValueError as exc:
+                    problems.append(f"policy: {exc}")
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg
@@ -358,8 +343,7 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     if cfg.mode == "enumerate":
-        tree = enumerate_tree(net, foliation, initial, cfg.max_branches,
-                              policy=policy, imposed=imposed,
+        tree = enumerate_tree(net, foliation, initial, policy=policy, imposed=imposed,
                               commutation=cfg.commutation)
         leaf_rows = sorted(
             ({"path": _path_key(events), "probability": prob}
@@ -382,8 +366,7 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     elif cfg.mode == "sample":
         summary = sample_paths(net, foliation, initial, cfg.samples, cfg.seed,
                                policy=policy, imposed=imposed,
-                               commutation=cfg.commutation,
-                               max_branches=cfg.max_branches)
+                               commutation=cfg.commutation)
         rows = [{"path": [list(step) for step in key], "count": count,
                  "frequency": count / summary.n_samples}
                 for key, count in summary.counts.items()]
@@ -522,9 +505,6 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CommutationError, EigengapError, ResolutionError, NullBranchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EventNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -207,12 +207,12 @@ def mixture_defect(omega: State, projections: Sequence, test_ops: Sequence) -> f
     rho = omega.rho
     mix = np.zeros_like(rho)
     for p in projections:
-        pm = p.entries if isinstance(p, Operator) else np.asarray(p, dtype=complex)
+        pm = opalg._as_matrix(p)
         mix += pm @ rho @ pm
     diff = rho - mix
     worst = 0.0
     for a in test_ops:
-        am = a.entries if isinstance(a, Operator) else np.asarray(a, dtype=complex)
+        am = opalg._as_matrix(a)
         worst = max(worst, abs(complex(np.einsum("ij,ji->", diff, am))))
     return worst
 

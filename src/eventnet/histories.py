@@ -30,7 +30,7 @@ from . import linalg
 from .errors import BranchOverflowError, CommutationError, NullBranchError
 from .events import ActualEvent, _spectral_family
 from .linalg import operator_norm
-from .opalg import Operator, PotentialEvent, State
+from .opalg import PotentialEvent, State, _as_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .spacetime import AlgebraNet, CausalLattice, Foliation, Point, Relation, causal_relate
 
@@ -58,9 +58,6 @@ class HistoryOperator:
     matrix: np.ndarray
     spacelike_norms: list[tuple[Point, Point, float]]
     flagged: bool
-
-    def as_operator(self) -> Operator:
-        return Operator(self.matrix)
 
 
 def history_operator(events: Sequence[ActualEvent], lattice: CausalLattice | None = None,
@@ -116,7 +113,7 @@ def propagate_state(initial: State, history: HistoryOperator,
 
 def _unitary(u, policy: NumericPolicy) -> np.ndarray:
     """The propagator's matrix, after checking that it is unitary."""
-    mat = u.entries if isinstance(u, Operator) else np.asarray(u, dtype=complex)
+    mat = _as_matrix(u)
     defect = operator_norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
     if defect > policy.tol_proj:
         raise ValueError(f"propagator is not unitary (defect {defect:.3e})")
@@ -341,11 +338,18 @@ def _outcome_probs(rho: np.ndarray, cells: tuple[int, ...], fam: _Family,
     return np.clip(probs, 0.0, None)
 
 
-def _condition(rho: np.ndarray, cells: tuple[int, ...], fam: _Family, k: int, w: float,
+def _condition(rho: np.ndarray, cells: tuple[int, ...], fam: _Family, k: int,
                cell_dim: int) -> np.ndarray:
-    """Branch state after outcome ``k`` of weight ``w``, on the cells ``fam.keep``."""
-    out = _conjugate(rho, cells, fam.support, fam.projections[k], cell_dim) / w
-    out = _reduce(out, cells, fam.keep, cell_dim)
+    """Branch state after outcome ``k``, on the cells ``fam.keep``.
+
+    The collapsed state is divided by its own trace, not by the Born
+    weight, which is taken separately on the support state: for weights
+    near 1e-6 the two differ enough to miss unit trace by more than
+    ``tol_trace``.
+    """
+    out = _reduce(_conjugate(rho, cells, fam.support, fam.projections[k], cell_dim),
+                  cells, fam.keep, cell_dim)
+    out = out / np.trace(out).real
     return (out + out.conj().T) / 2.0
 
 
@@ -359,8 +363,8 @@ class _Branch(NamedTuple):
     events: tuple[ActualEvent, ...]
 
 
-def _grow(net: AlgebraNet, foliation: Foliation, initial: State, max_branches: int | None,
-          policy: NumericPolicy, imposed: Mapping[Point, PotentialEvent] | None,
+def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: NumericPolicy,
+          imposed: Mapping[Point, PotentialEvent] | None,
           propagators: Mapping[int, object] | None, commutation: str,
           draws: int | None = None,
           gen: np.random.Generator | None = None) -> tuple[HistoryTree, list[_Branch]]:
@@ -374,7 +378,7 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, max_branches: i
     """
     if commutation not in ("warn", "abort"):
         raise ValueError("commutation policy must be 'warn' or 'abort'")
-    cap = policy.branch_cap if max_branches is None else int(max_branches)
+    cap = policy.branch_cap
     d = net.cell_dim
     keep = _keep_cells(net, foliation, imposed, propagators)
     every = tuple(range(net.n_cells))
@@ -426,7 +430,7 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, max_branches: i
                             continue
                         if n == 0:
                             continue
-                        child_rho = _condition(parent.rho, parent.cells, fam, k, w, d)
+                        child_rho = _condition(parent.rho, parent.cells, fam, k, d)
                         actual = ActualEvent.from_factor(fam.point, fam.labels[k],
                                                          fam.projections[k], fam.support,
                                                          net, w)
@@ -452,7 +456,6 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, max_branches: i
 
 
 def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
-                   max_branches: int | None = None,
                    *, policy: NumericPolicy = DEFAULT_POLICY,
                    imposed: Mapping[Point, PotentialEvent] | None = None,
                    propagators: Mapping[int, object] | None = None,
@@ -473,11 +476,9 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
 
     ``commutation`` controls the response to non-commuting spacelike
     families: "warn" records them, "abort" raises.  More than
-    ``max_branches`` live branches (default ``policy.branch_cap``) raise
-    :class:`BranchOverflowError`.
+    ``policy.branch_cap`` live branches raise :class:`BranchOverflowError`.
     """
-    tree, _ = _grow(net, foliation, initial, max_branches, policy, imposed, propagators,
-                    commutation)
+    tree, _ = _grow(net, foliation, initial, policy, imposed, propagators, commutation)
     return tree
 
 
@@ -501,17 +502,18 @@ def sample_history(net: AlgebraNet, foliation: Foliation, initial: State,
                    seed=None, *, policy: NumericPolicy = DEFAULT_POLICY,
                    imposed: Mapping[Point, PotentialEvent] | None = None,
                    propagators: Mapping[int, object] | None = None,
-                   rng: np.random.Generator | None = None,
                    commutation: str = "warn") -> SampledHistory:
     """Draw a single history by iterated Born sampling along the foliation.
 
-    This is :func:`sample_paths` with one draw from ``rng`` (or a Generator
-    made from ``seed``): the history ends at a leaf of the enumerated tree,
-    or the draw lands on pruned mass and raises :class:`NullBranchError`.
+    This is :func:`sample_paths` with one draw from
+    ``np.random.default_rng(seed)``; ``seed`` may be a Generator, which is
+    then drawn from as it is.  The history ends at a leaf of the enumerated
+    tree, or the draw lands on pruned mass and raises
+    :class:`NullBranchError`.  The live branches are capped by
+    ``policy.branch_cap`` as in :func:`enumerate_tree`.
     """
-    gen = rng if rng is not None else np.random.default_rng(seed)
-    tree, (leaf,) = _grow(net, foliation, initial, None, policy, imposed, propagators,
-                          commutation, draws=1, gen=gen)
+    tree, (leaf,) = _grow(net, foliation, initial, policy, imposed, propagators,
+                          commutation, draws=1, gen=np.random.default_rng(seed))
     return SampledHistory(events=leaf.events, final_state=State(leaf.rho, policy=policy),
                           final_cells=leaf.cells, probability=leaf.node.cum_prob,
                           max_commutator=tree.max_commutator,
@@ -537,8 +539,7 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
                  *, policy: NumericPolicy = DEFAULT_POLICY,
                  imposed: Mapping[Point, PotentialEvent] | None = None,
                  propagators: Mapping[int, object] | None = None,
-                 commutation: str = "warn",
-                 max_branches: int | None = None) -> SampleSummary:
+                 commutation: str = "warn") -> SampleSummary:
     """Sample many histories from one Generator seeded with ``seed``.
 
     Each parent splits its draws over its outcomes with one multinomial
@@ -546,8 +547,8 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
     node is expanded once.  Pruning follows :func:`enumerate_tree`: a draw
     on an outcome below ``prob_floor`` raises :class:`NullBranchError`,
     and a node whose every outcome is pruned is a leaf that keeps its
-    draws.  ``max_branches`` caps the live branches as in enumeration, but
-    at most ``n_samples`` are live, so trees too large to enumerate can
+    draws.  ``policy.branch_cap`` caps the live branches as in enumeration,
+    but at most ``n_samples`` are live, so trees too large to enumerate can
     still be sampled.  Path keys are tuples of (tau, x, label); identical
     seeds give identical summaries, though not those of releases that drew
     from one spawned Generator per sample.  ``max_commutator`` and
@@ -555,8 +556,8 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    tree, ended = _grow(net, foliation, initial, max_branches, policy, imposed, propagators,
-                        commutation, draws=n_samples, gen=np.random.default_rng(seed))
+    tree, ended = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
+                        draws=n_samples, gen=np.random.default_rng(seed))
     counts = {tuple((e.point.tau, e.point.x, e.label) for e in b.events): b.draws
               for b in ended}
     return SampleSummary(n_samples=n_samples, seed=seed, counts=counts,

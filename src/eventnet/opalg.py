@@ -22,7 +22,7 @@ from .errors import (
     NullBranchError,
     ResolutionError,
 )
-from .linalg import dagger, hs_norm, operator_norm
+from .linalg import dagger, hs_norm
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -65,30 +65,12 @@ class Operator:
         arr.setflags(write=False)
         self.entries = arr
 
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(np.eye(dim, dtype=complex))
-
-    @classmethod
-    def zero(cls, dim: int) -> "Operator":
-        return cls(np.zeros((dim, dim), dtype=complex))
-
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     def adjoint(self) -> "Operator":
         return Operator(self.entries.conj().T)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    def norm(self) -> float:
-        """Operator (spectral) norm."""
-        return operator_norm(self.entries)
-
-    def hs_norm(self) -> float:
-        return hs_norm(self.entries)
 
     def is_self_adjoint(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
@@ -100,18 +82,6 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         self._check(other)
         return Operator(self.entries + other.entries)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.entries - other.entries)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.entries * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.entries)
 
     def _check(self, other: "Operator") -> None:
         if self.dim != other.dim:
@@ -128,11 +98,6 @@ def _as_matrix(op) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
     return arr
-
-
-def commutator(a, b) -> np.ndarray:
-    a, b = _as_matrix(a), _as_matrix(b)
-    return a @ b - b @ a
 
 
 class OperatorAlgebra:
@@ -183,39 +148,30 @@ class OperatorAlgebra:
                 f"operator dim {mat.shape[0]} vs ambient {self.ambient_dim}")
         return self._flat.conj() @ mat.ravel()
 
-    def project(self, op) -> Operator:
-        coeff = self.coefficients(op)
-        return Operator((coeff @ self._flat).reshape(self.ambient_dim, self.ambient_dim))
-
     def membership_residual(self, op) -> float:
         """Hilbert-Schmidt distance from ``op`` to the algebra's span."""
         mat = _as_matrix(op)
         coeff = self.coefficients(mat)
         return float(np.linalg.norm(mat.ravel() - coeff @ self._flat))
 
-    def contains(self, op, tol: float | None = None,
-                 policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-        tol = policy.tol_closure if tol is None else tol
-        return self.membership_residual(op) <= tol * max(1.0, hs_norm(_as_matrix(op)))
+    def contains(self, op, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+        scale = max(1.0, hs_norm(_as_matrix(op)))
+        return self.membership_residual(op) <= policy.tol_closure * scale
 
-    def is_abelian(self, tol: float | None = None,
-                   policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-        tol = policy.tol_closure if tol is None else tol
+    def is_abelian(self, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
         k, n = self.dim, self.ambient_dim
         mats = self._flat.reshape(k, n, n)
         prods = np.einsum("iab,jbc->ijac", mats, mats)
         comms = prods - prods.transpose(1, 0, 2, 3)
-        return bool(np.max(np.abs(comms)) <= tol)
+        return bool(np.max(np.abs(comms)) <= policy.tol_closure)
 
-    def equals(self, other: "OperatorAlgebra", tol: float | None = None,
-               policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+    def equals(self, other: "OperatorAlgebra", policy: NumericPolicy = DEFAULT_POLICY) -> bool:
         """Span equality: same dimension and mutual membership of bases."""
-        tol = policy.tol_closure if tol is None else tol
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
         worst = max(max(self.membership_residual(b) for b in other.basis),
                     max(other.membership_residual(b) for b in self.basis))
-        return worst <= tol
+        return worst <= policy.tol_closure
 
     def self_adjoint_parts(self) -> list[np.ndarray]:
         """Hermitian matrices spanning the algebra over the reals."""

@@ -1,16 +1,25 @@
 """Central numeric policy.
 
-Every tolerance, floor and cap used anywhere in the package lives in one
-frozen dataclass, so a run is reproducible from its echoed policy block
-alone and no module hides its own magic numbers.
+Every tolerance, floor and cap a run can set lives in one frozen
+dataclass, and it is the only way to set one, so a run is reproducible
+from its echoed policy block alone.  The branch cap is ``branch_cap``; a
+run config sets it, like any other field, in its ``policy`` block.
+Values are checked on construction.
 """
 
-from dataclasses import dataclass, asdict
+import math
+import numbers
+from dataclasses import dataclass, asdict, fields
 
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Tolerances and limits shared by all numeric routines."""
+    """Tolerances and limits shared by all numeric routines.
+
+    Raises ``ValueError`` when an int field is not an integer of at least
+    1, or a float field is not a finite, non-negative real number; bools
+    are refused for both.
+    """
 
     # linear algebra on operator spans
     tol_basis: float = 1e-10        # Hilbert-Schmidt orthonormality of algebra bases
@@ -20,19 +29,15 @@ class NumericPolicy:
     # states
     tol_psd: float = 1e-12          # allowed negative slack on state eigenvalues
     tol_trace: float = 1e-12        # allowed deviation of a state trace from 1
-    tol_trace_prop: float = 1e-11   # traciality of a state on its centralizer
     trace_floor: float = 1e-9       # smallest trace surviving support clamping
 
     # state representations and conditioning
-    tol_gns: float = 1e-10          # inner-product agreement in the representation space
     tol_gns_null: float = 1e-10     # relative cutoff for null directions of the Gram matrix
-    tol_ce: float = 1e-9            # conditional-expectation agreement
     eps_floor: float = 1e-6         # smallest admissible projection weight when conditioning
 
     # events and branching
     gap_min: float = 1e-6           # eigenvalue clustering threshold
     prob_floor: float = 1e-9        # smallest probability counted as strictly positive
-    tol_mixture: float = 1e-10      # block-diagonal mixture identity residual
     tol_tree: float = 1e-9          # branch normalization and chain-rule slack
     tol_commutation: float = 1e-9   # spacelike commutator norms treated as zero
     match_threshold: float = 0.5    # projection matching radius in operator norm
@@ -40,7 +45,18 @@ class NumericPolicy:
     # retries and caps
     max_retries: int = 8            # generic-element retries in minimal-projection search
     dimension_cap: int = 4096       # largest ambient Hilbert dimension a net may use
-    branch_cap: int = 10_000        # largest number of branches an enumeration may produce
+    branch_cap: int = 10_000        # largest number of live branches a tree may hold
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                        or value < 1):
+                    raise ValueError(f"{f.name}: {value!r} is not an integer of at least 1")
+            elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                  or not math.isfinite(value) or value < 0):
+                raise ValueError(f"{f.name}: {value!r} is not a finite, non-negative number")
 
     def as_dict(self) -> dict:
         return asdict(self)

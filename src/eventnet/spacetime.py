@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg, opalg
 from .errors import CapExceededError, DimensionMismatchError
-from .opalg import Operator, OperatorAlgebra, State
+from .opalg import OperatorAlgebra, State
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
     "verify_nesting",
     "derive_causal_order",
 ]
+
+_DENSE_BASIS_ENTRIES = 1 << 22   # largest dense local-algebra basis, in complex entries
 
 
 class Point(NamedTuple):
@@ -182,7 +184,7 @@ class AlgebraNet:
 
     def embed(self, op, support: Sequence[int]) -> np.ndarray:
         """Operator on the given support cells, as a full-space matrix."""
-        mat = op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+        mat = opalg._as_matrix(op)
         return linalg.embed_factor(mat, tuple(support), self.n_cells, self.cell_dim)
 
     def reduce_state(self, omega, support: Sequence[int]) -> np.ndarray:
@@ -200,7 +202,7 @@ class AlgebraNet:
         embedding of the returned factor; it vanishes iff ``op`` acts as the
         identity outside the support.
         """
-        mat = op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+        mat = opalg._as_matrix(op)
         rest = self.dim // (self.cell_dim ** len(support))
         factor = linalg.partial_trace(mat, tuple(support), self.n_cells, self.cell_dim) / rest
         residual = float(np.linalg.norm((mat - self.embed(factor, support)).ravel()))
@@ -210,19 +212,19 @@ class AlgebraNet:
         _, residual = self.reduce_operator(op, self.support(p))
         return residual
 
-    def dense_algebra_at(self, p: Point, *, policy: NumericPolicy = DEFAULT_POLICY,
-                         max_elements: int = 1 << 22) -> OperatorAlgebra:
+    def dense_algebra_at(self, p: Point, *,
+                         policy: NumericPolicy = DEFAULT_POLICY) -> OperatorAlgebra:
         """Materialize the localized algebra as an explicit basis.
 
         Basis elements are the embedded matrix units of the support factor,
         normalized to Hilbert-Schmidt length 1.  Refuses when the basis
-        would not fit in a sane amount of memory.
+        would hold more than ``_DENSE_BASIS_ENTRIES`` complex entries.
         """
         support = self.support(p)
         k = self.algebra_dim(p)
-        if k * self.dim * self.dim > max_elements:
-            raise CapExceededError(
-                f"dense basis at {p} needs {k} x {self.dim}^2 entries; raise max_elements to force")
+        if k * self.dim * self.dim > _DENSE_BASIS_ENTRIES:
+            raise CapExceededError(f"dense basis at {p} needs {k} x {self.dim}^2 entries, "
+                                   f"more than {_DENSE_BASIS_ENTRIES}")
         fdim = self.cell_dim ** len(support)
         rest = self.dim // fdim
         norm = np.sqrt(float(rest))

@@ -67,6 +67,38 @@ def test_config_rejects_unknown_policy_keys():
         _cfg(scenario="epr", policy={"tol_nonsense": 1e-9})
 
 
+def test_main_rejects_the_removed_max_branches_field(tmp_path, capsys):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"scenario": "epr", "max_branches": 4}))
+    assert main(["--config", str(path)]) == 1
+    assert "unknown fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+def test_main_branch_cap_bounds_the_expected_block(tmp_path, capsys, mode):
+    # sample mode still enumerates the scenario tree for its expected block
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({"scenario": "two-leaf-chain", "mode": mode, "samples": 3,
+                                "policy": {"branch_cap": 4}}))
+    assert main(["--config", str(path)]) == 3
+    assert "branch cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", [{"scenario": "epr"},
+                                    {"net": {"kind": "cone", "extent_tau": 1,
+                                             "extent_x": 2}}],
+                         ids=["scenario", "net"])
+@pytest.mark.parametrize("override", [{"prob_floor": "x"}, {"branch_cap": 0},
+                                      {"branch_cap": 2.5}, {"branch_cap": True},
+                                      {"gap_min": -1}, {"tol_tree": float("nan")}],
+                         ids=["string", "zero-cap", "float-cap", "bool-cap", "negative", "nan"])
+def test_main_rejects_bad_policy_overrides(tmp_path, capsys, target, override):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**target, "policy": override}))
+    assert main(["--config", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_collects_all_problems():
     with pytest.raises(ConfigError, match="mode.*;.*format"):
         _cfg(scenario="epr", mode="explode", format="yaml")
@@ -321,7 +353,7 @@ def test_main_cap_exceeded_exit_code(tmp_path, capsys):
 def test_main_sample_mode_applies_branch_cap(tmp_path, capsys):
     path = tmp_path / "capped.json"
     path.write_text(json.dumps({"scenario": "epr", "mode": "sample",
-                                "max_branches": 1}))
+                                "policy": {"branch_cap": 1}}))
     rc = main(["--config", str(path)])
     assert rc == 3
     assert "branch cap" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Tests for history operators, tree enumeration, and history sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from eventnet import (
     sample_paths,
     two_leaf_chain,
 )
+from eventnet.cli import main
 from eventnet.linalg import PAULI_X, partial_trace, random_unitary
 from eventnet.policy import NumericPolicy
 
@@ -201,7 +204,7 @@ def test_tree_prunes_invisible_outcomes():
 def test_tree_branch_cap():
     sc = two_leaf_chain()
     with pytest.raises(BranchOverflowError):
-        enumerate_tree(sc.net, sc.foliation, sc.initial, max_branches=3)
+        enumerate_tree(sc.net, sc.foliation, sc.initial, policy=NumericPolicy(branch_cap=3))
 
 
 def test_tree_commutation_abort():
@@ -257,6 +260,45 @@ def _cone_case(extent_tau, extent_x, seed=3):
     g = rng.standard_normal((net.dim, net.dim)) + 1j * rng.standard_normal((net.dim, net.dim))
     rho = g @ g.conj().T
     return net, State(rho / np.trace(rho).real)
+
+
+def _tiny_eigenvalue_cone(seed):
+    """2x2 cone net with four unit eigenvalues and twelve in [1e-8.5, 1e-6].
+
+    Some outcomes then weigh ~1e-6, where normalizing a collapsed branch by
+    the Born weight of the support state misses unit trace by ~1e-12.
+    """
+    net = build_tensor_net(CausalLattice(2, 2))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((net.dim, net.dim)) + 1j * rng.standard_normal((net.dim, net.dim))
+    v = np.linalg.qr(g)[0]
+    spectrum = np.array([1.0] * 4 + [10 ** rng.uniform(-8.5, -6) for _ in range(12)])
+    spectrum /= spectrum.sum()
+    return net, (v * spectrum) @ v.conj().T
+
+
+def test_tiny_eigenvalue_branches_keep_unit_trace():
+    for seed in range(6):
+        net, rho = _tiny_eigenvalue_cone(seed)
+        tree = enumerate_tree(net, foliate(net.lattice), State(rho))
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            assert abs(np.trace(node.state_after.rho).real - 1.0) <= 1e-14, seed
+
+
+def test_tiny_eigenvalue_cone_runs_through_the_cli(tmp_path):
+    net, rho = _tiny_eigenvalue_cone(63)
+    tree = enumerate_tree(net, foliate(net.lattice), State(rho))
+    assert tree.leaves()
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "net": {"kind": "cone", "extent_tau": 2, "extent_x": 2},
+        "initial_state": {"kind": "matrix",
+                          "entries": [[[z.real, z.imag] for z in row] for row in rho]},
+    }))
+    assert main(["--config", str(path)]) == 0
 
 
 def _assert_matches_dense(net, tree, dense, tol=1e-12):
@@ -390,6 +432,14 @@ def test_sample_history_walks_the_tree():
     assert run.probability == pytest.approx(tree_paths[key], abs=1e-12)
 
 
+def test_sample_history_seed_may_be_a_generator():
+    sc = two_leaf_chain()
+    a = sample_history(sc.net, sc.foliation, sc.initial, seed=np.random.default_rng(5))
+    b = sample_history(sc.net, sc.foliation, sc.initial, seed=5)
+    assert [e.label for e in a.events] == [e.label for e in b.events]
+    assert np.array_equal(a.final_state.rho, b.final_state.rho)
+
+
 def test_sample_history_deterministic_per_seed():
     sc = two_leaf_chain()
     a = sample_history(sc.net, sc.foliation, sc.initial, seed=11)
@@ -487,10 +537,10 @@ def test_sample_paths_go_past_the_branch_cap():
     net, initial = _cone_case(2, 3)
     fol = foliate(net.lattice)
     with pytest.raises(BranchOverflowError):
-        enumerate_tree(net, fol, initial, max_branches=200)
-    a = sample_paths(net, fol, initial, 100, seed=6, max_branches=200)
-    b = sample_paths(net, fol, initial, 100, seed=6, max_branches=200)
+        enumerate_tree(net, fol, initial, policy=NumericPolicy(branch_cap=200))
+    a = sample_paths(net, fol, initial, 100, seed=6, policy=NumericPolicy(branch_cap=200))
+    b = sample_paths(net, fol, initial, 100, seed=6, policy=NumericPolicy(branch_cap=200))
     assert sum(a.counts.values()) == 100
     assert a.counts == b.counts
     with pytest.raises(BranchOverflowError):
-        sample_paths(net, fol, initial, 100, seed=6, max_branches=2)
+        sample_paths(net, fol, initial, 100, seed=6, policy=NumericPolicy(branch_cap=2))

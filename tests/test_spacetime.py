@@ -7,6 +7,7 @@ from eventnet import (
     AlgebraNet,
     CapExceededError,
     CausalLattice,
+    DimensionMismatchError,
     Point,
     Relation,
     State,
@@ -149,6 +150,14 @@ def test_membership_residual_localization():
     outside = tuple(set(range(net.n_cells)) - set(net.support(p_late)))[:1]
     op_outside = net.embed(PAULI_X, outside)
     assert net.membership_residual(op_outside, p_late) > 0.5
+
+
+def test_net_operator_maps_refuse_non_square_input():
+    net = build_tensor_net(CausalLattice(2, 2))
+    with pytest.raises(DimensionMismatchError):
+        net.embed(np.ones((2, 3)), (0,))
+    with pytest.raises(DimensionMismatchError):
+        net.reduce_operator(np.ones((net.dim, 2)), (0,))
 
 
 def test_dense_algebra_matches_generated_closure():
