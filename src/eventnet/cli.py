@@ -26,7 +26,7 @@ from .errors import CapExceededError, ConfigError, EventNetError
 from .histories import enumerate_tree, sample_paths
 from .measurement import recording_check
 from .opalg import State
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY, NumericPolicy, is_integer_at_least
 from .scenarios import (SCENARIO_BUILDERS, Scenario, build_scenario,
                         evaluate_expected)
 from .spacetime import (CausalLattice, Point, build_full_net, build_tensor_net,
@@ -45,6 +45,9 @@ __all__ = [
 _MODES = ("enumerate", "sample", "record")
 _FORMATS = ("structured", "csv")
 _COMMUTATION = ("warn", "abort")
+# integer net fields: name, default, least allowed value
+_NET_SIZES = (("extent_tau", 1, 1), ("extent_x", 1, 1), ("speed", 1, 1),
+              ("cell_dim", 2, 2), ("n_cells", 1, 1))
 
 _CONFIG_FIELDS = {
     "scenario", "scenario_params", "net", "initial_state", "mode", "samples",
@@ -100,16 +103,12 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
                             f"known: {sorted(SCENARIO_BUILDERS)}")
         else:
             cfg.scenario = raw["scenario"]
-    if "scenario_params" in raw and raw["scenario_params"] is not None:
-        if not isinstance(raw["scenario_params"], dict):
-            problems.append("scenario_params: must be an object")
-        else:
-            cfg.scenario_params = dict(raw["scenario_params"])
-    if "net" in raw and raw["net"] is not None:
-        if not isinstance(raw["net"], dict):
-            problems.append("net: must be an object")
-        else:
-            cfg.net = dict(raw["net"])
+    for key in ("scenario_params", "net", "record"):
+        if raw.get(key) is not None:
+            if isinstance(raw[key], dict):
+                setattr(cfg, key, dict(raw[key]))
+            else:
+                problems.append(f"{key}: must be an object")
     if cfg.scenario and cfg.net:
         problems.append("scenario and net are mutually exclusive")
     if not cfg.scenario and not cfg.net:
@@ -119,24 +118,23 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
             problems.append("initial_state: must be an object with a 'kind'")
         else:
             cfg.initial_state = dict(raw["initial_state"])
-    mode = raw.get("mode", cfg.mode)
-    if mode not in _MODES:
-        problems.append(f"mode: {mode!r} is not one of {_MODES}")
-    else:
-        cfg.mode = mode
-    if "samples" in raw and raw["samples"] is not None:
-        try:
-            cfg.samples = int(raw["samples"])
-            if cfg.samples < 1:
-                problems.append("samples: must be at least 1")
-        except (TypeError, ValueError):
-            problems.append(f"samples: {raw['samples']!r} is not an integer")
-    if "seed" in raw:
-        seed = raw["seed"]
-        if seed is not None and not isinstance(seed, int):
-            problems.append("seed: must be an integer or null")
+    for key, choices in (("mode", _MODES), ("commutation", _COMMUTATION),
+                         ("format", _FORMATS)):
+        value = raw.get(key, getattr(cfg, key))
+        if value in choices:
+            setattr(cfg, key, value)
         else:
-            cfg.seed = seed
+            problems.append(f"{key}: {value!r} is not one of {choices}")
+    if raw.get("samples") is not None:
+        if is_integer_at_least(raw["samples"], 1):
+            cfg.samples = raw["samples"]
+        else:
+            problems.append(f"samples: {raw['samples']!r} is not an integer of at least 1")
+    seed = raw.get("seed")
+    if seed is None or is_integer_at_least(seed, 0):
+        cfg.seed = seed
+    else:
+        problems.append(f"seed: {seed!r} is not a non-negative integer or null")
     if "epsilon" in raw and raw["epsilon"] is not None:
         try:
             cfg.epsilon = float(raw["epsilon"])
@@ -144,21 +142,6 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
                 problems.append("epsilon: must lie strictly between 0 and 1")
         except (TypeError, ValueError):
             problems.append(f"epsilon: {raw['epsilon']!r} is not a number")
-    commutation = raw.get("commutation", cfg.commutation)
-    if commutation not in _COMMUTATION:
-        problems.append(f"commutation: {commutation!r} is not one of {_COMMUTATION}")
-    else:
-        cfg.commutation = commutation
-    if "record" in raw and raw["record"] is not None:
-        if not isinstance(raw["record"], dict):
-            problems.append("record: must be an object")
-        else:
-            cfg.record = dict(raw["record"])
-    fmt = raw.get("format", cfg.format)
-    if fmt not in _FORMATS:
-        problems.append(f"format: {fmt!r} is not one of {_FORMATS}")
-    else:
-        cfg.format = fmt
     if "out" in raw and raw["out"] is not None:
         if not isinstance(raw["out"], str):
             problems.append("out: must be a path string")
@@ -212,42 +195,45 @@ def _pairs(mat: np.ndarray) -> list:
 
 def _state_from_config(desc: Mapping[str, Any] | None, dim: int,
                        policy: NumericPolicy) -> State:
-    if desc is None:
-        return State.maximally_mixed(dim, policy=policy)
-    kind = desc.get("kind")
+    kind = "maximally-mixed" if desc is None else desc.get("kind")
+    if kind not in ("maximally-mixed", "diagonal", "vector", "matrix"):
+        raise ConfigError(f"initial_state kind {kind!r} is not recognized")
     try:
         if kind == "maximally-mixed":
-            return State.maximally_mixed(dim, policy=policy)
-        if kind == "diagonal":
-            return State.diagonal(desc["weights"], policy=policy)
-        if kind == "vector":
+            state = State.maximally_mixed(dim, policy=policy)
+        elif kind == "diagonal":
+            state = State.diagonal(desc["weights"], policy=policy)
+        elif kind == "vector":
             vec = [complex(p[0], p[1]) for p in desc["entries"]]
-            return State.from_vector(vec, policy=policy)
-        if kind == "matrix":
+            state = State.from_vector(vec, policy=policy)
+        else:
             rows = [[complex(p[0], p[1]) for p in row] for row in desc["entries"]]
-            return State(rows, policy=policy)
+            state = State(rows, policy=policy)
     except (KeyError, IndexError, TypeError) as exc:
         raise ConfigError(f"initial_state is malformed: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"initial_state is not a valid state: {exc}") from exc
-    raise ConfigError(f"initial_state kind {kind!r} is not recognized")
+    if state.dim != dim:
+        raise ConfigError(f"initial_state has dimension {state.dim}, but the net has {dim}")
+    return state
 
 
 def _net_from_config(desc: Mapping[str, Any], policy: NumericPolicy):
-    try:
-        lattice = CausalLattice(int(desc.get("extent_tau", 1)),
-                                int(desc.get("extent_x", 1)),
-                                int(desc.get("speed", 1)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"net lattice is malformed: {exc}") from exc
-    cell_dim = int(desc.get("cell_dim", 2))
     kind = desc.get("kind", "cone")
+    if kind not in ("cone", "full"):
+        raise ConfigError(f"net kind {kind!r} is not one of ('cone', 'full')")
+    size = {}
+    for name, default, low in _NET_SIZES:
+        size[name] = desc.get(name, default)
+        if not is_integer_at_least(size[name], low):
+            raise ConfigError(f"net {name}: {size[name]!r} is not an integer of at least {low}")
+    lattice = CausalLattice(size["extent_tau"], size["extent_x"], size["speed"])
     if kind == "cone":
-        return build_tensor_net(lattice, cell_dim, policy=policy)
-    if kind == "full":
-        return build_full_net(lattice, cell_dim, int(desc.get("n_cells", 1)),
-                              policy=policy)
-    raise ConfigError(f"net kind {kind!r} is not one of ('cone', 'full')")
+        return build_tensor_net(lattice, size["cell_dim"], policy=policy)
+    if size["n_cells"] > len(lattice.points()):
+        raise ConfigError(f"net n_cells: {size['n_cells']} is more than the lattice's "
+                          f"{len(lattice.points())} points")
+    return build_full_net(lattice, size["cell_dim"], size["n_cells"], policy=policy)
 
 
 def _tree_to_dict(node) -> dict:
@@ -390,9 +376,11 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
             raise ConfigError(
                 f"record quantity {qname!r} not in {sorted(scenario.quantities)}")
         pt_raw = cfg.record.get("point", scenario.params.get("record_point"))
-        if pt_raw is None:
-            raise ConfigError("record mode needs a point")
-        point = Point(int(pt_raw[0]), int(pt_raw[1]))
+        if (not isinstance(pt_raw, (list, tuple)) or len(pt_raw) != 2
+                or not all(is_integer_at_least(v, 0) for v in pt_raw)
+                or not net.lattice.contains(Point(*pt_raw))):
+            raise ConfigError(f"record point {pt_raw!r} is not a [tau, x] of the lattice")
+        point = Point(*pt_raw)
         rep = recording_check(net, point, initial, scenario.quantities[qname],
                               cfg.epsilon, policy=policy)
         report["recording"] = {

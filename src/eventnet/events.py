@@ -3,7 +3,9 @@
 An event at a point is read off the state restricted to the localized
 algebra there: the center of the state's centralizer is abelian, its
 minimal projections are the candidate outcomes, and the event "happens"
-when at least two outcomes carry strictly positive probability.  For a
+when at least two outcomes carry weight at least ``prob_floor``
+(:func:`event_happened`).  A branch is conditioned by
+:func:`normalize_branch`, which refuses a weight below ``prob_floor``.  For a
 net algebra (a full matrix factor) this reduces to spectral analysis of
 the reduced density matrix, which is the fast path; the generic path via
 centralizer/center works for any explicit algebra and is used to
@@ -28,7 +30,9 @@ __all__ = [
     "ActualEvent",
     "detect_event",
     "detect_event_on",
+    "event_happened",
     "collapse",
+    "normalize_branch",
     "sample_actual",
     "mixture_check",
     "mixture_defect",
@@ -107,15 +111,15 @@ def _spectral_family(rho_f: np.ndarray, policy: NumericPolicy):
     Returns (projections, weights) with weights in decreasing order;
     eigenvalues closer than ``gap_min`` share a projection.
     """
-    vals, vecs = np.linalg.eigh(rho_f)
-    clusters = linalg.cluster_indices(vals, policy.gap_min)
-    projs, weights = [], []
-    for c in clusters:
-        block = vecs[:, c]
-        projs.append(block @ block.conj().T)
-        weights.append(float(np.sum(vals[c])))
-    order = np.argsort(-np.asarray(weights), kind="stable")
+    vals, clusters, projs = linalg.spectral_projections(rho_f, policy.gap_min)
+    weights = [float(np.sum(vals[c])) for c in clusters]
+    order = linalg.decreasing_order(weights)
     return [projs[i] for i in order], [weights[i] for i in order]
+
+
+def event_happened(weights: Sequence[float], policy: NumericPolicy) -> bool:
+    """The happened test: at least two outcomes weigh ``prob_floor`` or more."""
+    return sum(w >= policy.prob_floor for w in weights) >= 2
 
 
 def detect_event(net: AlgebraNet, point: Point, omega: State,
@@ -136,9 +140,9 @@ def detect_event(net: AlgebraNet, point: Point, omega: State,
     basis = [a.entries / np.sqrt(np.trace(p).real * rest)
              for a, p in zip(ambient, projs_f)]
     algebra = OperatorAlgebra(basis, policy=policy, validate=False)
-    happened = sum(w >= policy.prob_floor for w in weights) >= 2
     return EventDetection(point=point, event_algebra=algebra, event=event,
-                          probabilities=tuple(weights), happened=happened,
+                          probabilities=tuple(weights),
+                          happened=event_happened(weights, policy),
                           support=support,
                           factor_projections=tuple(projs_f))
 
@@ -154,29 +158,30 @@ def detect_event_on(alg: OperatorAlgebra, omega: State,
     zent = opalg.center_of_centralizer(alg, omega, policy=policy)
     family = opalg.minimal_projections(zent, policy=policy, seed=seed)
     weights = [omega.prob(p) for p in family.projections]
-    order = np.argsort(-np.asarray(weights), kind="stable")
+    order = linalg.decreasing_order(weights)
     event = PotentialEvent([family.projections[i] for i in order], policy=policy)
     weights = [weights[i] for i in order]
-    happened = sum(w >= policy.prob_floor for w in weights) >= 2
     return EventDetection(point=point, event_algebra=zent, event=event,
-                          probabilities=tuple(weights), happened=happened)
+                          probabilities=tuple(weights),
+                          happened=event_happened(weights, policy))
 
 
 def collapse(omega: State, actual: ActualEvent,
              *, policy: NumericPolicy = DEFAULT_POLICY) -> State:
     """Condition the state on the realized outcome: p rho p / trace."""
     proj = actual.projection.entries
-    rho = _collapse_raw(omega.rho, proj, policy)
-    return State(rho, policy=policy)
+    return State(normalize_branch(proj @ omega.rho @ proj, policy), policy=policy)
 
 
-def _collapse_raw(rho: np.ndarray, proj: np.ndarray, policy: NumericPolicy) -> np.ndarray:
-    out = proj @ rho @ proj
+def normalize_branch(out: np.ndarray, policy: NumericPolicy) -> np.ndarray:
+    """Divide an unnormalized branch ``k rho k^dagger`` by its own trace; hermitize.
+
+    A trace below ``prob_floor`` raises :class:`NullBranchError`.
+    """
     w = float(np.trace(out).real)
     if w < policy.prob_floor:
-        raise NullBranchError(f"outcome probability {w:.3e} below prob_floor")
-    out = out / w
-    return (out + out.conj().T) / 2.0
+        raise NullBranchError(f"branch probability {w:.3e} below prob_floor")
+    return linalg.trace_normalized(out)
 
 
 def sample_actual(detection: EventDetection, rng=None,
@@ -204,12 +209,7 @@ def mixture_defect(omega: State, projections: Sequence, test_ops: Sequence) -> f
     central for the state, and violated by a generically chosen
     non-central family.
     """
-    rho = omega.rho
-    mix = np.zeros_like(rho)
-    for p in projections:
-        pm = opalg._as_matrix(p)
-        mix += pm @ rho @ pm
-    diff = rho - mix
+    diff = linalg.mixture_residual(omega.rho, [opalg._as_matrix(p) for p in projections])
     worst = 0.0
     for a in test_ops:
         am = opalg._as_matrix(a)
@@ -231,10 +231,7 @@ def mixture_check(net: AlgebraNet, point: Point, omega: State,
     if detection.factor_projections is None:
         raise ValueError("mixture_check needs a net-based detection")
     rho_f = net.reduce_state(omega, detection.support)
-    mix = np.zeros_like(rho_f)
-    for p in detection.factor_projections:
-        mix += p @ rho_f @ p
-    return float(np.max(np.abs(rho_f - mix)))
+    return float(np.max(np.abs(linalg.mixture_residual(rho_f, detection.factor_projections))))
 
 
 def spacelike_commutator_norm(det_a: EventDetection, det_b: EventDetection,
@@ -249,9 +246,5 @@ def spacelike_commutator_norm(det_a: EventDetection, det_b: EventDetection,
         if rel is not Relation.SPACELIKE:
             raise ValueError(f"points {det_a.point} and {det_b.point} are {rel.value}, "
                              "not spacelike")
-    worst = 0.0
-    for p in det_a.event.projections:
-        for q in det_b.event.projections:
-            comm = p.entries @ q.entries - q.entries @ p.entries
-            worst = max(worst, linalg.operator_norm(comm))
-    return worst
+    return linalg.max_commutator_norm([p.entries for p in det_a.event.projections],
+                                      [q.entries for q in det_b.event.projections])

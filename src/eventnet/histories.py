@@ -28,8 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BranchOverflowError, CommutationError, NullBranchError
-from .events import ActualEvent, _spectral_family
-from .linalg import operator_norm
+from .events import ActualEvent, _spectral_family, event_happened, normalize_branch
 from .opalg import PotentialEvent, State, _as_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .spacetime import AlgebraNet, CausalLattice, Foliation, Point, Relation, causal_relate
@@ -85,9 +84,9 @@ def history_operator(events: Sequence[ActualEvent], lattice: CausalLattice | Non
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
                 if causal_relate(lattice, a.point, b.point) is Relation.SPACELIKE:
-                    comm = (a.projection.entries @ b.projection.entries
-                            - b.projection.entries @ a.projection.entries)
-                    norms.append((a.point, b.point, operator_norm(comm)))
+                    norm = linalg.max_commutator_norm([a.projection.entries],
+                                                      [b.projection.entries])
+                    norms.append((a.point, b.point, norm))
     flagged = any(n > policy.tol_commutation for *_, n in norms)
     return HistoryOperator(events=tuple(ordered), matrix=mat,
                            spacelike_norms=norms, flagged=flagged)
@@ -103,18 +102,13 @@ def propagate_state(initial: State, history: HistoryOperator,
                     *, policy: NumericPolicy = DEFAULT_POLICY) -> State:
     """State after the history: H rho H* renormalized."""
     h = history.matrix
-    out = h @ initial.rho @ h.conj().T
-    norm = float(np.trace(out).real)
-    if norm < policy.prob_floor:
-        raise NullBranchError(f"history has probability {norm:.3e}, below prob_floor")
-    out = out / norm
-    return State((out + out.conj().T) / 2.0, policy=policy)
+    return State(normalize_branch(h @ initial.rho @ h.conj().T, policy), policy=policy)
 
 
 def _unitary(u, policy: NumericPolicy) -> np.ndarray:
     """The propagator's matrix, after checking that it is unitary."""
     mat = _as_matrix(u)
-    defect = operator_norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
+    defect = linalg.operator_norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
     if defect > policy.tol_proj:
         raise ValueError(f"propagator is not unitary (defect {defect:.3e})")
     return mat
@@ -292,7 +286,7 @@ def _leaf_families(net: AlgebraNet, leaf: Sequence[Point], keep: Sequence[tuple[
         projs_f, weights = _spectral_family(_reduce(rho, cells, support, net.cell_dim),
                                             policy)
         dims_seen.append(len(projs_f))
-        if sum(w >= policy.prob_floor for w in weights) < 2:
+        if not event_happened(weights, policy):
             continue
         families.append(_Family(pt, support, tuple(range(len(projs_f))), tuple(projs_f),
                                 after))
@@ -313,11 +307,8 @@ def _family_commutators(families: Sequence[_Family],
             worst = 0.0
             if not set(a.support).isdisjoint(b.support):
                 union = tuple(sorted(set(a.support) | set(b.support)))
-                mats_a = _on_cells(a, union, cell_dim)
-                mats_b = _on_cells(b, union, cell_dim)
-                for ma in mats_a:
-                    for mb in mats_b:
-                        worst = max(worst, operator_norm(ma @ mb - mb @ ma))
+                worst = linalg.max_commutator_norm(_on_cells(a, union, cell_dim),
+                                                   _on_cells(b, union, cell_dim))
             out.append((a.point, b.point, worst))
     return out
 
@@ -347,10 +338,9 @@ def _condition(rho: np.ndarray, cells: tuple[int, ...], fam: _Family, k: int,
     near 1e-6 the two differ enough to miss unit trace by more than
     ``tol_trace``.
     """
-    out = _reduce(_conjugate(rho, cells, fam.support, fam.projections[k], cell_dim),
-                  cells, fam.keep, cell_dim)
-    out = out / np.trace(out).real
-    return (out + out.conj().T) / 2.0
+    return linalg.trace_normalized(
+        _reduce(_conjugate(rho, cells, fam.support, fam.projections[k], cell_dim),
+                cells, fam.keep, cell_dim))
 
 
 class _Branch(NamedTuple):

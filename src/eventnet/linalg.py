@@ -4,6 +4,14 @@ Conventions: operators are square complex ndarrays; flattening is always
 row-major (``A.ravel()``), so the Hilbert-Schmidt inner product of two
 operators is ``(A.conj().ravel() @ B.ravel())`` and the commutator map
 ``X -> [B, X]`` acts on flattened operators as ``kron(B, I) - kron(I, B.T)``.
+
+The numeric rules that need no tolerance policy live here, each in one
+function that every layer calls: spectral clustering
+(:func:`spectral_projections`), outcome order (:func:`decreasing_order`),
+commutator norms of two families (:func:`max_commutator_norm`), the
+block-diagonal mixture (:func:`mixture_residual`), normalization by a
+branch's own trace (:func:`trace_normalized`) and the hermiticity defect
+(:func:`hermiticity_defect`).
 """
 
 from __future__ import annotations
@@ -19,10 +27,17 @@ __all__ = [
     "dagger",
     "hs_norm",
     "operator_norm",
+    "hermiticity_defect",
+    "max_commutator_norm",
+    "mixture_residual",
+    "trace_normalized",
     "orthonormal_rows",
     "null_space_rows",
     "subspace_intersection",
     "cluster_indices",
+    "matrix_units",
+    "spectral_projections",
+    "decreasing_order",
     "embed_factor",
     "partial_trace",
     "spin_projections",
@@ -45,6 +60,34 @@ def hs_norm(a: np.ndarray) -> float:
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(a, 2))
+
+
+def hermiticity_defect(a: np.ndarray) -> float:
+    """Largest entry of ``|a - a^dagger|``: how far ``a`` is from self-adjoint."""
+    return float(np.max(np.abs(a - a.conj().T)))
+
+
+def max_commutator_norm(ps, qs) -> float:
+    """Largest operator norm of ``[p, q]`` over every ``p`` in ``ps`` and ``q`` in ``qs``."""
+    worst = 0.0
+    for p in ps:
+        for q in qs:
+            worst = max(worst, operator_norm(p @ q - q @ p))
+    return worst
+
+
+def mixture_residual(rho: np.ndarray, projections) -> np.ndarray:
+    """``rho - sum_j p_j rho p_j``: what block-diagonalizing ``rho`` removes."""
+    mix = np.zeros_like(rho)
+    for p in projections:
+        mix += p @ rho @ p
+    return rho - mix
+
+
+def trace_normalized(mat: np.ndarray) -> np.ndarray:
+    """``mat`` divided by its own trace, then hermitized."""
+    out = mat / np.trace(mat).real
+    return (out + out.conj().T) / 2.0
 
 
 def _as_matrix(rows) -> np.ndarray:
@@ -130,6 +173,24 @@ def cluster_indices(values: np.ndarray, gap: float) -> list[np.ndarray]:
         else:
             clusters[-1].append(idx)
     return [np.asarray(c, dtype=int) for c in clusters]
+
+
+def spectral_projections(mat: np.ndarray,
+                         gap: float) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Ascending eigenvalues, their single-linkage clusters at ``gap``, one projection each."""
+    vals, vecs = np.linalg.eigh(mat)
+    clusters = cluster_indices(vals, gap)
+    return vals, clusters, [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
+
+
+def matrix_units(n: int) -> np.ndarray:
+    """The n*n matrix units ``E_ab`` (a 1 in row a, column b), ordered by (a, b)."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+
+
+def decreasing_order(weights) -> np.ndarray:
+    """Indices that sort ``weights`` from largest to smallest; ties keep their order."""
+    return np.argsort(-np.asarray(weights), kind="stable")
 
 
 def embed_factor(op: np.ndarray, support: tuple[int, ...], n_cells: int, cell_dim: int) -> np.ndarray:

@@ -53,7 +53,7 @@ def validate_quantity(quantity: PhysicalQuantity, net: AlgebraNet,
     """Check self-adjointness and localization of every representative."""
     for point, op in quantity.representatives.items():
         mat = _as_matrix(op)
-        if np.max(np.abs(mat - mat.conj().T)) > policy.tol_proj:
+        if linalg.hermiticity_defect(mat) > policy.tol_proj:
             raise ValueError(f"{quantity.name!r} at {point} is not self-adjoint")
         if mat.shape[0] == net.dim:
             resid = net.membership_residual(mat, point)
@@ -86,20 +86,15 @@ def spectral_decompose(x, omega: State, epsilon: float,
                        *, policy: NumericPolicy = DEFAULT_POLICY) -> SpectralDecomposition:
     """Cluster the spectrum of a self-adjoint operator and rank by weight."""
     mat = _as_matrix(x)
-    if np.max(np.abs(mat - mat.conj().T)) > policy.tol_proj:
+    if linalg.hermiticity_defect(mat) > policy.tol_proj:
         raise ValueError("spectral decomposition needs a self-adjoint operator")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    clusters = linalg.cluster_indices(vals, policy.gap_min)
-    eigs, projs, weights = [], [], []
-    for c in clusters:
-        block = vecs[:, c]
-        p = block @ block.conj().T
-        eigs.append(float(np.mean(vals[c])))
-        projs.append(p)
-        weights.append(max(0.0, omega.prob(p)))
-    order = np.argsort(-np.asarray(weights), kind="stable")
+    vals, clusters, projs = linalg.spectral_projections((mat + mat.conj().T) / 2.0,
+                                                        policy.gap_min)
+    eigs = [float(np.mean(vals[c])) for c in clusters]
+    weights = [max(0.0, omega.prob(p)) for p in projs]
+    order = linalg.decreasing_order(weights)
     eigs = [eigs[i] for i in order]
     projs = [Operator(projs[i]) for i in order]
     weights = [weights[i] for i in order]
@@ -216,11 +211,8 @@ def recording_check(net: AlgebraNet, point: Point, omega: State,
         norms.append(linalg.operator_norm(pk - avg))
     passes = all(n < epsilon for n in norms)
 
-    mix = np.zeros_like(rho_f)
-    for k in range(dec.retained):
-        pk = dec.projections[k].entries
-        mix += pk @ rho_f @ pk
-    mixture_residual = float(np.max(np.abs(rho_f - mix)))
+    retained = [p.entries for p in dec.projections[:dec.retained]]
+    mixture_residual = float(np.max(np.abs(linalg.mixture_residual(rho_f, retained))))
     denom = dec.retained * epsilon
     mixture_constant = mixture_residual / denom if denom > 0 else float("inf")
 

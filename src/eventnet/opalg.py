@@ -72,8 +72,8 @@ class Operator:
     def adjoint(self) -> "Operator":
         return Operator(self.entries.conj().T)
 
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
+    def is_self_adjoint(self, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+        return linalg.hermiticity_defect(self.entries) <= policy.tol_proj
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check(other)
@@ -173,14 +173,17 @@ class OperatorAlgebra:
                     max(other.membership_residual(b) for b in self.basis))
         return worst <= policy.tol_closure
 
-    def self_adjoint_parts(self) -> list[np.ndarray]:
-        """Hermitian matrices spanning the algebra over the reals."""
+    def self_adjoint_parts(self, policy: NumericPolicy = DEFAULT_POLICY) -> list[np.ndarray]:
+        """Hermitian matrices spanning the algebra over the reals.
+
+        Parts with Hilbert-Schmidt norm at most ``tol_closure`` are dropped.
+        """
         parts = []
         for b in self.basis:
             m = b.entries
             parts.append((m + dagger(m)) / 2.0)
             parts.append((m - dagger(m)) / 2.0j)
-        return [p for p in parts if hs_norm(p) > 1e-14]
+        return [p for p in parts if hs_norm(p) > policy.tol_closure]
 
     def __repr__(self) -> str:
         return f"OperatorAlgebra(dim={self.dim}, ambient={self.ambient_dim})"
@@ -188,23 +191,13 @@ class OperatorAlgebra:
 
 def full_matrix_algebra(n: int, *, policy: NumericPolicy = DEFAULT_POLICY) -> OperatorAlgebra:
     """All n-by-n matrices, with the matrix units as (orthonormal) basis."""
-    units = []
-    for a in range(n):
-        for b in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[a, b] = 1.0
-            units.append(e)
-    return OperatorAlgebra(units, policy=policy, validate=False)
+    return OperatorAlgebra(list(linalg.matrix_units(n)), policy=policy, validate=False)
 
 
 def diagonal_algebra(n: int, *, policy: NumericPolicy = DEFAULT_POLICY) -> OperatorAlgebra:
     """The diagonal matrices in dimension n."""
-    units = []
-    for a in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[a, a] = 1.0
-        units.append(e)
-    return OperatorAlgebra(units, policy=policy, validate=False)
+    return OperatorAlgebra(list(linalg.matrix_units(n)[::n + 1]), policy=policy,
+                           validate=False)
 
 
 class State:
@@ -221,7 +214,7 @@ class State:
         arr = np.array(rho, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError(f"state must be a square matrix, got {arr.shape}")
-        skew = float(np.max(np.abs(arr - arr.conj().T)))
+        skew = linalg.hermiticity_defect(arr)
         if skew > policy.tol_proj:
             raise ValueError(f"state is not self-adjoint (deviation {skew:.3e})")
         arr = (arr + arr.conj().T) / 2.0
@@ -309,7 +302,7 @@ class PotentialEvent:
             m = p.entries
             if m.shape[0] != n:
                 raise DimensionMismatchError("projections live on different spaces")
-            if np.max(np.abs(m - dagger(m))) > tol:
+            if linalg.hermiticity_defect(m) > tol:
                 raise ValueError("projection is not self-adjoint")
             if np.max(np.abs(m @ m - m)) > tol:
                 raise ValueError("projection is not idempotent")
@@ -467,39 +460,27 @@ def minimal_projections(alg: OperatorAlgebra, *, policy: NumericPolicy = DEFAULT
 
     Diagonalizes a random self-adjoint element and clusters its spectrum;
     retries with fresh coefficients (deterministically seeded) until the
-    eigenvalue clusters are separated by at least ``gap_min`` and their
-    count equals the algebra dimension.
+    eigenvalue clusters are separated by at least ``gap_min``, their count
+    equals the algebra dimension and each projection lies in the algebra.
     """
     if not alg.is_abelian(policy=policy):
         raise ValueError("minimal projections require an abelian algebra")
-    parts = alg.self_adjoint_parts()
+    parts = alg.self_adjoint_parts(policy)
     rng = np.random.default_rng(seed)
     last_reason = "no attempt made"
     for _ in range(policy.max_retries):
         coeff = rng.standard_normal(len(parts))
         x = sum(c * p for c, p in zip(coeff, parts))
-        x = (x + dagger(x)) / 2.0
-        vals, vecs = np.linalg.eigh(x)
-        clusters = linalg.cluster_indices(vals, policy.gap_min)
+        vals, clusters, projs = linalg.spectral_projections((x + dagger(x)) / 2.0,
+                                                            policy.gap_min)
         if len(clusters) != alg.dim:
             last_reason = f"found {len(clusters)} clusters, expected {alg.dim}"
-            continue
-        if any(vals[c].max() - vals[c].min() >= policy.gap_min for c in clusters):
+        elif any(vals[c].max() - vals[c].min() >= policy.gap_min for c in clusters):
             last_reason = "cluster spread exceeds the separation threshold"
-            continue
-        projs = []
-        ok = True
-        for c in clusters:
-            block = vecs[:, c]
-            p = block @ dagger(block)
-            if alg.membership_residual(p) > policy.tol_proj:
-                ok = False
-                last_reason = "spectral projection left the algebra span"
-                break
-            projs.append(p)
-        if not ok:
-            continue
-        return PotentialEvent(projs, policy=policy)
+        elif any(alg.membership_residual(p) > policy.tol_proj for p in projs):
+            last_reason = "spectral projection left the algebra span"
+        else:
+            return PotentialEvent(projs, policy=policy)
     raise EigengapError(
         f"no generic element after {policy.max_retries} attempts: {last_reason}")
 
@@ -536,7 +517,9 @@ def gns_construct(alg: OperatorAlgebra, omega: State,
 
     The Gram matrix ``G[i, j] = omega(B_i* B_j)`` is diagonalized;
     directions with eigenvalue at most ``tol_gns_null`` times the largest
-    are treated as null and removed.
+    are treated as null and removed.  Raises ``ArithmeticError`` when the
+    squared norm of the cyclic vector misses ``omega(1)`` by more than
+    ``tol_trace``.
     """
     if omega.dim != alg.ambient_dim:
         raise DimensionMismatchError("state and algebra live on different spaces")
@@ -555,9 +538,9 @@ def gns_construct(alg: OperatorAlgebra, omega: State,
     space = GnsSpace(algebra=alg, dim=int(keep.sum()), embed_map=embed_map,
                      cyclic_vector=np.zeros(int(keep.sum()), dtype=complex))
     space.cyclic_vector = space.embed(np.eye(n, dtype=complex))
-    norm = np.linalg.norm(space.cyclic_vector)
-    if abs(norm - 1.0) > 1e-6:
-        raise ArithmeticError(f"cyclic vector norm {norm} is far from 1")
+    norm_sq = float(np.vdot(space.cyclic_vector, space.cyclic_vector).real)
+    if abs(norm_sq - omega.prob(np.eye(n))) > policy.tol_trace:
+        raise ArithmeticError(f"cyclic vector has squared norm {norm_sq!r}, not omega(1)")
     return space
 
 

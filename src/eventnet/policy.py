@@ -12,6 +12,12 @@ import numbers
 from dataclasses import dataclass, asdict, fields
 
 
+def is_integer_at_least(value, low: int) -> bool:
+    """True for an integer of at least ``low``; bools and floats are refused."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low)
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
     """Tolerances and limits shared by all numeric routines.
@@ -51,8 +57,7 @@ class NumericPolicy:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is int:
-                if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                        or value < 1):
+                if not is_integer_at_least(value, 1):
                     raise ValueError(f"{f.name}: {value!r} is not an integer of at least 1")
             elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
                   or not math.isfinite(value) or value < 0):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError
-from .events import mixture_defect
+from .events import mixture_defect, normalize_branch
 from .histories import enumerate_tree
 from .measurement import PhysicalQuantity, recording_check
 from .opalg import Operator, PotentialEvent, State
@@ -353,8 +353,7 @@ def _evaluate_recording_demo(scenario: Scenario, policy: NumericPolicy) -> dict[
                "tilted_passes": 1.0 if reports["tilted"].passes else 0.0}
     for k, n in enumerate(reports["transverse"].alignment_norms):
         actuals[f"transverse_norm[{k}]"] = n
-    units = [np.eye(2, dtype=complex)[:, [i]] @ np.eye(2, dtype=complex)[[j], :]
-             for i in range(2) for j in range(2)]
+    units = linalg.matrix_units(2)
     px_plus, px_minus = linalg.spin_projections((1.0, 0.0, 0.0))
     actuals["mixture_defect_transverse"] = mixture_defect(
         scenario.initial, [px_plus, px_minus], units)
@@ -379,7 +378,7 @@ def build_scenario(name: str, params: Mapping | None = None,
             f"unknown scenario {name!r}; pick one of {sorted(SCENARIO_BUILDERS)}") from None
     try:
         return builder(**dict(params or {}), policy=policy)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for scenario {name!r}: {exc}") from None
 
 
@@ -436,7 +435,8 @@ def nonlocality_demo(scenario: Scenario, outcome: tuple = ("+", "+"),
 
     The unconditioned value never references the left family (that is the
     locality of expectations); the conditioned value does and generally
-    differs — conditioning is where the nonlocal correlations live.
+    differs — conditioning is where the nonlocal correlations live.  A left
+    outcome below ``prob_floor`` raises :class:`NullBranchError`.
     """
     pairs = _imposed_pairs_first_leaf(scenario)
     if len(pairs) < 2:
@@ -447,11 +447,8 @@ def nonlocality_demo(scenario: Scenario, outcome: tuple = ("+", "+"),
     rho = scenario.initial.rho
     unconditioned = float(np.einsum("ij,ji->", rho, proj_r.entries).real)
     ml = proj_l.entries
-    collapsed = ml @ rho @ ml
-    w = float(np.trace(collapsed).real)
-    if w < policy.prob_floor:
-        raise ValueError(f"left outcome {outcome[0]!r} has vanishing probability")
-    conditioned = float(np.einsum("ij,ji->", collapsed / w, proj_r.entries).real)
+    collapsed = normalize_branch(ml @ rho @ ml, policy)
+    conditioned = float(np.einsum("ij,ji->", collapsed, proj_r.entries).real)
     return NonlocalityReport(left_label=outcome[0], right_label=outcome[1],
                              unconditioned=unconditioned, conditioned=conditioned,
                              difference=abs(unconditioned - conditioned))
@@ -462,10 +459,8 @@ def _family_commutator_max(scenario: Scenario) -> float:
     worst = 0.0
     for i, (_, fa) in enumerate(pairs):
         for _, fb in pairs[i + 1:]:
-            for pa in fa.projections:
-                for pb in fb.projections:
-                    comm = pa.entries @ pb.entries - pb.entries @ pa.entries
-                    worst = max(worst, linalg.operator_norm(comm))
+            worst = max(worst, linalg.max_commutator_norm([p.entries for p in fa.projections],
+                                                          [q.entries for q in fb.projections]))
     return worst
 
 

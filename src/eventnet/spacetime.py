@@ -228,24 +228,13 @@ class AlgebraNet:
         fdim = self.cell_dim ** len(support)
         rest = self.dim // fdim
         norm = np.sqrt(float(rest))
-        ops = []
-        for a in range(fdim):
-            for b in range(fdim):
-                unit = np.zeros((fdim, fdim), dtype=complex)
-                unit[a, b] = 1.0
-                ops.append(self.embed(unit, support) / norm)
+        ops = [self.embed(unit, support) / norm for unit in linalg.matrix_units(fdim)]
         return OperatorAlgebra(ops, policy=policy, validate=False)
 
     def cell_generators(self, p: Point) -> list[np.ndarray]:
         """Embedded single-cell matrix units generating the algebra at ``p``."""
-        gens = []
-        for cell in self.support(p):
-            for a in range(self.cell_dim):
-                for b in range(self.cell_dim):
-                    unit = np.zeros((self.cell_dim, self.cell_dim), dtype=complex)
-                    unit[a, b] = 1.0
-                    gens.append(self.embed(unit, (cell,)))
-        return gens
+        return [self.embed(unit, (cell,)) for cell in self.support(p)
+                for unit in linalg.matrix_units(self.cell_dim)]
 
     def __repr__(self) -> str:
         return (f"AlgebraNet(cells={self.n_cells}, cell_dim={self.cell_dim}, "

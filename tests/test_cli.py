@@ -99,6 +99,35 @@ def test_main_rejects_bad_policy_overrides(tmp_path, capsys, target, override):
     assert "error:" in capsys.readouterr().err
 
 
+_CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
+
+
+@pytest.mark.parametrize("config", [
+    {"net": {**_CONE_1X2, "cell_dim": "x"}},
+    {"net": {**_CONE_1X2, "cell_dim": 1}},
+    {"net": {"kind": "full", "extent_tau": 1, "n_cells": "a"}},
+    {"net": {"kind": "full", "extent_tau": 2, "extent_x": 2, "n_cells": 5}},
+    {"net": _CONE_1X2, "initial_state": {"kind": "diagonal", "weights": [0.5, 0.3, 0.2]}},
+    {"scenario": "recording-demo", "mode": "record", "record": {"point": "ab"}},
+    {"scenario": "recording-demo", "mode": "record", "record": {"point": [3, 0]}},
+    {"scenario": "epr", "mode": "sample", "samples": True},
+    {"scenario": "epr", "mode": "sample", "samples": 2.7},
+    {"scenario": "epr", "mode": "sample", "seed": True},
+    {"scenario": "epr", "mode": "sample", "seed": -1},
+    {"scenario": "two-leaf-chain", "scenario_params": {"spectrum": "ab"}},
+    {"scenario": "massive-control", "scenario_params": {"extent_tau": 0}},
+], ids=["cell-dim-string", "cell-dim-one", "n-cells-string", "n-cells-too-many",
+        "state-dim", "point-string", "point-outside", "samples-bool", "samples-float",
+        "seed-bool", "seed-negative", "params-string", "params-range"])
+def test_main_refuses_malformed_configs(tmp_path, capsys, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_config_collects_all_problems():
     with pytest.raises(ConfigError, match="mode.*;.*format"):
         _cfg(scenario="epr", mode="explode", format="yaml")

@@ -9,6 +9,7 @@ from eventnet import (
     EigengapError,
     NumericPolicy,
     Operator,
+    OperatorAlgebra,
     PotentialEvent,
     ResolutionError,
     State,
@@ -356,6 +357,24 @@ def test_gns_cyclic_vector_reproduces_state():
     assert abs(np.vdot(vec, vec) - 1.0) < 1e-10
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert abs(np.vdot(vec, space.embed(a)) - omega.value(Operator(a))) < 1e-10
+
+
+def test_opalg_tolerances_come_from_the_policy():
+    # hermiticity against tol_proj
+    skew = Operator(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+    assert not skew.is_self_adjoint()
+    assert skew.is_self_adjoint(policy=NumericPolicy(tol_proj=1e-5))
+    # self-adjoint parts shorter than tol_closure are dropped
+    alg = OperatorAlgebra([np.diag([1.0, 1e-8j])], validate=False)
+    assert len(alg.self_adjoint_parts()) == 2
+    assert len(alg.self_adjoint_parts(NumericPolicy(tol_closure=1e-6))) == 1
+    # quotienting a real direction away leaves |Omega|^2 = 0.9, not omega(1)
+    omega = State.diagonal([0.9, 0.1])
+    coarse = NumericPolicy(tol_gns_null=0.5)
+    with pytest.raises(ArithmeticError, match="squared norm"):
+        gns_construct(diagonal_algebra(2), omega, policy=coarse)
+    loose = NumericPolicy(tol_gns_null=0.5, tol_trace=0.2)
+    assert gns_construct(diagonal_algebra(2), omega, policy=loose).dim == 1
 
 
 def test_gns_quotient_for_pure_state():
