@@ -63,7 +63,9 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entry of ``|a - a^dagger|``: how far ``a`` is from self-adjoint."""
+    """Largest entry of ``|a - a^dagger|``; inf for a NaN or infinite entry, so ``> tol`` fails."""
+    if not np.isfinite(a).all():
+        return np.inf
     return float(np.max(np.abs(a - a.conj().T)))
 
 

@@ -196,7 +196,7 @@ def full_matrix_algebra(n: int, *, policy: NumericPolicy = DEFAULT_POLICY) -> Op
 
 def diagonal_algebra(n: int, *, policy: NumericPolicy = DEFAULT_POLICY) -> OperatorAlgebra:
     """The diagonal matrices in dimension n."""
-    return OperatorAlgebra(list(linalg.matrix_units(n)[::n + 1]), policy=policy,
+    return OperatorAlgebra([np.diag(e) for e in np.eye(n, dtype=complex)], policy=policy,
                            validate=False)
 
 
@@ -519,7 +519,7 @@ def gns_construct(alg: OperatorAlgebra, omega: State,
     directions with eigenvalue at most ``tol_gns_null`` times the largest
     are treated as null and removed.  Raises ``ArithmeticError`` when the
     squared norm of the cyclic vector misses ``omega(1)`` by more than
-    ``tol_trace``.
+    ``tol_trace`` plus the mass those null directions carried.
     """
     if omega.dim != alg.ambient_dim:
         raise DimensionMismatchError("state and algebra live on different spaces")
@@ -532,14 +532,13 @@ def gns_construct(alg: OperatorAlgebra, omega: State,
     lam, u = np.linalg.eigh(gram)
     top = float(lam[-1]) if lam.size else 0.0
     keep = lam > policy.tol_gns_null * max(top, 0.0)
-    lam_k = lam[keep]
-    u_k = u[:, keep]
-    embed_map = (np.sqrt(lam_k)[:, None] * dagger(u_k))
+    embed_map = np.sqrt(lam[keep])[:, None] * dagger(u[:, keep])
+    one = alg.coefficients(np.eye(n, dtype=complex))
     space = GnsSpace(algebra=alg, dim=int(keep.sum()), embed_map=embed_map,
-                     cyclic_vector=np.zeros(int(keep.sum()), dtype=complex))
-    space.cyclic_vector = space.embed(np.eye(n, dtype=complex))
+                     cyclic_vector=embed_map @ one)
     norm_sq = float(np.vdot(space.cyclic_vector, space.cyclic_vector).real)
-    if abs(norm_sq - omega.prob(np.eye(n))) > policy.tol_trace:
+    dropped = float(np.abs(lam[~keep]) @ np.abs(dagger(u[:, ~keep]) @ one) ** 2)
+    if abs(norm_sq - omega.prob(np.eye(n))) > policy.tol_trace + dropped:
         raise ArithmeticError(f"cyclic vector has squared norm {norm_sq!r}, not omega(1)")
     return space
 

@@ -99,12 +99,13 @@ def epr_scenario(n_dir=(0.0, 0.0, 1.0), n_prime_dir=(1.0, 0.0, 0.0),
     lattice = CausalLattice(1, 2)
     net = build_tensor_net(lattice, 2, policy=policy)
     left, right = Point(0, 0), Point(0, 1)
+    # spin_projections refuses a zero direction before anything divides by its norm
+    pl_plus, pl_minus = linalg.spin_projections(n_dir)
+    pr_plus, pr_minus = linalg.spin_projections(n_prime_dir)
     n = np.asarray(n_dir, dtype=float)
     npr = np.asarray(n_prime_dir, dtype=float)
     n = n / np.linalg.norm(n)
     npr = npr / np.linalg.norm(npr)
-    pl_plus, pl_minus = linalg.spin_projections(n)
-    pr_plus, pr_minus = linalg.spin_projections(npr)
     imposed = {
         left: PotentialEvent([net.embed(pl_plus, (0,)), net.embed(pl_minus, (0,))],
                              labels=("+", "-"), policy=policy),

@@ -368,13 +368,28 @@ def test_opalg_tolerances_come_from_the_policy():
     alg = OperatorAlgebra([np.diag([1.0, 1e-8j])], validate=False)
     assert len(alg.self_adjoint_parts()) == 2
     assert len(alg.self_adjoint_parts(NumericPolicy(tol_closure=1e-6))) == 1
-    # quotienting a real direction away leaves |Omega|^2 = 0.9, not omega(1)
-    omega = State.diagonal([0.9, 0.1])
-    coarse = NumericPolicy(tol_gns_null=0.5)
+    # a span without the identity gives |Omega|^2 = omega(E_00) = 0.5, not
+    # omega(1) = 1; the miss is compared with tol_trace
+    corner = OperatorAlgebra([np.diag([1.0, 0.0])], validate=False)
+    omega = State.diagonal([0.5, 0.5])
     with pytest.raises(ArithmeticError, match="squared norm"):
-        gns_construct(diagonal_algebra(2), omega, policy=coarse)
-    loose = NumericPolicy(tol_gns_null=0.5, tol_trace=0.2)
-    assert gns_construct(diagonal_algebra(2), omega, policy=loose).dim == 1
+        gns_construct(corner, omega)
+    assert gns_construct(corner, omega, policy=NumericPolicy(tol_trace=0.6)).dim == 1
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
+def test_gns_accepts_near_pure_states(eps):
+    # the quotient drops the Gram direction of weight eps once it falls
+    # below tol_gns_null; the cyclic-vector check allows for that mass
+    omega = State.diagonal([1.0 - eps, eps])
+    for alg in (full_matrix_algebra(2), diagonal_algebra(2)):
+        space = gns_construct(alg, omega)
+        assert abs(np.vdot(space.cyclic_vector, space.cyclic_vector).real - 1.0) <= 2 * eps
+    plus, minus = np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])
+    event = PotentialEvent([plus, minus])
+    a = np.array([[1.0, 2.0], [0.5j, -1.0]])
+    dual = conditional_expectation_gns(full_matrix_algebra(2), omega, event, a)
+    assert abs(omega.value(dual) - omega.value(Operator(a))) < 1e-9
 
 
 def test_gns_quotient_for_pure_state():
