@@ -64,13 +64,16 @@ class ActualEvent:
     """One realized outcome: which projection fired, and its Born weight.
 
     An event built from an ambient ``projection`` holds it as given.  An
-    event made by branching (:meth:`from_factor`) is held in factor form:
-    ``support`` names the tensor cells it acts on and ``factor`` is its
-    projection on them, slots in support order.  Its ambient
-    ``projection`` is embedded the first time it is read and then kept.
+    event made by branching (:meth:`from_isometry`) is held in factor form:
+    ``support`` names the tensor cells it acts on, ``isometry`` spans the
+    outcome's range there and ``factor`` is its projection on them, slots
+    in support order.  ``factor`` is built from the isometry the first time
+    it is read, and the ambient ``projection`` is embedded from ``factor``
+    the first time it is read; both are then kept.
     """
 
-    __slots__ = ("point", "label", "born_prob", "support", "factor", "_projection", "_net")
+    __slots__ = ("point", "label", "born_prob", "support", "isometry", "_factor",
+                 "_projection", "_net")
 
     def __init__(self, point: Point | None, label: object, projection: Operator | None,
                  born_prob: float):
@@ -78,20 +81,31 @@ class ActualEvent:
         self.label = label
         self.born_prob = born_prob
         self.support: tuple[int, ...] | None = None
-        self.factor: np.ndarray | None = None
+        self.isometry: np.ndarray | None = None
+        self._factor: np.ndarray | None = None
         self._projection = projection
         self._net: AlgebraNet | None = None
 
     @classmethod
-    def from_factor(cls, point: Point | None, label: object, factor: np.ndarray,
-                    support: tuple[int, ...], net: AlgebraNet,
-                    born_prob: float) -> "ActualEvent":
-        """An outcome given by its projection on the ``support`` cells of ``net``."""
+    def from_isometry(cls, point: Point | None, label: object, isometry: np.ndarray,
+                      support: tuple[int, ...], net: AlgebraNet,
+                      born_prob: float) -> "ActualEvent":
+        """An outcome given by an isometry onto its range on the ``support`` cells of ``net``.
+
+        Zero columns of ``isometry`` add nothing to the projection.
+        """
         event = cls(point, label, None, born_prob)
         event.support = support
-        event.factor = factor
+        event.isometry = isometry
         event._net = net
         return event
+
+    @property
+    def factor(self) -> np.ndarray | None:
+        """The outcome projection on the support cells; None for an ambient event."""
+        if self._factor is None and self.isometry is not None:
+            self._factor = self.isometry @ self.isometry.conj().T
+        return self._factor
 
     @property
     def projection(self) -> Operator:
@@ -117,9 +131,15 @@ def _spectral_family(rho_f: np.ndarray, policy: NumericPolicy):
     return [projs[i] for i in order], [weights[i] for i in order]
 
 
-def event_happened(weights: Sequence[float], policy: NumericPolicy) -> bool:
-    """The happened test: at least two outcomes weigh ``prob_floor`` or more."""
-    return sum(w >= policy.prob_floor for w in weights) >= 2
+def event_happened(weights, policy: NumericPolicy):
+    """The happened test: at least two outcomes weigh ``prob_floor`` or more.
+
+    For a 2-D array of weights the test runs along each row and returns a
+    boolean mask; padding weights of -inf never count.
+    """
+    hits = np.count_nonzero(np.asarray(weights, dtype=float) >= policy.prob_floor,
+                            axis=-1) >= 2
+    return hits if hits.ndim else bool(hits)
 
 
 def detect_event(net: AlgebraNet, point: Point, omega: State,
@@ -246,5 +266,6 @@ def spacelike_commutator_norm(det_a: EventDetection, det_b: EventDetection,
         if rel is not Relation.SPACELIKE:
             raise ValueError(f"points {det_a.point} and {det_b.point} are {rel.value}, "
                              "not spacelike")
-    return linalg.max_commutator_norm([p.entries for p in det_a.event.projections],
-                                      [q.entries for q in det_b.event.projections])
+    return linalg.max_commutator_norm(
+        linalg.range_isometries([p.entries for p in det_a.event.projections]),
+        linalg.range_isometries([q.entries for q in det_b.event.projections]))

@@ -12,11 +12,24 @@ same tree along the outcomes its draws reach: each parent splits its
 draws over its children with one multinomial draw.
 
 Branching works on support factors.  A branch carries its state only on
-the tensor cells that later points still touch: after the outcomes at a
-point are applied, every cell that no later support, imposed family or
-propagator reaches is traced out.  Outcome weights are taken on the
-reduced state of a family's support, and a collapse acts on the support
-axes alone.
+the tensor cells that later points still touch: after each point every
+cell that no later support or propagator reaches is traced out, whether
+or not an event fired on the branch there.  An imposed family acts on
+the fewest cells its projections touch.
+
+One engine (:func:`_grow`) runs enumeration and both samplers, over the
+whole live frontier at once.  All live branches carry the same cells, so
+their states form one ``(B, D, D)`` stack.  Per leaf, detection is one
+batched partial trace and one batched ``eigh`` per point on the stack of
+entry states, and each outcome is held by its eigenvector isometry V.
+Per point, the Born weights ``tr(V^H rho_S V)`` of every outcome of every
+branch come first; only the kept (or drawn) children are then collapsed,
+with V contracted on the support axes.  Each branch is replaced in place
+by its children, so children stay in (parent, outcome) row-major order
+and the frontier in tree order.  Commutator norms of two families are
+taken by principal angles (:func:`linalg.max_commutator_norm`), for every
+entry branch at once.  A node's state is checked as a :class:`State`
+only when it is read.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BranchOverflowError, CommutationError, NullBranchError
-from .events import ActualEvent, _spectral_family, event_happened, normalize_branch
+from .events import ActualEvent, event_happened, normalize_branch
 from .opalg import PotentialEvent, State, _as_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .spacetime import AlgebraNet, CausalLattice, Foliation, Point, Relation, causal_relate
@@ -81,11 +94,16 @@ def history_operator(events: Sequence[ActualEvent], lattice: CausalLattice | Non
         mat = ev.projection.entries @ mat
     norms = []
     if lattice is not None:
+        # each event with its complement is a complete family, and
+        # ||[1 - p, q]|| = ||[p, q]||
+        ranges = {}
+        for ev in ordered:
+            p = ev.projection.entries
+            ranges[ev.point] = linalg.range_isometries([p, np.eye(p.shape[0]) - p])
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
                 if causal_relate(lattice, a.point, b.point) is Relation.SPACELIKE:
-                    norm = linalg.max_commutator_norm([a.projection.entries],
-                                                      [b.projection.entries])
+                    norm = linalg.max_commutator_norm(ranges[a.point], ranges[b.point])
                     norms.append((a.point, b.point, norm))
     flagged = any(n > policy.tol_commutation for *_, n in norms)
     return HistoryOperator(events=tuple(ordered), matrix=mat,
@@ -120,7 +138,7 @@ def apply_propagator(u, state: State, *, policy: NumericPolicy = DEFAULT_POLICY)
     return State(mat @ state.rho @ mat.conj().T, policy=policy)
 
 
-@dataclass
+@dataclass(eq=False)
 class BranchNode:
     """One realized outcome in the branching tree.
 
@@ -128,12 +146,13 @@ class BranchNode:
     the product along the path from the root.  ``event_dim`` is the
     dimension of the event algebra that fired here (the spectrum snapshot).
 
-    ``state_after`` is the conditioned state on the tensor cells the branch
-    still carries, and ``state_cells`` names those cells in slot order: the
+    ``rho`` is the conditioned state on the tensor cells the branch still
+    carries, and ``state_cells`` names those cells in slot order: the
     partial trace of the ambient branch state onto them.  Cells that no
     later point reads or acts on are dropped, so a leaf at the end of a
     cone net carries no cells and a 1x1 state.  The root holds the initial
-    state on every cell.
+    state on every cell.  ``state_after`` is ``rho`` as a :class:`State`,
+    built and checked under ``policy`` the first time it is read.
 
     ``children_prob_sum`` is the total weight of the outcomes at the next
     applied family.  A node whose every outcome fell below ``prob_floor``
@@ -143,13 +162,21 @@ class BranchNode:
     leaf_index: int
     point: Point | None
     actual: ActualEvent | None
-    state_after: State
+    rho: np.ndarray = field(repr=False)
     state_cells: tuple[int, ...]
     cond_prob: float
     cum_prob: float
     event_dim: int | None
+    policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
     children: list["BranchNode"] = field(default_factory=list)
     children_prob_sum: float | None = None
+    _state: State | None = field(default=None, repr=False)
+
+    @property
+    def state_after(self) -> State:
+        if self._state is None:
+            self._state = State(self.rho, policy=self.policy)
+        return self._state
 
 
 @dataclass
@@ -195,32 +222,51 @@ class HistoryTree:
 
 
 # ---------------------------------------------------------------------------
-# branching on support factors
+# branching on support factors, over the whole live frontier
 
 
 class _Family(NamedTuple):
-    """Outcomes to fork over at one point.
+    """Outcomes to fork over at one point, for each entry branch of the leaf.
 
-    ``projections`` act on the ``support`` cells, slots in support order;
-    an imposed family's support is every cell.  ``keep`` names the cells a
-    branch still needs once an outcome here is applied.
+    ``iso[b, k]`` is the isometry of outcome k at entry branch b, rows in
+    the slot order of ``support`` (see :mod:`eventnet.linalg` for the
+    padding); ``counts[b]`` is the number of outcomes there and ``fires[b]``
+    whether the family applies there.  An imposed family is the same at
+    every branch and always applies.  ``keep`` names the cells a branch
+    still needs once the point is done.
     """
 
     point: Point
     support: tuple[int, ...]
     labels: tuple
-    projections: tuple[np.ndarray, ...]
+    iso: np.ndarray
+    counts: np.ndarray
+    fires: np.ndarray
     keep: tuple[int, ...]
 
 
+def _imposed_isometries(net: AlgebraNet, imposed: Mapping[Point, PotentialEvent] | None,
+                        policy: NumericPolicy) -> dict[Point, tuple]:
+    """Each imposed family's (support, labels, isometry stack), found once per run.
+
+    The support is the fewest cells the family's projections act on
+    (:meth:`AlgebraNet.localize` at ``tol_proj``).
+    """
+    out = {}
+    for pt, fam in (imposed or {}).items():
+        support, factors = net.localize([p.entries for p in fam.projections], policy.tol_proj)
+        out[pt] = (support, fam.labels, linalg.range_isometries(factors))
+    return out
+
+
 def _keep_cells(net: AlgebraNet, foliation: Foliation,
-                imposed: Mapping[Point, PotentialEvent] | None,
+                imposed: Mapping[Point, tuple],
                 propagators: Mapping[int, object] | None) -> list[list[tuple[int, ...]]]:
     """Per leaf and point, the cells that later points and propagators touch.
 
-    Walks the foliation backwards.  A detected family reads and acts on its
-    support; an imposed family or a propagator is an ambient operator, so it
-    touches every cell.
+    Walks the foliation backwards.  A detected or imposed family reads and
+    acts on its support; a propagator is an ambient operator, so it touches
+    every cell.
     """
     every = frozenset(range(net.n_cells))
     later: frozenset[int] = frozenset()
@@ -229,8 +275,7 @@ def _keep_cells(net: AlgebraNet, foliation: Foliation,
         row = []
         for pt in reversed(foliation.leaves[li]):
             row.append(tuple(sorted(later)))
-            touched = every if imposed is not None and pt in imposed else net.support(pt)
-            later = later.union(touched)
+            later = later.union(imposed[pt][0] if pt in imposed else net.support(pt))
         keep.append(row[::-1])
         if propagators is not None and li in propagators:
             later = every
@@ -239,118 +284,229 @@ def _keep_cells(net: AlgebraNet, foliation: Foliation,
 
 def _reduce(rho: np.ndarray, cells: tuple[int, ...], keep: tuple[int, ...],
             cell_dim: int) -> np.ndarray:
-    """Partial trace of a state on ``cells`` down to the subset ``keep``."""
+    """Partial trace of a stack of states on ``cells`` down to ``keep``, slots as listed."""
     if keep == cells:
         return rho
     pos = tuple(cells.index(c) for c in keep)
     return linalg.partial_trace(rho, pos, len(cells), cell_dim)
 
 
-def _conjugate(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
-               proj: np.ndarray, cell_dim: int) -> np.ndarray:
-    """P rho P for a projection P on the ``support`` cells of a state on ``cells``."""
-    if support == cells:
-        return proj @ rho @ proj
-    n, k, d = len(cells), len(support), cell_dim
-    pos = [cells.index(c) for c in support]
-    cols = [n + q for q in pos]
-    p = proj.reshape((d,) * (2 * k))
-    t = rho.reshape((d,) * (2 * n))
-    # tensordot puts the new support rows first and the new support columns
-    # last; moveaxis returns them to their slots
-    t = np.moveaxis(np.tensordot(p, t, axes=(list(range(k, 2 * k)), pos)), range(k), pos)
-    t = np.moveaxis(np.tensordot(t, p, axes=(cols, list(range(k)))),
-                    range(2 * n - k, 2 * n), cols)
-    return t.reshape(d ** n, d ** n)
-
-
 def _leaf_families(net: AlgebraNet, leaf: Sequence[Point], keep: Sequence[tuple[int, ...]],
                    rho: np.ndarray, cells: tuple[int, ...],
-                   imposed: Mapping[Point, PotentialEvent] | None,
-                   policy: NumericPolicy):
-    """Outcome families to apply on one leaf, from the branch entry state.
+                   imposed: Mapping[Point, tuple], policy: NumericPolicy):
+    """One family per point of the leaf, detected on the stack of entry states.
 
-    Returns (families, dims_seen): families hold imposed points and the
-    detections that happened; dims_seen records every detection's algebra
-    dimension for diagnostics.
+    Detection is one batched partial trace and one clustered batched
+    ``eigh`` per point (:func:`linalg.spectral_isometries`); the happened
+    test (:func:`event_happened`) becomes the family's ``fires`` mask.
+    Returns (families, dims_seen), dims_seen holding the outcome count of
+    every detection for diagnostics.
     """
-    families, dims_seen = [], []
+    branches = len(rho)
+    families, dims_seen = [], set()
     for pt, after in zip(leaf, keep):
-        if imposed is not None and pt in imposed:
-            fam = imposed[pt]
-            families.append(_Family(pt, tuple(range(net.n_cells)), fam.labels,
-                                    tuple(p.entries for p in fam.projections), after))
-            dims_seen.append(len(fam))
+        if pt in imposed:
+            support, labels, iso = imposed[pt]
+            families.append(_Family(pt, support, labels,
+                                    np.broadcast_to(iso, (branches,) + iso.shape),
+                                    np.full(branches, len(iso)),
+                                    np.ones(branches, dtype=bool), after))
+            dims_seen.add(len(iso))
             continue
         support = net.support(pt)
-        projs_f, weights = _spectral_family(_reduce(rho, cells, support, net.cell_dim),
-                                            policy)
-        dims_seen.append(len(projs_f))
-        if not event_happened(weights, policy):
-            continue
-        families.append(_Family(pt, support, tuple(range(len(projs_f))), tuple(projs_f),
-                                after))
+        weights, counts, iso = linalg.spectral_isometries(
+            _reduce(rho, cells, support, net.cell_dim), policy.gap_min)
+        dims_seen.update(counts.tolist())
+        families.append(_Family(pt, support, tuple(range(iso.shape[1])), iso, counts,
+                                event_happened(weights, policy), after))
     return families, dims_seen
 
 
 def _family_commutators(families: Sequence[_Family],
-                        cell_dim: int) -> list[tuple[Point, Point, float]]:
-    """Worst commutator norm between the projections of every two families.
+                        cell_dim: int) -> list[tuple[Point, Point, np.ndarray]]:
+    """Worst commutator norm between every two families, per entry branch.
 
-    Each norm is taken on the union of the two supports: the ambient
-    commutator is that matrix tensor the identity, with the same norm.
-    Families on disjoint supports commute exactly and give 0.0.
+    Returns (p, q, norms) for every two families that both fire on some
+    entry branch; ``norms[b]`` is the worst norm at branch b
+    (:func:`linalg.max_commutator_norm`), and 0.0 where either does not
+    fire.  Families on disjoint supports commute exactly and give 0.0.
     """
     out = []
     for i, a in enumerate(families):
         for b in families[i + 1:]:
-            worst = 0.0
-            if not set(a.support).isdisjoint(b.support):
-                union = tuple(sorted(set(a.support) | set(b.support)))
-                worst = linalg.max_commutator_norm(_on_cells(a, union, cell_dim),
-                                                   _on_cells(b, union, cell_dim))
-            out.append((a.point, b.point, worst))
+            both = a.fires & b.fires
+            if not both.any():
+                continue
+            rows = np.flatnonzero(both)
+            norms = np.zeros(len(both))
+            norms[rows] = linalg.max_commutator_norm(a.iso[rows], b.iso[rows],
+                                                     (a.support, b.support), cell_dim)
+            out.append((a.point, b.point, norms))
     return out
 
 
-def _on_cells(fam: _Family, cells: tuple[int, ...], cell_dim: int) -> tuple[np.ndarray, ...]:
-    """The family's projections on a superset of its support."""
-    if fam.support == cells:
-        return fam.projections
-    pos = tuple(cells.index(c) for c in fam.support)
-    return tuple(linalg.embed_factor(p, pos, len(cells), cell_dim) for p in fam.projections)
+def _born_weights(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
+                  iso: np.ndarray, cell_dim: int) -> np.ndarray:
+    """Weights tr(V^H rho_S V) of every outcome of every parent, clipped at 0.
 
-
-def _outcome_probs(rho: np.ndarray, cells: tuple[int, ...], fam: _Family,
-                   cell_dim: int) -> np.ndarray:
-    """Born weights tr(rho_S P_S) of the family's outcomes, clipped at 0."""
-    rho_s = _reduce(rho, cells, fam.support, cell_dim)
-    probs = np.array([np.einsum("ij,ji->", rho_s, m).real for m in fam.projections])
-    return np.clip(probs, 0.0, None)
-
-
-def _condition(rho: np.ndarray, cells: tuple[int, ...], fam: _Family, k: int,
-               cell_dim: int) -> np.ndarray:
-    """Branch state after outcome ``k``, on the cells ``fam.keep``.
-
-    The collapsed state is divided by its own trace, not by the Born
-    weight, which is taken separately on the support state: for weights
-    near 1e-6 the two differ enough to miss unit trace by more than
-    ``tol_trace``.
+    ``rho`` is a stack of parent states and ``iso[i]`` the isometry stack
+    of parent i's family; padding outcomes weigh 0.
     """
-    return linalg.trace_normalized(
-        _reduce(_conjugate(rho, cells, fam.support, fam.projections[k], cell_dim),
-                cells, fam.keep, cell_dim))
+    rho_s = _reduce(rho, cells, support, cell_dim)
+    return np.clip(np.sum(iso.conj() * (rho_s[:, None] @ iso), axis=(-2, -1)).real, 0.0, None)
+
+
+def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
+              keep: tuple[int, ...], iso: np.ndarray, rows: np.ndarray, ks: np.ndarray,
+              cell_dim: int) -> np.ndarray:
+    """Conditioned states on ``keep``: outcome ``ks[c]`` of parent ``rows[c]``, for every c.
+
+    ``rho`` is a stack of parent states and ``iso[i]`` the isometry stack
+    of parent i's family.  The cells no outcome reads and no later point
+    keeps are traced out first; V is then contracted on the support axes,
+    for each parent with a child once, and the support cells that are not
+    kept are traced out with it.  Each state is divided by its own trace,
+    not by its Born weight, which is taken separately on the support
+    state: for weights near 1e-6 the two differ enough to miss unit trace
+    by more than ``tol_trace``.
+    """
+    d = cell_dim
+    # rows ascend; keep the parents that have a child, once each
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    if first.sum() < len(rho):
+        rho, iso = rho[rows[first]], iso[rows[first]]
+    rows = np.cumsum(first) - 1
+    n, outcomes, ds, rank = iso.shape
+    rest = tuple(c for c in keep if c not in support)
+    held = tuple(c for c in support if c in keep)
+    dropped = tuple(c for c in support if c not in keep)
+    dr = d ** len(rest)
+    t = _reduce(rho, cells, support + rest, d).reshape(n, 1, ds, dr * ds * dr)
+    # y[c, r, a, b, q] = (V^H rho V)[(r, a), (q, b)], a and b on the kept rest cells
+    t = (iso.conj().swapaxes(-1, -2) @ t).reshape(n, outcomes, rank, dr, ds, dr)
+    t = t.swapaxes(-1, -2).reshape(n, outcomes, rank * dr * dr, ds)
+    y = (t @ iso)[rows, ks].reshape(len(ks), rank, dr, dr, rank)
+    if held:
+        pos = [support.index(c) for c in held + dropped]
+        v = iso[rows, ks].reshape((len(ks),) + (d,) * len(support) + (rank,))
+        v = v.transpose([0] + [1 + p for p in pos] + [len(support) + 1])
+        v = v.reshape(len(ks), d ** len(held), d ** len(dropped), rank)
+        out = np.einsum("ihsr,irabq->ihabsq", v, y)
+        out = np.einsum("ihabsq,iksq->ihakb", out, v.conj())
+        slots = held + rest
+        if slots != keep:
+            k = len(keep)
+            perm = [slots.index(c) for c in keep]
+            out = out.reshape((len(ks),) + (d,) * (2 * k))
+            out = out.transpose([0] + [1 + p for p in perm] + [1 + k + p for p in perm])
+    else:
+        out = np.einsum("irabr->iab", y)
+    dim = d ** len(keep)
+    return linalg.trace_normalized(out.reshape(len(ks), dim, dim))
 
 
 class _Branch(NamedTuple):
-    """A live branch: its node, its state on ``cells``, its draws and its events."""
+    """An ended branch: its node, its state on ``cells``, its draws and its events."""
 
     node: BranchNode
     rho: np.ndarray
     cells: tuple[int, ...]
     draws: int | None
     events: tuple[ActualEvent, ...]
+
+
+class _Frontier(NamedTuple):
+    """The live branches, as one stack of states on the same cells.
+
+    ``origin[i]`` is the entry branch of the current leaf that branch i
+    descends from; ``draws`` is None when enumerating.
+    """
+
+    rho: np.ndarray
+    cells: tuple[int, ...]
+    nodes: list[BranchNode]
+    origin: np.ndarray
+    draws: np.ndarray | None
+    events: list[tuple[ActualEvent, ...]]
+
+
+def _ended(front: _Frontier, i: int) -> _Branch:
+    """Live branch i of the frontier, as a branch that ends there."""
+    return _Branch(front.nodes[i], front.rho[i].copy(), front.cells,
+                   None if front.draws is None else int(front.draws[i]), front.events[i])
+
+
+def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
+                  policy: NumericPolicy, gen: np.random.Generator | None,
+                  ended: list[_Branch]) -> tuple[_Frontier, float]:
+    """Apply one point's family to every live branch; returns the new frontier and pruned mass.
+
+    Probabilities come first, for every branch the family fires on; only
+    the children kept (or drawn) are collapsed.  Every branch, fired or
+    not, is reduced to ``fam.keep``.  Each branch is replaced in place by
+    its children in outcome order, so the frontier stays in tree order.
+    """
+    d, floor, cap = net.cell_dim, policy.prob_floor, policy.branch_cap
+    fires = fam.fires[front.origin]
+    fired, still = np.flatnonzero(fires), np.flatnonzero(~fires)
+    fired_list = fired.tolist()
+    sub = front.rho if not len(still) else front.rho[fired]
+    iso = fam.iso[front.origin[fired]]
+    counts = fam.counts[front.origin[fired]]
+    probs = _born_weights(sub, front.cells, fam.support, iso, d)
+    parents = [front.nodes[p] for p in fired_list]
+    cums = np.array([node.cum_prob for node in parents])[:, None] * probs
+    valid = np.arange(probs.shape[1]) < counts[:, None]
+    # a zero weight is never kept, so no child is divided by a zero trace
+    kept = valid & (cums >= floor) & (probs > 0.0)
+    alive = kept.any(axis=1)
+    pruned = float(cums[alive[:, None] & valid & ~kept].sum())
+    for node, total in zip(parents, probs.sum(axis=1).tolist()):
+        node.children_prob_sum = total
+    # a parent whose every outcome is pruned is a leaf with its own mass and draws
+    ended.extend(_ended(front, fired_list[f]) for f in np.flatnonzero(~alive).tolist())
+    take = kept & alive[:, None]
+    if front.draws is not None:
+        split = np.zeros(probs.shape, dtype=np.int64)
+        for f in np.flatnonzero(alive).tolist():
+            w = probs[f, :counts[f]]
+            split[f, :counts[f]] = gen.multinomial(front.draws[fired_list[f]], w / w.sum())
+        if split[~kept].any():
+            raise NullBranchError("sampled an outcome below prob_floor")
+        take &= split > 0
+    rows, ks = np.nonzero(take)
+    if len(still) + len(rows) > cap:
+        raise BranchOverflowError(f"branching exceeded the branch cap of {cap}")
+    states = _collapse(sub, front.cells, fam.support, fam.keep, iso, rows, ks, d)
+    child_iso = iso[rows, ks]
+    counts_list = counts.tolist()
+    nodes, events = [], []
+    for c, (f, k, w) in enumerate(zip(rows.tolist(), ks.tolist(), probs[rows, ks].tolist())):
+        parent = parents[f]
+        actual = ActualEvent.from_isometry(fam.point, fam.labels[k], child_iso[c],
+                                           fam.support, net, w)
+        child = BranchNode(li, fam.point, actual, states[c], fam.keep, w,
+                           parent.cum_prob * w, counts_list[f], policy)
+        parent.children.append(child)
+        nodes.append(child)
+        events.append(front.events[fired_list[f]] + (actual,))
+    origin = front.origin[fired[rows]]
+    draws = None if front.draws is None else split[rows, ks]
+    if len(still):
+        # merge the branches the family skipped back in, each before the
+        # children of later branches
+        order = np.argsort(np.concatenate([still, fired[rows]]), kind="stable")
+        states = np.concatenate([_reduce(front.rho[still], front.cells, fam.keep, d),
+                                 states])[order]
+        nodes = [front.nodes[p] for p in still.tolist()] + nodes
+        events = [front.events[p] for p in still.tolist()] + events
+        nodes = [nodes[i] for i in order.tolist()]
+        events = [events[i] for i in order.tolist()]
+        origin = np.concatenate([front.origin[still], origin])[order]
+        if draws is not None:
+            draws = np.concatenate([front.draws[still], draws])[order]
+    return _Frontier(states, fam.keep, nodes, origin, draws, events), pruned
 
 
 def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: NumericPolicy,
@@ -362,82 +518,53 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
 
     With ``draws=None`` every outcome that is not pruned is expanded.  With
     ``draws=n`` the root holds ``n`` draws, each parent splits its draws
-    over the outcomes with one multinomial draw from ``gen``, and only the
-    outcomes that receive draws are expanded.  Returns the tree and every
-    branch that ended, each at a leaf.
+    over the outcomes with one multinomial draw from ``gen``, in
+    point-major frontier order, and only the outcomes that receive draws
+    are expanded.  Returns the tree and every branch that ended, each at a
+    leaf.
     """
     if commutation not in ("warn", "abort"):
         raise ValueError("commutation policy must be 'warn' or 'abort'")
-    cap = policy.branch_cap
-    d = net.cell_dim
-    keep = _keep_cells(net, foliation, imposed, propagators)
+    unitaries = {li: _unitary(u, policy) for li, u in (propagators or {}).items()}
+    local = _imposed_isometries(net, imposed, policy)
+    keep = _keep_cells(net, foliation, local, propagators)
     every = tuple(range(net.n_cells))
-    root = BranchNode(leaf_index=-1, point=None, actual=None, state_after=initial,
-                      state_cells=every, cond_prob=1.0, cum_prob=1.0, event_dim=None)
-    frontier = [_Branch(root, initial.rho, every, draws, ())]
+    root = BranchNode(leaf_index=-1, point=None, actual=None, rho=initial.rho,
+                      state_cells=every, cond_prob=1.0, cum_prob=1.0, event_dim=None,
+                      policy=policy)
+    root._state = initial
+    front = _Frontier(initial.rho[None], every, [root], np.zeros(1, dtype=int),
+                      None if draws is None else np.array([draws]), [()])
     ended: list[_Branch] = []
     pruned = 0.0
     dims: set[int] = set()
     comm_worst: dict[tuple[int, Point, Point], float] = {}
 
     for li, leaf in enumerate(foliation.leaves):
-        if propagators is not None and li in propagators:
-            mat = _unitary(propagators[li], policy)
-            frontier = [b._replace(rho=mat @ b.rho @ mat.conj().T) for b in frontier]
-        next_frontier: list[_Branch] = []
-        for branch in frontier:
-            families, dims_seen = _leaf_families(net, leaf, keep[li], branch.rho,
-                                                 branch.cells, imposed, policy)
-            dims.update(dims_seen)
-            for pa, pb, norm in _family_commutators(families, d):
-                if commutation == "abort" and norm > policy.tol_commutation:
-                    raise CommutationError(f"spacelike families at {pa} and {pb} fail to "
-                                           f"commute (norm {norm:.3e})")
-                key = (li, pa, pb)
-                comm_worst[key] = max(comm_worst.get(key, 0.0), norm)
-            current = [branch]
-            for fam in families:
-                dim = len(fam.projections)
-                expanded = []
-                for parent in current:
-                    node = parent.node
-                    probs = _outcome_probs(parent.rho, parent.cells, fam, d)
-                    node.children_prob_sum = float(probs.sum())
-                    weights = probs.tolist()
-                    cums = [node.cum_prob * w for w in weights]
-                    if max(cums) < policy.prob_floor:
-                        ended.append(parent)  # a leaf with its own mass and draws
-                        continue
-                    # draws per outcome; None marks enumeration, which expands them all
-                    split = ([None] * dim if parent.draws is None else
-                             gen.multinomial(parent.draws, probs / probs.sum()).tolist())
-                    lost = 0.0
-                    for k, (w, cum, n) in enumerate(zip(weights, cums, split)):
-                        if cum < policy.prob_floor:
-                            if n:
-                                raise NullBranchError("sampled an outcome below prob_floor")
-                            lost += cum
-                            continue
-                        if n == 0:
-                            continue
-                        child_rho = _condition(parent.rho, parent.cells, fam, k, d)
-                        actual = ActualEvent.from_factor(fam.point, fam.labels[k],
-                                                         fam.projections[k], fam.support,
-                                                         net, w)
-                        child = BranchNode(leaf_index=li, point=fam.point, actual=actual,
-                                           state_after=State(child_rho, policy=policy),
-                                           state_cells=fam.keep,
-                                           cond_prob=w, cum_prob=cum, event_dim=dim)
-                        node.children.append(child)
-                        expanded.append(_Branch(child, child_rho, fam.keep, n,
-                                                parent.events + (actual,)))
-                    pruned += lost
-                current = expanded
-                if len(current) + len(next_frontier) > cap:
-                    raise BranchOverflowError(f"branching exceeded the branch cap of {cap}")
-            next_frontier.extend(current)
-        frontier = next_frontier
-    ended.extend(frontier)
+        if not front.nodes:
+            break
+        if li in unitaries:
+            mat = unitaries[li]
+            front = front._replace(rho=mat @ front.rho @ mat.conj().T)
+        families, dims_seen = _leaf_families(net, leaf, keep[li], front.rho, front.cells,
+                                             local, policy)
+        dims.update(dims_seen)
+        pairs = _family_commutators(families, net.cell_dim)
+        if commutation == "abort":
+            bad = [(int(np.argmax(n > policy.tol_commutation)), k)
+                   for k, (_, _, n) in enumerate(pairs) if (n > policy.tol_commutation).any()]
+            if bad:
+                row, k = min(bad)
+                pa, pb, norms = pairs[k]
+                raise CommutationError(f"spacelike families at {pa} and {pb} fail to "
+                                       f"commute (norm {norms[row]:.3e})")
+        for pa, pb, norms in pairs:
+            comm_worst[(li, pa, pb)] = float(norms.max())
+        front = front._replace(origin=np.arange(len(front.nodes)))
+        for fam in families:
+            front, lost = _branch_point(front, fam, li, net, policy, gen, ended)
+            pruned += lost
+    ended.extend(_ended(front, i) for i in range(len(front.nodes)))
     comm_list = sorted((li, pa, pb, n) for (li, pa, pb), n in comm_worst.items())
     tree = HistoryTree(root=root, foliation=foliation, pruned_mass=pruned,
                        spectrum_dims=sorted(dims), commutation_norms=comm_list,
@@ -458,15 +585,21 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     probability falls below ``prob_floor`` is pruned and its mass added to
     ``pruned_mass``, unless every outcome of that family is pruned: then
     the parent stays a leaf holding its own mass, and nothing is added.
+    An outcome of weight 0 is pruned too, even at ``prob_floor=0``.
     ``propagators`` optionally maps a leaf index to a unitary applied to
     every branch before that leaf is processed.  Each node's
     ``state_after`` holds only the cells later points still touch (see
-    :class:`BranchNode`); imposed families and propagators act on every
-    cell, so with them branches keep every cell up to the last one.
+    :class:`BranchNode`); a propagator acts on every cell, so with one
+    branches keep every cell until it has run.
 
     ``commutation`` controls the response to non-commuting spacelike
-    families: "warn" records them, "abort" raises.  More than
-    ``policy.branch_cap`` live branches raise :class:`BranchOverflowError`.
+    families: "warn" records them, "abort" raises for the first entry
+    branch of a leaf, and the first pair of points there, whose norm
+    exceeds ``tol_commutation``.  The branch cap holds for the whole
+    frontier: after the outcomes of each point are chosen, and before
+    any is collapsed, more than ``policy.branch_cap`` live branches (the
+    children just made plus the branches the point's family skipped)
+    raise :class:`BranchOverflowError`.
     """
     tree, _ = _grow(net, foliation, initial, policy, imposed, propagators, commutation)
     return tree
@@ -477,7 +610,9 @@ class SampledHistory:
     """One Monte-Carlo trajectory through the event tree.
 
     ``final_state`` is the conditioned state on the cells ``final_cells``,
-    the ones a branch still carries at the end (see :class:`BranchNode`).
+    the ones a branch still carries at the end (see :class:`BranchNode`):
+    none at the end of the foliation, and those kept after its last point
+    for a branch that ended early because every outcome was pruned.
     """
 
     events: tuple[ActualEvent, ...]
@@ -534,15 +669,17 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
 
     Each parent splits its draws over its outcomes with one multinomial
     draw, so the tree grows only along outcomes some draw reaches and each
-    node is expanded once.  Pruning follows :func:`enumerate_tree`: a draw
-    on an outcome below ``prob_floor`` raises :class:`NullBranchError`,
-    and a node whose every outcome is pruned is a leaf that keeps its
-    draws.  ``policy.branch_cap`` caps the live branches as in enumeration,
-    but at most ``n_samples`` are live, so trees too large to enumerate can
-    still be sampled.  Path keys are tuples of (tau, x, label); identical
-    seeds give identical summaries, though not those of releases that drew
-    from one spawned Generator per sample.  ``max_commutator`` and
-    ``spectrum_dims`` cover the branches the draws visited.
+    node is expanded once.  The multinomials are drawn point by point, in
+    frontier order at each point.  Pruning follows :func:`enumerate_tree`:
+    a draw on an outcome below ``prob_floor`` raises
+    :class:`NullBranchError`, and a node whose every outcome is pruned is
+    a leaf that keeps its draws.  ``policy.branch_cap`` caps the live
+    branches as in enumeration, but at most ``n_samples`` are live, so
+    trees too large to enumerate can still be sampled.  Path keys are
+    tuples of (tau, x, label); identical seeds give identical summaries,
+    though not those of releases that drew from one spawned Generator per
+    sample, or branch by branch.  ``max_commutator`` and ``spectrum_dims``
+    cover the branches the draws visited.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")

@@ -7,11 +7,18 @@ operators is ``(A.conj().ravel() @ B.ravel())`` and the commutator map
 
 The numeric rules that need no tolerance policy live here, each in one
 function that every layer calls: spectral clustering
-(:func:`spectral_projections`), outcome order (:func:`decreasing_order`),
-commutator norms of two families (:func:`max_commutator_norm`), the
-block-diagonal mixture (:func:`mixture_residual`), normalization by a
-branch's own trace (:func:`trace_normalized`) and the hermiticity defect
+(:func:`spectral_projections`, and :func:`spectral_isometries` for a stack
+of matrices), outcome order (:func:`decreasing_order`), commutator norms
+of two families (:func:`max_commutator_norm`), the block-diagonal mixture
+(:func:`mixture_residual`), normalization by a branch's own trace
+(:func:`trace_normalized`) and the hermiticity defect
 (:func:`hermiticity_defect`).
+
+An outcome family can be held by its isometries: outcome k is an
+``(n, r)`` block of orthonormal columns spanning the range of its
+projection.  A family of several outcomes is a stack ``(..., k, n, r)``;
+zero columns pad the smaller ranks, and an all-zero block is an outcome
+of rank 0.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "operator_norm",
     "hermiticity_defect",
     "max_commutator_norm",
+    "range_isometries",
     "mixture_residual",
     "trace_normalized",
     "orthonormal_rows",
@@ -37,6 +45,7 @@ __all__ = [
     "cluster_indices",
     "matrix_units",
     "spectral_projections",
+    "spectral_isometries",
     "decreasing_order",
     "embed_factor",
     "partial_trace",
@@ -69,13 +78,101 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def max_commutator_norm(ps, qs) -> float:
-    """Largest operator norm of ``[p, q]`` over every ``p`` in ``ps`` and ``q`` in ``qs``."""
-    worst = 0.0
-    for p in ps:
-        for q in qs:
-            worst = max(worst, operator_norm(p @ q - q @ p))
-    return worst
+def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
+                        cell_dim: int | None = None):
+    """Largest ``||[p, q]||`` over the outcomes of two complete families.
+
+    ``us`` and ``vs`` are isometry stacks ``(..., k, n, r)`` of two families
+    whose projections each sum to the identity; leading axes broadcast and
+    the result has their shape (a float when there are none).  With
+    ``supports=(A, B)`` the families act on the tensor cells A and B (each
+    of dimension ``cell_dim``, slots in the listed order) and the norm is
+    that of the commutator on the whole product; without, both act on the
+    whole space.  Disjoint supports give exactly 0.0.
+
+    The rule is that of principal angles (Halmos 1969; Bjorck and Golub
+    1973): with u and v orthonormal bases of the ranges of p and q,
+    ``||[p, q]||`` is the largest ``c * sqrt(1 - c**2)`` over the singular
+    values c of ``u^H v``.  It is evaluated as ``||p q (1 - p)||``, so that
+    nearly commuting pairs keep their absolute accuracy: written in the
+    basis of the first family's outcomes, q's block row of outcome i
+    without its diagonal block is ``p_i q (1 - p_i)``, and nothing is
+    subtracted from 1.  In factor form ``u^H v`` is the contraction over
+    the shared cells C of u on (A - B, C) with v on (C, B - A).
+    """
+    us = np.asarray(us)
+    vs = np.asarray(vs)
+    batch = np.broadcast_shapes(us.shape[:-3], vs.shape[:-3])
+    if supports is None:
+        a = b = (0,)
+        d = us.shape[-2]
+    else:
+        a, b = (tuple(s) for s in supports)
+        d = cell_dim
+    shared = [c for c in a if c in b]
+    if not shared or us.shape[-3] == 0 or vs.shape[-3] == 0:
+        out = np.zeros(batch)
+        return float(out) if out.ndim == 0 else out
+    only_a = [c for c in a if c not in b]
+    only_b = [c for c in b if c not in a]
+    dx, dc, dy = d ** len(only_a), d ** len(shared), d ** len(only_b)
+    (ka, ra), (kb, rb) = (us.shape[-3], us.shape[-1]), (vs.shape[-3], vs.shape[-1])
+    if kb * (ka * ra * dy) ** 2 > ka * (kb * rb * dx) ** 2:
+        # the norm is symmetric; write the smaller family basis in full
+        return max_commutator_norm(vs, us, (b, a), d)
+    us = np.broadcast_to(us, batch + us.shape[-3:])
+    vs = np.broadcast_to(vs, batch + vs.shape[-3:])
+    nb = len(batch)
+    lead = tuple(range(nb))
+
+    def slots(iso, support, first, second):
+        # (..., k, n, r) -> (..., k, first, second, r), slots regrouped
+        t = iso.reshape(iso.shape[:-2] + (d,) * len(support) + (iso.shape[-1],))
+        order = [nb + 1 + support.index(c) for c in first + second]
+        t = t.transpose(list(range(nb + 1)) + order + [t.ndim - 1])
+        return t.reshape(iso.shape[:-2] + (d ** len(first), d ** len(second), iso.shape[-1]))
+
+    u = slots(us, a, only_a, shared)                  # (..., ka, x, c, ra)
+    v = slots(vs, b, shared, only_b)                  # (..., kb, c, y, rb)
+    left = u.conj().transpose(lead + (nb, nb + 3, nb + 1, nb + 2))
+    left = left.reshape(batch + (ka * ra * dx, dc))
+    right = v.transpose(lead + (nb + 1, nb, nb + 2, nb + 3)).reshape(batch + (dc, kb * dy * rb))
+    # g[..., j] stacks u_i^H v_j over the first family's outcomes i, rows
+    # (i, ra, y) and columns (x, rb)
+    g = (left @ right).reshape(batch + (ka, ra, dx, kb, dy, rb))
+    g = g.transpose(lead + (nb + 3, nb, nb + 1, nb + 4, nb + 2, nb + 5))
+    e = ra * dy
+    g = g.reshape(batch + (kb, ka * e, dx * rb))
+    worst = np.zeros(batch)
+    diag = np.arange(ka)
+    # q is (ka e)^2 per outcome j; take the j in chunks of at most 2**20 entries
+    step = max(1, 2 ** 20 // (max(1, int(np.prod(batch))) * (ka * e) ** 2))
+    for j in range(0, kb, step):
+        gj = g[..., j:j + step, :, :]
+        q = (gj @ np.swapaxes(gj.conj(), -1, -2)).reshape(gj.shape[:-2] + (ka, e, ka, e))
+        q[..., diag, :, diag, :] = 0.0
+        rows = q.reshape(gj.shape[:-2] + (ka, e, ka * e))
+        top = np.linalg.eigvalsh(rows @ np.swapaxes(rows.conj(), -1, -2))[..., -1]
+        worst = np.maximum(worst, np.sqrt(np.clip(top, 0.0, None)).max(axis=(-2, -1)))
+    return float(worst) if worst.ndim == 0 else worst
+
+
+def range_isometries(projections) -> np.ndarray:
+    """Isometry stack ``(k, n, r)`` of a complete family of orthogonal projections.
+
+    ``sum_k (k + 1) p_k`` has eigenvalue k + 1 on the range of ``p_k``, so
+    one ``eigh`` gives every block, and the blocks of different outcomes
+    are orthogonal to rounding and together span the space.
+    """
+    mats = [np.asarray(p, dtype=complex) for p in projections]
+    h = sum((k + 1.0) * p for k, p in enumerate(mats))
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    owner = np.clip(np.rint(vals).astype(int) - 1, 0, len(mats) - 1)
+    ranks = np.bincount(owner, minlength=len(mats))
+    out = np.zeros((len(mats), vecs.shape[0], max(int(ranks.max()), 1)), dtype=complex)
+    for k in range(len(mats)):
+        out[k, :, :ranks[k]] = vecs[:, owner == k]
+    return out
 
 
 def mixture_residual(rho: np.ndarray, projections) -> np.ndarray:
@@ -87,9 +184,9 @@ def mixture_residual(rho: np.ndarray, projections) -> np.ndarray:
 
 
 def trace_normalized(mat: np.ndarray) -> np.ndarray:
-    """``mat`` divided by its own trace, then hermitized."""
-    out = mat / np.trace(mat).real
-    return (out + out.conj().T) / 2.0
+    """``mat`` divided by its own trace, then hermitized; a stack matrix by matrix."""
+    out = mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+    return (out + np.swapaxes(out.conj(), -1, -2)) / 2.0
 
 
 def _as_matrix(rows) -> np.ndarray:
@@ -185,6 +282,37 @@ def spectral_projections(mat: np.ndarray,
     return vals, clusters, [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
 
 
+def spectral_isometries(mats: np.ndarray,
+                        gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clustering of :func:`spectral_projections` for a stack ``(b, n, n)``.
+
+    Returns ``(weights, counts, iso)``: matrix i has ``counts[i]``
+    outcomes in decreasing weight (:func:`decreasing_order`),
+    ``weights[i, k]`` is the eigenvalue sum of outcome k and ``iso[i, k]``
+    its ``(n, r)`` block of eigenvectors.  Padding outcomes weigh -inf.  A
+    stack whose every gap exceeds ``gap`` is clustered without a Python
+    loop; otherwise every matrix goes through :func:`cluster_indices`.
+    """
+    vals, vecs = np.linalg.eigh(mats)
+    count, n = vals.shape
+    if (np.diff(vals, axis=1) > gap).all():
+        order = np.argsort(-vals, axis=1, kind="stable")
+        weights = np.take_along_axis(vals, order, axis=1)
+        iso = np.take_along_axis(vecs, order[:, None, :], axis=2)
+        return weights, np.full(count, n), np.swapaxes(iso, 1, 2)[..., None]
+    clusters = [cluster_indices(row, gap) for row in vals]
+    counts = np.array([len(c) for c in clusters])
+    rank = max(len(part) for c in clusters for part in c)
+    weights = np.full((count, counts.max()), -np.inf)
+    iso = np.zeros((count, counts.max(), n, rank), dtype=complex)
+    for i, parts in enumerate(clusters):
+        sums = [float(np.sum(vals[i][part])) for part in parts]
+        for k, j in enumerate(decreasing_order(sums)):
+            weights[i, k] = sums[j]
+            iso[i, k, :, :len(parts[j])] = vecs[i][:, parts[j]]
+    return weights, counts, iso
+
+
 def matrix_units(n: int) -> np.ndarray:
     """The n*n matrix units ``E_ab`` (a 1 in row a, column b), ordered by (a, b)."""
     return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
@@ -217,10 +345,14 @@ def embed_factor(op: np.ndarray, support: tuple[int, ...], n_cells: int, cell_di
 
 
 def partial_trace(mat: np.ndarray, keep: tuple[int, ...], n_cells: int, cell_dim: int) -> np.ndarray:
-    """Trace out every tensor cell not listed in ``keep`` (result slots follow ``keep``)."""
+    """Trace out every tensor cell not listed in ``keep`` (result slots follow ``keep``).
+
+    ``mat`` may be a stack ``(..., D, D)``; each matrix is traced alike.
+    """
     keep = tuple(keep)
     d = cell_dim
-    tensor = mat.reshape([d] * (2 * n_cells))
+    lead = mat.shape[:-2]
+    tensor = mat.reshape(lead + (d,) * (2 * n_cells))
     letters = "abcdefghijklmnopqrstuvwxyz"
     if 2 * n_cells > len(letters):
         raise DimensionMismatchError("too many tensor cells for einsum labels")
@@ -230,9 +362,9 @@ def partial_trace(mat: np.ndarray, keep: tuple[int, ...], n_cells: int, cell_dim
         if c not in keep:
             col[c] = row[c]
     out = "".join(row[c] for c in keep) + "".join(col[c] for c in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, tensor)
+    reduced = np.einsum("..." + "".join(row) + "".join(col) + "->..." + out, tensor)
     dim = d ** len(keep)
-    return np.ascontiguousarray(reduced.reshape(dim, dim))
+    return np.ascontiguousarray(reduced.reshape(lead + (dim, dim)))
 
 
 def spin_projections(direction) -> tuple[np.ndarray, np.ndarray]:

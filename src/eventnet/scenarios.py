@@ -144,7 +144,7 @@ def epr_scenario(n_dir=(0.0, 0.0, 1.0), n_prime_dir=(1.0, 0.0, 0.0),
 
 def _evaluate_spacelike_pair(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
     """Commutator and conditioning-order actuals of the first two imposed families."""
-    return {"commutator_max": _family_commutator_max(scenario),
+    return {"commutator_max": _family_commutator_max(scenario, policy),
             "order_dependence": order_independence_check(scenario, policy=policy)}
 
 
@@ -455,13 +455,21 @@ def nonlocality_demo(scenario: Scenario, outcome: tuple = ("+", "+"),
                              difference=abs(unconditioned - conditioned))
 
 
-def _family_commutator_max(scenario: Scenario) -> float:
-    pairs = _imposed_pairs_first_leaf(scenario)
+def _family_commutator_max(scenario: Scenario, policy: NumericPolicy) -> float:
+    """Worst commutator norm between the imposed families of the first leaf.
+
+    Each family is taken on the fewest cells it acts on, so families on
+    disjoint cells give exactly 0.0.
+    """
+    net = scenario.net
+    local = []
+    for _, fam in _imposed_pairs_first_leaf(scenario):
+        support, factors = net.localize([p.entries for p in fam.projections], policy.tol_proj)
+        local.append((support, linalg.range_isometries(factors)))
     worst = 0.0
-    for i, (_, fa) in enumerate(pairs):
-        for _, fb in pairs[i + 1:]:
-            worst = max(worst, linalg.max_commutator_norm([p.entries for p in fa.projections],
-                                                          [q.entries for q in fb.projections]))
+    for i, (sa, ua) in enumerate(local):
+        for sb, ub in local[i + 1:]:
+            worst = max(worst, linalg.max_commutator_norm(ua, ub, (sa, sb), net.cell_dim))
     return worst
 
 

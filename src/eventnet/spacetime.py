@@ -208,6 +208,30 @@ class AlgebraNet:
         residual = float(np.linalg.norm((mat - self.embed(factor, support)).ravel()))
         return factor, residual
 
+    def localize(self, ops, tol: float) -> tuple[tuple[int, ...], list[np.ndarray]]:
+        """The fewest cells outside which every operator acts as the identity.
+
+        A cell is left out when every operator, written with that cell's
+        slots first, differs from the identity there tensor its partial
+        trace by at most ``tol`` in Hilbert-Schmidt norm.  Returns that
+        support and each operator's factor on it (the partial trace divided
+        by the dimension traced out, as in :meth:`reduce_operator`).
+        """
+        mats = [opalg._as_matrix(op) for op in ops]
+        d, n = self.cell_dim, self.n_cells
+        eye = np.eye(d)[:, :, None]
+        support = []
+        for c in range(n):
+            for mat in mats:
+                t = np.moveaxis(mat.reshape((d,) * (2 * n)), (c, n + c), (0, 1))
+                t = t.reshape(d, d, -1)
+                if np.linalg.norm((t - eye * (np.trace(t) / d)).ravel()) > tol:
+                    support.append(c)
+                    break
+        support = tuple(support)
+        rest = self.dim // d ** len(support)
+        return support, [linalg.partial_trace(m, support, n, d) / rest for m in mats]
+
     def membership_residual(self, op, p: Point) -> float:
         _, residual = self.reduce_operator(op, self.support(p))
         return residual

@@ -73,6 +73,19 @@ def binomial_four_sigma(p, n):
     return 4.0 * np.sqrt(p * (1.0 - p) / n)
 
 
+def max_commutator_norm_dense(ps, qs):
+    """Largest operator norm of ``p q - q p`` over every ``p`` in ``ps`` and ``q`` in ``qs``.
+
+    The matrices are ambient (or share one space); each commutator is
+    formed in full and its norm is the largest singular value.
+    """
+    worst = 0.0
+    for p in ps:
+        for q in qs:
+            worst = max(worst, float(np.linalg.norm(p @ q - q @ p, 2)))
+    return worst
+
+
 class DenseNode:
     """A node of the dense reference tree; ``rho`` is the ambient branch state."""
 
@@ -131,10 +144,8 @@ def enumerate_tree_dense(net, foliation, initial, *, policy, imposed=None,
                                           for lbl, p in enumerate(projs)]))
             for i, (pa, pairs_a) in enumerate(families):
                 for pb, pairs_b in families[i + 1:]:
-                    norm = 0.0
-                    for _, ma in pairs_a:
-                        for _, mb in pairs_b:
-                            norm = max(norm, float(np.linalg.norm(ma @ mb - mb @ ma, 2)))
+                    norm = max_commutator_norm_dense([m for _, m in pairs_a],
+                                                     [m for _, m in pairs_b])
                     if commutation == "abort" and norm > policy.tol_commutation:
                         raise CommutationError(f"{pa} and {pb} fail to commute")
                     worst[(li, pa, pb)] = max(worst.get((li, pa, pb), 0.0), norm)

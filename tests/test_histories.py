@@ -31,6 +31,7 @@ from eventnet import (
     two_leaf_chain,
 )
 from eventnet.cli import main
+from eventnet.events import detect_event
 from eventnet.linalg import PAULI_X, partial_trace, random_unitary
 from eventnet.policy import NumericPolicy
 
@@ -251,6 +252,7 @@ def test_propagator_must_be_unitary():
 # ---------------------------------------------------------------------------
 
 COARSE = NumericPolicy(prob_floor=1e-3)
+DEFAULT = NumericPolicy()
 
 
 def _cone_case(extent_tau, extent_x, seed=3):
@@ -400,6 +402,148 @@ def test_cone_abort_matches_dense_reference():
         oracles.enumerate_tree_dense(net, fol, initial, policy=COARSE, commutation="abort")
     with pytest.raises(CommutationError):
         enumerate_tree(net, fol, initial, policy=COARSE, commutation="abort")
+
+
+def _leaf_entries(root, leaf_index):
+    """Branches of a dense tree that enter leaf ``leaf_index``: alive at the end of the leaf before."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        dead = not node.children and node.children_prob_sum is not None
+        if (node.leaf_index == leaf_index - 1 and not dead
+                and all(c.leaf_index == leaf_index for c in node.children)):
+            out.append(node)
+    return out
+
+
+def _entry_detections(net, fol, root, leaf_index, policy):
+    """Per point of the leaf, the detection on every branch entering it (dense tree)."""
+    entries = _leaf_entries(root, leaf_index)
+    return {p: [detect_event(net, p, State(n.rho, policy=policy), policy=policy)
+                for n in entries]
+            for p in fol.leaves[leaf_index]}
+
+
+def _product_cone_state(seed):
+    """2x2 cone state alpha (cells 0, 2) tensor beta (cells 1, 3), tuned to a cluster.
+
+    beta's spectrum is chosen so that two products of the spectra on cell 2
+    and on cells (1, 3) coincide: the family at (0, 1) has one rank-2
+    outcome, which leaves cell 2 mixed on some branches and pure on others.
+    """
+    rng = np.random.default_rng(seed)
+    u = random_unitary(4, rng)
+    alpha = (u * np.array([0.4, 0.3, 0.2, 0.1])) @ u.conj().T
+    mu = np.linalg.eigvalsh(partial_trace(alpha, (1,), 2, 2))
+    nu = np.array([mu[1], mu[0], 0.9 * mu[0], 0.7 * mu[1]])
+    v = random_unitary(4, rng)
+    beta = (v * (nu / nu.sum())) @ v.conj().T
+    full = np.kron(alpha, beta).reshape([2] * 8)        # slots (0, 2, 1, 3)
+    return State(full.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_family_firing_on_some_frontier_branches_matches_dense(seed):
+    net = build_tensor_net(CausalLattice(2, 2))
+    fol = foliate(net.lattice)
+    initial = _product_cone_state(seed)
+    dense = oracles.enumerate_tree_dense(net, fol, initial, policy=COARSE)
+    fired = [d.happened for d in _entry_detections(net, fol, dense[0], 1, COARSE)[Point(1, 0)]]
+    assert any(fired) and not all(fired)
+    assert 7 in dense[2]  # the rank-2 outcome at (0, 1)
+    tree = enumerate_tree(net, fol, initial, policy=COARSE)
+    _assert_matches_dense(net, tree, dense)
+
+
+def test_outcome_counts_that_differ_across_the_stack_match_dense():
+    # two cells; the two heaviest eigenvalues sit 4e-7 apart (one rank-2
+    # outcome at (0, 0)), and the branches entering (1, 0) see cell 1 as a
+    # 1e-13-split pair (one outcome, no event) or as (0.7, 0.3)
+    net = build_tensor_net(CausalLattice(2, 1))
+    fol = foliate(net.lattice)
+    a, b = np.sqrt(0.5 + 4e-8), np.sqrt(0.5 - 4e-8)
+    c, e = np.sqrt(0.7), np.sqrt(0.3)
+    basis = np.array([[a, 0, 0, b], [b, 0, 0, -a], [0, c, e, 0], [0, e, -c, 0]],
+                     dtype=complex).T
+    rng = np.random.default_rng(12)
+    turn = np.kron(random_unitary(2, rng), random_unitary(2, rng)) @ basis
+    spectrum = np.array([0.35 + 2e-7, 0.35 - 2e-7, 0.2, 0.1])
+    initial = State((turn * spectrum) @ turn.conj().T)
+    dense = oracles.enumerate_tree_dense(net, fol, initial, policy=DEFAULT)
+    detections = _entry_detections(net, fol, dense[0], 1, DEFAULT)[Point(1, 0)]
+    assert sorted(len(d.probabilities) for d in detections) == [1, 2, 2]
+    assert sorted(d.happened for d in detections) == [False, True, True]
+    tree = enumerate_tree(net, fol, initial)
+    assert tree.spectrum_dims == [1, 2, 3]
+    _assert_matches_dense(net, tree, dense)
+    top = tree.root.children[0]
+    assert np.linalg.matrix_rank(top.actual.factor, tol=1e-9) == 2
+    assert top.children == []  # no event on cell 1 after the rank-2 outcome
+
+
+def test_imposed_family_on_a_cone_matches_dense():
+    net, initial = _cone_case(2, 2, seed=6)
+    fol = foliate(net.lattice)
+    pa = np.kron(np.diag([1.0, 0.0]), random_unitary(2, np.random.default_rng(1)))
+    proj = pa @ np.diag([1.0, 0.0, 1.0, 0.0]) @ pa.conj().T      # rank 2 on cells (1, 2)
+    family = PotentialEvent([net.embed(proj, (1, 2)), net.embed(np.eye(4) - proj, (1, 2))],
+                            labels=("in", "out"))
+    imposed = {Point(0, 1): family}
+    tree = enumerate_tree(net, fol, initial, policy=COARSE, imposed=imposed)
+    dense = oracles.enumerate_tree_dense(net, fol, initial, policy=COARSE, imposed=imposed)
+    _assert_matches_dense(net, tree, dense)
+    assert tree.max_commutator > 0.1  # (0, 0) reads cell 2 too
+    imposed_nodes = [n for first in tree.root.children for n in first.children]
+    assert imposed_nodes and all(n.actual.support == (1, 2) for n in imposed_nodes)
+
+
+def test_branch_cap_counts_the_live_frontier_after_each_point():
+    # the chain has 4 live branches after (0, 0) and 8 after (1, 0)
+    sc = two_leaf_chain()
+    tree = enumerate_tree(sc.net, sc.foliation, sc.initial, policy=NumericPolicy(branch_cap=8))
+    assert len(tree.leaves()) == 8
+    for cap in (3, 7):
+        with pytest.raises(BranchOverflowError):
+            enumerate_tree(sc.net, sc.foliation, sc.initial,
+                           policy=NumericPolicy(branch_cap=cap))
+    with pytest.raises(BranchOverflowError):
+        sample_paths(sc.net, sc.foliation, sc.initial, 1000, seed=1,
+                     policy=NumericPolicy(branch_cap=7))
+
+
+def test_zero_weight_outcomes_are_pruned_at_a_zero_floor():
+    # a pure product state: every detection has a zero-weight cluster, which
+    # passes the happened test at prob_floor=0 but must not be collapsed
+    net = build_tensor_net(CausalLattice(2, 2))
+    psi = np.zeros(net.dim, dtype=complex)
+    psi[5] = 1.0
+    tree = enumerate_tree(net, foliate(net.lattice), State.from_vector(psi),
+                          policy=NumericPolicy(prob_floor=0.0))
+    leaves = tree.leaves()
+    assert sum(leaf.cum_prob for leaf in leaves) + tree.pruned_mass == pytest.approx(1.0)
+    assert all(leaf.cum_prob > 0.0 for leaf in leaves)
+
+
+def test_branch_states_are_checked_when_first_read(monkeypatch):
+    sc = two_leaf_chain()
+    built = []
+    real_init = State.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(State, "__init__", counting_init)
+    tree = enumerate_tree(sc.net, sc.foliation, sc.initial)
+    assert built == []
+    node = tree.root.children[0]
+    assert node.state_after is node.state_after and len(built) == 1
+    assert np.array_equal(node.state_after.rho, node.rho)
+    bad = tree.root.children[1]
+    bad.rho = bad.rho * 2.0
+    with pytest.raises(ValueError):
+        bad.state_after
 
 
 def test_branch_states_drop_cells_no_later_point_touches():

@@ -1,0 +1,133 @@
+"""Tests for the numeric kernels in ``eventnet.linalg``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eventnet.linalg import (embed_factor, max_commutator_norm, partial_trace,
+                             random_unitary, range_isometries, spectral_isometries,
+                             spectral_projections, trace_normalized)
+
+import oracles
+
+CELL = 2
+
+# (support A, support B) on at most four cells, slots in the listed order
+SUPPORTS = {
+    "equal": ((0, 1), (0, 1)),
+    "equal, other slot order": ((0, 1), (1, 0)),
+    "nested": ((0, 1, 2), (1,)),
+    "nested, larger second": ((2,), (0, 2, 3)),
+    "overlapping": ((0, 1), (1, 2)),
+    "overlapping, three shared": ((0, 1, 2, 3), (1, 2, 3)),
+    "disjoint": ((0,), (1, 2)),
+}
+
+
+def _family(rng, n_cells, max_rank):
+    """A complete family on ``n_cells`` cells: isometry stack and its projections."""
+    dim = CELL ** n_cells
+    u = random_unitary(dim, rng)
+    ranks = []
+    while sum(ranks) < dim:
+        ranks.append(int(min(rng.integers(1, max_rank + 1), dim - sum(ranks))))
+    iso = np.zeros((len(ranks), dim, max(ranks)), dtype=complex)
+    start = 0
+    for k, r in enumerate(ranks):
+        iso[k, :, :r] = u[:, start:start + r]
+        start += r
+    return iso, [blk @ blk.conj().T for blk in iso]
+
+
+def _ambient(projs, support, n_cells):
+    return [embed_factor(p, support, n_cells, CELL) for p in projs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(sorted(SUPPORTS)),
+       max_rank=st.integers(1, 3), shared_basis=st.booleans())
+def test_principal_angle_norm_matches_dense_commutators(seed, kind, max_rank, shared_basis):
+    rng = np.random.default_rng(seed)
+    sa, sb = SUPPORTS[kind]
+    n_cells = max(sa + sb) + 1
+    iso_a, projs_a = _family(rng, len(sa), max_rank)
+    if shared_basis and sa == sb:
+        # the same eigenbasis cut into other outcomes: the families commute
+        iso_b, projs_b = _family(np.random.default_rng(seed), len(sb), max_rank)
+    else:
+        iso_b, projs_b = _family(rng, len(sb), max_rank)
+    got = max_commutator_norm(iso_a, iso_b, (sa, sb), CELL)
+    want = oracles.max_commutator_norm_dense(_ambient(projs_a, sa, n_cells),
+                                             _ambient(projs_b, sb, n_cells))
+    if kind == "disjoint":
+        assert got == 0.0
+    assert abs(got - want) <= 1e-12, (kind, got, want)
+
+
+def test_principal_angle_norm_is_batched_over_leading_axes():
+    rng = np.random.default_rng(4)
+    sa, sb = SUPPORTS["overlapping"]
+    fams = [(_family(rng, 2, 2), _family(rng, 2, 1)) for _ in range(3)]
+    stack_a = np.stack([np.pad(a[0], ((0, 4 - len(a[0])), (0, 0), (0, 2 - a[0].shape[2])))
+                        for a, _ in fams])
+    stack_b = np.stack([b[0] for _, b in fams])
+    got = max_commutator_norm(stack_a, stack_b, (sa, sb), CELL)
+    assert got.shape == (3,)
+    for row, ((_, pa), (_, pb)) in zip(got, fams):
+        want = oracles.max_commutator_norm_dense(_ambient(pa, sa, 3), _ambient(pb, sb, 3))
+        assert abs(row - want) <= 1e-12
+
+
+def test_range_isometries_span_each_projection():
+    rng = np.random.default_rng(9)
+    _, projs = _family(rng, 3, 3)
+    iso = range_isometries(projs)
+    for blk, p in zip(iso, projs):
+        assert np.max(np.abs(blk @ blk.conj().T - p)) <= 1e-12
+    cols = np.concatenate(list(iso), axis=1)
+    cols = cols[:, np.abs(cols).sum(axis=0) > 0]
+    assert np.max(np.abs(cols.conj().T @ cols - np.eye(8))) <= 1e-12
+
+
+def test_commuting_product_families_give_zero_on_the_whole_space():
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    plus = 0.5 * np.ones((2, 2), dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    left = range_isometries([np.kron(p0, eye), np.kron(eye - p0, eye)])
+    right = range_isometries([np.kron(eye, plus), np.kron(eye, eye - plus)])
+    assert max_commutator_norm(left, right) <= 1e-15
+    half = max_commutator_norm(range_isometries([p0, eye - p0]),
+                               range_isometries([plus, eye - plus]))
+    assert half == pytest.approx(0.5, abs=1e-15)
+
+
+def test_spectral_isometries_match_the_single_matrix_rule():
+    rng = np.random.default_rng(2)
+    mats = []
+    for spectrum in ([0.4, 0.3, 0.2, 0.1], [0.25 + 3e-7, 0.25 - 3e-7, 0.3, 0.2],
+                     [0.25, 0.25, 0.25, 0.25]):
+        u = random_unitary(4, rng)
+        mats.append((u * np.asarray(spectrum)) @ u.conj().T)
+    weights, counts, iso = spectral_isometries(np.stack(mats), 1e-6)
+    assert counts.tolist() == [4, 3, 1]
+    for i, mat in enumerate(mats):
+        vals, clusters, projs = spectral_projections(mat, 1e-6)
+        sums = [float(np.sum(vals[c])) for c in clusters]
+        order = np.argsort(-np.asarray(sums), kind="stable")
+        assert weights[i, :counts[i]].tolist() == [sums[j] for j in order]
+        assert np.all(weights[i, counts[i]:] == -np.inf)
+        for k, j in enumerate(order):
+            blk = iso[i, k]
+            assert np.max(np.abs(blk @ blk.conj().T - projs[j])) <= 1e-15
+
+
+def test_batched_kernels_act_matrix_by_matrix():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+    stack = g @ np.swapaxes(g.conj(), -1, -2)
+    reduced = partial_trace(stack, (2, 0), 3, 2)
+    normalized = trace_normalized(stack)
+    for i in range(3):
+        assert np.array_equal(reduced[i], partial_trace(stack[i], (2, 0), 3, 2))
+        assert np.array_equal(normalized[i], trace_normalized(stack[i]))
