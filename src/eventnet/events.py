@@ -7,14 +7,17 @@ when at least two outcomes carry weight at least ``prob_floor``
 (:func:`event_happened`).  A branch is conditioned by
 :func:`normalize_branch`, which refuses a weight below ``prob_floor``.  For a
 net algebra (a full matrix factor) this reduces to spectral analysis of
-the reduced density matrix, which is the fast path; the generic path via
-centralizer/center works for any explicit algebra and is used to
-cross-check the fast one.
+the reduced density matrix: :func:`detect_event` runs the branching
+engine's detector, one partial trace and :func:`linalg.spectral_isometries`,
+on one state and keeps the outcomes on the support factor.  The generic
+path via centralizer/center (:func:`detect_event_on`) works for any
+explicit algebra and is used to cross-check the fast one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,20 +47,44 @@ __all__ = [
 class EventDetection:
     """Outcome family the state singles out at a point.
 
-    ``probabilities`` aligns with the event's labels and is sorted in
-    decreasing order; ``happened`` records whether at least two outcomes
-    clear ``prob_floor``.  For net-based detection, ``factor_projections``
-    hold the projections on the support factor (the ambient ones in
-    ``event`` are their embeddings).
+    ``probabilities`` is sorted in decreasing order and aligns with the
+    outcomes of ``event``, labelled 0..k-1 in that order; ``happened``
+    records whether at least two outcomes clear ``prob_floor``.  A
+    detection on a net (:func:`detect_event`) holds the ``(k, n, r)``
+    isometry stack of its outcomes on the ``support`` cells (see
+    :mod:`eventnet.linalg`); ``factor_projections``, the ambient ``event``
+    (validated under ``policy``) and ``event_algebra`` are built from it
+    when first read.  A detection against an explicit algebra is given its
+    ``event`` and ``event_algebra``; its ``factor_projections`` is None.
     """
 
     point: Point | None
-    event_algebra: OperatorAlgebra
-    event: PotentialEvent
     probabilities: tuple[float, ...]
     happened: bool
     support: tuple[int, ...] | None = None
-    factor_projections: tuple[np.ndarray, ...] | None = None
+    isometries: np.ndarray | None = field(default=None, repr=False)
+    net: AlgebraNet | None = field(default=None, repr=False)
+    policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
+
+    @cached_property
+    def factor_projections(self) -> tuple[np.ndarray, ...] | None:
+        """The outcome projections on the support cells, slots in support order."""
+        if self.isometries is None:
+            return None
+        return tuple(v @ v.conj().T for v in self.isometries)
+
+    @cached_property
+    def event(self) -> PotentialEvent:
+        """The outcomes as projections on the whole net."""
+        return PotentialEvent([self.net.embed(p, self.support) for p in self.factor_projections],
+                              policy=self.policy)
+
+    @cached_property
+    def event_algebra(self) -> OperatorAlgebra:
+        """The algebra the outcomes span, with a Hilbert-Schmidt orthonormal basis."""
+        return OperatorAlgebra([p.entries / np.sqrt(np.trace(p.entries).real)
+                                for p in self.event.projections],
+                               policy=self.policy, validate=False)
 
 
 class ActualEvent:
@@ -125,10 +152,8 @@ def _spectral_family(rho_f: np.ndarray, policy: NumericPolicy):
     Returns (projections, weights) with weights in decreasing order;
     eigenvalues closer than ``gap_min`` share a projection.
     """
-    vals, clusters, projs = linalg.spectral_projections(rho_f, policy.gap_min)
-    weights = [float(np.sum(vals[c])) for c in clusters]
-    order = linalg.decreasing_order(weights)
-    return [projs[i] for i in order], [weights[i] for i in order]
+    weights, counts, iso = linalg.spectral_isometries(rho_f[None], policy.gap_min)
+    return [v @ v.conj().T for v in iso[0, :counts[0]]], weights[0, :counts[0]].tolist()
 
 
 def event_happened(weights, policy: NumericPolicy):
@@ -149,22 +174,15 @@ def detect_event(net: AlgebraNet, point: Point, omega: State,
     For a full matrix factor the centralizer of the restricted state is its
     commutant within the factor, so the center of the centralizer is spanned
     by the spectral projections of the reduced density matrix; probabilities
-    are the clustered eigenvalue sums.
+    are the clustered eigenvalue sums.  This is the branching engine's
+    detector on one state: nothing is built on the whole net until it is read.
     """
     support = net.support(point)
-    rho_f = net.reduce_state(omega, support)
-    projs_f, weights = _spectral_family(rho_f, policy)
-    ambient = [Operator(net.embed(p, support)) for p in projs_f]
-    event = PotentialEvent(ambient, policy=policy)
-    rest = net.dim // (net.cell_dim ** len(support))
-    basis = [a.entries / np.sqrt(np.trace(p).real * rest)
-             for a, p in zip(ambient, projs_f)]
-    algebra = OperatorAlgebra(basis, policy=policy, validate=False)
-    return EventDetection(point=point, event_algebra=algebra, event=event,
-                          probabilities=tuple(weights),
-                          happened=event_happened(weights, policy),
-                          support=support,
-                          factor_projections=tuple(projs_f))
+    weights, counts, iso = linalg.spectral_isometries(net.reduce_state(omega, support)[None],
+                                                      policy.gap_min)
+    weights = weights[0, :counts[0]]
+    return EventDetection(point, tuple(weights.tolist()), event_happened(weights, policy),
+                          support, iso[0, :counts[0]], net, policy)
 
 
 def detect_event_on(alg: OperatorAlgebra, omega: State,
@@ -181,9 +199,9 @@ def detect_event_on(alg: OperatorAlgebra, omega: State,
     order = linalg.decreasing_order(weights)
     event = PotentialEvent([family.projections[i] for i in order], policy=policy)
     weights = [weights[i] for i in order]
-    return EventDetection(point=point, event_algebra=zent, event=event,
-                          probabilities=tuple(weights),
-                          happened=event_happened(weights, policy))
+    detection = EventDetection(point, tuple(weights), event_happened(weights, policy))
+    detection.event, detection.event_algebra = event, zent
+    return detection
 
 
 def collapse(omega: State, actual: ActualEvent,
@@ -259,13 +277,18 @@ def spacelike_commutator_norm(det_a: EventDetection, det_b: EventDetection,
     """Largest operator-norm commutator between two detections' projections.
 
     For detections at spacelike points this must vanish; passing the
-    lattice makes the spacelike precondition explicit and enforced.
+    lattice makes the spacelike precondition explicit and enforced.  Two
+    detections on one net are compared in factor form, on their supports.
     """
     if lattice is not None and det_a.point is not None and det_b.point is not None:
         rel = causal_relate(lattice, det_a.point, det_b.point)
         if rel is not Relation.SPACELIKE:
             raise ValueError(f"points {det_a.point} and {det_b.point} are {rel.value}, "
                              "not spacelike")
+    if det_a.isometries is not None and det_b.isometries is not None:
+        return linalg.max_commutator_norm(det_a.isometries, det_b.isometries,
+                                          (det_a.support, det_b.support),
+                                          det_a.net.cell_dim)
     return linalg.max_commutator_norm(
-        linalg.range_isometries([p.entries for p in det_a.event.projections]),
-        linalg.range_isometries([q.entries for q in det_b.event.projections]))
+        *(linalg.range_isometries([p.entries for p in det.event.projections])
+          for det in (det_a, det_b)))

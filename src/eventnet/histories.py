@@ -14,8 +14,8 @@ draws over its children with one multinomial draw.
 Branching works on support factors.  A branch carries its state only on
 the tensor cells that later points still touch: after each point every
 cell that no later support or propagator reaches is traced out, whether
-or not an event fired on the branch there.  An imposed family acts on
-the fewest cells its projections touch.
+or not an event fired on the branch there.  An imposed family and a
+propagator act on the fewest cells they touch.
 
 One engine (:func:`_grow`) runs enumeration and both samplers, over the
 whole live frontier at once.  All live branches carry the same cells, so
@@ -40,7 +40,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import BranchOverflowError, CommutationError, NullBranchError
+from .errors import BranchOverflowError, CommutationError, DimensionMismatchError, NullBranchError
 from .events import ActualEvent, event_happened, normalize_branch
 from .opalg import PotentialEvent, State, _as_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -79,17 +79,19 @@ def history_operator(events: Sequence[ActualEvent], lattice: CausalLattice | Non
     Events at spacelike points commute up to numerics, so any causal
     extension of the partial order gives the same operator; the canonical
     (tau, x) order is used.  Spacelike commutator norms are recorded, and
-    the history is flagged when one exceeds ``tol_commutation``.
+    the history is flagged when one exceeds ``tol_commutation``.  An empty
+    history is refused: its operator would be the identity on no space.
     """
     events = list(events)
+    if not events:
+        raise ValueError("a history needs at least one event")
     points = [e.point for e in events]
     if any(p is None for p in points):
         raise ValueError("history events must carry lattice points")
     if len(set(points)) != len(points):
         raise ValueError("history contains two events at the same point")
     ordered = sorted(events, key=lambda e: (e.point.tau, e.point.x))
-    dim = ordered[0].projection.dim if ordered else 1
-    mat = np.eye(dim, dtype=complex)
+    mat = np.eye(ordered[0].projection.dim, dtype=complex)
     for ev in ordered:
         mat = ev.projection.entries @ mat
     norms = []
@@ -245,15 +247,15 @@ class _Family(NamedTuple):
     keep: tuple[int, ...]
 
 
-def _imposed_isometries(net: AlgebraNet, imposed: Mapping[Point, PotentialEvent] | None,
+def _imposed_isometries(net: AlgebraNet, imposed: Mapping[Point, PotentialEvent],
                         policy: NumericPolicy) -> dict[Point, tuple]:
     """Each imposed family's (support, labels, isometry stack), found once per run.
 
     The support is the fewest cells the family's projections act on
-    (:meth:`AlgebraNet.localize` at ``tol_proj``).
+    (:meth:`AlgebraNet.localize` at ``tol_proj``, as for propagators).
     """
     out = {}
-    for pt, fam in (imposed or {}).items():
+    for pt, fam in imposed.items():
         support, factors = net.localize([p.entries for p in fam.projections], policy.tol_proj)
         out[pt] = (support, fam.labels, linalg.range_isometries(factors))
     return out
@@ -261,14 +263,13 @@ def _imposed_isometries(net: AlgebraNet, imposed: Mapping[Point, PotentialEvent]
 
 def _keep_cells(net: AlgebraNet, foliation: Foliation,
                 imposed: Mapping[Point, tuple],
-                propagators: Mapping[int, object] | None) -> list[list[tuple[int, ...]]]:
+                gates: Mapping[int, tuple]) -> list[list[tuple[int, ...]]]:
     """Per leaf and point, the cells that later points and propagators touch.
 
     Walks the foliation backwards.  A detected or imposed family reads and
-    acts on its support; a propagator is an ambient operator, so it touches
-    every cell.
+    acts on its support, and a propagator acts on the cells it is
+    localized to.
     """
-    every = frozenset(range(net.n_cells))
     later: frozenset[int] = frozenset()
     keep: list[list[tuple[int, ...]]] = []
     for li in reversed(range(len(foliation.leaves))):
@@ -277,8 +278,8 @@ def _keep_cells(net: AlgebraNet, foliation: Foliation,
             row.append(tuple(sorted(later)))
             later = later.union(imposed[pt][0] if pt in imposed else net.support(pt))
         keep.append(row[::-1])
-        if propagators is not None and li in propagators:
-            later = every
+        if li in gates:
+            later = later.union(gates[li][0])
     return keep[::-1]
 
 
@@ -525,9 +526,22 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
     """
     if commutation not in ("warn", "abort"):
         raise ValueError("commutation policy must be 'warn' or 'abort'")
-    unitaries = {li: _unitary(u, policy) for li, u in (propagators or {}).items()}
+    imposed, propagators = imposed or {}, propagators or {}
+    points = {pt for leaf in foliation.leaves for pt in leaf}
+    if not set(imposed) <= points:
+        raise ValueError(f"imposed families off the foliation: {list(set(imposed) - points)}")
+    if not set(propagators) <= set(range(len(foliation.leaves))):
+        raise ValueError(f"propagator keys are not all leaf indices: {list(propagators)}")
+    shapes = ([fam.projections[0].entries.shape for fam in imposed.values()]
+              + [_as_matrix(u).shape for u in propagators.values()])
+    if any(shape != (net.dim, net.dim) for shape in shapes):
+        raise DimensionMismatchError(f"an imposed family or propagator is not on the net's "
+                                     f"dimension {net.dim}: {shapes}")
+    # (support, [factor]) per leaf, localized as the imposed families are
+    gates = {li: net.localize([_unitary(u, policy)], policy.tol_proj)
+             for li, u in propagators.items()}
     local = _imposed_isometries(net, imposed, policy)
-    keep = _keep_cells(net, foliation, local, propagators)
+    keep = _keep_cells(net, foliation, local, gates)
     every = tuple(range(net.n_cells))
     root = BranchNode(leaf_index=-1, point=None, actual=None, rho=initial.rho,
                       state_cells=every, cond_prob=1.0, cum_prob=1.0, event_dim=None,
@@ -543,8 +557,10 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
     for li, leaf in enumerate(foliation.leaves):
         if not front.nodes:
             break
-        if li in unitaries:
-            mat = unitaries[li]
+        if li in gates:
+            support, (gate,) = gates[li]
+            pos = tuple(front.cells.index(c) for c in support)
+            mat = linalg.embed_factor(gate, pos, len(front.cells), net.cell_dim)
             front = front._replace(rho=mat @ front.rho @ mat.conj().T)
         families, dims_seen = _leaf_families(net, leaf, keep[li], front.rho, front.cells,
                                              local, policy)
@@ -586,11 +602,14 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     ``pruned_mass``, unless every outcome of that family is pruned: then
     the parent stays a leaf holding its own mass, and nothing is added.
     An outcome of weight 0 is pruned too, even at ``prob_floor=0``.
-    ``propagators`` optionally maps a leaf index to a unitary applied to
-    every branch before that leaf is processed.  Each node's
-    ``state_after`` holds only the cells later points still touch (see
-    :class:`BranchNode`); a propagator acts on every cell, so with one
-    branches keep every cell until it has run.
+    ``propagators`` optionally maps a leaf index to a unitary on the whole
+    net, applied to every branch before that leaf is processed.  Each
+    node's ``state_after`` holds only the cells later points still touch
+    (see :class:`BranchNode`); a propagator is localized once per run to
+    the fewest cells it acts on, as an imposed family is, and branches keep
+    those cells until it has run.  An imposed family at a point outside
+    the foliation, a propagator key that is not a leaf index, or a family
+    or propagator not on the net's dimension raises before any branching.
 
     ``commutation`` controls the response to non-commuting spacelike
     families: "warn" records them, "abort" raises for the first entry

@@ -42,7 +42,6 @@ __all__ = [
     "orthonormal_rows",
     "null_space_rows",
     "subspace_intersection",
-    "cluster_indices",
     "matrix_units",
     "spectral_projections",
     "spectral_isometries",
@@ -255,30 +254,19 @@ def subspace_intersection(a_rows: np.ndarray, b_rows: np.ndarray, tol: float) ->
     return coeffs @ a
 
 
-def cluster_indices(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Group sorted positions of ``values`` into clusters separated by > ``gap``.
-
-    ``values`` need not be sorted; each returned array holds original indices
-    of one cluster, and clusters are ordered by increasing value.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return []
-    order = np.argsort(values, kind="stable")
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] > gap:
-            clusters.append([idx])
-        else:
-            clusters[-1].append(idx)
-    return [np.asarray(c, dtype=int) for c in clusters]
+def _splits(vals: np.ndarray, gap: float) -> np.ndarray:
+    """The single-linkage rule: a new cluster starts after each ascending gap above ``gap``."""
+    return vals[..., 1:] - vals[..., :-1] > gap
 
 
 def spectral_projections(mat: np.ndarray,
                          gap: float) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Ascending eigenvalues, their single-linkage clusters at ``gap``, one projection each."""
+    """Ascending eigenvalues, their single-linkage clusters at ``gap``, one projection each.
+
+    The clusters are index arrays in ascending order of eigenvalue.
+    """
     vals, vecs = np.linalg.eigh(mat)
-    clusters = cluster_indices(vals, gap)
+    clusters = np.split(np.arange(len(vals)), np.flatnonzero(_splits(vals, gap)) + 1)
     return vals, clusters, [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
 
 
@@ -288,29 +276,31 @@ def spectral_isometries(mats: np.ndarray,
 
     Returns ``(weights, counts, iso)``: matrix i has ``counts[i]``
     outcomes in decreasing weight (:func:`decreasing_order`),
-    ``weights[i, k]`` is the eigenvalue sum of outcome k and ``iso[i, k]``
-    its ``(n, r)`` block of eigenvectors.  Padding outcomes weigh -inf.  A
-    stack whose every gap exceeds ``gap`` is clustered without a Python
-    loop; otherwise every matrix goes through :func:`cluster_indices`.
+    ``weights[i, k]`` is the eigenvalue sum of outcome k, added in
+    ascending order, and ``iso[i, k]`` its ``(n, r)`` block of
+    eigenvectors, also in ascending order.  Padding outcomes weigh -inf.
     """
     vals, vecs = np.linalg.eigh(mats)
     count, n = vals.shape
-    if (np.diff(vals, axis=1) > gap).all():
-        order = np.argsort(-vals, axis=1, kind="stable")
-        weights = np.take_along_axis(vals, order, axis=1)
-        iso = np.take_along_axis(vecs, order[:, None, :], axis=2)
-        return weights, np.full(count, n), np.swapaxes(iso, 1, 2)[..., None]
-    clusters = [cluster_indices(row, gap) for row in vals]
-    counts = np.array([len(c) for c in clusters])
-    rank = max(len(part) for c in clusters for part in c)
-    weights = np.full((count, counts.max()), -np.inf)
-    iso = np.zeros((count, counts.max(), n, rank), dtype=complex)
-    for i, parts in enumerate(clusters):
-        sums = [float(np.sum(vals[i][part])) for part in parts]
-        for k, j in enumerate(decreasing_order(sums)):
-            weights[i, k] = sums[j]
-            iso[i, k, :, :len(parts[j])] = vecs[i][:, parts[j]]
-    return weights, counts, iso
+    rows = np.arange(count)[:, None]
+    starts = np.ones((count, n), dtype=bool)
+    starts[:, 1:] = _splits(vals, gap)
+    label = starts.cumsum(axis=1) - 1                   # ascending cluster of each eigenvalue
+    counts = label[:, -1] + 1
+    kmax = int(counts.max())
+    sums = np.bincount((label + kmax * rows).ravel(), vals.ravel(), count * kmax)
+    sums = sums.reshape(count, kmax)
+    sums[np.arange(kmax) >= counts[:, None]] = -np.inf
+    order = decreasing_order(sums)
+    index = np.arange(n)
+    column = index - np.maximum.accumulate(np.where(starts, index, 0), axis=1)
+    rank = int(column.max()) + 1
+    # rows outermost, as in vecs: the collapse's products on these blocks
+    # round differently on other layouts, and reports are kept bit for bit
+    iso = np.zeros((count, n, kmax * rank), dtype=complex)
+    place = order.argsort(axis=1)[rows, label] * rank + column
+    iso[rows[:, :, None], index[:, None], place[:, None, :]] = vecs
+    return sums[rows, order], counts, iso.reshape(count, n, kmax, rank).transpose(0, 2, 1, 3)
 
 
 def matrix_units(n: int) -> np.ndarray:

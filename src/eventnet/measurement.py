@@ -111,9 +111,15 @@ def spectral_decompose(x, omega: State, epsilon: float,
 
 @dataclass
 class EventBasis:
-    """The outcomes of a detection that resolve the state at precision epsilon."""
+    """The outcomes of a detection that resolve the state at precision epsilon.
 
-    projections: list[Operator]
+    ``labels`` name the kept outcomes of the detection (its outcomes are
+    labelled 0..k-1 in decreasing weight).  Their projections on the
+    support cells are ``factor_projections``, None for a detection against
+    an explicit algebra; the ambient ones are the detection's
+    ``event.projections`` at the same labels.
+    """
+
     labels: list
     weights: list[float]
     residual: float
@@ -139,8 +145,7 @@ def event_basis(detection: EventDetection, epsilon: float,
     factor = None
     if detection.factor_projections is not None:
         factor = [detection.factor_projections[i] for i in kept]
-    return EventBasis(projections=[detection.event.projections[i] for i in kept],
-                      labels=[detection.event.labels[i] for i in kept],
+    return EventBasis(labels=kept,
                       weights=[detection.probabilities[i] for i in kept],
                       residual=residual,
                       factor_projections=factor)

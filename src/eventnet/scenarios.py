@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError
 from .events import mixture_defect, normalize_branch
-from .histories import enumerate_tree
+from .histories import _imposed_isometries, enumerate_tree
 from .measurement import PhysicalQuantity, recording_check
 from .opalg import Operator, PotentialEvent, State
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -461,15 +461,13 @@ def _family_commutator_max(scenario: Scenario, policy: NumericPolicy) -> float:
     Each family is taken on the fewest cells it acts on, so families on
     disjoint cells give exactly 0.0.
     """
-    net = scenario.net
-    local = []
-    for _, fam in _imposed_pairs_first_leaf(scenario):
-        support, factors = net.localize([p.entries for p in fam.projections], policy.tol_proj)
-        local.append((support, linalg.range_isometries(factors)))
+    local = list(_imposed_isometries(scenario.net, dict(_imposed_pairs_first_leaf(scenario)),
+                                     policy).values())
     worst = 0.0
-    for i, (sa, ua) in enumerate(local):
-        for sb, ub in local[i + 1:]:
-            worst = max(worst, linalg.max_commutator_norm(ua, ub, (sa, sb), net.cell_dim))
+    for i, (sa, _, ua) in enumerate(local):
+        for sb, _, ub in local[i + 1:]:
+            worst = max(worst, linalg.max_commutator_norm(ua, ub, (sa, sb),
+                                                          scenario.net.cell_dim))
     return worst
 
 

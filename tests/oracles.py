@@ -68,6 +68,34 @@ def random_faithful_state(n, rng, min_gap=1e-3):
     return (q * raw) @ q.conj().T
 
 
+def cluster_indices(values, gap):
+    """Single-linkage clusters of ``values`` at ``gap``, by walking the sorted values.
+
+    Each returned array holds original indices of one cluster; a new
+    cluster starts where a value exceeds its sorted predecessor by more
+    than ``gap``.  Clusters are ordered by increasing value.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return []
+    order = np.argsort(values, kind="stable")
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        if values[idx] - values[clusters[-1][-1]] > gap:
+            clusters.append([idx])
+        else:
+            clusters[-1].append(idx)
+    return [np.asarray(c, dtype=int) for c in clusters]
+
+
+def sequential_sum(values):
+    """Sum in the listed order, one addition at a time from 0.0."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
 def binomial_four_sigma(p, n):
     """Acceptance band half-width for an empirical frequency."""
     return 4.0 * np.sqrt(p * (1.0 - p) / n)

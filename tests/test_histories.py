@@ -10,6 +10,7 @@ from eventnet import (
     BranchOverflowError,
     CausalLattice,
     CommutationError,
+    DimensionMismatchError,
     NullBranchError,
     Operator,
     Point,
@@ -111,6 +112,13 @@ def test_propagate_state_rejects_null_history():
     hist = history_operator([_actual(Point(0, 0), P0)])
     with pytest.raises(Exception):
         propagate_state(rho, hist)
+
+
+def test_empty_history_is_refused():
+    # its operator would be 1x1 and broadcast over every entry of the state
+    sc = epr_scenario()
+    with pytest.raises(ValueError):
+        history_probability(sc.initial, history_operator([]))
 
 
 def test_apply_propagator_checks_unitarity():
@@ -223,6 +231,29 @@ def test_tree_rejects_unknown_commutation_policy():
     with pytest.raises(ValueError):
         enumerate_tree(sc.net, sc.foliation, sc.initial, imposed=sc.imposed,
                        commutation="ignore")
+
+
+def _bad_engine_input(sc, case):
+    if case == "imposed off the foliation":
+        return {"imposed": {Point(3, 3): sc.imposed[Point(0, 0)]}}
+    if case == "propagator key not a leaf":
+        return {"propagators": {1: np.eye(sc.net.dim)}}
+    if case == "imposed on the factor dimension":
+        return {"imposed": {Point(0, 0): PotentialEvent([P0, np.eye(2) - P0])}}
+    return {"propagators": {0: np.eye(2)}}
+
+
+@pytest.mark.parametrize("case, error", [
+    ("imposed off the foliation", ValueError),
+    ("propagator key not a leaf", ValueError),
+    ("imposed on the factor dimension", DimensionMismatchError),
+    ("propagator of the wrong size", DimensionMismatchError),
+])
+def test_engine_refuses_inputs_off_the_net(case, error):
+    sc = epr_scenario()
+    for run in (enumerate_tree, lambda *a, **kw: sample_paths(*a, 10, seed=1, **kw)):
+        with pytest.raises(error):
+            run(sc.net, sc.foliation, sc.initial, **_bad_engine_input(sc, case))
 
 
 def test_propagator_rotates_first_detection():
@@ -480,6 +511,26 @@ def test_outcome_counts_that_differ_across_the_stack_match_dense():
     top = tree.root.children[0]
     assert np.linalg.matrix_rank(top.actual.factor, tol=1e-9) == 2
     assert top.children == []  # no event on cell 1 after the rank-2 outcome
+
+
+@pytest.mark.parametrize("gate_cells", [(2, 3), (1, 2)])
+def test_local_gate_tree_matches_dense_reference(gate_cells):
+    net, initial = _cone_case(2, 2, seed=5)
+    gate = net.embed(random_unitary(4, np.random.default_rng(8)), gate_cells)
+    fol = foliate(net.lattice)
+    tree = enumerate_tree(net, fol, initial, policy=COARSE, propagators={1: gate})
+    dense = oracles.enumerate_tree_dense(net, fol, initial, policy=COARSE,
+                                         propagators={1: gate})
+    _assert_matches_dense(net, tree, dense)
+    # the gate before leaf 1 keeps only its own cells beside those leaf 1 reads
+    kept = {(0, 0): (1, 2, 3), (0, 1): tuple(sorted({2, 3} | set(gate_cells))),
+            (1, 0): (3,), (1, 1): ()}
+    stack = list(tree.root.children)
+    assert stack
+    while stack:
+        node = stack.pop()
+        assert node.state_cells == kept[node.point]
+        stack.extend(node.children)
 
 
 def test_imposed_family_on_a_cone_matches_dense():

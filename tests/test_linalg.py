@@ -102,24 +102,65 @@ def test_commuting_product_families_give_zero_on_the_whole_space():
     assert half == pytest.approx(0.5, abs=1e-15)
 
 
+GAP = 1e-6
+
+
+def _clustering_stacks(rng):
+    """Seeded stacks of rotated spectra that probe the single-linkage rule.
+
+    Every stack mixes gapped spectra, pairs spaced at ``GAP * (1 - 1e-3)``
+    (one cluster) and ``GAP * (1 + 1e-3)`` (two), chains of steps just
+    under ``GAP`` that span several ``GAP``, and exact degeneracies.  The
+    twelve-level stack also holds a cluster of ten, where ``np.sum`` would
+    add pairwise, so exact weights pin the order of the additions.
+    """
+    near, far = GAP * (1 - 1e-3), GAP * (1 + 1e-3)
+
+    def chain(start, steps, step):
+        return [start + k * step for k in range(steps)]
+
+    families = {
+        4: [[0.4, 0.3, 0.2, 0.1], [0.25 + 3e-7, 0.25 - 3e-7, 0.3, 0.2],
+            [0.25, 0.25, 0.25, 0.25], [0.3, 0.3 + near, 0.2, 0.2 + far],
+            chain(0.2, 4, near), [0.5, 0.5, 0.1, 0.1 + near]],
+        6: [list(rng.uniform(0.0, 1.0, 6)), chain(0.1, 3, near) + chain(0.4, 3, far),
+            [0.1, 0.1, 0.1 + near, 0.3, 0.3 + far, 0.3 + far + near],
+            [0.2] * 6],
+        12: [chain(0.05, 10, 0.5 * GAP) + [0.3, 0.3 + far],
+             chain(0.01, 9, near) + [0.5, 0.5, 0.5 + far],
+             list(rng.uniform(0.0, 1.0, 12)),
+             [1 / 3] * 10 + [0.1, 0.1 + near]],
+    }
+    for n, spectra in families.items():
+        mats = []
+        for spectrum in spectra:
+            u = random_unitary(n, rng)
+            mats.append((u * np.asarray(spectrum)) @ u.conj().T)
+        yield np.stack(mats)
+
+
 def test_spectral_isometries_match_the_single_matrix_rule():
-    rng = np.random.default_rng(2)
-    mats = []
-    for spectrum in ([0.4, 0.3, 0.2, 0.1], [0.25 + 3e-7, 0.25 - 3e-7, 0.3, 0.2],
-                     [0.25, 0.25, 0.25, 0.25]):
-        u = random_unitary(4, rng)
-        mats.append((u * np.asarray(spectrum)) @ u.conj().T)
-    weights, counts, iso = spectral_isometries(np.stack(mats), 1e-6)
-    assert counts.tolist() == [4, 3, 1]
-    for i, mat in enumerate(mats):
-        vals, clusters, projs = spectral_projections(mat, 1e-6)
-        sums = [float(np.sum(vals[c])) for c in clusters]
-        order = np.argsort(-np.asarray(sums), kind="stable")
-        assert weights[i, :counts[i]].tolist() == [sums[j] for j in order]
-        assert np.all(weights[i, counts[i]:] == -np.inf)
-        for k, j in enumerate(order):
-            blk = iso[i, k]
-            assert np.max(np.abs(blk @ blk.conj().T - projs[j])) <= 1e-15
+    expected_counts = iter([[4, 3, 1, 3, 1, 2], [6, 4, 3, 1], [3, 3, 12, 2]])
+    for stack in _clustering_stacks(np.random.default_rng(2)):
+        weights, counts, iso = spectral_isometries(stack, GAP)
+        assert counts.tolist() == next(expected_counts)
+        for i, mat in enumerate(stack):
+            vals, vecs = np.linalg.eigh(mat)
+            clusters = oracles.cluster_indices(vals, GAP)
+            sums = [oracles.sequential_sum(vals[c]) for c in clusters]
+            order = sorted(range(len(sums)), key=lambda j: -sums[j])
+            assert counts[i] == len(clusters)
+            assert weights[i, :counts[i]].tolist() == [sums[j] for j in order]
+            assert np.all(weights[i, counts[i]:] == -np.inf)
+            for k, j in enumerate(order):
+                blk = iso[i, k]
+                want = vecs[:, clusters[j]] @ vecs[:, clusters[j]].conj().T
+                assert np.max(np.abs(blk @ blk.conj().T - want)) <= 1e-15
+                assert not blk[:, len(clusters[j]):].any()
+            _, single, projs = spectral_projections(mat, GAP)
+            assert [c.tolist() for c in single] == [c.tolist() for c in clusters]
+            for proj, c in zip(projs, clusters):
+                assert np.array_equal(proj, vecs[:, c] @ vecs[:, c].conj().T)
 
 
 def test_batched_kernels_act_matrix_by_matrix():

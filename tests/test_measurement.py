@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eventnet import (
+    AlgebraNet,
     CausalLattice,
     Operator,
     PhysicalQuantity,
@@ -14,11 +15,13 @@ from eventnet import (
     build_tensor_net,
     detect_event,
     event_basis,
+    mixture_check,
     recording_check,
     recording_demo,
     spectral_decompose,
     validate_quantity,
 )
+from eventnet import linalg
 from eventnet.linalg import PAULI_X, PAULI_Z
 
 
@@ -207,3 +210,29 @@ def test_recording_with_precomputed_detection():
     rep = recording_check(sc.net, Point(0, 0), sc.initial,
                           sc.quantities["aligned"], 0.05, detection=det)
     assert rep.passes
+
+
+def test_record_path_builds_nothing_on_the_whole_net(monkeypatch):
+    net = build_tensor_net(CausalLattice(2, 3))
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((net.dim, net.dim)) + 1j * rng.standard_normal((net.dim, net.dim))
+    omega = State(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    point = Point(0, 1)
+    rho_f = net.reduce_state(omega, net.support(point))
+    quantity = PhysicalQuantity("own-spectrum", {point: Operator(rho_f)})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedded into the whole net")
+
+    monkeypatch.setattr(AlgebraNet, "embed", refuse)
+    monkeypatch.setattr(linalg, "embed_factor", refuse)
+    det = detect_event(net, point, omega)
+    assert det.happened and len(det.factor_projections) == net.factor_dim(point)
+    assert mixture_check(net, point, omega, det) < 1e-12
+    rep = recording_check(net, point, omega, quantity, 0.01, detection=det)
+    assert rep.passes and rep.retained == net.factor_dim(point)
+    with pytest.raises(AssertionError, match="embedded"):
+        det.event
+    monkeypatch.undo()
+    assert len(det.event.projections) == net.factor_dim(point)
+    assert det.event_algebra.dim == net.factor_dim(point)
