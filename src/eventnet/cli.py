@@ -26,7 +26,7 @@ from .errors import CapExceededError, ConfigError, EventNetError
 from .histories import enumerate_tree, sample_paths
 from .measurement import recording_check
 from .opalg import State
-from .policy import DEFAULT_POLICY, NumericPolicy, is_integer_at_least
+from .policy import DEFAULT_POLICY, NumericPolicy, is_integer_at_least, is_real_number
 from .scenarios import (SCENARIO_BUILDERS, Scenario, build_scenario,
                         evaluate_expected)
 from .spacetime import (CausalLattice, Point, build_full_net, build_tensor_net,
@@ -48,6 +48,10 @@ _COMMUTATION = ("warn", "abort")
 # integer net fields: name, default, least allowed value
 _NET_SIZES = (("extent_tau", 1, 1), ("extent_x", 1, 1), ("speed", 1, 1),
               ("cell_dim", 2, 2), ("n_cells", 1, 1))
+
+# the keys a "net" or a "record" object may hold; "scenario_params" goes to the builder
+_OBJECT_KEYS = {"net": {"kind"} | {name for name, *_ in _NET_SIZES},
+                "record": {"quantity", "point"}}
 
 _CONFIG_FIELDS = {
     "scenario", "scenario_params", "net", "initial_state", "mode", "samples",
@@ -105,10 +109,13 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
             cfg.scenario = raw["scenario"]
     for key in ("scenario_params", "net", "record"):
         if raw.get(key) is not None:
-            if isinstance(raw[key], dict):
-                setattr(cfg, key, dict(raw[key]))
-            else:
+            if not isinstance(raw[key], dict):
                 problems.append(f"{key}: must be an object")
+                continue
+            setattr(cfg, key, dict(raw[key]))
+            extra = set(raw[key]) - _OBJECT_KEYS[key] if key in _OBJECT_KEYS else ()
+            if extra:
+                problems.append(f"{key}: unknown keys {sorted(extra)}")
     if cfg.scenario and cfg.net:
         problems.append("scenario and net are mutually exclusive")
     if not cfg.scenario and not cfg.net:
@@ -135,13 +142,13 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
         cfg.seed = seed
     else:
         problems.append(f"seed: {seed!r} is not a non-negative integer or null")
-    if "epsilon" in raw and raw["epsilon"] is not None:
-        try:
-            cfg.epsilon = float(raw["epsilon"])
-            if not 0.0 < cfg.epsilon < 1.0:
-                problems.append("epsilon: must lie strictly between 0 and 1")
-        except (TypeError, ValueError):
+    if raw.get("epsilon") is not None:
+        if not is_real_number(raw["epsilon"]):
             problems.append(f"epsilon: {raw['epsilon']!r} is not a number")
+        elif not 0.0 < raw["epsilon"] < 1.0:
+            problems.append("epsilon: must lie strictly between 0 and 1")
+        else:
+            cfg.epsilon = float(raw["epsilon"])
     if "out" in raw and raw["out"] is not None:
         if not isinstance(raw["out"], str):
             problems.append("out: must be a path string")

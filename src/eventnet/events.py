@@ -227,7 +227,8 @@ def sample_actual(detection: EventDetection, rng=None,
     """Draw one outcome of the detection by its Born weights.
 
     ``rng`` may be a Generator, a seed, or None for OS entropy.  Identical
-    seeds give identical draws.
+    seeds give identical draws.  A detection on a net gives its outcome in
+    factor form (:meth:`ActualEvent.from_isometry`) and builds no ``event``.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     weights = np.clip(np.asarray(detection.probabilities, dtype=float), 0.0, None)
@@ -235,6 +236,9 @@ def sample_actual(detection: EventDetection, rng=None,
     if abs(total - 1.0) > policy.tol_proj:
         raise ValueError(f"outcome weights sum to {total!r}, not 1")
     idx = int(gen.choice(len(weights), p=weights / total))
+    if detection.isometries is not None:
+        return ActualEvent.from_isometry(detection.point, idx, detection.isometries[idx],
+                                         detection.support, detection.net, float(weights[idx]))
     return ActualEvent(point=detection.point, label=detection.event.labels[idx],
                        projection=detection.event.projections[idx],
                        born_prob=float(weights[idx]))

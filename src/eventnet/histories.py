@@ -43,7 +43,7 @@ from . import linalg
 from .errors import BranchOverflowError, CommutationError, DimensionMismatchError, NullBranchError
 from .events import ActualEvent, event_happened, normalize_branch
 from .opalg import PotentialEvent, State, _as_matrix
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY, NumericPolicy, is_integer_at_least
 from .spacetime import AlgebraNet, CausalLattice, Foliation, Point, Relation, causal_relate
 
 __all__ = [
@@ -532,11 +532,12 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
         raise ValueError(f"imposed families off the foliation: {list(set(imposed) - points)}")
     if not set(propagators) <= set(range(len(foliation.leaves))):
         raise ValueError(f"propagator keys are not all leaf indices: {list(propagators)}")
-    shapes = ([fam.projections[0].entries.shape for fam in imposed.values()]
+    shapes = ([initial.rho.shape]
+              + [fam.projections[0].entries.shape for fam in imposed.values()]
               + [_as_matrix(u).shape for u in propagators.values()])
     if any(shape != (net.dim, net.dim) for shape in shapes):
-        raise DimensionMismatchError(f"an imposed family or propagator is not on the net's "
-                                     f"dimension {net.dim}: {shapes}")
+        raise DimensionMismatchError(f"the initial state, an imposed family or a propagator "
+                                     f"is not on the net's dimension {net.dim}: {shapes}")
     # (support, [factor]) per leaf, localized as the imposed families are
     gates = {li: net.localize([_unitary(u, policy)], policy.tol_proj)
              for li, u in propagators.items()}
@@ -608,8 +609,9 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     (see :class:`BranchNode`); a propagator is localized once per run to
     the fewest cells it acts on, as an imposed family is, and branches keep
     those cells until it has run.  An imposed family at a point outside
-    the foliation, a propagator key that is not a leaf index, or a family
-    or propagator not on the net's dimension raises before any branching.
+    the foliation, a propagator key that is not a leaf index, or an
+    initial state, family or propagator not on the net's dimension raises
+    before any branching.
 
     ``commutation`` controls the response to non-commuting spacelike
     families: "warn" records them, "abort" raises for the first entry
@@ -700,8 +702,8 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
     sample, or branch by branch.  ``max_commutator`` and ``spectrum_dims``
     cover the branches the draws visited.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    if not is_integer_at_least(n_samples, 1):
+        raise ValueError(f"n_samples {n_samples!r} is not an integer of at least 1")
     tree, ended = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
                         draws=n_samples, gen=np.random.default_rng(seed))
     counts = {tuple((e.point.tau, e.point.x, e.label) for e in b.events): b.draws

@@ -11,8 +11,6 @@ event family a faithful record of the measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
-
 import numpy as np
 
 from . import linalg
@@ -49,14 +47,20 @@ class PhysicalQuantity:
 
 
 def validate_quantity(quantity: PhysicalQuantity, net: AlgebraNet,
-                      *, policy: NumericPolicy = DEFAULT_POLICY) -> None:
-    """Check self-adjointness and localization of every representative."""
+                      *, policy: NumericPolicy = DEFAULT_POLICY) -> dict[Point, np.ndarray]:
+    """Check self-adjointness and localization of every representative.
+
+    Returns each point's representative as its factor on the point's
+    support (:meth:`AlgebraNet.reduce_operator` of one given on the net).
+    """
+    factors = {}
     for point, op in quantity.representatives.items():
         mat = _as_matrix(op)
         if linalg.hermiticity_defect(mat) > policy.tol_proj:
             raise ValueError(f"{quantity.name!r} at {point} is not self-adjoint")
+        factor = mat
         if mat.shape[0] == net.dim:
-            resid = net.membership_residual(mat, point)
+            factor, resid = net.reduce_operator(mat, net.support(point))
             if resid > policy.tol_closure * max(1.0, linalg.hs_norm(mat)):
                 raise ValueError(
                     f"{quantity.name!r} at {point} is not localized there "
@@ -65,6 +69,8 @@ def validate_quantity(quantity: PhysicalQuantity, net: AlgebraNet,
             raise ValueError(
                 f"{quantity.name!r} at {point} has dimension {mat.shape[0]}, "
                 f"expected {net.dim} or {net.factor_dim(point)}")
+        factors[point] = factor
+    return factors
 
 
 @dataclass
@@ -188,14 +194,9 @@ def recording_check(net: AlgebraNet, point: Point, omega: State,
     localized algebra is covered by testing the factor entrywise.
     A failed recording is reported, not raised.
     """
-    validate_quantity(quantity, net, policy=policy)
-    x = quantity.at(point)
-    mat = _as_matrix(x)
+    quantity.at(point)  # refuses a point without a representative
+    x_f = validate_quantity(quantity, net, policy=policy)[point]
     support = net.support(point)
-    if mat.shape[0] == net.dim:
-        x_f, _ = net.reduce_operator(mat, support)
-    else:
-        x_f = mat
     if detection is None:
         detection = detect_event(net, point, omega, policy=policy)
     if not detection.happened:
@@ -223,16 +224,11 @@ def recording_check(net: AlgebraNet, point: Point, omega: State,
 
     matches: list[tuple[int, object | None, float]] = []
     for k in range(dec.retained):
-        pk = dec.projections[k].entries
-        best_label, best_dist = None, float("inf")
-        for lbl, pj in zip(basis.labels, basis.factor_projections):
-            dist = linalg.operator_norm(pk - pj)
-            if dist < best_dist:
-                best_label, best_dist = lbl, dist
-        if best_dist >= policy.match_threshold:
-            matches.append((k, None, best_dist))
-        else:
-            matches.append((k, best_label, best_dist))
+        dists = [linalg.operator_norm(dec.projections[k].entries - pj)
+                 for pj in basis.factor_projections]
+        j = int(np.argmin(dists))
+        matches.append((k, basis.labels[j] if dists[j] < policy.match_threshold else None,
+                        dists[j]))
 
     return RecordingReport(point=point, quantity=quantity.name, epsilon=epsilon,
                            retained=dec.retained, eigenvalues=dec.eigenvalues,

@@ -18,6 +18,11 @@ def is_integer_at_least(value, low: int) -> bool:
             and value >= low)
 
 
+def is_real_number(value) -> bool:
+    """True for a real number; bools are refused."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
     """Tolerances and limits shared by all numeric routines.
@@ -59,8 +64,7 @@ class NumericPolicy:
             if f.type is int:
                 if not is_integer_at_least(value, 1):
                     raise ValueError(f"{f.name}: {value!r} is not an integer of at least 1")
-            elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                  or not math.isfinite(value) or value < 0):
+            elif not is_real_number(value) or not math.isfinite(value) or value < 0:
                 raise ValueError(f"{f.name}: {value!r} is not a finite, non-negative number")
 
     def as_dict(self) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError
 from .events import mixture_defect, normalize_branch
-from .histories import _imposed_isometries, enumerate_tree
+from .histories import enumerate_tree
 from .measurement import PhysicalQuantity, recording_check
 from .opalg import Operator, PotentialEvent, State
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -143,24 +143,28 @@ def epr_scenario(n_dir=(0.0, 0.0, 1.0), n_prime_dir=(1.0, 0.0, 0.0),
 
 
 def _evaluate_spacelike_pair(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
-    """Commutator and conditioning-order actuals of the first two imposed families."""
-    return {"commutator_max": _family_commutator_max(scenario, policy),
-            "order_dependence": order_independence_check(scenario, policy=policy)}
+    """Commutator, conditioning-order and joint-outcome actuals of the imposed families.
 
-
-def _evaluate_epr(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
-    actuals = _evaluate_spacelike_pair(scenario, policy)
+    The commutator is the worst the engine found on the tree; families on
+    disjoint cells give exactly 0.0.
+    """
+    tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
+                          policy=policy, imposed=scenario.imposed)
+    actuals = {"commutator_max": tree.max_commutator,
+               "order_dependence": order_independence_check(scenario, policy=policy)}
     # zero-probability branches are pruned from the tree, so seed every
     # joint outcome with 0 and let the enumerated paths overwrite it
     pairs = _imposed_pairs_first_leaf(scenario)
     for la in pairs[0][1].labels:
         for lb in pairs[1][1].labels:
             actuals[f"joint_prob[{la}{lb}]"] = 0.0
-    tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
-                          policy=policy, imposed=scenario.imposed)
     for events, prob in tree.leaf_paths():
-        labels = "".join(str(e.label) for e in events)
-        actuals[f"joint_prob[{labels}]"] = prob
+        actuals[f"joint_prob[{''.join(str(e.label) for e in events)}]"] = prob
+    return actuals
+
+
+def _evaluate_epr(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
+    actuals = _evaluate_spacelike_pair(scenario, policy)
     report = nonlocality_demo(scenario, ("+", "+"), policy=policy)
     actuals["unconditioned_prob"] = report.unconditioned
     actuals["conditioned_prob"] = report.conditioned
@@ -453,22 +457,6 @@ def nonlocality_demo(scenario: Scenario, outcome: tuple = ("+", "+"),
     return NonlocalityReport(left_label=outcome[0], right_label=outcome[1],
                              unconditioned=unconditioned, conditioned=conditioned,
                              difference=abs(unconditioned - conditioned))
-
-
-def _family_commutator_max(scenario: Scenario, policy: NumericPolicy) -> float:
-    """Worst commutator norm between the imposed families of the first leaf.
-
-    Each family is taken on the fewest cells it acts on, so families on
-    disjoint cells give exactly 0.0.
-    """
-    local = list(_imposed_isometries(scenario.net, dict(_imposed_pairs_first_leaf(scenario)),
-                                     policy).values())
-    worst = 0.0
-    for i, (sa, _, ua) in enumerate(local):
-        for sb, _, ub in local[i + 1:]:
-            worst = max(worst, linalg.max_commutator_norm(ua, ub, (sa, sb),
-                                                          scenario.net.cell_dim))
-    return worst
 
 
 def evaluate_expected(scenario: Scenario,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,39 +198,35 @@ class AlgebraNet:
     def reduce_operator(self, op, support: Sequence[int]) -> tuple[np.ndarray, float]:
         """Factor part of an operator localized on ``support``, plus the residual.
 
-        The residual is the Hilbert-Schmidt distance between ``op`` and the
-        embedding of the returned factor; it vanishes iff ``op`` acts as the
-        identity outside the support.
+        The one rule for a local operator: the factor is the partial trace
+        onto the support over the dimension traced out, slots in support
+        order; the residual is the Hilbert-Schmidt norm of ``op`` minus the
+        factor tensor the identity, on the slots regrouped into (support,
+        rest).  It vanishes iff ``op`` acts as the identity off the support.
         """
         mat = opalg._as_matrix(op)
-        rest = self.dim // (self.cell_dim ** len(support))
-        factor = linalg.partial_trace(mat, tuple(support), self.n_cells, self.cell_dim) / rest
-        residual = float(np.linalg.norm((mat - self.embed(factor, support)).ravel()))
-        return factor, residual
+        support = tuple(support)
+        d, n = self.cell_dim, self.n_cells
+        order = list(support) + [c for c in range(n) if c not in support]
+        ds = d ** len(support)
+        rest = self.dim // ds
+        factor = linalg.partial_trace(mat, support, n, d) / rest
+        t = mat.reshape((d,) * (2 * n)).transpose(order + [n + c for c in order])
+        t = t.reshape(ds, rest, ds, rest) - factor[:, None, :, None] * np.eye(rest)[:, None]
+        return factor, linalg.hs_norm(t)
 
     def localize(self, ops, tol: float) -> tuple[tuple[int, ...], list[np.ndarray]]:
         """The fewest cells outside which every operator acts as the identity.
 
-        A cell is left out when every operator, written with that cell's
-        slots first, differs from the identity there tensor its partial
-        trace by at most ``tol`` in Hilbert-Schmidt norm.  Returns that
-        support and each operator's factor on it (the partial trace divided
-        by the dimension traced out, as in :meth:`reduce_operator`).
+        A cell is left out when every operator's residual on all the other
+        cells (:meth:`reduce_operator`) is at most ``tol``.  Returns that
+        support and each operator's factor on it.
         """
         mats = [opalg._as_matrix(op) for op in ops]
-        d, n = self.cell_dim, self.n_cells
-        eye = np.eye(d)[:, :, None]
-        support = []
-        for c in range(n):
-            for mat in mats:
-                t = np.moveaxis(mat.reshape((d,) * (2 * n)), (c, n + c), (0, 1))
-                t = t.reshape(d, d, -1)
-                if np.linalg.norm((t - eye * (np.trace(t) / d)).ravel()) > tol:
-                    support.append(c)
-                    break
-        support = tuple(support)
-        rest = self.dim // d ** len(support)
-        return support, [linalg.partial_trace(m, support, n, d) / rest for m in mats]
+        cells = range(self.n_cells)
+        support = tuple(c for c in cells if any(
+            self.reduce_operator(m, [o for o in cells if o != c])[1] > tol for m in mats))
+        return support, [self.reduce_operator(m, support)[0] for m in mats]
 
     def membership_residual(self, op, p: Point) -> float:
         _, residual = self.reduce_operator(op, self.support(p))

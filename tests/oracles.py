@@ -114,6 +114,56 @@ def max_commutator_norm_dense(ps, qs):
     return worst
 
 
+def reduce_operator_by_embedding(op, support, n_cells, cell_dim):
+    """Factor of ``op`` on the ``support`` cells, and its residual, by embedding.
+
+    Entry by entry: the factor is the partial trace over the other cells
+    divided by their dimension, slots in support order.  It is then
+    embedded back as the factor tensor the identity on the other cells,
+    in the net's slot order, and the residual is the Hilbert-Schmidt
+    distance from ``op`` to that embedding.
+    """
+    op = np.asarray(op, dtype=complex)
+    d = cell_dim
+    support = tuple(support)
+    rest = [c for c in range(n_cells) if c not in support]
+    parts = []
+    for i in range(d ** n_cells):
+        digits = np.unravel_index(i, (d,) * n_cells)
+        s = 0
+        for c in support:
+            s = s * d + int(digits[c])
+        parts.append((s, tuple(int(digits[c]) for c in rest)))
+    factor = np.zeros((d ** len(support),) * 2, dtype=complex)
+    for i, (si, ri) in enumerate(parts):
+        for j, (sj, rj) in enumerate(parts):
+            if ri == rj:
+                factor[si, sj] += op[i, j]
+    factor /= d ** len(rest)
+    embedded = np.zeros_like(op)
+    for i, (si, ri) in enumerate(parts):
+        for j, (sj, rj) in enumerate(parts):
+            if ri == rj:
+                embedded[i, j] = factor[si, sj]
+    return factor, float(np.linalg.norm(op - embedded))
+
+
+def localize_by_cells(ops, n_cells, cell_dim, tol):
+    """Cells some operator does not act on as the identity, tested one cell at a time.
+
+    A cell is kept when some operator's embedding residual on all the
+    other cells exceeds ``tol``; returns the kept cells and each
+    operator's factor on them.
+    """
+    support = []
+    for c in range(n_cells):
+        others = [o for o in range(n_cells) if o != c]
+        if any(reduce_operator_by_embedding(m, others, n_cells, cell_dim)[1] > tol for m in ops):
+            support.append(c)
+    return tuple(support), [reduce_operator_by_embedding(m, support, n_cells, cell_dim)[0]
+                            for m in ops]
+
+
 class DenseNode:
     """A node of the dense reference tree; ``rho`` is the ambient branch state."""
 

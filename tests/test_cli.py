@@ -117,9 +117,14 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
     {"scenario": "two-leaf-chain", "scenario_params": {"spectrum": "ab"}},
     {"scenario": "massive-control", "scenario_params": {"extent_tau": 0}},
     {"scenario": "epr", "scenario_params": {"n_dir": [0, 0, 0]}},
+    {"net": {**_CONE_1X2, "extnet_x": 3}},
+    {"scenario": "recording-demo", "mode": "record", "record": {"quantiy": "transverse"}},
+    {"scenario": "recording-demo", "mode": "record", "epsilon": "0.1"},
+    {"scenario": "recording-demo", "mode": "record", "epsilon": True},
 ], ids=["cell-dim-string", "cell-dim-one", "n-cells-string", "n-cells-too-many",
         "state-dim", "point-string", "point-outside", "samples-bool", "samples-float",
-        "seed-bool", "seed-negative", "params-string", "params-range", "params-zero-direction"])
+        "seed-bool", "seed-negative", "params-string", "params-range", "params-zero-direction",
+        "net-key-typo", "record-key-typo", "epsilon-string", "epsilon-bool"])
 def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))

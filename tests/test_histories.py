@@ -240,6 +240,8 @@ def _bad_engine_input(sc, case):
         return {"propagators": {1: np.eye(sc.net.dim)}}
     if case == "imposed on the factor dimension":
         return {"imposed": {Point(0, 0): PotentialEvent([P0, np.eye(2) - P0])}}
+    if case == "state of the wrong size":
+        return {"initial": State.diagonal([0.75, 0.25])}
     return {"propagators": {0: np.eye(2)}}
 
 
@@ -248,12 +250,14 @@ def _bad_engine_input(sc, case):
     ("propagator key not a leaf", ValueError),
     ("imposed on the factor dimension", DimensionMismatchError),
     ("propagator of the wrong size", DimensionMismatchError),
+    ("state of the wrong size", DimensionMismatchError),
 ])
 def test_engine_refuses_inputs_off_the_net(case, error):
     sc = epr_scenario()
-    for run in (enumerate_tree, lambda *a, **kw: sample_paths(*a, 10, seed=1, **kw)):
+    inputs = {"initial": sc.initial, **_bad_engine_input(sc, case)}
+    for run in (enumerate_tree, lambda *a, **kw: sample_paths(*a, n_samples=10, seed=1, **kw)):
         with pytest.raises(error):
-            run(sc.net, sc.foliation, sc.initial, **_bad_engine_input(sc, case))
+            run(sc.net, sc.foliation, **inputs)
 
 
 def test_propagator_rotates_first_detection():
@@ -667,9 +671,11 @@ def test_sample_paths_deterministic_per_seed():
 
 def test_sample_paths_needs_positive_count():
     sc = epr_scenario()
-    with pytest.raises(ValueError):
-        sample_paths(sc.net, sc.foliation, sc.initial, 0, seed=1,
-                     imposed=sc.imposed)
+    # a float or a bool is not a count, even when it is at least 1
+    for n_samples in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            sample_paths(sc.net, sc.foliation, sc.initial, n_samples, seed=1,
+                         imposed=sc.imposed)
 
 
 def _path_keys(tree):

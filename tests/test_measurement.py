@@ -18,6 +18,7 @@ from eventnet import (
     mixture_check,
     recording_check,
     recording_demo,
+    sample_actual,
     spectral_decompose,
     validate_quantity,
 )
@@ -220,6 +221,8 @@ def test_record_path_builds_nothing_on_the_whole_net(monkeypatch):
     point = Point(0, 1)
     rho_f = net.reduce_state(omega, net.support(point))
     quantity = PhysicalQuantity("own-spectrum", {point: Operator(rho_f)})
+    on_net = PhysicalQuantity("own-spectrum",
+                              {point: Operator(net.embed(rho_f, net.support(point)))})
 
     def refuse(*args, **kwargs):
         raise AssertionError("embedded into the whole net")
@@ -231,8 +234,18 @@ def test_record_path_builds_nothing_on_the_whole_net(monkeypatch):
     assert mixture_check(net, point, omega, det) < 1e-12
     rep = recording_check(net, point, omega, quantity, 0.01, detection=det)
     assert rep.passes and rep.retained == net.factor_dim(point)
+    # a quantity given on the whole net is reduced to its factor, not embedded back
+    rep_net = recording_check(net, point, omega, on_net, 0.01, detection=det)
+    assert rep_net.alignment_norms == pytest.approx(rep.alignment_norms, abs=1e-12)
+    actual = sample_actual(det, rng=5)
+    assert actual.support == det.support
+    assert np.array_equal(actual.factor, det.factor_projections[actual.label])
+    assert actual.born_prob == det.probabilities[actual.label]
     with pytest.raises(AssertionError, match="embedded"):
         det.event
     monkeypatch.undo()
+    assert actual.label == det.event.labels[actual.label]
+    assert np.array_equal(actual.projection.entries,
+                          det.event.projections[actual.label].entries)
     assert len(det.event.projections) == net.factor_dim(point)
     assert det.event_algebra.dim == net.factor_dim(point)

@@ -132,6 +132,56 @@ def test_reduce_operator_flags_delocalized():
     assert residual > 0.5
 
 
+def _random_matrix(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduce_operator_matches_embedding_oracle(seed):
+    rng = np.random.default_rng(seed)
+    nets = [build_tensor_net(CausalLattice(2, 2)),
+            build_full_net(CausalLattice(1, 3), cell_dim=3, n_cells=3)]
+    for net in nets:
+        n, d = net.n_cells, net.cell_dim
+        supports = [(), tuple(range(n)), tuple(rng.permutation(n)[:2]),
+                    (int(rng.integers(n)),)]
+        for support in supports:
+            local = net.embed(_random_matrix(rng, d ** len(support)), support)
+            for op, is_local in ((local, True), (_random_matrix(rng, net.dim), False),
+                                 (local + 1e-3 * _random_matrix(rng, net.dim), False)):
+                factor, residual = net.reduce_operator(op, support)
+                want, want_residual = oracles.reduce_operator_by_embedding(op, support, n, d)
+                assert np.max(np.abs(factor - want)) < 1e-12
+                assert abs(residual - want_residual) < 1e-12
+                # every operator is local on every cell
+                assert (residual < 1e-12) == (is_local or len(support) == n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_localize_matches_per_cell_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    nets = [build_tensor_net(CausalLattice(2, 2)),
+            build_full_net(CausalLattice(1, 3), cell_dim=3, n_cells=3)]
+    for net in nets:
+        n, d = net.n_cells, net.cell_dim
+        ops = []
+        for _ in range(2):
+            support = tuple(sorted(rng.permutation(n)[:int(rng.integers(n + 1))]))
+            op = net.embed(_random_matrix(rng, d ** len(support)), support)
+            # noise well below the tolerance leaves the support as it is,
+            # a perturbation on one more cell well above it adds that cell
+            op = op + 1e-14 * _random_matrix(rng, net.dim)
+            if rng.random() < 0.5:
+                cell = (int(rng.integers(n)),)
+                op = op + 1e-3 * net.embed(_random_matrix(rng, d), cell)
+            ops.append(op)
+        support, factors = net.localize(ops, 1e-9)
+        want, want_factors = oracles.localize_by_cells(ops, n, d, 1e-9)
+        assert support == want
+        for got, ref in zip(factors, want_factors):
+            assert np.max(np.abs(got - ref)) < 1e-12
+
+
 def test_reduce_state_is_partial_trace():
     net = build_tensor_net(CausalLattice(2, 1))
     rho_a = np.diag([0.75, 0.25]).astype(complex)
