@@ -17,7 +17,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -53,15 +53,9 @@ _NET_SIZES = (("extent_tau", 1, 1), ("extent_x", 1, 1), ("speed", 1, 1),
 _OBJECT_KEYS = {"net": {"kind"} | {name for name, *_ in _NET_SIZES},
                 "record": {"quantity", "point"}}
 
-_CONFIG_FIELDS = {
-    "scenario", "scenario_params", "net", "initial_state", "mode", "samples",
-    "seed", "epsilon", "commutation", "record", "format", "out", "policy",
-}
-
-
 @dataclass
 class RunConfig:
-    """Validated run description; every field has a serializable echo."""
+    """Validated run description; every field but ``out`` and ``policy`` is echoed."""
 
     scenario: str | None = None
     scenario_params: dict = field(default_factory=dict)
@@ -78,24 +72,13 @@ class RunConfig:
     policy: NumericPolicy = DEFAULT_POLICY
 
     def echo(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "scenario_params": self.scenario_params,
-            "net": self.net,
-            "initial_state": self.initial_state,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "commutation": self.commutation,
-            "record": self.record,
-            "format": self.format,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("out", "policy")}
 
 
 def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
     problems = []
-    unknown = set(raw) - _CONFIG_FIELDS
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         problems.append(f"unknown fields {sorted(unknown)}")
     cfg = RunConfig()
@@ -243,36 +226,37 @@ def _net_from_config(desc: Mapping[str, Any], policy: NumericPolicy):
     return build_full_net(lattice, size["cell_dim"], size["n_cells"], policy=policy)
 
 
-def _tree_to_dict(node) -> dict:
-    return {
-        "point": list(node.point) if node.point is not None else None,
-        "label": node.actual.label if node.actual is not None else None,
-        "cond_prob": node.cond_prob,
-        "cum_prob": node.cum_prob,
-        "event_dim": node.event_dim,
-        "children_prob_sum": node.children_prob_sum,
-        "children": [_tree_to_dict(c) for c in node.children],
-    }
+def _tree_section(tree) -> tuple[dict, list[dict]]:
+    """The tree section and the detection rows, from one walk of the tree.
 
+    The walk carries each node's [tau, x, label] path down to the leaf rows.
+    A detection row counts the nodes of one (leaf, point) and reports the
+    largest outcome count among them.
+    """
+    leaves: list[dict] = []
+    detections: dict[tuple[int, Point], dict] = {}
 
-def _detection_summary(tree) -> list[dict]:
-    agg: dict[tuple[int, Point], dict] = {}
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children)
-        if node.point is None:
-            continue
-        key = (node.leaf_index, node.point)
-        entry = agg.setdefault(key, {"leaf": node.leaf_index,
-                                     "point": list(node.point),
-                                     "nodes": 0, "event_dim": node.event_dim})
-        entry["nodes"] += 1
-    return [agg[k] for k in sorted(agg)]
+    def walk(node, path: list) -> dict:
+        if node.point is not None:
+            path = path + [[node.point.tau, node.point.x, node.actual.label]]
+            row = detections.setdefault((node.leaf_index, node.point), {
+                "leaf": node.leaf_index, "point": list(node.point), "nodes": 0,
+                "event_dim": node.event_dim})
+            row["nodes"] += 1
+            row["event_dim"] = max(row["event_dim"], node.event_dim)
+        if not node.children:
+            leaves.append({"path": path, "probability": node.cum_prob})
+        return {"point": None if node.point is None else list(node.point),
+                "label": None if node.actual is None else node.actual.label,
+                "cond_prob": node.cond_prob, "cum_prob": node.cum_prob,
+                "event_dim": node.event_dim, "children_prob_sum": node.children_prob_sum,
+                "children": [walk(child, path) for child in node.children]}
 
-
-def _path_key(events) -> list:
-    return [[e.point.tau, e.point.x, e.label] for e in events]
+    root = walk(tree.root, [])
+    leaves.sort(key=lambda r: json.dumps(r["path"]))
+    section = {"root": root, "n_leaves": len(leaves), "pruned_mass": tree.pruned_mass,
+               "leaves": leaves}
+    return section, [detections[key] for key in sorted(detections)]
 
 
 def _nesting_section(net, policy) -> dict:
@@ -338,17 +322,7 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     if cfg.mode == "enumerate":
         tree = enumerate_tree(net, foliation, initial, policy=policy, imposed=imposed,
                               commutation=cfg.commutation)
-        leaf_rows = sorted(
-            ({"path": _path_key(events), "probability": prob}
-             for events, prob in tree.leaf_paths()),
-            key=lambda r: json.dumps(r["path"]))
-        report["tree"] = {
-            "root": _tree_to_dict(tree.root),
-            "n_leaves": len(tree.leaves()),
-            "pruned_mass": tree.pruned_mass,
-            "leaves": leaf_rows,
-        }
-        report["detections"] = _detection_summary(tree)
+        report["tree"], report["detections"] = _tree_section(tree)
         report["spectrum_dims"] = tree.spectrum_dims
         report["commutation"] = {
             "policy": cfg.commutation,
@@ -390,20 +364,7 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
         point = Point(*pt_raw)
         rep = recording_check(net, point, initial, scenario.quantities[qname],
                               cfg.epsilon, policy=policy)
-        report["recording"] = {
-            "point": list(rep.point),
-            "quantity": rep.quantity,
-            "epsilon": rep.epsilon,
-            "retained": rep.retained,
-            "eigenvalues": rep.eigenvalues,
-            "weights": rep.weights,
-            "alignment_norms": rep.alignment_norms,
-            "passes": rep.passes,
-            "mixture_residual": rep.mixture_residual,
-            "mixture_constant": rep.mixture_constant,
-            "matches": [[k, lbl, dist] for k, lbl, dist in rep.matches],
-            "event_weights": rep.event_weights,
-        }
+        report["recording"] = dict(vars(rep))
         report["spectrum_dims"] = []
         report["commutation"] = {"policy": cfg.commutation, "max_norm": 0.0,
                                  "entries": []}
@@ -411,10 +372,8 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
 
     if scenario is not None and scenario.expected and cfg.initial_state is None:
         t0 = time.perf_counter()
-        report["expected"] = [
-            {"name": r.name, "expected": r.expected, "actual": r.actual,
-             "tol": r.tol, "ok": r.ok, "derivation": r.derivation}
-            for r in evaluate_expected(scenario, policy=policy)]
+        report["expected"] = [dict(vars(r))
+                              for r in evaluate_expected(scenario, policy=policy)]
         timings["expected"] = time.perf_counter() - t0
     return report, timings
 

@@ -90,7 +90,8 @@ class EventDetection:
 class ActualEvent:
     """One realized outcome: which projection fired, and its Born weight.
 
-    An event built from an ambient ``projection`` holds it as given.  An
+    An event built from an ambient ``projection`` holds it as an
+    :class:`Operator` (any square matrix is wrapped in one).  An
     event made by branching (:meth:`from_isometry`) is held in factor form:
     ``support`` names the tensor cells it acts on, ``isometry`` spans the
     outcome's range there and ``factor`` is its projection on them, slots
@@ -110,7 +111,8 @@ class ActualEvent:
         self.support: tuple[int, ...] | None = None
         self.isometry: np.ndarray | None = None
         self._factor: np.ndarray | None = None
-        self._projection = projection
+        self._projection = (projection if projection is None or isinstance(projection, Operator)
+                            else Operator(projection))
         self._net: AlgebraNet | None = None
 
     @classmethod
@@ -207,7 +209,7 @@ def detect_event_on(alg: OperatorAlgebra, omega: State,
 def collapse(omega: State, actual: ActualEvent,
              *, policy: NumericPolicy = DEFAULT_POLICY) -> State:
     """Condition the state on the realized outcome: p rho p / trace."""
-    proj = actual.projection.entries
+    proj = opalg._as_matrix(actual.projection, omega.dim)
     return State(normalize_branch(proj @ omega.rho @ proj, policy), policy=policy)
 
 
@@ -251,10 +253,11 @@ def mixture_defect(omega: State, projections: Sequence, test_ops: Sequence) -> f
     central for the state, and violated by a generically chosen
     non-central family.
     """
-    diff = linalg.mixture_residual(omega.rho, [opalg._as_matrix(p) for p in projections])
+    diff = linalg.mixture_residual(omega.rho,
+                                   [opalg._as_matrix(p, omega.dim) for p in projections])
     worst = 0.0
     for a in test_ops:
-        am = opalg._as_matrix(a)
+        am = opalg._as_matrix(a, omega.dim)
         worst = max(worst, abs(complex(np.einsum("ij,ji->", diff, am))))
     return worst
 

@@ -91,9 +91,10 @@ def history_operator(events: Sequence[ActualEvent], lattice: CausalLattice | Non
     if len(set(points)) != len(points):
         raise ValueError("history contains two events at the same point")
     ordered = sorted(events, key=lambda e: (e.point.tau, e.point.x))
-    mat = np.eye(ordered[0].projection.dim, dtype=complex)
+    dim = ordered[0].projection.dim
+    mat = np.eye(dim, dtype=complex)
     for ev in ordered:
-        mat = ev.projection.entries @ mat
+        mat = _as_matrix(ev.projection, dim) @ mat
     norms = []
     if lattice is not None:
         # each event with its complement is a complete family, and
@@ -114,14 +115,14 @@ def history_operator(events: Sequence[ActualEvent], lattice: CausalLattice | Non
 
 def history_probability(initial: State, history: HistoryOperator) -> float:
     """Normalization of the propagated state: trace(rho H* H)."""
-    h = history.matrix
+    h = _as_matrix(history.matrix, initial.dim)
     return float(np.einsum("ij,ji->", initial.rho, h.conj().T @ h).real)
 
 
 def propagate_state(initial: State, history: HistoryOperator,
                     *, policy: NumericPolicy = DEFAULT_POLICY) -> State:
     """State after the history: H rho H* renormalized."""
-    h = history.matrix
+    h = _as_matrix(history.matrix, initial.dim)
     return State(normalize_branch(h @ initial.rho @ h.conj().T, policy), policy=policy)
 
 
@@ -136,7 +137,7 @@ def _unitary(u, policy: NumericPolicy) -> np.ndarray:
 
 def apply_propagator(u, state: State, *, policy: NumericPolicy = DEFAULT_POLICY) -> State:
     """Conjugate the state by a unitary, verifying unitarity first."""
-    mat = _unitary(u, policy)
+    mat = _unitary(_as_matrix(u, state.dim), policy)
     return State(mat @ state.rho @ mat.conj().T, policy=policy)
 
 
@@ -532,13 +533,11 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
         raise ValueError(f"imposed families off the foliation: {list(set(imposed) - points)}")
     if not set(propagators) <= set(range(len(foliation.leaves))):
         raise ValueError(f"propagator keys are not all leaf indices: {list(propagators)}")
-    shapes = ([initial.rho.shape]
-              + [fam.projections[0].entries.shape for fam in imposed.values()]
-              + [_as_matrix(u).shape for u in propagators.values()])
-    if any(shape != (net.dim, net.dim) for shape in shapes):
-        raise DimensionMismatchError(f"the initial state, an imposed family or a propagator "
-                                     f"is not on the net's dimension {net.dim}: {shapes}")
-    # (support, [factor]) per leaf, localized as the imposed families are
+    if initial.dim != net.dim:
+        raise DimensionMismatchError(f"the initial state has dimension {initial.dim}, "
+                                     f"not the net's {net.dim}")
+    # (support, [factor]) per leaf, localized as the imposed families are; localizing
+    # refuses a propagator or a family that is not on the net
     gates = {li: net.localize([_unitary(u, policy)], policy.tol_proj)
              for li, u in propagators.items()}
     local = _imposed_isometries(net, imposed, policy)

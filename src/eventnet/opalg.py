@@ -91,12 +91,13 @@ class Operator:
         return f"Operator(dim={self.dim})"
 
 
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, Operator):
-        return op.entries
-    arr = np.asarray(op, dtype=complex)
+def _as_matrix(op, dim: int | None = None) -> np.ndarray:
+    """``op`` as a square matrix; given ``dim``, one that acts on ``dim`` dimensions."""
+    arr = op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
+    if dim is not None and arr.shape[0] != dim:
+        raise DimensionMismatchError(f"operator dim {arr.shape[0]} vs expected dim {dim}")
     return arr
 
 
@@ -251,10 +252,7 @@ class State:
 
     def value(self, op) -> complex:
         """The expectation ``trace(rho @ op)``."""
-        mat = _as_matrix(op)
-        if mat.shape[0] != self.dim:
-            raise DimensionMismatchError(f"operator dim {mat.shape[0]} vs state dim {self.dim}")
-        return complex(np.einsum("ij,ji->", self.rho, mat))
+        return complex(np.einsum("ij,ji->", self.rho, _as_matrix(op, self.dim)))
 
     def prob(self, proj) -> float:
         """Expectation of a projection, as a real number."""
@@ -278,7 +276,7 @@ class PotentialEvent:
     __slots__ = ("projections", "labels")
 
     def __init__(self, projections: Sequence, labels: Sequence | None = None,
-                 *, policy: NumericPolicy = DEFAULT_POLICY, validate: bool = True):
+                 *, policy: NumericPolicy = DEFAULT_POLICY):
         projs = tuple(p if isinstance(p, Operator) else Operator(p) for p in projections)
         if not projs:
             raise ValueError("a potential event needs at least one projection")
@@ -291,8 +289,7 @@ class PotentialEvent:
             raise ValueError("labels must be distinct")
         self.projections = projs
         self.labels = labels
-        if validate:
-            self.validate(policy)
+        self.validate(policy)
 
     def validate(self, policy: NumericPolicy = DEFAULT_POLICY) -> None:
         tol = policy.tol_proj

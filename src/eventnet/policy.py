@@ -49,7 +49,8 @@ class NumericPolicy:
     # events and branching
     gap_min: float = 1e-6           # eigenvalue clustering threshold
     prob_floor: float = 1e-9        # smallest probability counted as strictly positive
-    tol_tree: float = 1e-9          # branch normalization and chain-rule slack
+    tol_tree: float = 1e-9          # read by nothing in the package; report checks use it
+                                    # as the slack on listed leaves + pruned_mass = 1
     tol_commutation: float = 1e-9   # spacelike commutator norms treated as zero
     match_threshold: float = 0.5    # projection matching radius in operator norm
 

@@ -182,18 +182,32 @@ class AlgebraNet:
         """Linear dimension of the localized algebra at ``p``."""
         return (self.cell_dim ** 2) ** len(self.support(p))
 
+    def _square(self, mat: np.ndarray, dim: int, what: str) -> np.ndarray:
+        """``mat``, after checking that it is ``dim`` x ``dim``."""
+        if mat.shape != (dim, dim):
+            raise DimensionMismatchError(f"{what} has shape {mat.shape}, not ({dim}, {dim}), "
+                                         f"on a net of dimension {self.dim}")
+        return mat
+
+    def _cells(self, cells: Sequence[int]) -> tuple[int, ...]:
+        """``cells`` as a tuple, after checking that they are distinct cells of the net."""
+        cells = tuple(cells)
+        if len(set(cells)) != len(cells) or not all(
+                isinstance(c, (int, np.integer)) and 0 <= c < self.n_cells for c in cells):
+            raise ValueError(f"{cells} are not distinct cells of a net of {self.n_cells} cells")
+        return cells
+
     def embed(self, op, support: Sequence[int]) -> np.ndarray:
         """Operator on the given support cells, as a full-space matrix."""
-        mat = opalg._as_matrix(op)
-        return linalg.embed_factor(mat, tuple(support), self.n_cells, self.cell_dim)
+        support = self._cells(support)
+        mat = self._square(opalg._as_matrix(op), self.cell_dim ** len(support), "the factor")
+        return linalg.embed_factor(mat, support, self.n_cells, self.cell_dim)
 
     def reduce_state(self, omega, support: Sequence[int]) -> np.ndarray:
         """Partial trace of a state down to the support cells."""
         rho = omega.rho if isinstance(omega, State) else np.asarray(omega, dtype=complex)
-        if rho.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"state dim {rho.shape[0]} does not match net dim {self.dim}")
-        return linalg.partial_trace(rho, tuple(support), self.n_cells, self.cell_dim)
+        return linalg.partial_trace(self._square(rho, self.dim, "the state"),
+                                    self._cells(support), self.n_cells, self.cell_dim)
 
     def reduce_operator(self, op, support: Sequence[int]) -> tuple[np.ndarray, float]:
         """Factor part of an operator localized on ``support``, plus the residual.
@@ -204,8 +218,8 @@ class AlgebraNet:
         factor tensor the identity, on the slots regrouped into (support,
         rest).  It vanishes iff ``op`` acts as the identity off the support.
         """
-        mat = opalg._as_matrix(op)
-        support = tuple(support)
+        mat = self._square(opalg._as_matrix(op), self.dim, "the operator")
+        support = self._cells(support)
         d, n = self.cell_dim, self.n_cells
         order = list(support) + [c for c in range(n) if c not in support]
         ds = d ** len(support)
@@ -219,8 +233,9 @@ class AlgebraNet:
         """The fewest cells outside which every operator acts as the identity.
 
         A cell is left out when every operator's residual on all the other
-        cells (:meth:`reduce_operator`) is at most ``tol``.  Returns that
-        support and each operator's factor on it.
+        cells (:meth:`reduce_operator`, which refuses an operator not on the
+        net) is at most ``tol``.  Returns that support and each operator's
+        factor on it.
         """
         mats = [opalg._as_matrix(op) for op in ops]
         cells = range(self.n_cells)
@@ -292,26 +307,19 @@ class NestingReport:
     rel_commutant_dim: int
     rel_commutant_abelian: bool
     holds: bool
-    method: str = "structural"
 
 
 def verify_nesting(net: AlgebraNet, p: Point, q: Point,
-                   *, policy: NumericPolicy = DEFAULT_POLICY,
-                   dense: bool = False) -> NestingReport:
+                   *, policy: NumericPolicy = DEFAULT_POLICY) -> NestingReport:
     """Check the algebraic signature of ``q`` lying in ``p``'s causal future.
 
     The signature: the algebra at ``q`` is strictly contained in the
     algebra at ``p``, and its relative commutant inside the latter is
     non-abelian (dimension at least 4).  Non-causal pairs simply yield a
-    report with ``holds`` false — that asymmetry is the point.
-
-    The structural route reads everything off the support sets; the dense
-    route materializes bases and recomputes the relative commutant with
-    generic linear algebra (only sensible on small nets).
+    report with ``holds`` false — that asymmetry is the point.  Everything
+    is read off the support sets.
     """
     sp, sq = set(net.support(p)), set(net.support(q))
-    if dense:
-        return _verify_nesting_dense(net, p, q, policy=policy)
     strict = sq < sp
     diff = sp - sq
     rel_dim = (net.cell_dim ** 2) ** len(diff)
@@ -320,26 +328,6 @@ def verify_nesting(net: AlgebraNet, p: Point, q: Point,
     return NestingReport(p=p, q=q, strict_inclusion=strict,
                          rel_commutant_dim=rel_dim, rel_commutant_abelian=abelian,
                          holds=holds)
-
-
-def _verify_nesting_dense(net: AlgebraNet, p: Point, q: Point,
-                          *, policy: NumericPolicy) -> NestingReport:
-    alg_p = net.dense_algebra_at(p, policy=policy)
-    alg_q = net.dense_algebra_at(q, policy=policy)
-    included = all(alg_p.membership_residual(b) <= policy.tol_closure
-                   for b in alg_q.basis)
-    strict = included and alg_q.dim < alg_p.dim
-    comm_q = opalg.commutant_of_operators(net.cell_generators(q), net.dim,
-                                          policy=policy, include_adjoints=False)
-    rows = linalg.subspace_intersection(comm_q.flat_basis, alg_p.flat_basis,
-                                        policy.tol_closure)
-    rel = OperatorAlgebra(list(rows.reshape(-1, net.dim, net.dim)),
-                          policy=policy, validate=False)
-    abelian = rel.is_abelian(policy=policy)
-    holds = strict and not abelian and rel.dim >= 4
-    return NestingReport(p=p, q=q, strict_inclusion=strict,
-                         rel_commutant_dim=rel.dim, rel_commutant_abelian=abelian,
-                         holds=holds, method="dense")
 
 
 @dataclass

@@ -273,3 +273,35 @@ def nesting_pairs_by_sweep(net, policy):
                          "rel_commutant_abelian": rep.rel_commutant_abelian,
                          "holds": rep.holds})
     return rows
+
+
+def verify_nesting_dense(net, p, q, policy=None):
+    """``verify_nesting`` with every algebra materialized as a dense basis.
+
+    Inclusion is tested basis element by basis element, and the relative
+    commutant is the intersection of the commutant of ``q``'s cell
+    generators with ``p``'s algebra, by generic linear algebra; only
+    sensible on small nets.
+    """
+    from eventnet import linalg, opalg
+    from eventnet.opalg import OperatorAlgebra
+    from eventnet.policy import DEFAULT_POLICY
+    from eventnet.spacetime import NestingReport
+
+    policy = policy or DEFAULT_POLICY
+    alg_p = net.dense_algebra_at(p, policy=policy)
+    alg_q = net.dense_algebra_at(q, policy=policy)
+    included = all(alg_p.membership_residual(b) <= policy.tol_closure
+                   for b in alg_q.basis)
+    strict = included and alg_q.dim < alg_p.dim
+    comm_q = opalg.commutant_of_operators(net.cell_generators(q), net.dim,
+                                          policy=policy, include_adjoints=False)
+    rows = linalg.subspace_intersection(comm_q.flat_basis, alg_p.flat_basis,
+                                        policy.tol_closure)
+    rel = OperatorAlgebra(list(rows.reshape(-1, net.dim, net.dim)),
+                          policy=policy, validate=False)
+    abelian = rel.is_abelian(policy=policy)
+    holds = strict and not abelian and rel.dim >= 4
+    return NestingReport(p=p, q=q, strict_inclusion=strict,
+                         rel_commutant_dim=rel.dim, rel_commutant_abelian=abelian,
+                         holds=holds)

@@ -1,12 +1,26 @@
 """Tests for configuration loading, the run driver, and report emission."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eventnet import SCENARIO_BUILDERS, ConfigError, build_scenario
+from eventnet import (
+    SCENARIO_BUILDERS,
+    CausalLattice,
+    ConfigError,
+    EvaluatedExpectation,
+    RecordingReport,
+    State,
+    build_scenario,
+    build_tensor_net,
+    enumerate_tree,
+    foliate,
+)
 from eventnet.cli import (
+    RunConfig,
     emit_report,
     load_config,
     main,
@@ -309,6 +323,59 @@ def test_state_from_config_rejects_garbage():
 def test_net_from_config_rejects_unknown_kind():
     with pytest.raises(ConfigError, match="net kind"):
         run(_cfg(net={"kind": "mesh", "extent_tau": 1}))
+
+
+def test_detection_row_reports_the_largest_event_dim():
+    # 2x1 cone, cell_dim 3: the point (0, 0) sees all of rho, nine rank-one
+    # outcomes; (1, 0) sees one cell of each outcome's eigenvector.  The
+    # lightest eigenvector has Schmidt spectrum (0.5, 0.25, 0.25), so its
+    # three children at (1, 0) carry two outcomes; every other eigenvector
+    # is generic and its children carry three.
+    rng = np.random.default_rng(7)
+    lightest = np.zeros(9, dtype=complex)
+    lightest[[0, 4, 8]] = np.sqrt([0.5, 0.25, 0.25])
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    g[:, 0] = lightest
+    q, _ = np.linalg.qr(g)
+    weights = np.array([0.03, 0.2, 0.17, 0.15, 0.13, 0.11, 0.09, 0.07, 0.05])
+    rho = (q * weights) @ q.conj().T
+    entries = [[[float(z.real), float(z.imag)] for z in row] for row in rho]
+    report, _ = run(_cfg(net={"kind": "cone", "extent_tau": 2, "extent_x": 1, "cell_dim": 3},
+                         initial_state={"kind": "matrix", "entries": entries}))
+    rows = {tuple(row["point"]): row for row in report["detections"]}
+    assert (rows[(0, 0)]["nodes"], rows[(0, 0)]["event_dim"]) == (9, 9)
+    assert (rows[(1, 0)]["nodes"], rows[(1, 0)]["event_dim"]) == (26, 3)
+    dims = sorted(child["event_dim"] for top in report["tree"]["root"]["children"]
+                  for child in top["children"])
+    assert dims == [2] * 2 + [3] * 24
+
+
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_report_sections_hold_their_records_fields():
+    record, _ = run(_cfg(scenario="recording-demo", mode="record"))
+    assert set(record["recording"]) == _field_names(RecordingReport)
+    assert set(record["config"]) == _field_names(RunConfig) - {"out", "policy"}
+    sample, _ = run(_cfg(scenario="two-leaf-chain", mode="sample", samples=50, seed=2))
+    assert sample["expected"]
+    for row in sample["expected"]:
+        assert set(row) == _field_names(EvaluatedExpectation)
+
+
+def test_tree_section_agrees_with_the_tree():
+    path = Path(__file__).parent / "configs" / "cone-2x2.json"
+    cfg = load_config(str(path), {})
+    report, _ = run(cfg)
+    net = build_tensor_net(CausalLattice(2, 2), 2)
+    rho = [[complex(re, im) for re, im in row] for row in cfg.initial_state["entries"]]
+    tree = enumerate_tree(net, foliate(net.lattice), State(rho))
+    rows = [{"path": [[e.point.tau, e.point.x, e.label] for e in events], "probability": prob}
+            for events, prob in tree.leaf_paths()]
+    rows.sort(key=lambda r: json.dumps(r["path"]))
+    assert report["tree"]["leaves"] == rows
+    assert report["tree"]["n_leaves"] == len(tree.leaves())
 
 
 # ---------------------------------------------------------------------------

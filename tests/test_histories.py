@@ -20,12 +20,14 @@ from eventnet import (
     build_full_net,
     build_scenario,
     build_tensor_net,
+    collapse,
     enumerate_tree,
     epr_overlap_scenario,
     epr_scenario,
     foliate,
     history_operator,
     history_probability,
+    mixture_defect,
     propagate_state,
     sample_history,
     sample_paths,
@@ -128,6 +130,41 @@ def test_apply_propagator_checks_unitarity():
     assert rotated.rho[0, 1] == pytest.approx(0.25)
     with pytest.raises(ValueError):
         apply_propagator(np.diag([1.0, 2.0]).astype(complex), rho)
+
+
+def test_actual_event_takes_a_plain_matrix():
+    rho = State.diagonal([0.75, 0.25])
+    plain = ActualEvent(Point(0, 0), 0, P0, 0.75)
+    wrapped = _actual(Point(0, 0), P0)
+    assert isinstance(plain.projection, Operator)
+    assert np.array_equal(history_operator([plain]).matrix, history_operator([wrapped]).matrix)
+    assert np.array_equal(collapse(rho, plain).rho, collapse(rho, wrapped).rho)
+
+
+def _mismatched_call(case):
+    # every input lives on 4 dimensions and the state (or the first event) on 2
+    rho = State.diagonal([0.75, 0.25])
+    ambient = np.kron(P0, np.eye(2))
+    wide = [_actual(Point(0, 0), ambient)]
+    return {
+        "collapse": lambda: collapse(rho, wide[0]),
+        "history_probability": lambda: history_probability(rho, history_operator(wide)),
+        "propagate_state": lambda: propagate_state(rho, history_operator(wide)),
+        "history_operator": lambda: history_operator([_actual(Point(1, 0), P0)] + wide),
+        "apply_propagator": lambda: apply_propagator(np.eye(4), rho),
+        "mixture_defect projections":
+            lambda: mixture_defect(rho, [ambient, np.eye(4) - ambient], [np.eye(2)]),
+        "mixture_defect test operators":
+            lambda: mixture_defect(rho, [P0, np.eye(2) - P0], [np.eye(4)]),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["collapse", "history_probability", "propagate_state",
+                                  "history_operator", "apply_propagator",
+                                  "mixture_defect projections", "mixture_defect test operators"])
+def test_ambient_api_refuses_operators_off_the_state(case):
+    with pytest.raises(DimensionMismatchError):
+        _mismatched_call(case)()
 
 
 # ---------------------------------------------------------------------------

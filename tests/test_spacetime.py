@@ -210,6 +210,37 @@ def test_net_operator_maps_refuse_non_square_input():
         net.reduce_operator(np.ones((net.dim, 2)), (0,))
 
 
+def _off_the_net_call(net, case):
+    state, eye = State.maximally_mixed(net.dim), np.eye(net.dim)
+    return {
+        "reduce_operator dim": lambda: net.reduce_operator(np.eye(8), (0,)),
+        "localize dim": lambda: net.localize([np.eye(8)], 1e-9),
+        "membership_residual dim": lambda: net.membership_residual(np.eye(4), Point(1, 0)),
+        "reduce_operator cell 7": lambda: net.reduce_operator(eye, (7,)),
+        "reduce_state cell 7": lambda: net.reduce_state(state, (7,)),
+        "reduce_operator cells (0, 0)": lambda: net.reduce_operator(eye, (0, 0)),
+        "reduce_state cells (0, 0)": lambda: net.reduce_state(state, (0, 0)),
+        "embed cell 7": lambda: net.embed(np.eye(2), (7,)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["reduce_operator dim", "localize dim",
+                                  "membership_residual dim"])
+def test_net_refuses_operators_off_its_dimension(case):
+    net = build_tensor_net(CausalLattice(2, 2))
+    with pytest.raises(DimensionMismatchError, match=f"dimension {net.dim}"):
+        _off_the_net_call(net, case)()
+
+
+@pytest.mark.parametrize("case", ["reduce_operator cell 7", "reduce_state cell 7",
+                                  "reduce_operator cells (0, 0)", "reduce_state cells (0, 0)",
+                                  "embed cell 7"])
+def test_net_refuses_cells_off_the_net(case):
+    net = build_tensor_net(CausalLattice(2, 2))
+    with pytest.raises(ValueError, match="not distinct cells"):
+        _off_the_net_call(net, case)()
+
+
 def test_dense_algebra_matches_generated_closure():
     net = build_tensor_net(CausalLattice(2, 1))
     for p in net.lattice.points():
@@ -268,7 +299,7 @@ def test_structural_and_dense_nesting_agree(extents):
             if p == q:
                 continue
             fast = verify_nesting(net, p, q)
-            slow = verify_nesting(net, p, q, dense=True)
+            slow = oracles.verify_nesting_dense(net, p, q)
             assert fast.holds == slow.holds, (p, q)
             assert fast.strict_inclusion == slow.strict_inclusion, (p, q)
             if fast.strict_inclusion:
