@@ -150,6 +150,9 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
                     cfg.policy = NumericPolicy(**{**DEFAULT_POLICY.as_dict(), **raw["policy"]})
                 except ValueError as exc:
                     problems.append(f"policy: {exc}")
+    if cfg.epsilon < cfg.policy.eps_floor:
+        problems.append(f"epsilon: {cfg.epsilon!r} is below the resolution floor "
+                        f"eps_floor={cfg.policy.eps_floor!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg
@@ -452,7 +455,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         report, timings = run(cfg)
-        text = emit_report(report, cfg.format, cfg.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -462,6 +464,11 @@ def main(argv=None) -> int:
     except EventNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        text = emit_report(report, cfg.format, cfg.out)
+    except OSError as exc:
+        print(f"error: cannot write report to {cfg.out}: {exc}", file=sys.stderr)
+        return 1
     for phase, secs in timings.items():
         print(f"timing {phase}: {secs:.3f}s", file=sys.stderr)
     if text is not None:

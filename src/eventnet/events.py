@@ -11,7 +11,8 @@ the reduced density matrix: :func:`detect_event` runs the branching
 engine's detector, one partial trace and :func:`linalg.spectral_isometries`,
 on one state and keeps the outcomes on the support factor.  The generic
 path via centralizer/center (:func:`detect_event_on`) works for any
-explicit algebra and is used to cross-check the fast one.
+explicit algebra and is used to cross-check the fast one.  Both return the
+same form: an :class:`EventDetection` holding outcome isometries.
 """
 
 from __future__ import annotations
@@ -49,35 +50,36 @@ class EventDetection:
 
     ``probabilities`` is sorted in decreasing order and aligns with the
     outcomes of ``event``, labelled 0..k-1 in that order; ``happened``
-    records whether at least two outcomes clear ``prob_floor``.  A
-    detection on a net (:func:`detect_event`) holds the ``(k, n, r)``
-    isometry stack of its outcomes on the ``support`` cells (see
-    :mod:`eventnet.linalg`); ``factor_projections``, the ambient ``event``
-    (validated under ``policy``) and ``event_algebra`` are built from it
-    when first read.  A detection against an explicit algebra is given its
-    ``event`` and ``event_algebra``; its ``factor_projections`` is None.
+    records whether at least two outcomes clear ``prob_floor``.
+    ``isometries`` is the ``(k, n, r)`` isometry stack of the outcomes (see
+    :mod:`eventnet.linalg`): on the ``support`` cells of ``net`` for a
+    detection on a net (:func:`detect_event`), and on the algebra's whole
+    space, with ``support`` and ``net`` None, for one against an explicit
+    algebra (:func:`detect_event_on`).  ``factor_projections``, the ambient
+    ``event`` (validated under ``policy``) and ``event_algebra`` are built
+    from it when first read.
     """
 
     point: Point | None
     probabilities: tuple[float, ...]
     happened: bool
-    support: tuple[int, ...] | None = None
-    isometries: np.ndarray | None = field(default=None, repr=False)
+    support: tuple[int, ...] | None
+    isometries: np.ndarray = field(repr=False)
     net: AlgebraNet | None = field(default=None, repr=False)
     policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
 
     @cached_property
-    def factor_projections(self) -> tuple[np.ndarray, ...] | None:
+    def factor_projections(self) -> tuple[np.ndarray, ...]:
         """The outcome projections on the support cells, slots in support order."""
-        if self.isometries is None:
-            return None
         return tuple(v @ v.conj().T for v in self.isometries)
 
     @cached_property
     def event(self) -> PotentialEvent:
-        """The outcomes as projections on the whole net."""
-        return PotentialEvent([self.net.embed(p, self.support) for p in self.factor_projections],
-                              policy=self.policy)
+        """The outcomes as projections on the whole net (or the algebra's space)."""
+        projs = self.factor_projections
+        if self.net is not None:
+            projs = [self.net.embed(p, self.support) for p in projs]
+        return PotentialEvent(projs, policy=self.policy)
 
     @cached_property
     def event_algebra(self) -> OperatorAlgebra:
@@ -92,12 +94,13 @@ class ActualEvent:
 
     An event built from an ambient ``projection`` holds it as an
     :class:`Operator` (any square matrix is wrapped in one).  An
-    event made by branching (:meth:`from_isometry`) is held in factor form:
-    ``support`` names the tensor cells it acts on, ``isometry`` spans the
-    outcome's range there and ``factor`` is its projection on them, slots
-    in support order.  ``factor`` is built from the isometry the first time
-    it is read, and the ambient ``projection`` is embedded from ``factor``
-    the first time it is read; both are then kept.
+    event made by branching or sampling (:meth:`from_isometry`) is held in
+    factor form: ``support`` names the tensor cells it acts on, ``isometry``
+    spans the outcome's range there and ``factor`` is its projection on
+    them, slots in support order.  ``factor`` is built from the isometry the
+    first time it is read, and the ambient ``projection`` is embedded from
+    ``factor`` the first time it is read (or is ``factor`` itself when there
+    is no net); both are then kept.
     """
 
     __slots__ = ("point", "label", "born_prob", "support", "isometry", "_factor",
@@ -117,11 +120,12 @@ class ActualEvent:
 
     @classmethod
     def from_isometry(cls, point: Point | None, label: object, isometry: np.ndarray,
-                      support: tuple[int, ...], net: AlgebraNet,
+                      support: tuple[int, ...] | None, net: AlgebraNet | None,
                       born_prob: float) -> "ActualEvent":
         """An outcome given by an isometry onto its range on the ``support`` cells of ``net``.
 
-        Zero columns of ``isometry`` add nothing to the projection.
+        With ``net`` None the isometry acts on the whole space.  Zero
+        columns of ``isometry`` add nothing to the projection.
         """
         event = cls(point, label, None, born_prob)
         event.support = support
@@ -138,9 +142,11 @@ class ActualEvent:
 
     @property
     def projection(self) -> Operator:
-        """The outcome projection on the whole net."""
+        """The outcome projection on the whole net (the whole space when there is none)."""
         if self._projection is None:
-            self._projection = Operator(self._net.embed(self.factor, self.support))
+            factor = self.factor
+            self._projection = Operator(factor if self._net is None
+                                        else self._net.embed(factor, self.support))
         return self._projection
 
     def __repr__(self) -> str:
@@ -189,21 +195,20 @@ def detect_event(net: AlgebraNet, point: Point, omega: State,
 
 def detect_event_on(alg: OperatorAlgebra, omega: State,
                     *, policy: NumericPolicy = DEFAULT_POLICY,
-                    point: Point | None = None, seed: int = 0) -> EventDetection:
+                    point: Point | None = None) -> EventDetection:
     """Generic detection against an explicit algebra.
 
     Computes the center of the state's centralizer and extracts its minimal
-    projections; works for any *-algebra, at the cost of a few SVDs.
+    projections; works for any *-algebra, at the cost of a few SVDs.  The
+    outcomes are kept as isometries on the algebra's whole space.
     """
     zent = opalg.center_of_centralizer(alg, omega, policy=policy)
-    family = opalg.minimal_projections(zent, policy=policy, seed=seed)
-    weights = [omega.prob(p) for p in family.projections]
+    projs = [p.entries for p in opalg.minimal_projections(zent, policy=policy).projections]
+    weights = [omega.prob(p) for p in projs]
     order = linalg.decreasing_order(weights)
-    event = PotentialEvent([family.projections[i] for i in order], policy=policy)
     weights = [weights[i] for i in order]
-    detection = EventDetection(point, tuple(weights), event_happened(weights, policy))
-    detection.event, detection.event_algebra = event, zent
-    return detection
+    return EventDetection(point, tuple(weights), event_happened(weights, policy), None,
+                          linalg.range_isometries([projs[i] for i in order]), policy=policy)
 
 
 def collapse(omega: State, actual: ActualEvent,
@@ -229,8 +234,8 @@ def sample_actual(detection: EventDetection, rng=None,
     """Draw one outcome of the detection by its Born weights.
 
     ``rng`` may be a Generator, a seed, or None for OS entropy.  Identical
-    seeds give identical draws.  A detection on a net gives its outcome in
-    factor form (:meth:`ActualEvent.from_isometry`) and builds no ``event``.
+    seeds give identical draws.  The outcome is given in factor form
+    (:meth:`ActualEvent.from_isometry`) and no ``event`` is built.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     weights = np.clip(np.asarray(detection.probabilities, dtype=float), 0.0, None)
@@ -238,12 +243,8 @@ def sample_actual(detection: EventDetection, rng=None,
     if abs(total - 1.0) > policy.tol_proj:
         raise ValueError(f"outcome weights sum to {total!r}, not 1")
     idx = int(gen.choice(len(weights), p=weights / total))
-    if detection.isometries is not None:
-        return ActualEvent.from_isometry(detection.point, idx, detection.isometries[idx],
-                                         detection.support, detection.net, float(weights[idx]))
-    return ActualEvent(point=detection.point, label=detection.event.labels[idx],
-                       projection=detection.event.projections[idx],
-                       born_prob=float(weights[idx]))
+    return ActualEvent.from_isometry(detection.point, idx, detection.isometries[idx],
+                                     detection.support, detection.net, float(weights[idx]))
 
 
 def mixture_defect(omega: State, projections: Sequence, test_ops: Sequence) -> float:
@@ -263,18 +264,14 @@ def mixture_defect(omega: State, projections: Sequence, test_ops: Sequence) -> f
 
 
 def mixture_check(net: AlgebraNet, point: Point, omega: State,
-                  detection: EventDetection | None = None,
                   *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
-    """Mixture-identity residual of a detection over its whole local algebra.
+    """Mixture-identity residual of the event detected at ``point``, over its local algebra.
 
     Evaluated on the support factor: the residual matrix
     ``rho_f - sum p rho_f p`` is tested entrywise, which covers every
     matrix unit of the localized algebra at once.
     """
-    if detection is None:
-        detection = detect_event(net, point, omega, policy=policy)
-    if detection.factor_projections is None:
-        raise ValueError("mixture_check needs a net-based detection")
+    detection = detect_event(net, point, omega, policy=policy)
     rho_f = net.reduce_state(omega, detection.support)
     return float(np.max(np.abs(linalg.mixture_residual(rho_f, detection.factor_projections))))
 
@@ -285,14 +282,15 @@ def spacelike_commutator_norm(det_a: EventDetection, det_b: EventDetection,
 
     For detections at spacelike points this must vanish; passing the
     lattice makes the spacelike precondition explicit and enforced.  Two
-    detections on one net are compared in factor form, on their supports.
+    detections on one net are compared in factor form, on their supports;
+    any other pair is compared by its outcomes on the whole space.
     """
     if lattice is not None and det_a.point is not None and det_b.point is not None:
         rel = causal_relate(lattice, det_a.point, det_b.point)
         if rel is not Relation.SPACELIKE:
             raise ValueError(f"points {det_a.point} and {det_b.point} are {rel.value}, "
                              "not spacelike")
-    if det_a.isometries is not None and det_b.isometries is not None:
+    if det_a.net is not None and det_b.net is not None:
         return linalg.max_commutator_norm(det_a.isometries, det_b.isometries,
                                           (det_a.support, det_b.support),
                                           det_a.net.cell_dim)

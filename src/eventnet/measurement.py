@@ -121,15 +121,14 @@ class EventBasis:
 
     ``labels`` name the kept outcomes of the detection (its outcomes are
     labelled 0..k-1 in decreasing weight).  Their projections on the
-    support cells are ``factor_projections``, None for a detection against
-    an explicit algebra; the ambient ones are the detection's
-    ``event.projections`` at the same labels.
+    support cells are ``factor_projections``; the ambient ones are the
+    detection's ``event.projections`` at the same labels.
     """
 
     labels: list
     weights: list[float]
     residual: float
-    factor_projections: list[np.ndarray] | None = None
+    factor_projections: list[np.ndarray]
 
 
 def event_basis(detection: EventDetection, epsilon: float,
@@ -148,13 +147,10 @@ def event_basis(detection: EventDetection, epsilon: float,
     if residual >= epsilon:
         raise ResolutionError(
             f"dropped weight {residual:.3e} is not below epsilon={epsilon}")
-    factor = None
-    if detection.factor_projections is not None:
-        factor = [detection.factor_projections[i] for i in kept]
     return EventBasis(labels=kept,
                       weights=[detection.probabilities[i] for i in kept],
                       residual=residual,
-                      factor_projections=factor)
+                      factor_projections=[detection.factor_projections[i] for i in kept])
 
 
 @dataclass
@@ -185,9 +181,8 @@ class RecordingReport:
 
 def recording_check(net: AlgebraNet, point: Point, omega: State,
                     quantity: PhysicalQuantity, epsilon: float,
-                    *, policy: NumericPolicy = DEFAULT_POLICY,
-                    detection: EventDetection | None = None) -> RecordingReport:
-    """Test whether the event at ``point`` records ``quantity`` there.
+                    *, policy: NumericPolicy = DEFAULT_POLICY) -> RecordingReport:
+    """Test whether the event detected at ``point`` records ``quantity`` there.
 
     Works on the support factor throughout: operator norms and weights are
     unchanged by tensoring with an identity, and every matrix unit of the
@@ -196,15 +191,11 @@ def recording_check(net: AlgebraNet, point: Point, omega: State,
     """
     quantity.at(point)  # refuses a point without a representative
     x_f = validate_quantity(quantity, net, policy=policy)[point]
-    support = net.support(point)
-    if detection is None:
-        detection = detect_event(net, point, omega, policy=policy)
+    detection = detect_event(net, point, omega, policy=policy)
     if not detection.happened:
         raise ResolutionError(f"no event happened at {point}; nothing can record")
     basis = event_basis(detection, epsilon, policy=policy)
-    if basis.factor_projections is None:
-        raise ValueError("recording_check needs a net-based detection")
-    rho_f = net.reduce_state(omega, support)
+    rho_f = net.reduce_state(omega, detection.support)
     omega_f = State(rho_f, policy=policy)
     dec = spectral_decompose(x_f, omega_f, epsilon, policy=policy)
 

@@ -368,22 +368,17 @@ def algebra_closure(generators: Iterable, ambient_dim: int | None = None,
 
 
 def commutant_of_operators(ops: Sequence, ambient_dim: int,
-                           *, policy: NumericPolicy = DEFAULT_POLICY,
-                           include_adjoints: bool = True) -> OperatorAlgebra:
+                           *, policy: NumericPolicy = DEFAULT_POLICY) -> OperatorAlgebra:
     """All operators commuting with every element of ``ops``.
 
-    With ``include_adjoints`` the result is the commutant of the *-algebra
-    generated by ``ops`` and is itself a *-algebra.
+    When ``ops`` is closed under adjoints (an algebra basis, or generators
+    listed with their adjoints) the result is the commutant of the
+    *-algebra they generate and is itself a *-algebra.
     """
     n = ambient_dim
-    mats = []
-    for op in ops:
-        m = _as_matrix(op)
-        if m.shape[0] != n:
-            raise DimensionMismatchError("operator does not act on the ambient space")
-        mats.append(m)
-        if include_adjoints:
-            mats.append(dagger(m))
+    mats = [_as_matrix(op) for op in ops]
+    if any(m.shape[0] != n for m in mats):
+        raise DimensionMismatchError("operator does not act on the ambient space")
     if not mats:
         return full_matrix_algebra(n, policy=policy)
     eye = np.eye(n, dtype=complex)
@@ -396,7 +391,7 @@ def commutant_of_operators(ops: Sequence, ambient_dim: int,
 
 def commutant(alg: OperatorAlgebra, *, policy: NumericPolicy = DEFAULT_POLICY) -> OperatorAlgebra:
     return commutant_of_operators([b.entries for b in alg.basis], alg.ambient_dim,
-                                  policy=policy, include_adjoints=False)
+                                  policy=policy)
 
 
 def center(alg: OperatorAlgebra, *, policy: NumericPolicy = DEFAULT_POLICY) -> OperatorAlgebra:
@@ -451,29 +446,30 @@ def traciality_defect(alg: OperatorAlgebra, omega: State) -> float:
     return float(np.max(np.abs(t - t.T)))
 
 
-def minimal_projections(alg: OperatorAlgebra, *, policy: NumericPolicy = DEFAULT_POLICY,
-                        seed: int = 0) -> PotentialEvent:
+def minimal_projections(alg: OperatorAlgebra,
+                        *, policy: NumericPolicy = DEFAULT_POLICY) -> PotentialEvent:
     """Minimal projections of an abelian algebra, as a potential event.
 
-    Diagonalizes a random self-adjoint element and clusters its spectrum;
-    retries with fresh coefficients (deterministically seeded) until the
-    eigenvalue clusters are separated by at least ``gap_min``, their count
+    Diagonalizes a random self-adjoint element and clusters its spectrum
+    (eigenvalues closer than ``gap_min`` share a cluster); retries with
+    fresh coefficients, drawn from a fixed seed, until the cluster count
     equals the algebra dimension and each projection lies in the algebra.
+    The element lies in the abelian algebra, so it is constant on each
+    minimal projection's range up to rounding: a cluster that spreads by
+    ``gap_min`` or more has merged two of them and fails the count.
     """
     if not alg.is_abelian(policy=policy):
         raise ValueError("minimal projections require an abelian algebra")
     parts = alg.self_adjoint_parts(policy)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     last_reason = "no attempt made"
     for _ in range(policy.max_retries):
         coeff = rng.standard_normal(len(parts))
         x = sum(c * p for c, p in zip(coeff, parts))
-        vals, clusters, projs = linalg.spectral_projections((x + dagger(x)) / 2.0,
-                                                            policy.gap_min)
+        _, clusters, projs = linalg.spectral_projections((x + dagger(x)) / 2.0,
+                                                         policy.gap_min)
         if len(clusters) != alg.dim:
             last_reason = f"found {len(clusters)} clusters, expected {alg.dim}"
-        elif any(vals[c].max() - vals[c].min() >= policy.gap_min for c in clusters):
-            last_reason = "cluster spread exceeds the separation threshold"
         elif any(alg.membership_residual(p) > policy.tol_proj for p in projs):
             last_reason = "spectral projection left the algebra span"
         else:

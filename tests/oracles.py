@@ -182,7 +182,7 @@ class DenseNode:
 
 
 def enumerate_tree_dense(net, foliation, initial, *, policy, imposed=None,
-                         propagators=None, commutation="warn", max_branches=None):
+                         propagators=None, commutation="warn"):
     """Branching tree built on the ambient space, the slow obvious way.
 
     Every family is embedded into the full D x D space, weights are
@@ -195,7 +195,7 @@ def enumerate_tree_dense(net, foliation, initial, *, policy, imposed=None,
     from eventnet.errors import BranchOverflowError, CommutationError
     from eventnet.events import _spectral_family
 
-    cap = policy.branch_cap if max_branches is None else max_branches
+    cap = policy.branch_cap
     root = DenseNode(-1, None, None, None, initial.rho, 1.0, 1.0, None)
     frontier = [(root, initial.rho)]
     pruned = 0.0
@@ -294,8 +294,7 @@ def verify_nesting_dense(net, p, q, policy=None):
     included = all(alg_p.membership_residual(b) <= policy.tol_closure
                    for b in alg_q.basis)
     strict = included and alg_q.dim < alg_p.dim
-    comm_q = opalg.commutant_of_operators(net.cell_generators(q), net.dim,
-                                          policy=policy, include_adjoints=False)
+    comm_q = opalg.commutant_of_operators(net.cell_generators(q), net.dim, policy=policy)
     rows = linalg.subspace_intersection(comm_q.flat_basis, alg_p.flat_basis,
                                         policy.tol_closure)
     rel = OperatorAlgebra(list(rows.reshape(-1, net.dim, net.dim)),

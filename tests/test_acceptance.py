@@ -151,7 +151,7 @@ def test_criterion_04_happened_events_decompose_the_state():
             det = detect_event(sc.net, pt, sc.initial)
             if not det.happened:
                 continue
-            worst = max(worst, mixture_check(sc.net, pt, sc.initial, det))
+            worst = max(worst, mixture_check(sc.net, pt, sc.initial))
             n_checked += 1
     assert n_checked >= 3, "too few live detections to be meaningful"
 
@@ -336,20 +336,19 @@ def test_criterion_10_recording_accepts_aligned_and_rejects_transverse():
     sc = SCENARIO_BUILDERS["recording-demo"]()
     point = Point(0, 0)
     epsilon = 0.05
-    det = detect_event(sc.net, point, sc.initial)
 
     aligned = recording_check(sc.net, point, sc.initial,
-                              sc.quantities["aligned"], epsilon, detection=det)
+                              sc.quantities["aligned"], epsilon)
     assert aligned.passes
     assert max(aligned.alignment_norms) < 1e-10
 
     transverse = recording_check(sc.net, point, sc.initial,
-                                 sc.quantities["transverse"], epsilon, detection=det)
+                                 sc.quantities["transverse"], epsilon)
     assert not transverse.passes
     assert all(abs(norm - 0.5) < 1e-10 for norm in transverse.alignment_norms)
 
     tilted = recording_check(sc.net, point, sc.initial,
-                             sc.quantities["tilted"], epsilon, detection=det)
+                             sc.quantities["tilted"], epsilon)
     assert tilted.passes
     bound = 4.0 * tilted.retained * epsilon
     ok = tilted.mixture_residual <= bound

@@ -135,10 +135,12 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
     {"scenario": "recording-demo", "mode": "record", "record": {"quantiy": "transverse"}},
     {"scenario": "recording-demo", "mode": "record", "epsilon": "0.1"},
     {"scenario": "recording-demo", "mode": "record", "epsilon": True},
+    {"scenario": "recording-demo", "mode": "record", "epsilon": 1e-9},
 ], ids=["cell-dim-string", "cell-dim-one", "n-cells-string", "n-cells-too-many",
         "state-dim", "point-string", "point-outside", "samples-bool", "samples-float",
         "seed-bool", "seed-negative", "params-string", "params-range", "params-zero-direction",
-        "net-key-typo", "record-key-typo", "epsilon-string", "epsilon-bool"])
+        "net-key-typo", "record-key-typo", "epsilon-string", "epsilon-bool",
+        "epsilon-below-floor"])
 def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
@@ -435,6 +437,15 @@ def test_main_writes_file(tmp_path, capsys):
     assert rc == 0
     assert captured.out == ""
     assert parse_report(out.read_text())["tree"]["n_leaves"] == 4
+
+
+def test_main_refuses_an_unwritable_out_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    rc = main(["--scenario", "epr", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: cannot write report to {out}" in err
+    assert "Traceback" not in err
 
 
 def test_main_config_error_exit_code(capsys):

@@ -204,6 +204,24 @@ def test_sample_actual_frequencies():
     assert abs(hits / n - 0.75) < oracles.binomial_four_sigma(0.75, n)
 
 
+def test_sample_actual_on_a_generic_detection():
+    rng = np.random.default_rng(33)
+    omega = State(oracles.random_faithful_state(3, rng))
+    det = detect_event_on(full_matrix_algebra(3), omega)
+    assert det.support is None and det.net is None
+    assert det.isometries.shape[:2] == (3, 3)
+    for seed in range(5):
+        actual = sample_actual(det, rng=seed)
+        assert actual.support is None
+        assert actual.born_prob == det.probabilities[actual.label]
+        assert np.array_equal(actual.factor, det.factor_projections[actual.label])
+        assert np.array_equal(actual.projection.entries,
+                              det.event.projections[actual.label].entries)
+        p = actual.projection.entries
+        expected = p @ omega.rho @ p / actual.born_prob
+        assert np.max(np.abs(collapse(omega, actual).rho - expected)) < 1e-10
+
+
 def test_sample_actual_rejects_unnormalized():
     net, omega = _single_cell_net([0.75, 0.25])
     det = detect_event(net, Point(0, 0), omega)
@@ -251,6 +269,33 @@ def test_spacelike_detections_commute():
     det_b = detect_event(net, Point(0, 1), omega)
     norm = spacelike_commutator_norm(det_a, det_b, lattice=net.lattice)
     assert norm == 0.0
+
+
+def _dense_commutator(det_a, det_b):
+    return oracles.max_commutator_norm_dense([p.entries for p in det_a.event.projections],
+                                             [p.entries for p in det_b.event.projections])
+
+
+def test_spacelike_norm_of_generic_and_mixed_pairs():
+    rng = np.random.default_rng(34)
+    net = build_tensor_net(CausalLattice(1, 2))
+    left, right = Point(0, 0), Point(0, 1)
+    omega = _gapped_state(net.dim, rng)
+    # spacelike points, both detected against their explicit algebras
+    gen_a = detect_event_on(net.dense_algebra_at(left), omega, point=left)
+    gen_b = detect_event_on(net.dense_algebra_at(right), omega, point=right)
+    fast_a = detect_event(net, left, omega)
+    for det_a, det_b in ((gen_a, gen_b), (fast_a, gen_b)):
+        norm = spacelike_commutator_norm(det_a, det_b, lattice=net.lattice)
+        assert norm < 1e-12
+        assert abs(norm - _dense_commutator(det_a, det_b)) < 1e-12
+    # families that do not commute: a generic detection of another state on
+    # the whole space, against a generic and a net detection
+    other = detect_event_on(full_matrix_algebra(net.dim), _gapped_state(net.dim, rng))
+    for det in (gen_a, fast_a):
+        norm = spacelike_commutator_norm(det, other)
+        assert norm > 0.1
+        assert abs(norm - _dense_commutator(det, other)) < 1e-12
 
 
 def test_spacelike_norm_rejects_timelike_pairs():

@@ -14,7 +14,9 @@ from eventnet import (
     build_full_net,
     build_tensor_net,
     detect_event,
+    detect_event_on,
     event_basis,
+    full_matrix_algebra,
     mixture_check,
     recording_check,
     recording_demo,
@@ -140,6 +142,19 @@ def test_event_basis_fails_when_too_much_is_dropped():
         event_basis(det, 0.35)  # drops 0.5 of the mass, way above epsilon
 
 
+def test_event_basis_of_a_generic_detection():
+    # a detection against an explicit algebra keeps its outcomes on the
+    # algebra's whole space, so its factor projections are the ambient ones
+    omega = State.diagonal([0.5, 0.3, 0.2])
+    det = detect_event_on(full_matrix_algebra(3), omega)
+    basis = event_basis(det, 0.25)
+    assert basis.labels == [0, 1]
+    assert basis.weights == pytest.approx([0.5, 0.3])
+    for label, factor in zip(basis.labels, basis.factor_projections):
+        assert np.array_equal(factor, det.event.projections[label].entries)
+        assert omega.prob(factor) == pytest.approx(det.probabilities[label], abs=1e-12)
+
+
 def test_event_basis_rejects_tiny_epsilon():
     net, omega, p = _single_cell([0.75, 0.25])
     det = detect_event(net, p, omega)
@@ -205,14 +220,6 @@ def test_recording_on_partial_support():
     assert rep.weights == pytest.approx([0.8, 0.2])
 
 
-def test_recording_with_precomputed_detection():
-    sc = recording_demo()
-    det = detect_event(sc.net, Point(0, 0), sc.initial)
-    rep = recording_check(sc.net, Point(0, 0), sc.initial,
-                          sc.quantities["aligned"], 0.05, detection=det)
-    assert rep.passes
-
-
 def test_record_path_builds_nothing_on_the_whole_net(monkeypatch):
     net = build_tensor_net(CausalLattice(2, 3))
     rng = np.random.default_rng(4)
@@ -231,11 +238,11 @@ def test_record_path_builds_nothing_on_the_whole_net(monkeypatch):
     monkeypatch.setattr(linalg, "embed_factor", refuse)
     det = detect_event(net, point, omega)
     assert det.happened and len(det.factor_projections) == net.factor_dim(point)
-    assert mixture_check(net, point, omega, det) < 1e-12
-    rep = recording_check(net, point, omega, quantity, 0.01, detection=det)
+    assert mixture_check(net, point, omega) < 1e-12
+    rep = recording_check(net, point, omega, quantity, 0.01)
     assert rep.passes and rep.retained == net.factor_dim(point)
     # a quantity given on the whole net is reduced to its factor, not embedded back
-    rep_net = recording_check(net, point, omega, on_net, 0.01, detection=det)
+    rep_net = recording_check(net, point, omega, on_net, 0.01)
     assert rep_net.alignment_norms == pytest.approx(rep.alignment_norms, abs=1e-12)
     actual = sample_actual(det, rng=5)
     assert actual.support == det.support

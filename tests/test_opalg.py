@@ -184,6 +184,21 @@ def test_basis_is_orthonormal():
     assert np.max(np.abs(gram - np.eye(alg.dim))) < 1e-12
 
 
+def test_algebra_validation_accepts_an_orthonormal_unital_basis():
+    alg = OperatorAlgebra([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert alg.dim == 2 and alg.contains(np.eye(2))
+
+
+def test_algebra_validation_refuses_a_non_orthonormal_basis():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OperatorAlgebra([np.eye(2) / np.sqrt(2.0), np.diag([1.0, 0.0])])
+
+
+def test_algebra_validation_refuses_a_span_without_the_identity():
+    with pytest.raises(ValueError, match="identity"):
+        OperatorAlgebra([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+
+
 # ---------------------------------------------------------------------------
 # Commutants, centers
 # ---------------------------------------------------------------------------
@@ -324,6 +339,28 @@ def test_minimal_projections_gap_failure():
     impossible = NumericPolicy(gap_min=10.0, max_retries=2)
     with pytest.raises(EigengapError):
         minimal_projections(z, policy=impossible)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_minimal_projections_of_random_abelian_algebras(seed):
+    # a unitarily rotated block-diagonal algebra: its minimal projections are
+    # the rotated blocks, whatever their sizes
+    rng = np.random.default_rng(500 + seed)
+    sizes = rng.integers(1, 4, size=rng.integers(2, 5))
+    n = int(sizes.sum())
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    blocks = [q[:, lo:hi] @ q[:, lo:hi].conj().T for lo, hi in zip(edges[:-1], edges[1:])]
+    alg = OperatorAlgebra([b / np.sqrt(s) for b, s in zip(blocks, sizes)])
+    event = minimal_projections(alg)
+    assert len(event) == len(blocks)
+    matched = set()
+    for p in event.projections:
+        dists = [np.max(np.abs(p.entries - b)) for b in blocks]
+        best = int(np.argmin(dists))
+        assert dists[best] < 1e-10
+        matched.add(best)
+    assert matched == set(range(len(blocks)))
 
 
 def test_minimal_projections_require_abelian():

@@ -98,7 +98,19 @@ def test_epr_nonlocality_is_in_the_conditioning():
 def test_order_independence_distinguishes_the_scenarios():
     assert order_independence_check(epr_scenario()) < 1e-12
     overlap = build_scenario("epr-overlap")
-    assert order_independence_check(overlap) == pytest.approx(0.5, abs=1e-9)
+    assert order_independence_check(overlap) == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_dir, n_prime_dir", [
+    *(((0.0, 0.0, 1.0), (np.sin(theta), 0.0, np.cos(theta)))
+      for theta in (0.0, 0.3, 1.0, 1.5707963, np.pi / 2, 2.0, 2.5, 3.0, np.pi)),
+    ((0.3, 0.5, 0.8), (-0.2, 0.9, 0.1)),
+], ids=["0", "0.3", "1.0", "1.5707963", "pi/2", "2.0", "2.5", "3.0", "pi", "y-tilted"])
+def test_epr_overlap_expectations_hold_at_every_angle(n_dir, n_prime_dir):
+    # the order-dependence closed form holds off the axes too, and with a y component
+    scenario = build_scenario("epr-overlap", {"n_dir": n_dir, "n_prime_dir": n_prime_dir})
+    for res in evaluate_expected(scenario):
+        assert res.ok, (res.name, res.expected, res.actual, res.tol)
 
 
 def test_order_independence_needs_imposed_families():
