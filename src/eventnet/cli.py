@@ -1,9 +1,11 @@
 """Command-line runner: configure a net or scenario, run, emit a report.
 
 Configuration is a JSON file; a handful of flags override its fields.
-Reports are deterministic functions of (config, seed): canonical JSON with
-sorted keys, no timestamps, no wall-clock data (timings go to stderr).
-Complex matrices serialize as row-major [re, im] pairs.
+Reports are deterministic functions of (config, seed), with no timestamps
+and no wall-clock data (timings go to stderr).  Their canonical bytes are
+defined as ``json.dumps(report, indent=2, sort_keys=True) + "\n"`` and are
+written by an equivalent writer, :func:`serialize_report`.  Complex
+matrices serialize as row-major [re, im] pairs.
 
 Exit codes: 0 success, 1 configuration problems, 2 numeric failures
 (including a commutation abort), 3 resource caps.
@@ -15,9 +17,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Mapping
 
 import numpy as np
@@ -183,7 +187,8 @@ def load_config(path: str | None, overrides: Mapping[str, Any]) -> RunConfig:
 
 def _pairs(mat: np.ndarray) -> list:
     """Row-major [re, im] pairs for a complex matrix."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
+    mat = np.asarray(mat)
+    return np.stack([mat.real, mat.imag], -1).tolist()
 
 
 def _state_from_config(desc: Mapping[str, Any] | None, dim: int,
@@ -382,8 +387,104 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def serialize_report(report: dict) -> str:
-    """Canonical bytes: sorted keys, stable float repr, trailing newline."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical bytes: ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``.
+
+    Written by one recursive pass that appends to a list, since with an
+    indent set ``json.dumps`` runs its pure-Python encoder, one generator
+    per nesting level.  The output is the same text.  A value json cannot
+    hold raises ``TypeError``, and so does a dict key that is not a string,
+    which ``json.dumps`` would write as one; no report holds such a key.
+    """
+    out: list[str] = []
+    _write(report, out, 0, {}, [("\n", ",\n")])
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(value: float, floats: dict) -> str:
+    """json's text for a float; ``floats`` memoizes nonzero finite values by value."""
+    text = floats.get(value)
+    if text is None:
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        text = float.__repr__(value)
+        if value:  # 0.0 == -0.0 would share one entry
+            floats[value] = text
+    return text
+
+
+def _scalar_text(value, floats: dict) -> str | None:
+    """json's text for a scalar; None for a list, tuple or dict.
+
+    Exact types are tested first, then subclasses in json's own order, so
+    ``bool`` is never written as an int and ``np.float64`` is a float.
+    """
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is float:
+        return _float_text(value, floats)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value, floats)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write(value, out: list[str], depth: int, floats: dict,
+           lines: list[tuple[str, str]]) -> None:
+    """Append the text of ``value``, nested ``depth`` containers deep.
+
+    ``lines[d]`` is the newline and indent of depth ``d``, bare and after a
+    comma.  It grows as the walk goes deeper, so all containers at one depth
+    append the same separator strings instead of building their own.
+    """
+    kind = type(value)
+    if kind is not list and kind is not dict:
+        text = _scalar_text(value, floats)
+        if text is not None:
+            out.append(text)
+            return
+    if depth + 1 == len(lines):
+        line = lines[depth][0] + "  "
+        lines.append((line, "," + line))
+    sep, comma = lines[depth + 1]
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{")
+        for key in sorted(value):
+            out.append(sep + _escape(key) + ": ")  # TypeError unless key is a str
+            _write(value[key], out, depth + 1, floats, lines)
+            sep = comma
+        out.append(lines[depth][0])
+        out.append("}")
+    else:
+        if not value:
+            out.append("[]")
+            return
+        out.append("[")
+        for item in value:
+            out.append(sep)
+            _write(item, out, depth + 1, floats, lines)
+            sep = comma
+        out.append(lines[depth][0])
+        out.append("]")
 
 
 def parse_report(text: str) -> dict:

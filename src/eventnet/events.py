@@ -57,7 +57,9 @@ class EventDetection:
     space, with ``support`` and ``net`` None, for one against an explicit
     algebra (:func:`detect_event_on`).  ``factor_projections``, the ambient
     ``event`` (validated under ``policy``) and ``event_algebra`` are built
-    from it when first read.
+    from it when first read.  ``support_state`` is the state reduced to
+    the support cells, the matrix a net detection was read from (None for
+    one against an explicit algebra).
     """
 
     point: Point | None
@@ -67,6 +69,7 @@ class EventDetection:
     isometries: np.ndarray = field(repr=False)
     net: AlgebraNet | None = field(default=None, repr=False)
     policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
+    support_state: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def factor_projections(self) -> tuple[np.ndarray, ...]:
@@ -186,11 +189,11 @@ def detect_event(net: AlgebraNet, point: Point, omega: State,
     detector on one state: nothing is built on the whole net until it is read.
     """
     support = net.support(point)
-    weights, counts, iso = linalg.spectral_isometries(net.reduce_state(omega, support)[None],
-                                                      policy.gap_min)
+    rho_f = net.reduce_state(omega, support)
+    weights, counts, iso = linalg.spectral_isometries(rho_f[None], policy.gap_min)
     weights = weights[0, :counts[0]]
     return EventDetection(point, tuple(weights.tolist()), event_happened(weights, policy),
-                          support, iso[0, :counts[0]], net, policy)
+                          support, iso[0, :counts[0]], net, policy, rho_f)
 
 
 def detect_event_on(alg: OperatorAlgebra, omega: State,
@@ -272,8 +275,8 @@ def mixture_check(net: AlgebraNet, point: Point, omega: State,
     matrix unit of the localized algebra at once.
     """
     detection = detect_event(net, point, omega, policy=policy)
-    rho_f = net.reduce_state(omega, detection.support)
-    return float(np.max(np.abs(linalg.mixture_residual(rho_f, detection.factor_projections))))
+    return float(np.max(np.abs(linalg.mixture_residual(detection.support_state,
+                                                       detection.factor_projections))))
 
 
 def spacelike_commutator_norm(det_a: EventDetection, det_b: EventDetection,

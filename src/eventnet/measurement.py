@@ -195,7 +195,7 @@ def recording_check(net: AlgebraNet, point: Point, omega: State,
     if not detection.happened:
         raise ResolutionError(f"no event happened at {point}; nothing can record")
     basis = event_basis(detection, epsilon, policy=policy)
-    rho_f = net.reduce_state(omega, detection.support)
+    rho_f = detection.support_state
     omega_f = State(rho_f, policy=policy)
     dec = spectral_decompose(x_f, omega_f, epsilon, policy=policy)
 

@@ -72,9 +72,6 @@ class Operator:
     def adjoint(self) -> "Operator":
         return Operator(self.entries.conj().T)
 
-    def is_self_adjoint(self, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-        return linalg.hermiticity_defect(self.entries) <= policy.tol_proj
-
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check(other)
         return Operator(self.entries @ other.entries)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg, opalg
 from .errors import CapExceededError, DimensionMismatchError
-from .opalg import OperatorAlgebra, State
+from .opalg import State
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "verify_nesting",
     "derive_causal_order",
 ]
-
-_DENSE_BASIS_ENTRIES = 1 << 22   # largest dense local-algebra basis, in complex entries
 
 
 class Point(NamedTuple):
@@ -246,30 +244,6 @@ class AlgebraNet:
     def membership_residual(self, op, p: Point) -> float:
         _, residual = self.reduce_operator(op, self.support(p))
         return residual
-
-    def dense_algebra_at(self, p: Point, *,
-                         policy: NumericPolicy = DEFAULT_POLICY) -> OperatorAlgebra:
-        """Materialize the localized algebra as an explicit basis.
-
-        Basis elements are the embedded matrix units of the support factor,
-        normalized to Hilbert-Schmidt length 1.  Refuses when the basis
-        would hold more than ``_DENSE_BASIS_ENTRIES`` complex entries.
-        """
-        support = self.support(p)
-        k = self.algebra_dim(p)
-        if k * self.dim * self.dim > _DENSE_BASIS_ENTRIES:
-            raise CapExceededError(f"dense basis at {p} needs {k} x {self.dim}^2 entries, "
-                                   f"more than {_DENSE_BASIS_ENTRIES}")
-        fdim = self.cell_dim ** len(support)
-        rest = self.dim // fdim
-        norm = np.sqrt(float(rest))
-        ops = [self.embed(unit, support) / norm for unit in linalg.matrix_units(fdim)]
-        return OperatorAlgebra(ops, policy=policy, validate=False)
-
-    def cell_generators(self, p: Point) -> list[np.ndarray]:
-        """Embedded single-cell matrix units generating the algebra at ``p``."""
-        return [self.embed(unit, (cell,)) for cell in self.support(p)
-                for unit in linalg.matrix_units(self.cell_dim)]
 
     def __repr__(self) -> str:
         return (f"AlgebraNet(cells={self.n_cells}, cell_dim={self.cell_dim}, "

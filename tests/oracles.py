@@ -5,6 +5,8 @@ index loops and brute-force product enumeration — so that agreement with
 the package's SVD-based routines is evidence, not circularity.
 """
 
+import json
+
 import numpy as np
 
 
@@ -99,6 +101,20 @@ def sequential_sum(values):
 def binomial_four_sigma(p, n):
     """Acceptance band half-width for an empirical frequency."""
     return 4.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+def is_self_adjoint(op, policy=None):
+    """Whether an :class:`Operator` equals its adjoint to the policy's ``tol_proj``."""
+    from eventnet import linalg
+    from eventnet.policy import DEFAULT_POLICY
+
+    policy = policy or DEFAULT_POLICY
+    return linalg.hermiticity_defect(op.entries) <= policy.tol_proj
+
+
+def serialize_report_by_json(report):
+    """The canonical report bytes as defined: ``json.dumps`` with indent 2 and sorted keys."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def max_commutator_norm_dense(ps, qs):
@@ -275,6 +291,41 @@ def nesting_pairs_by_sweep(net, policy):
     return rows
 
 
+_DENSE_BASIS_ENTRIES = 1 << 22   # largest dense local-algebra basis, in complex entries
+
+
+def dense_algebra_at(net, p, policy=None):
+    """The algebra of ``net`` at ``p`` materialized as an explicit basis.
+
+    Basis elements are the embedded matrix units of the support factor,
+    normalized to Hilbert-Schmidt length 1.  Refuses when the basis would
+    hold more than ``_DENSE_BASIS_ENTRIES`` complex entries.
+    """
+    from eventnet import linalg
+    from eventnet.errors import CapExceededError
+    from eventnet.opalg import OperatorAlgebra
+    from eventnet.policy import DEFAULT_POLICY
+
+    policy = policy or DEFAULT_POLICY
+    support = net.support(p)
+    k = net.algebra_dim(p)
+    if k * net.dim * net.dim > _DENSE_BASIS_ENTRIES:
+        raise CapExceededError(f"dense basis at {p} needs {k} x {net.dim}^2 entries, "
+                               f"more than {_DENSE_BASIS_ENTRIES}")
+    fdim = net.cell_dim ** len(support)
+    norm = np.sqrt(float(net.dim // fdim))
+    ops = [net.embed(unit, support) / norm for unit in linalg.matrix_units(fdim)]
+    return OperatorAlgebra(ops, policy=policy, validate=False)
+
+
+def cell_generators(net, p):
+    """Embedded single-cell matrix units generating the algebra of ``net`` at ``p``."""
+    from eventnet import linalg
+
+    return [net.embed(unit, (cell,)) for cell in net.support(p)
+            for unit in linalg.matrix_units(net.cell_dim)]
+
+
 def verify_nesting_dense(net, p, q, policy=None):
     """``verify_nesting`` with every algebra materialized as a dense basis.
 
@@ -289,12 +340,12 @@ def verify_nesting_dense(net, p, q, policy=None):
     from eventnet.spacetime import NestingReport
 
     policy = policy or DEFAULT_POLICY
-    alg_p = net.dense_algebra_at(p, policy=policy)
-    alg_q = net.dense_algebra_at(q, policy=policy)
+    alg_p = dense_algebra_at(net, p, policy=policy)
+    alg_q = dense_algebra_at(net, q, policy=policy)
     included = all(alg_p.membership_residual(b) <= policy.tol_closure
                    for b in alg_q.basis)
     strict = included and alg_q.dim < alg_p.dim
-    comm_q = opalg.commutant_of_operators(net.cell_generators(q), net.dim, policy=policy)
+    comm_q = opalg.commutant_of_operators(cell_generators(net, q), net.dim, policy=policy)
     rows = linalg.subspace_intersection(comm_q.flat_basis, alg_p.flat_basis,
                                         policy.tol_closure)
     rel = OperatorAlgebra(list(rows.reshape(-1, net.dim, net.dim)),

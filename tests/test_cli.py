@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventnet import (
     SCENARIO_BUILDERS,
@@ -383,6 +387,69 @@ def test_tree_section_agrees_with_the_tree():
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
+
+CONFIGS = Path(__file__).parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_serialized_scenario_reports_equal_the_json_encoding(name):
+    modes = ["enumerate", "sample"]
+    if "default_quantity" in build_scenario(name).params:
+        modes.append("record")
+    for mode in modes:
+        report, _ = run(_cfg(scenario=name, mode=mode, seed=1))
+        assert serialize_report(report) == oracles.serialize_report_by_json(report)
+
+
+@pytest.mark.parametrize("config, mode", [("cone-2x2", "enumerate"), ("cone-2x2", "sample"),
+                                          ("record-tilted", None), ("record-transverse", None)])
+def test_serialized_config_reports_equal_the_json_encoding(config, mode):
+    report, _ = run(load_config(str(CONFIGS / f"{config}.json"), {"mode": mode}))
+    assert serialize_report(report) == oracles.serialize_report_by_json(report)
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, math.nan, math.inf, -math.inf,
+                     np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf)]),
+    st.text(), st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\t']),
+)
+_JSON_LIKE = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.builds(_Pair, inner, inner),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_LIKE)
+def test_serialize_report_equals_the_json_encoding(value):
+    assert serialize_report(value) == oracles.serialize_report_by_json(value)
+
+
+def test_serialize_report_handles_deep_nesting():
+    # 400 levels of containers, shaped like a tree section: a node dict, then its children
+    node = {"children": [], "cum_prob": 0.5}
+    for depth in range(200):
+        node = {"children": [node, []], "cum_prob": 0.5 ** depth, "label": depth}
+    assert serialize_report(node) == oracles.serialize_report_by_json(node)
+
+
+@pytest.mark.parametrize("value", [{1: "one"}, {"a": {(0, 1): 2}}, {"a": object()},
+                                   {"a": [1, {2, 3}]}, {"a": 1j}, {"a": b"bytes"},
+                                   {"a": np.int64(1)}])
+def test_serialize_report_refuses_what_json_cannot_hold(value):
+    with pytest.raises(TypeError):
+        serialize_report(value)
+
 
 def test_serialize_parse_roundtrip():
     report, _ = run(_cfg(scenario="epr"))

@@ -109,7 +109,7 @@ def test_detection_routes_agree():
                 reduced = net.reduce_state(omega, support)
                 assert np.min(np.diff(np.linalg.eigvalsh(reduced))) >= 1e-3
                 fast = detect_event(net, pt, omega)
-                generic = detect_event_on(net.dense_algebra_at(pt), omega)
+                generic = detect_event_on(oracles.dense_algebra_at(net, pt), omega)
                 assert generic.happened == fast.happened
                 assert len(generic.event) == len(fast.event)
                 assert np.allclose(generic.probabilities, fast.probabilities,
@@ -282,8 +282,8 @@ def test_spacelike_norm_of_generic_and_mixed_pairs():
     left, right = Point(0, 0), Point(0, 1)
     omega = _gapped_state(net.dim, rng)
     # spacelike points, both detected against their explicit algebras
-    gen_a = detect_event_on(net.dense_algebra_at(left), omega, point=left)
-    gen_b = detect_event_on(net.dense_algebra_at(right), omega, point=right)
+    gen_a = detect_event_on(oracles.dense_algebra_at(net, left), omega, point=left)
+    gen_b = detect_event_on(oracles.dense_algebra_at(net, right), omega, point=right)
     fast_a = detect_event(net, left, omega)
     for det_a, det_b in ((gen_a, gen_b), (fast_a, gen_b)):
         norm = spacelike_commutator_norm(det_a, det_b, lattice=net.lattice)

@@ -256,3 +256,21 @@ def test_record_path_builds_nothing_on_the_whole_net(monkeypatch):
                           det.event.projections[actual.label].entries)
     assert len(det.event.projections) == net.factor_dim(point)
     assert det.event_algebra.dim == net.factor_dim(point)
+
+
+def test_each_check_takes_one_partial_trace(monkeypatch):
+    sc = recording_demo()
+    point = Point(0, 0)
+    calls = []
+    reduce_state = AlgebraNet.reduce_state
+
+    def counted(self, omega, support):
+        calls.append(tuple(support))
+        return reduce_state(self, omega, support)
+
+    monkeypatch.setattr(AlgebraNet, "reduce_state", counted)
+    recording_check(sc.net, point, sc.initial, sc.quantities["aligned"], 0.05)
+    assert calls == [sc.net.support(point)]
+    calls.clear()
+    mixture_check(sc.net, point, sc.initial)
+    assert calls == [sc.net.support(point)]
