@@ -27,7 +27,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, EventNetError
-from .histories import enumerate_tree, sample_paths
+from .histories import MAX_SAMPLES, enumerate_tree, sample_paths
 from .measurement import recording_check
 from .opalg import State
 from .policy import DEFAULT_POLICY, NumericPolicy, is_integer_at_least, is_real_number
@@ -120,10 +120,10 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
         else:
             problems.append(f"{key}: {value!r} is not one of {choices}")
     if raw.get("samples") is not None:
-        if is_integer_at_least(raw["samples"], 1):
+        if is_integer_at_least(raw["samples"], 1) and raw["samples"] <= MAX_SAMPLES:
             cfg.samples = raw["samples"]
         else:
-            problems.append(f"samples: {raw['samples']!r} is not an integer of at least 1")
+            problems.append(f"samples: {raw['samples']!r} is not a count from 1 to {MAX_SAMPLES}")
     seed = raw.get("seed")
     if seed is None or is_integer_at_least(seed, 0):
         cfg.seed = seed
@@ -228,9 +228,10 @@ def _net_from_config(desc: Mapping[str, Any], policy: NumericPolicy):
     lattice = CausalLattice(size["extent_tau"], size["extent_x"], size["speed"])
     if kind == "cone":
         return build_tensor_net(lattice, size["cell_dim"], policy=policy)
-    if size["n_cells"] > len(lattice.points()):
+    points = lattice.extent_tau * lattice.extent_x
+    if size["n_cells"] > points:
         raise ConfigError(f"net n_cells: {size['n_cells']} is more than the lattice's "
-                          f"{len(lattice.points())} points")
+                          f"{points} points")
     return build_full_net(lattice, size["cell_dim"], size["n_cells"], policy=policy)
 
 
@@ -317,27 +318,23 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
             "ambient_dim": net.dim,
         },
     }
-    if net.dim <= 64:
-        report["initial_state"] = _pairs(initial.rho)
-    else:
-        report["initial_state"] = None
+    report["initial_state"] = _pairs(initial.rho) if net.dim <= 64 else None
 
     t0 = time.perf_counter()
     report["nesting"] = _nesting_section(net, policy)
     timings["nesting"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    report["commutation"] = commutation = {"policy": cfg.commutation, "max_norm": 0.0,
+                                           "entries": []}
     if cfg.mode == "enumerate":
         tree = enumerate_tree(net, foliation, initial, policy=policy, imposed=imposed,
                               commutation=cfg.commutation)
         report["tree"], report["detections"] = _tree_section(tree)
         report["spectrum_dims"] = tree.spectrum_dims
-        report["commutation"] = {
-            "policy": cfg.commutation,
-            "max_norm": tree.max_commutator,
-            "entries": [{"leaf": li, "p": list(pa), "q": list(pb), "norm": n}
-                        for li, pa, pb, n in tree.commutation_norms],
-        }
+        commutation["max_norm"] = tree.max_commutator
+        commutation["entries"] = [{"leaf": li, "p": list(pa), "q": list(pb), "norm": n}
+                                  for li, pa, pb, n in tree.commutation_norms]
     elif cfg.mode == "sample":
         summary = sample_paths(net, foliation, initial, cfg.samples, cfg.seed,
                                policy=policy, imposed=imposed,
@@ -352,11 +349,7 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
             "paths": rows,
         }
         report["spectrum_dims"] = summary.spectrum_dims
-        report["commutation"] = {
-            "policy": cfg.commutation,
-            "max_norm": summary.max_commutator,
-            "entries": [],
-        }
+        commutation["max_norm"] = summary.max_commutator
     else:  # record
         if scenario is None or not scenario.quantities:
             raise ConfigError("record mode needs a scenario that declares quantities")
@@ -374,8 +367,6 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
                               cfg.epsilon, policy=policy)
         report["recording"] = dict(vars(rep))
         report["spectrum_dims"] = []
-        report["commutation"] = {"policy": cfg.commutation, "max_norm": 0.0,
-                                 "entries": []}
     timings["run"] = time.perf_counter() - t0
 
     if scenario is not None and scenario.expected and cfg.initial_state is None:
@@ -492,18 +483,15 @@ def parse_report(text: str) -> dict:
 
 
 def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
+    def path(row):
+        return "|".join(f"{t},{x}={lbl}" for t, x, lbl in row["path"])
+
     if "tree" in report:
-        header = ["path", "probability"]
-        rows = [["|".join(f"{t},{x}={lbl}" for t, x, lbl in row["path"]),
-                 repr(row["probability"])]
-                for row in report["tree"]["leaves"]]
-        return header, rows
+        return ["path", "probability"], [[path(row), repr(row["probability"])]
+                                         for row in report["tree"]["leaves"]]
     if "samples" in report:
-        header = ["path", "count", "frequency"]
-        rows = [["|".join(f"{t},{x}={lbl}" for t, x, lbl in row["path"]),
-                 row["count"], repr(row["frequency"])]
-                for row in report["samples"]["paths"]]
-        return header, rows
+        return ["path", "count", "frequency"], [[path(row), row["count"], repr(row["frequency"])]
+                                                for row in report["samples"]["paths"]]
     if "recording" in report:
         rec = report["recording"]
         header = ["k", "eigenvalue", "weight", "alignment_norm",
@@ -556,15 +544,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         report, timings = run(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except EventNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, CapExceededError) else 2
     try:
         text = emit_report(report, cfg.format, cfg.out)
     except OSError as exc:

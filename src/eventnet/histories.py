@@ -24,12 +24,12 @@ batched partial trace and one batched ``eigh`` per point on the stack of
 entry states, and each outcome is held by its eigenvector isometry V.
 Per point, the Born weights ``tr(V^H rho_S V)`` of every outcome of every
 branch come first; only the kept (or drawn) children are then collapsed,
-with V contracted on the support axes.  Each branch is replaced in place
-by its children, so children stay in (parent, outcome) row-major order
-and the frontier in tree order.  Commutator norms of two families are
-taken by principal angles (:func:`linalg.max_commutator_norm`), for every
-entry branch at once.  A node's state is checked as a :class:`State`
-only when it is read.
+with V contracted on the support axes, and recorded as one block of tree
+rows.  Each branch is replaced in place by its children, so the frontier
+stays in tree order.  Commutator norms of two families are taken by
+principal angles (:func:`linalg.max_commutator_norm`), for every entry
+branch at once.  Node objects are built, and their states checked, only
+when they are read.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .events import ActualEvent, event_happened, normalize_branch
 from .opalg import PotentialEvent, State, _as_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy, is_integer_at_least
 from .spacetime import AlgebraNet, CausalLattice, Foliation, Point, Relation, causal_relate
+
+MAX_SAMPLES = 2**63 - 1  # the most draws a multinomial draw takes (int64)
 
 __all__ = [
     "HistoryOperator",
@@ -143,7 +145,7 @@ def apply_propagator(u, state: State, *, policy: NumericPolicy = DEFAULT_POLICY)
 
 @dataclass(eq=False)
 class BranchNode:
-    """One realized outcome in the branching tree.
+    """One realized outcome in the branching tree, built from the tree's rows.
 
     ``cond_prob`` is the Born weight given the parent branch, ``cum_prob``
     the product along the path from the root.  ``event_dim`` is the
@@ -154,8 +156,9 @@ class BranchNode:
     partial trace of the ambient branch state onto them.  Cells that no
     later point reads or acts on are dropped, so a leaf at the end of a
     cone net carries no cells and a 1x1 state.  The root holds the initial
-    state on every cell.  ``state_after`` is ``rho`` as a :class:`State`,
-    built and checked under ``policy`` the first time it is read.
+    state on every cell, and any other node a row of the state stack its
+    point made (see :class:`HistoryTree`).  ``state_after`` is ``rho`` as a
+    :class:`State`, built and checked under ``policy`` when first read.
 
     ``children_prob_sum`` is the total weight of the outcomes at the next
     applied family.  A node whose every outcome fell below ``prob_floor``
@@ -182,46 +185,94 @@ class BranchNode:
         return self._state
 
 
-@dataclass
+class _Block(NamedTuple):
+    """The children one applied point made, as consecutive rows of the tree.
+
+    Child c descends from row ``parent[c]`` by outcome ``outcome[c]`` of a
+    family of ``event_dim[c]`` outcomes; ``iso[c]`` spans it on ``support``,
+    ``rho[c]`` is its state on ``cells`` and ``draws[c]`` (None when
+    enumerating) the draws that reached it.
+    """
+
+    leaf_index: int
+    point: Point
+    labels: tuple
+    support: tuple[int, ...]
+    cells: tuple[int, ...]
+    parent: np.ndarray
+    outcome: np.ndarray
+    cond: np.ndarray
+    cum: np.ndarray
+    event_dim: np.ndarray
+    iso: np.ndarray
+    rho: np.ndarray
+    draws: np.ndarray | None
+
+
+@dataclass(eq=False)
 class HistoryTree:
-    """Full enumeration of histories along a foliation.
+    """Full enumeration of histories along a foliation, held as rows.
+
+    Row 0 is the root, and each applied point appends one :class:`_Block`
+    of the children it made; ``children_prob_sum`` is one array over the
+    rows, NaN where no family fired.  ``root`` builds the
+    :class:`BranchNode` and :class:`ActualEvent` objects of every row in
+    one pass the first time it is read, and keeps them.
 
     ``pruned_mass`` is the mass of outcomes dropped below ``prob_floor``
     beside a sibling that was kept.  The listed leaves and the pruned mass
     together hold every unit of probability once.
     """
 
-    root: BranchNode
     foliation: Foliation
     pruned_mass: float
     spectrum_dims: list[int]
     commutation_norms: list[tuple[int, Point, Point, float]]
     max_commutator: float
+    _initial: State = field(repr=False)
+    _net: AlgebraNet = field(repr=False)
+    _policy: NumericPolicy = field(repr=False)
+    _blocks: list[_Block] = field(repr=False)
+    _sums: np.ndarray = field(repr=False)
+    _root: BranchNode | None = field(default=None, repr=False)
+
+    @property
+    def root(self) -> BranchNode:
+        if self._root is None:
+            net, policy = self._net, self._policy
+            sums = [None if s != s else s for s in self._sums.tolist()]  # NaN is None
+            nodes = [BranchNode(-1, None, None, self._initial.rho, tuple(range(net.n_cells)),
+                                1.0, 1.0, None, policy, children_prob_sum=sums[0],
+                                _state=self._initial)]
+            for b in self._blocks:
+                for p, k, iso, rho, w, cum, dim in zip(
+                        b.parent.tolist(), b.outcome.tolist(), b.iso, b.rho, b.cond.tolist(),
+                        b.cum.tolist(), b.event_dim.tolist()):
+                    actual = ActualEvent.from_isometry(b.point, b.labels[k], iso, b.support,
+                                                       net, w)
+                    node = BranchNode(b.leaf_index, b.point, actual, rho, b.cells, w, cum, dim,
+                                      policy, children_prob_sum=sums[len(nodes)])
+                    nodes[p].children.append(node)
+                    nodes.append(node)
+            self._root = nodes[0]
+        return self._root
+
+    def _walk_leaves(self):
+        """Each leaf in tree order, with the events on its path from the root."""
+        stack = [(self.root, ())]
+        while stack:
+            node, events = stack.pop()
+            events += () if node.actual is None else (node.actual,)
+            if not node.children:
+                yield node, events
+            stack.extend((child, events) for child in reversed(node.children))
 
     def leaves(self) -> list[BranchNode]:
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                stack.extend(reversed(node.children))
-            else:
-                out.append(node)
-        return out
+        return [leaf for leaf, _ in self._walk_leaves()]
 
     def leaf_paths(self) -> list[tuple[tuple[ActualEvent, ...], float]]:
         """Each leaf's event sequence (causal order) and its path probability."""
-        paths = []
-
-        def walk(node, acc):
-            nxt = acc + ([node.actual] if node.actual is not None else [])
-            if not node.children:
-                paths.append((tuple(nxt), node.cum_prob))
-                return
-            for child in node.children:
-                walk(child, nxt)
-
-        walk(self.root, [])
-        return paths
+        return [(events, leaf.cum_prob) for leaf, events in self._walk_leaves()]
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +297,6 @@ class _Family(NamedTuple):
     counts: np.ndarray
     fires: np.ndarray
     keep: tuple[int, ...]
-
-
-def _imposed_isometries(net: AlgebraNet, imposed: Mapping[Point, PotentialEvent],
-                        policy: NumericPolicy) -> dict[Point, tuple]:
-    """Each imposed family's (support, labels, isometry stack), found once per run.
-
-    The support is the fewest cells the family's projections act on
-    (:meth:`AlgebraNet.localize` at ``tol_proj``, as for propagators).
-    """
-    out = {}
-    for pt, fam in imposed.items():
-        support, factors = net.localize([p.entries for p in fam.projections], policy.tol_proj)
-        out[pt] = (support, fam.labels, linalg.range_isometries(factors))
-    return out
 
 
 def _keep_cells(net: AlgebraNet, foliation: Foliation,
@@ -408,122 +445,90 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
     return linalg.trace_normalized(out.reshape(len(ks), dim, dim))
 
 
-class _Branch(NamedTuple):
-    """An ended branch: its node, its state on ``cells``, its draws and its events."""
-
-    node: BranchNode
-    rho: np.ndarray
-    cells: tuple[int, ...]
-    draws: int | None
-    events: tuple[ActualEvent, ...]
-
-
 class _Frontier(NamedTuple):
     """The live branches, as one stack of states on the same cells.
 
-    ``origin[i]`` is the entry branch of the current leaf that branch i
-    descends from; ``draws`` is None when enumerating.
+    Branch i is tree row ``row[i]``, of path probability ``cum[i]``, and
+    descends from entry branch ``origin[i]`` of the current leaf; ``draws``
+    is None when enumerating.
     """
 
     rho: np.ndarray
     cells: tuple[int, ...]
-    nodes: list[BranchNode]
+    row: np.ndarray
+    cum: np.ndarray
     origin: np.ndarray
     draws: np.ndarray | None
-    events: list[tuple[ActualEvent, ...]]
-
-
-def _ended(front: _Frontier, i: int) -> _Branch:
-    """Live branch i of the frontier, as a branch that ends there."""
-    return _Branch(front.nodes[i], front.rho[i].copy(), front.cells,
-                   None if front.draws is None else int(front.draws[i]), front.events[i])
 
 
 def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
                   policy: NumericPolicy, gen: np.random.Generator | None,
-                  ended: list[_Branch]) -> tuple[_Frontier, float]:
-    """Apply one point's family to every live branch; returns the new frontier and pruned mass.
+                  sums: np.ndarray) -> tuple[_Frontier, _Block, float]:
+    """Apply one point's family to every live branch: new frontier, block, pruned mass.
 
-    Probabilities come first, for every branch the family fires on; only
-    the children kept (or drawn) are collapsed.  Every branch, fired or
-    not, is reduced to ``fam.keep``.  Each branch is replaced in place by
-    its children in outcome order, so the frontier stays in tree order.
+    ``sums`` has one entry per row so far, and the children's rows come
+    next; each row the family fires on gets its outcomes' total weight
+    there.  Weights come first; only the children kept (or drawn) are
+    collapsed.  Every branch, fired or not, is reduced to ``fam.keep``, and
+    each is replaced in place by its children, so the frontier stays in tree order.
     """
     d, floor, cap = net.cell_dim, policy.prob_floor, policy.branch_cap
     fires = fam.fires[front.origin]
     fired, still = np.flatnonzero(fires), np.flatnonzero(~fires)
-    fired_list = fired.tolist()
     sub = front.rho if not len(still) else front.rho[fired]
     iso = fam.iso[front.origin[fired]]
     counts = fam.counts[front.origin[fired]]
     probs = _born_weights(sub, front.cells, fam.support, iso, d)
-    parents = [front.nodes[p] for p in fired_list]
-    cums = np.array([node.cum_prob for node in parents])[:, None] * probs
+    cums = front.cum[fired, None] * probs
     valid = np.arange(probs.shape[1]) < counts[:, None]
     # a zero weight is never kept, so no child is divided by a zero trace
     kept = valid & (cums >= floor) & (probs > 0.0)
     alive = kept.any(axis=1)
     pruned = float(cums[alive[:, None] & valid & ~kept].sum())
-    for node, total in zip(parents, probs.sum(axis=1).tolist()):
-        node.children_prob_sum = total
+    sums[front.row[fired]] = probs.sum(axis=1)
     # a parent whose every outcome is pruned is a leaf with its own mass and draws
-    ended.extend(_ended(front, fired_list[f]) for f in np.flatnonzero(~alive).tolist())
     take = kept & alive[:, None]
     if front.draws is not None:
         split = np.zeros(probs.shape, dtype=np.int64)
         for f in np.flatnonzero(alive).tolist():
             w = probs[f, :counts[f]]
-            split[f, :counts[f]] = gen.multinomial(front.draws[fired_list[f]], w / w.sum())
+            split[f, :counts[f]] = gen.multinomial(front.draws[fired[f]], w / w.sum())
         if split[~kept].any():
             raise NullBranchError("sampled an outcome below prob_floor")
         take &= split > 0
     rows, ks = np.nonzero(take)
+    draws = None if front.draws is None else split[rows, ks]
     if len(still) + len(rows) > cap:
         raise BranchOverflowError(f"branching exceeded the branch cap of {cap}")
     states = _collapse(sub, front.cells, fam.support, fam.keep, iso, rows, ks, d)
-    child_iso = iso[rows, ks]
-    counts_list = counts.tolist()
-    nodes, events = [], []
-    for c, (f, k, w) in enumerate(zip(rows.tolist(), ks.tolist(), probs[rows, ks].tolist())):
-        parent = parents[f]
-        actual = ActualEvent.from_isometry(fam.point, fam.labels[k], child_iso[c],
-                                           fam.support, net, w)
-        child = BranchNode(li, fam.point, actual, states[c], fam.keep, w,
-                           parent.cum_prob * w, counts_list[f], policy)
-        parent.children.append(child)
-        nodes.append(child)
-        events.append(front.events[fired_list[f]] + (actual,))
-    origin = front.origin[fired[rows]]
-    draws = None if front.draws is None else split[rows, ks]
+    block = _Block(li, fam.point, fam.labels, fam.support, fam.keep, front.row[fired[rows]], ks,
+                   probs[rows, ks], cums[rows, ks], counts[rows], iso[rows, ks], states, draws)
+    new = _Frontier(states, fam.keep, len(sums) + np.arange(len(ks)), block.cum,
+                    front.origin[fired[rows]], draws)
     if len(still):
-        # merge the branches the family skipped back in, each before the
-        # children of later branches
+        # merge the branches the family skipped back in, each before the children
+        # of later branches; rows, cum, origin and draws all follow ``order``
         order = np.argsort(np.concatenate([still, fired[rows]]), kind="stable")
-        states = np.concatenate([_reduce(front.rho[still], front.cells, fam.keep, d),
-                                 states])[order]
-        nodes = [front.nodes[p] for p in still.tolist()] + nodes
-        events = [front.events[p] for p in still.tolist()] + events
-        nodes = [nodes[i] for i in order.tolist()]
-        events = [events[i] for i in order.tolist()]
-        origin = np.concatenate([front.origin[still], origin])[order]
-        if draws is not None:
-            draws = np.concatenate([front.draws[still], draws])[order]
-    return _Frontier(states, fam.keep, nodes, origin, draws, events), pruned
+        skipped = _Frontier(_reduce(front.rho[still], front.cells, fam.keep, d), fam.keep,
+                            *(None if a is None else a[still] for a in front[2:]))
+        new = _Frontier(*(b if a is None or isinstance(a, tuple) else np.concatenate([a, b])[order]
+                          for a, b in zip(skipped, new)))
+    return new, block, pruned
 
 
 def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: NumericPolicy,
           imposed: Mapping[Point, PotentialEvent] | None,
           propagators: Mapping[int, object] | None, commutation: str,
           draws: int | None = None,
-          gen: np.random.Generator | None = None) -> tuple[HistoryTree, list[_Branch]]:
+          gen: np.random.Generator | None = None) -> tuple[HistoryTree, _Frontier]:
     """The branching engine behind :func:`enumerate_tree` and the samplers.
 
     With ``draws=None`` every outcome that is not pruned is expanded.  With
     ``draws=n`` the root holds ``n`` draws, each parent splits its draws
     over the outcomes with one multinomial draw from ``gen``, in
     point-major frontier order, and only the outcomes that receive draws
-    are expanded.  Returns the tree and every branch that ended, each at a
-    leaf.
+    are expanded.  Returns the tree and the last frontier that held a live
+    branch: the final one, or the one a family ended every branch of.
     """
     if commutation not in ("warn", "abort"):
         raise ValueError("commutation policy must be 'warn' or 'abort'")
@@ -536,26 +541,28 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
     if initial.dim != net.dim:
         raise DimensionMismatchError(f"the initial state has dimension {initial.dim}, "
                                      f"not the net's {net.dim}")
-    # (support, [factor]) per leaf, localized as the imposed families are; localizing
+    # found once per run on the fewest cells each acts on: (support, [factor]) per
+    # propagator and (support, labels, isometry stack) per imposed family; localizing
     # refuses a propagator or a family that is not on the net
     gates = {li: net.localize([_unitary(u, policy)], policy.tol_proj)
              for li, u in propagators.items()}
-    local = _imposed_isometries(net, imposed, policy)
+    local = {}
+    for pt, fam in imposed.items():
+        support, factors = net.localize([p.entries for p in fam.projections], policy.tol_proj)
+        local[pt] = (support, fam.labels, linalg.range_isometries(factors))
     keep = _keep_cells(net, foliation, local, gates)
-    every = tuple(range(net.n_cells))
-    root = BranchNode(leaf_index=-1, point=None, actual=None, rho=initial.rho,
-                      state_cells=every, cond_prob=1.0, cum_prob=1.0, event_dim=None,
-                      policy=policy)
-    root._state = initial
-    front = _Frontier(initial.rho[None], every, [root], np.zeros(1, dtype=int),
-                      None if draws is None else np.array([draws]), [()])
-    ended: list[_Branch] = []
+    front = _Frontier(initial.rho[None], tuple(range(net.n_cells)), np.zeros(1, dtype=np.int64),
+                      np.ones(1), np.zeros(1, dtype=int),
+                      None if draws is None else np.array([draws]))
+    blocks: list[_Block] = []
+    sums = np.full(1, np.nan)
+    last = front
     pruned = 0.0
     dims: set[int] = set()
     comm_worst: dict[tuple[int, Point, Point], float] = {}
 
     for li, leaf in enumerate(foliation.leaves):
-        if not front.nodes:
+        if not len(front.row):
             break
         if li in gates:
             support, (gate,) = gates[li]
@@ -576,16 +583,18 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
                                        f"commute (norm {norms[row]:.3e})")
         for pa, pb, norms in pairs:
             comm_worst[(li, pa, pb)] = float(norms.max())
-        front = front._replace(origin=np.arange(len(front.nodes)))
+        front = front._replace(origin=np.arange(len(front.row)))
         for fam in families:
-            front, lost = _branch_point(front, fam, li, net, policy, gen, ended)
+            last = front if len(front.row) else last
+            front, block, lost = _branch_point(front, fam, li, net, policy, gen, sums)
+            blocks.append(block)
             pruned += lost
-    ended.extend(_ended(front, i) for i in range(len(front.nodes)))
+            sums = np.concatenate([sums, np.full(len(block.parent), np.nan)])
     comm_list = sorted((li, pa, pb, n) for (li, pa, pb), n in comm_worst.items())
-    tree = HistoryTree(root=root, foliation=foliation, pruned_mass=pruned,
-                       spectrum_dims=sorted(dims), commutation_norms=comm_list,
-                       max_commutator=max((n for *_, n in comm_list), default=0.0))
-    return tree, ended
+    tree = HistoryTree(foliation, pruned, sorted(dims), comm_list,
+                       max((n for *_, n in comm_list), default=0.0),
+                       initial, net, policy, blocks, sums)
+    return tree, front if len(front.row) else last
 
 
 def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
@@ -603,11 +612,9 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     the parent stays a leaf holding its own mass, and nothing is added.
     An outcome of weight 0 is pruned too, even at ``prob_floor=0``.
     ``propagators`` optionally maps a leaf index to a unitary on the whole
-    net, applied to every branch before that leaf is processed.  Each
-    node's ``state_after`` holds only the cells later points still touch
-    (see :class:`BranchNode`); a propagator is localized once per run to
-    the fewest cells it acts on, as an imposed family is, and branches keep
-    those cells until it has run.  An imposed family at a point outside
+    net, applied to every branch before that leaf is processed.  The tree
+    is held as rows, and its node objects are built when ``root`` is first
+    read (see :class:`HistoryTree`).  An imposed family at a point outside
     the foliation, a propagator key that is not a leaf index, or an
     initial state, family or propagator not on the net's dimension raises
     before any branching.
@@ -657,10 +664,12 @@ def sample_history(net: AlgebraNet, foliation: Foliation, initial: State,
     :class:`NullBranchError`.  The live branches are capped by
     ``policy.branch_cap`` as in :func:`enumerate_tree`.
     """
-    tree, (leaf,) = _grow(net, foliation, initial, policy, imposed, propagators,
-                          commutation, draws=1, gen=np.random.default_rng(seed))
-    return SampledHistory(events=leaf.events, final_state=State(leaf.rho, policy=policy),
-                          final_cells=leaf.cells, probability=leaf.node.cum_prob,
+    tree, end = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
+                      draws=1, gen=np.random.default_rng(seed))
+    # one draw grows a single path: one leaf, whose branch is the one row of ``end``
+    ((events, probability),) = tree.leaf_paths()
+    return SampledHistory(events=events, final_state=State(end.rho[0], policy=policy),
+                          final_cells=end.cells, probability=probability,
                           max_commutator=tree.max_commutator,
                           spectrum_dims=tree.spectrum_dims)
 
@@ -701,12 +710,20 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
     sample, or branch by branch.  ``max_commutator`` and ``spectrum_dims``
     cover the branches the draws visited.
     """
-    if not is_integer_at_least(n_samples, 1):
-        raise ValueError(f"n_samples {n_samples!r} is not an integer of at least 1")
-    tree, ended = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
-                        draws=n_samples, gen=np.random.default_rng(seed))
-    counts = {tuple((e.point.tau, e.point.x, e.label) for e in b.events): b.draws
-              for b in ended}
+    if not is_integer_at_least(n_samples, 1) or n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples {n_samples!r} is not an integer of at least 1 and at most "
+                         f"{MAX_SAMPLES}")
+    tree, _ = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
+                    draws=n_samples, gen=np.random.default_rng(seed))
+    # each row's path is its parent row's and one step; a leaf is no row's parent
+    paths, draws = [()], [n_samples]
+    for b in tree._blocks:
+        step = [(b.point.tau, b.point.x, label) for label in b.labels]
+        paths += [paths[p] + (step[k],) for p, k in zip(b.parent.tolist(), b.outcome.tolist())]
+        draws += b.draws.tolist()
+    parents = {p for b in tree._blocks for p in b.parent.tolist()}
+    counts = {path: count for row, (path, count) in enumerate(zip(paths, draws))
+              if row not in parents}
     return SampleSummary(n_samples=n_samples, seed=seed, counts=counts,
                          max_commutator=tree.max_commutator,
                          spectrum_dims=tree.spectrum_dims)

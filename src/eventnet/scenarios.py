@@ -298,13 +298,11 @@ def two_leaf_chain(seed: int = 7, spectrum: Sequence[float] = (0.4, 0.3, 0.2, 0.
 
 def _evaluate_two_leaf_chain(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
     tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial, policy=policy)
-    actuals: dict[str, float] = {}
-    total = 0.0
-    for events, prob in tree.leaf_paths():
-        actuals[f"leaf_prob[{','.join(str(e.label) for e in events)}]"] = prob
-        total += prob
-    actuals["total_prob"] = total
-    actuals["n_leaves"] = float(len(tree.leaves()))
+    paths = tree.leaf_paths()
+    actuals = {f"leaf_prob[{','.join(str(e.label) for e in events)}]": prob
+               for events, prob in paths}
+    actuals["total_prob"] = sum(prob for _, prob in paths)
+    actuals["n_leaves"] = float(len(paths))
     return actuals
 
 

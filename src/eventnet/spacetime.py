@@ -136,14 +136,16 @@ class AlgebraNet:
             raise ValueError("cell dimension must be at least 2")
         self.lattice = lattice
         self.cell_dim = int(cell_dim)
+        # a cell per point unless named, counted before the points are listed; once n
+        # reaches cap's bit length, cell_dim**n >= 2**n > cap without taking the power
+        n = len(cells) if cells is not None else lattice.extent_tau * lattice.extent_x
+        cap = policy.dimension_cap
+        if n >= cap.bit_length() or self.cell_dim ** n > cap:
+            raise CapExceededError(f"ambient dimension {self.cell_dim}**{n} exceeds the cap {cap}")
         self.cells = tuple(cells) if cells is not None else tuple(lattice.points())
         if len(set(self.cells)) != len(self.cells):
             raise ValueError("tensor cells must be distinct")
-        dim = self.cell_dim ** len(self.cells)
-        if dim > policy.dimension_cap:
-            raise CapExceededError(
-                f"ambient dimension {dim} exceeds the cap {policy.dimension_cap}")
-        self.dim = dim
+        self.dim = self.cell_dim ** n
         self._cell_index = {c: i for i, c in enumerate(self.cells)}
         if supports is None:
             supports = {p: self._cone_cells(p) for p in lattice.points()}

@@ -140,11 +140,12 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
     {"scenario": "recording-demo", "mode": "record", "epsilon": "0.1"},
     {"scenario": "recording-demo", "mode": "record", "epsilon": True},
     {"scenario": "recording-demo", "mode": "record", "epsilon": 1e-9},
+    {"scenario": "epr", "mode": "sample", "samples": 2**63},
 ], ids=["cell-dim-string", "cell-dim-one", "n-cells-string", "n-cells-too-many",
         "state-dim", "point-string", "point-outside", "samples-bool", "samples-float",
         "seed-bool", "seed-negative", "params-string", "params-range", "params-zero-direction",
         "net-key-typo", "record-key-typo", "epsilon-string", "epsilon-bool",
-        "epsilon-below-floor"])
+        "epsilon-below-floor", "samples-too-large"])
 def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
@@ -521,13 +522,20 @@ def test_main_config_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_main_cap_exceeded_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("net", [
+    {"kind": "cone", "extent_tau": 4, "extent_x": 4},
+    # 2**14285 has more digits than Python writes for an int by default
+    {"kind": "cone", "extent_tau": 120, "extent_x": 120},
+    {"kind": "full", "extent_tau": 120, "extent_x": 120, "n_cells": 14285},
+], ids=["cone-4x4", "cone-120x120", "full-14285-cells"])
+def test_main_cap_exceeded_exit_code(tmp_path, capsys, net):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"net": {"kind": "cone", "extent_tau": 4,
-                                        "extent_x": 4}}))
+    path.write_text(json.dumps({"net": net}))
     rc = main(["--config", str(path)])
     assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_main_sample_mode_applies_branch_cap(tmp_path, capsys):
