@@ -4,8 +4,10 @@ Configuration is a JSON file; a handful of flags override its fields.
 Reports are deterministic functions of (config, seed), with no timestamps
 and no wall-clock data (timings go to stderr).  Their canonical bytes are
 defined as ``json.dumps(report, indent=2, sort_keys=True) + "\n"`` and are
-written by an equivalent writer, :func:`serialize_report`.  Complex
-matrices serialize as row-major [re, im] pairs.
+written by an equivalent writer, :func:`serialize_report`, which writes a
+regular nested array of floats in one formatting pass.  Complex matrices
+serialize as row-major [re, im] pairs.  The tree section is read off the
+history tree's rows (:meth:`HistoryTree.rows`); no node object is built.
 
 Exit codes: 0 success, 1 configuration problems, 2 numeric failures
 (including a commutation abort), 3 resource caps.
@@ -15,12 +17,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Mapping
 
@@ -235,37 +241,65 @@ def _net_from_config(desc: Mapping[str, Any], policy: NumericPolicy):
     return build_full_net(lattice, size["cell_dim"], size["n_cells"], policy=policy)
 
 
-def _tree_section(tree) -> tuple[dict, list[dict]]:
-    """The tree section and the detection rows, from one walk of the tree.
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector while a report's containers are built.
 
-    The walk carries each node's [tau, x, label] path down to the leaf rows.
-    A detection row counts the nodes of one (leaf, point) and reports the
-    largest outcome count among them.
+    The tree section and the report text hold no reference cycles, but
+    each collection walks every live container: on a tree of 5e5 rows,
+    collecting as the dicts and lists pile up took longer than the build.
     """
-    leaves: list[dict] = []
-    detections: dict[tuple[int, Point], dict] = {}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
-    def walk(node, path: list) -> dict:
-        if node.point is not None:
-            path = path + [[node.point.tau, node.point.x, node.actual.label]]
-            row = detections.setdefault((node.leaf_index, node.point), {
-                "leaf": node.leaf_index, "point": list(node.point), "nodes": 0,
-                "event_dim": node.event_dim})
-            row["nodes"] += 1
-            row["event_dim"] = max(row["event_dim"], node.event_dim)
-        if not node.children:
-            leaves.append({"path": path, "probability": node.cum_prob})
-        return {"point": None if node.point is None else list(node.point),
-                "label": None if node.actual is None else node.actual.label,
-                "cond_prob": node.cond_prob, "cum_prob": node.cum_prob,
-                "event_dim": node.event_dim, "children_prob_sum": node.children_prob_sum,
-                "children": [walk(child, path) for child in node.children]}
 
-    root = walk(tree.root, [])
-    leaves.sort(key=lambda r: json.dumps(r["path"]))
-    section = {"root": root, "n_leaves": len(leaves), "pruned_mass": tree.pruned_mass,
-               "leaves": leaves}
-    return section, [detections[key] for key in sorted(detections)]
+@_gc_paused()
+def _tree_section(tree) -> tuple[dict, list[dict]]:
+    """The tree section and the detection rows, read off the tree's rows.
+
+    Each row's node dict is appended to its parent row's ``children``, in
+    row order, which is the order of ``tree.root``.  A row's [tau, x,
+    label] path, and the json text of that path (the leaf rows' sort key),
+    are its parent's and one step.  A detection row is one block of rows:
+    the nodes one (leaf, point) made, and the largest outcome count among
+    them.  No node object is built.
+    """
+    sums, blocks = tree.rows()
+    nodes = [{"point": None, "label": None, "cond_prob": 1.0, "cum_prob": 1.0,
+              "event_dim": None, "children_prob_sum": sums[0], "children": []}]
+    paths: list[list] = [[]]
+    keys = ["[]"]
+    parents: set[int] = set()
+    detections = []
+    for b in blocks:
+        if not b.parent:
+            continue
+        tau, x = b.point
+        steps = [json.dumps([tau, x, label]) for label in b.labels]
+        for p, k, w, cum, dim in zip(b.parent, b.outcome, b.cond_prob, b.cum_prob,
+                                     b.event_dim):
+            label = b.labels[k]
+            node = {"point": [tau, x], "label": label, "cond_prob": w, "cum_prob": cum,
+                    "event_dim": dim, "children_prob_sum": sums[len(nodes)], "children": []}
+            nodes[p]["children"].append(node)
+            nodes.append(node)
+            paths.append(paths[p] + [[tau, x, label]])
+            key = keys[p]
+            keys.append(f"{key[:-1]}, {steps[k]}]" if p else f"[{steps[k]}]")
+        parents.update(b.parent)
+        detections.append({"leaf": b.leaf_index, "point": [tau, x], "nodes": len(b.parent),
+                           "event_dim": max(b.event_dim)})
+    leaves = sorted((r for r in range(len(nodes)) if r not in parents), key=keys.__getitem__)
+    section = {"root": nodes[0], "n_leaves": len(leaves), "pruned_mass": tree.pruned_mass,
+               "leaves": [{"path": paths[r], "probability": nodes[r]["cum_prob"]}
+                          for r in leaves]}
+    detections.sort(key=lambda row: (row["leaf"], row["point"]))
+    return section, detections
 
 
 def _nesting_section(net, policy) -> dict:
@@ -377,17 +411,21 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     return report, timings
 
 
+@_gc_paused()
 def serialize_report(report: dict) -> str:
     """Canonical bytes: ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``.
 
-    Written by one recursive pass that appends to a list, since with an
-    indent set ``json.dumps`` runs its pure-Python encoder, one generator
-    per nesting level.  The output is the same text.  A value json cannot
-    hold raises ``TypeError``, and so does a dict key that is not a string,
-    which ``json.dumps`` would write as one; no report holds such a key.
+    Written by one recursive pass that appends to a list (:class:`_Writer`),
+    since with an indent set ``json.dumps`` runs its pure-Python encoder,
+    one generator per nesting level.  The output is the same text.  A value
+    json cannot hold raises ``TypeError``, and so does a dict key that is
+    not a string, which ``json.dumps`` would write as one; no report holds
+    such a key.
     """
-    out: list[str] = []
-    _write(report, out, 0, {}, [("\n", ",\n")])
+    writer = _Writer()
+    writer.write(report, 0)
+    out = writer.out
+    del writer  # its memos are freed before the pieces are joined
     out.append("\n")
     return "".join(out)
 
@@ -406,25 +444,12 @@ def _float_text(value: float, floats: dict) -> str:
     return text
 
 
-def _scalar_text(value, floats: dict) -> str | None:
-    """json's text for a scalar; None for a list, tuple or dict.
+def _subclass_text(value, floats: dict) -> str | None:
+    """json's text for a str, int or float subclass; None for a list, tuple or dict.
 
-    Exact types are tested first, then subclasses in json's own order, so
-    ``bool`` is never written as an int and ``np.float64`` is a float.
+    The types are tested in json's own order, so ``np.float64`` is a float;
+    exact types never get here (see :class:`_Writer`).
     """
-    kind = type(value)
-    if kind is str:
-        return _escape(value)
-    if kind is float:
-        return _float_text(value, floats)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is int:
-        return int.__repr__(value)
     if isinstance(value, str):
         return _escape(value)
     if isinstance(value, int):
@@ -433,49 +458,124 @@ def _scalar_text(value, floats: dict) -> str | None:
         return _float_text(value, floats)
     if isinstance(value, (list, tuple, dict)):
         return None
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write(value, out: list[str], depth: int, floats: dict,
-           lines: list[tuple[str, str]]) -> None:
-    """Append the text of ``value``, nested ``depth`` containers deep.
+class _Writer:
+    """The text of one report, appended to ``out`` in one recursive pass.
 
     ``lines[d]`` is the newline and indent of depth ``d``, bare and after a
-    comma.  It grows as the walk goes deeper, so all containers at one depth
-    append the same separator strings instead of building their own.
+    comma, so all containers at one depth append the same separator
+    strings; a dict's key heads are kept per depth and key tuple, and a
+    container writes the scalars it holds itself.
+
+    A list that is a regular nested array of exact, finite floats (every
+    row a non-empty list of one length, down to the floats) is written in
+    one step: one ``%s`` template, built for its shape and depth, filled
+    with the floats' texts.  An array's texts are kept under its bytes, so
+    an array written twice, at any depth, is formatted once; bytes tell 0.0
+    from -0.0, which compare equal.  Every other value takes the general
+    path.
     """
-    kind = type(value)
-    if kind is not list and kind is not dict:
-        text = _scalar_text(value, floats)
+
+    def __init__(self):
+        self.out: list[str] = []
+        self.lines = [("\n", ",\n")]
+        self.floats: dict[float, str] = {}
+        self.arrays: dict[bytes, tuple[str, ...]] = {}
+        self.heads: dict[tuple, tuple[list, list[str]]] = {}
+        # exact types only, so a bool is never an int; subclasses go to _subclass_text
+        self.scalars = {str: _escape, float: partial(_float_text, floats=self.floats),
+                        int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+                        type(None): lambda _: "null"}
+
+    def write(self, value, depth: int) -> None:
+        """Append the text of ``value``, nested ``depth`` containers deep."""
+        out, lines = self.out, self.lines
+        kind = type(value)
+        fmt = self.scalars.get(kind)
+        if fmt is not None:
+            text = fmt(value)
+        elif kind is list:
+            text = self._float_array(value, depth) if value else "[]"
+        elif kind is dict:
+            text = None if value else "{}"
+        else:
+            text = _subclass_text(value, self.floats)
+            if text is None and not value:
+                text = "{}" if isinstance(value, dict) else "[]"
         if text is not None:
             out.append(text)
             return
-    if depth + 1 == len(lines):
-        line = lines[depth][0] + "  "
-        lines.append((line, "," + line))
-    sep, comma = lines[depth + 1]
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{")
-        for key in sorted(value):
-            out.append(sep + _escape(key) + ": ")  # TypeError unless key is a str
-            _write(value[key], out, depth + 1, floats, lines)
-            sep = comma
-        out.append(lines[depth][0])
-        out.append("}")
-    else:
-        if not value:
-            out.append("[]")
-            return
-        out.append("[")
-        for item in value:
-            out.append(sep)
-            _write(item, out, depth + 1, floats, lines)
-            sep = comma
-        out.append(lines[depth][0])
-        out.append("]")
+        sep, comma = self._line(depth + 1)
+        scalars = self.scalars
+        if isinstance(value, dict):
+            keys, heads = self._heads(value, depth)
+            out.append("{")
+            for key, head in zip(keys, heads):
+                item = value[key]
+                fmt = scalars.get(type(item))
+                if fmt is None:
+                    out.append(head)
+                    self.write(item, depth + 1)
+                else:
+                    out.append(head + fmt(item))
+            out.append(lines[depth][0] + "}")
+        else:
+            out.append("[")
+            for item in value:
+                fmt = scalars.get(type(item))
+                if fmt is None:
+                    out.append(sep)
+                    self.write(item, depth + 1)
+                else:
+                    out.append(sep + fmt(item))
+                sep = comma
+            out.append(lines[depth][0] + "]")
+
+    def _line(self, depth: int) -> tuple[str, str]:
+        """The newline and indent of ``depth``, bare and after a comma."""
+        lines = self.lines
+        while len(lines) <= depth:
+            line = lines[-1][0] + "  "
+            lines.append((line, "," + line))
+        return lines[depth]
+
+    def _heads(self, value: dict, depth: int) -> tuple[list, list[str]]:
+        """The dict's keys in sorted order, each with its separator, text and colon."""
+        found = self.heads.get((depth, tuple(value)))
+        if found is None:
+            sep, comma = self.lines[depth + 1]
+            keys = sorted(value)
+            heads = [(comma if i else sep) + _escape(key) + ": "  # TypeError unless a str
+                     for i, key in enumerate(keys)]
+            found = self.heads[(depth, tuple(value))] = keys, heads
+        return found
+
+    def _float_array(self, value: list, depth: int) -> str | None:
+        """The text of a regular nested array of exact, finite floats; None for other lists."""
+        shape, first = [], value
+        while type(first) is list and first:
+            shape.append(len(first))
+            first = first[0]
+        if type(first) is not float:
+            return None
+        flat = value
+        for n in shape[1:]:
+            if set(map(type, flat)) != {list} or set(map(len, flat)) != {n}:
+                return None
+            flat = list(chain.from_iterable(flat))
+        if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+            return None
+        bits = np.array(flat).tobytes()
+        texts = self.arrays.get(bits)
+        if texts is None:
+            texts = self.arrays[bits] = tuple(map(float.__repr__, flat))
+        template = "%s"
+        for d in reversed(range(depth, depth + len(shape))):
+            sep, comma = self._line(d + 1)
+            template = f"[{sep}{comma.join([template] * shape[d - depth])}{self.lines[d][0]}]"
+        return template % texts
 
 
 def parse_report(text: str) -> dict:

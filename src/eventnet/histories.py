@@ -52,6 +52,7 @@ __all__ = [
     "HistoryOperator",
     "BranchNode",
     "HistoryTree",
+    "TreeRows",
     "SampledHistory",
     "SampleSummary",
     "history_operator",
@@ -209,15 +210,36 @@ class _Block(NamedTuple):
     draws: np.ndarray | None
 
 
+class TreeRows(NamedTuple):
+    """The rows one applied point added to a :class:`HistoryTree`, as Python values.
+
+    Row c descends from row ``parent[c]`` by the outcome labelled
+    ``labels[outcome[c]]``, on leaf ``leaf_index`` of the foliation.
+    ``draws`` is None for an enumerated tree.
+    """
+
+    leaf_index: int
+    point: Point
+    labels: tuple
+    parent: list[int]
+    outcome: list[int]
+    cond_prob: list[float]
+    cum_prob: list[float]
+    event_dim: list[int]
+    draws: list[int] | None
+
+
 @dataclass(eq=False)
 class HistoryTree:
     """Full enumeration of histories along a foliation, held as rows.
 
     Row 0 is the root, and each applied point appends one :class:`_Block`
     of the children it made; ``children_prob_sum`` is one array over the
-    rows, NaN where no family fired.  ``root`` builds the
-    :class:`BranchNode` and :class:`ActualEvent` objects of every row in
-    one pass the first time it is read, and keeps them.
+    rows, NaN where no family fired.  :meth:`rows` reads the record as
+    Python lists without building a node, and is what the report and
+    :func:`sample_paths` read.  ``root`` builds the :class:`BranchNode`
+    and :class:`ActualEvent` objects of every row in one pass the first
+    time it is read, and keeps them, for callers that want the objects.
 
     ``pruned_mass`` is the mass of outcomes dropped below ``prob_floor``
     beside a sibling that was kept.  The listed leaves and the pruned mass
@@ -236,18 +258,30 @@ class HistoryTree:
     _sums: np.ndarray = field(repr=False)
     _root: BranchNode | None = field(default=None, repr=False)
 
+    def rows(self) -> tuple[list[float | None], list[TreeRows]]:
+        """Every row's ``children_prob_sum`` (None where no family fired), and each block's rows.
+
+        The blocks' rows follow the root in order: the first row of a
+        block is one past the last row of the block before.  A leaf is a
+        row that no row names as its parent.
+        """
+        sums = [None if s != s else s for s in self._sums.tolist()]  # NaN is None
+        return sums, [TreeRows(b.leaf_index, b.point, b.labels, b.parent.tolist(),
+                               b.outcome.tolist(), b.cond.tolist(), b.cum.tolist(),
+                               b.event_dim.tolist(), None if b.draws is None else b.draws.tolist())
+                      for b in self._blocks]
+
     @property
     def root(self) -> BranchNode:
         if self._root is None:
             net, policy = self._net, self._policy
-            sums = [None if s != s else s for s in self._sums.tolist()]  # NaN is None
+            sums, blocks = self.rows()
             nodes = [BranchNode(-1, None, None, self._initial.rho, tuple(range(net.n_cells)),
                                 1.0, 1.0, None, policy, children_prob_sum=sums[0],
                                 _state=self._initial)]
-            for b in self._blocks:
-                for p, k, iso, rho, w, cum, dim in zip(
-                        b.parent.tolist(), b.outcome.tolist(), b.iso, b.rho, b.cond.tolist(),
-                        b.cum.tolist(), b.event_dim.tolist()):
+            for b, r in zip(self._blocks, blocks):
+                for p, k, iso, rho, w, cum, dim in zip(r.parent, r.outcome, b.iso, b.rho,
+                                                       r.cond_prob, r.cum_prob, r.event_dim):
                     actual = ActualEvent.from_isometry(b.point, b.labels[k], iso, b.support,
                                                        net, w)
                     node = BranchNode(b.leaf_index, b.point, actual, rho, b.cells, w, cum, dim,
@@ -716,12 +750,13 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
     tree, _ = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
                     draws=n_samples, gen=np.random.default_rng(seed))
     # each row's path is its parent row's and one step; a leaf is no row's parent
-    paths, draws = [()], [n_samples]
-    for b in tree._blocks:
+    _, blocks = tree.rows()
+    paths, draws, parents = [()], [n_samples], set()
+    for b in blocks:
         step = [(b.point.tau, b.point.x, label) for label in b.labels]
-        paths += [paths[p] + (step[k],) for p, k in zip(b.parent.tolist(), b.outcome.tolist())]
-        draws += b.draws.tolist()
-    parents = {p for b in tree._blocks for p in b.parent.tolist()}
+        paths += [paths[p] + (step[k],) for p, k in zip(b.parent, b.outcome)]
+        draws += b.draws
+        parents.update(b.parent)
     counts = {path: count for row, (path, count) in enumerate(zip(paths, draws))
               if row not in parents}
     return SampleSummary(n_samples=n_samples, seed=seed, counts=counts,

@@ -117,6 +117,39 @@ def serialize_report_by_json(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def tree_section_by_walk(tree):
+    """The report's tree section and detection rows, from one walk of ``tree.root``'s objects.
+
+    The walk carries each node's [tau, x, label] path down to the leaf
+    rows, which are sorted by the json text of their paths.  A detection
+    row counts the nodes of one (leaf, point) and holds the largest
+    outcome count among them; rows are sorted by (leaf, point).
+    """
+    leaves, detections = [], {}
+
+    def walk(node, path):
+        if node.point is not None:
+            path = path + [[node.point.tau, node.point.x, node.actual.label]]
+            row = detections.setdefault((node.leaf_index, node.point), {
+                "leaf": node.leaf_index, "point": list(node.point), "nodes": 0,
+                "event_dim": node.event_dim})
+            row["nodes"] += 1
+            row["event_dim"] = max(row["event_dim"], node.event_dim)
+        if not node.children:
+            leaves.append({"path": path, "probability": node.cum_prob})
+        return {"point": None if node.point is None else list(node.point),
+                "label": None if node.actual is None else node.actual.label,
+                "cond_prob": node.cond_prob, "cum_prob": node.cum_prob,
+                "event_dim": node.event_dim, "children_prob_sum": node.children_prob_sum,
+                "children": [walk(child, path) for child in node.children]}
+
+    root = walk(tree.root, [])
+    leaves.sort(key=lambda r: json.dumps(r["path"]))
+    section = {"root": root, "n_leaves": len(leaves), "pruned_mass": tree.pruned_mass,
+               "leaves": leaves}
+    return section, [detections[key] for key in sorted(detections)]
+
+
 def max_commutator_norm_dense(ps, qs):
     """Largest operator norm of ``p q - q p`` over every ``p`` in ``ps`` and ``q`` in ``qs``.
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from eventnet import (
     SCENARIO_BUILDERS,
+    ActualEvent,
+    BranchNode,
     CausalLattice,
     ConfigError,
     EvaluatedExpectation,
@@ -21,10 +23,13 @@ from eventnet import (
     build_scenario,
     build_tensor_net,
     enumerate_tree,
+    epr_scenario,
     foliate,
 )
 from eventnet.cli import (
     RunConfig,
+    _tree_section,
+    _Writer,
     emit_report,
     load_config,
     main,
@@ -32,6 +37,8 @@ from eventnet.cli import (
     run,
     serialize_report,
 )
+from eventnet.linalg import random_unitary
+from eventnet.policy import NumericPolicy
 
 import oracles
 
@@ -371,6 +378,14 @@ def test_report_sections_hold_their_records_fields():
         assert set(row) == _field_names(EvaluatedExpectation)
 
 
+def _seeded_cone(seed):
+    net = build_tensor_net(CausalLattice(2, 2), 2)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((net.dim, net.dim)) + 1j * rng.standard_normal((net.dim, net.dim))
+    rho = g @ g.conj().T
+    return net, State(rho / np.trace(rho).real)
+
+
 def test_tree_section_agrees_with_the_tree():
     path = Path(__file__).parent / "configs" / "cone-2x2.json"
     cfg = load_config(str(path), {})
@@ -383,6 +398,45 @@ def test_tree_section_agrees_with_the_tree():
     rows.sort(key=lambda r: json.dumps(r["path"]))
     assert report["tree"]["leaves"] == rows
     assert report["tree"]["n_leaves"] == len(tree.leaves())
+    # the section read off the rows is the one a walk of tree.root's objects gives
+    sc = epr_scenario()
+    epr = enumerate_tree(sc.net, sc.foliation, sc.initial, imposed=sc.imposed)
+    assert all(isinstance(e.label, str) for events, _ in epr.leaf_paths() for e in events)
+    cone, initial = _seeded_cone(0)
+    dead = enumerate_tree(cone, foliate(cone.lattice), initial,
+                          policy=NumericPolicy(prob_floor=0.01))
+    assert any(leaf.children_prob_sum is not None for leaf in dead.leaves())
+    cone, initial = _seeded_cone(5)
+    gated = enumerate_tree(cone, foliate(cone.lattice), initial,
+                           policy=NumericPolicy(prob_floor=1e-3),
+                           propagators={1: random_unitary(cone.dim, np.random.default_rng(8))})
+    for case in (tree, epr, dead, gated):
+        section, detections = _tree_section(case)
+        walked = oracles.tree_section_by_walk(case)
+        assert (section, detections) == walked
+        assert (serialize_report({"tree": section, "detections": detections})
+                == serialize_report({"tree": walked[0], "detections": walked[1]}))
+
+
+def test_enumerate_run_builds_no_node_objects(monkeypatch):
+    events, nodes = [], []
+    from_isometry = ActualEvent.from_isometry.__func__
+    node_init = BranchNode.__init__
+
+    def counted_event(cls, *args, **kwargs):
+        events.append(1)
+        return from_isometry(cls, *args, **kwargs)
+
+    def counted_node(self, *args, **kwargs):
+        nodes.append(1)
+        node_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ActualEvent, "from_isometry", classmethod(counted_event))
+    monkeypatch.setattr(BranchNode, "__init__", counted_node)
+    report, _ = run(load_config(str(Path(__file__).parent / "configs" / "cone-2x2.json"),
+                                {"mode": "enumerate"}))
+    assert report["tree"]["n_leaves"] > 1
+    assert events == [] and nodes == []
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +488,57 @@ _JSON_LIKE = st.recursive(
 @given(value=_JSON_LIKE)
 def test_serialize_report_equals_the_json_encoding(value):
     assert serialize_report(value) == oracles.serialize_report_by_json(value)
+
+
+def _nested(flat, shape):
+    for n in reversed(shape[1:]):
+        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
+    return flat
+
+
+@st.composite
+def _float_arrays(draw):
+    """Regular nested lists of finite floats, 1 to 3 levels deep, of 2 to 4 rows each."""
+    shape = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    size = math.prod(shape)
+    flat = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=size, max_size=size))
+    return _nested(flat, shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(array=_float_arrays(), other=_float_arrays())
+def test_serialize_report_writes_float_arrays_as_json_does(array, other):
+    assert _Writer()._float_array(array, 0) is not None  # written in one step
+    report = {"a": array, "b": {"c": [array, other]}, "d": other}
+    assert serialize_report(report) == oracles.serialize_report_by_json(report)
+
+
+@pytest.mark.parametrize("array", [
+    [[0.5, 0.25], [1.0, np.float64(2.0)]],
+    [[0.5, 0.25], [1.0, 2]],
+    [[0.5, 0.25], [True, 2.0]],
+    [[0.5, math.nan], [1.0, 2.0]],
+    [[0.5, 0.25], [math.inf, 2.0]],
+    [[0.5, -math.inf], [1.0, 2.0]],
+    [[0.5, 0.25], [1.0]],
+    [[0.5, 0.25], []],
+    [[0.5, 0.25], [[1.0, 2.0], 3.0]],
+    [(0.5, 0.25), (1.0, 2.0)],
+], ids=["np-float64", "int", "bool", "nan", "inf", "minus-inf", "ragged", "empty-row",
+        "mixed-depth", "tuple-rows"])
+def test_serialize_report_writes_other_arrays_by_the_general_path(array):
+    assert _Writer()._float_array(array, 0) is None
+    report = {"a": array, "b": [array, {"c": array}]}
+    assert serialize_report(report) == oracles.serialize_report_by_json(report)
+
+
+def test_serialize_report_tells_a_zero_from_a_negative_zero():
+    # equal as tuples, so only a key exact to the bit keeps their texts apart
+    report = {"a": [[0.0, 1.5], [2.5, 0.0]], "b": [[-0.0, 1.5], [2.5, 0.0]]}
+    text = serialize_report(report)
+    assert text == oracles.serialize_report_by_json(report)
+    assert "-0.0" in text
 
 
 def test_serialize_report_handles_deep_nesting():
