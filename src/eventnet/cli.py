@@ -197,6 +197,27 @@ def _pairs(mat: np.ndarray) -> list:
     return np.stack([mat.real, mat.imag], -1).tolist()
 
 
+def _real_array(values, ndim: int) -> np.ndarray:
+    """``values`` as a float array: lists nested ``ndim`` deep, of one length per depth.
+
+    Each number must be finite, real and not a bool; else ``TypeError``.
+    """
+    cols, shape = [[values]], []
+    for _ in range(ndim):
+        try:  # one length per depth; the numbers come out in reversed axis order
+            cols = list(zip(*chain.from_iterable(cols), strict=True))
+        except ValueError:
+            raise TypeError("entries are not lists of one length at each depth") from None
+        shape.append(len(cols))
+    if (not set(map(type, chain.from_iterable(cols))) <= {int, float}
+            and not all(map(is_real_number, chain.from_iterable(cols)))):
+        raise TypeError("an entry is not a real number")
+    arr = np.array(cols, dtype=float)
+    if not np.isfinite(arr).all():
+        raise TypeError("an entry is not a finite number")
+    return arr.reshape(shape[::-1]).T
+
+
 def _state_from_config(desc: Mapping[str, Any] | None, dim: int,
                        policy: NumericPolicy) -> State:
     kind = "maximally-mixed" if desc is None else desc.get("kind")
@@ -206,14 +227,14 @@ def _state_from_config(desc: Mapping[str, Any] | None, dim: int,
         if kind == "maximally-mixed":
             state = State.maximally_mixed(dim, policy=policy)
         elif kind == "diagonal":
-            state = State.diagonal(desc["weights"], policy=policy)
-        elif kind == "vector":
-            vec = [complex(p[0], p[1]) for p in desc["entries"]]
-            state = State.from_vector(vec, policy=policy)
-        else:
-            rows = [[complex(p[0], p[1]) for p in row] for row in desc["entries"]]
-            state = State(rows, policy=policy)
-    except (KeyError, IndexError, TypeError) as exc:
+            state = State.diagonal(_real_array(desc["weights"], 1), policy=policy)
+        else:  # [re, im] pairs, viewed as complex numbers
+            pairs = _real_array(desc["entries"], 2 if kind == "vector" else 3)
+            if pairs.shape[-1] != 2:
+                raise TypeError(f"an entry has {pairs.shape[-1]} numbers, not the 2 of [re, im]")
+            z = np.ascontiguousarray(pairs).view(complex)[..., 0]
+            state = (State.from_vector if kind == "vector" else State)(z, policy=policy)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"initial_state is malformed: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"initial_state is not a valid state: {exc}") from exc
@@ -265,25 +286,25 @@ def _tree_section(tree) -> tuple[dict, list[dict]]:
     Each row's node dict is appended to its parent row's ``children``, in
     row order, which is the order of ``tree.root``.  A row's [tau, x,
     label] path, and the json text of that path (the leaf rows' sort key),
-    are its parent's and one step.  A detection row is one block of rows:
+    are its parent's and one step.  A detection row is one ``TreeRows``:
     the nodes one (leaf, point) made, and the largest outcome count among
     them.  No node object is built.
     """
-    sums, blocks = tree.rows()
+    sums, points = tree.rows()
     nodes = [{"point": None, "label": None, "cond_prob": 1.0, "cum_prob": 1.0,
               "event_dim": None, "children_prob_sum": sums[0], "children": []}]
     paths: list[list] = [[]]
     keys = ["[]"]
     parents: set[int] = set()
     detections = []
-    for b in blocks:
-        if not b.parent:
+    for r in points:
+        if not r.parent:
             continue
-        tau, x = b.point
-        steps = [json.dumps([tau, x, label]) for label in b.labels]
-        for p, k, w, cum, dim in zip(b.parent, b.outcome, b.cond_prob, b.cum_prob,
-                                     b.event_dim):
-            label = b.labels[k]
+        tau, x = r.point
+        steps = [json.dumps([tau, x, label]) for label in r.labels]
+        for p, k, w, cum, dim in zip(r.parent, r.outcome, r.cond_prob, r.cum_prob,
+                                     r.event_dim):
+            label = r.labels[k]
             node = {"point": [tau, x], "label": label, "cond_prob": w, "cum_prob": cum,
                     "event_dim": dim, "children_prob_sum": sums[len(nodes)], "children": []}
             nodes[p]["children"].append(node)
@@ -291,9 +312,9 @@ def _tree_section(tree) -> tuple[dict, list[dict]]:
             paths.append(paths[p] + [[tau, x, label]])
             key = keys[p]
             keys.append(f"{key[:-1]}, {steps[k]}]" if p else f"[{steps[k]}]")
-        parents.update(b.parent)
-        detections.append({"leaf": b.leaf_index, "point": [tau, x], "nodes": len(b.parent),
-                           "event_dim": max(b.event_dim)})
+        parents.update(r.parent)
+        detections.append({"leaf": r.leaf_index, "point": [tau, x], "nodes": len(r.parent),
+                           "event_dim": max(r.event_dim)})
     leaves = sorted((r for r in range(len(nodes)) if r not in parents), key=keys.__getitem__)
     section = {"root": nodes[0], "n_leaves": len(leaves), "pruned_mass": tree.pruned_mass,
                "leaves": [{"path": paths[r], "probability": nodes[r]["cum_prob"]}
@@ -396,9 +417,11 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
                 or not all(is_integer_at_least(v, 0) for v in pt_raw)
                 or not net.lattice.contains(Point(*pt_raw))):
             raise ConfigError(f"record point {pt_raw!r} is not a [tau, x] of the lattice")
-        point = Point(*pt_raw)
-        rep = recording_check(net, point, initial, scenario.quantities[qname],
-                              cfg.epsilon, policy=policy)
+        point, quantity = Point(*pt_raw), scenario.quantities[qname]
+        if point not in quantity.representatives:
+            raise ConfigError(f"record quantity {qname!r} has no representative at {pt_raw!r}; "
+                              f"it has one at {sorted(map(list, quantity.representatives))}")
+        rep = recording_check(net, point, initial, quantity, cfg.epsilon, policy=policy)
         report["recording"] = dict(vars(rep))
         report["spectrum_dims"] = []
     timings["run"] = time.perf_counter() - t0
@@ -444,23 +467,6 @@ def _float_text(value: float, floats: dict) -> str:
     return text
 
 
-def _subclass_text(value, floats: dict) -> str | None:
-    """json's text for a str, int or float subclass; None for a list, tuple or dict.
-
-    The types are tested in json's own order, so ``np.float64`` is a float;
-    exact types never get here (see :class:`_Writer`).
-    """
-    if isinstance(value, str):
-        return _escape(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value, floats)
-    if isinstance(value, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 class _Writer:
     """The text of one report, appended to ``out`` in one recursive pass.
 
@@ -484,7 +490,7 @@ class _Writer:
         self.floats: dict[float, str] = {}
         self.arrays: dict[bytes, tuple[str, ...]] = {}
         self.heads: dict[tuple, tuple[list, list[str]]] = {}
-        # exact types only, so a bool is never an int; subclasses go to _subclass_text
+        # keyed by exact type, so a bool is never an int; see _scalar_format
         self.scalars = {str: _escape, float: partial(_float_text, floats=self.floats),
                         int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
                         type(None): lambda _: "null"}
@@ -494,16 +500,16 @@ class _Writer:
         out, lines = self.out, self.lines
         kind = type(value)
         fmt = self.scalars.get(kind)
+        if fmt is None and kind is not list and kind is not dict:
+            fmt = self._scalar_format(kind)
         if fmt is not None:
             text = fmt(value)
-        elif kind is list:
-            text = self._float_array(value, depth) if value else "[]"
-        elif kind is dict:
-            text = None if value else "{}"
+        elif kind is list and value:
+            text = self._float_array(value, depth)
+        elif value:
+            text = None
         else:
-            text = _subclass_text(value, self.floats)
-            if text is None and not value:
-                text = "{}" if isinstance(value, dict) else "[]"
+            text = "{}" if isinstance(value, dict) else "[]"
         if text is not None:
             out.append(text)
             return
@@ -532,6 +538,20 @@ class _Writer:
                     out.append(sep + fmt(item))
                 sep = comma
             out.append(lines[depth][0] + "]")
+
+    def _scalar_format(self, kind: type):
+        """The formatter of ``kind``'s first base in ``scalars``, stored for ``kind``.
+
+        So ``np.float64`` is a float, as in json; a container gets None.
+        """
+        for base in kind.__mro__:
+            fmt = self.scalars.get(base)
+            if fmt is not None:
+                self.scalars[kind] = fmt
+                return fmt
+        if issubclass(kind, (list, tuple, dict)):
+            return None
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
     def _line(self, depth: int) -> tuple[str, str]:
         """The newline and indent of ``depth``, bare and after a comma."""

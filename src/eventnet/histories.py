@@ -24,12 +24,12 @@ batched partial trace and one batched ``eigh`` per point on the stack of
 entry states, and each outcome is held by its eigenvector isometry V.
 Per point, the Born weights ``tr(V^H rho_S V)`` of every outcome of every
 branch come first; only the kept (or drawn) children are then collapsed,
-with V contracted on the support axes, and recorded as one block of tree
-rows.  Each branch is replaced in place by its children, so the frontier
-stays in tree order.  Commutator norms of two families are taken by
-principal angles (:func:`linalg.max_commutator_norm`), for every entry
-branch at once.  Node objects are built, and their states checked, only
-when they are read.
+with V contracted on the support axes, and recorded as one
+:class:`TreeRows`.  Each branch is replaced in place by its children, so
+the frontier stays in tree order.  Commutator norms of two families are
+taken by principal angles (:func:`linalg.max_commutator_norm`), for every
+entry branch at once.  Node objects are built, and their states checked,
+only when they are read.
 """
 
 from __future__ import annotations
@@ -186,13 +186,14 @@ class BranchNode:
         return self._state
 
 
-class _Block(NamedTuple):
-    """The children one applied point made, as consecutive rows of the tree.
+class TreeRows(NamedTuple):
+    """The rows one applied point added to a :class:`HistoryTree`.
 
-    Child c descends from row ``parent[c]`` by outcome ``outcome[c]`` of a
-    family of ``event_dim[c]`` outcomes; ``iso[c]`` spans it on ``support``,
-    ``rho[c]`` is its state on ``cells`` and ``draws[c]`` (None when
-    enumerating) the draws that reached it.
+    Row c descends from row ``parent[c]`` by the outcome labelled
+    ``labels[outcome[c]]`` (one of ``event_dim[c]``), on leaf ``leaf_index``;
+    ``iso[c]`` spans it on ``support`` and ``rho[c]`` is its state on
+    ``cells``.  ``draws`` is None for an enumerated tree.  The tree holds the
+    scalar columns as arrays; :meth:`HistoryTree.rows` gives them as lists.
     """
 
     leaf_index: int
@@ -200,32 +201,13 @@ class _Block(NamedTuple):
     labels: tuple
     support: tuple[int, ...]
     cells: tuple[int, ...]
-    parent: np.ndarray
-    outcome: np.ndarray
-    cond: np.ndarray
-    cum: np.ndarray
-    event_dim: np.ndarray
-    iso: np.ndarray
-    rho: np.ndarray
-    draws: np.ndarray | None
-
-
-class TreeRows(NamedTuple):
-    """The rows one applied point added to a :class:`HistoryTree`, as Python values.
-
-    Row c descends from row ``parent[c]`` by the outcome labelled
-    ``labels[outcome[c]]``, on leaf ``leaf_index`` of the foliation.
-    ``draws`` is None for an enumerated tree.
-    """
-
-    leaf_index: int
-    point: Point
-    labels: tuple
     parent: list[int]
     outcome: list[int]
     cond_prob: list[float]
     cum_prob: list[float]
     event_dim: list[int]
+    iso: np.ndarray
+    rho: np.ndarray
     draws: list[int] | None
 
 
@@ -233,10 +215,11 @@ class TreeRows(NamedTuple):
 class HistoryTree:
     """Full enumeration of histories along a foliation, held as rows.
 
-    Row 0 is the root, and each applied point appends one :class:`_Block`
-    of the children it made; ``children_prob_sum`` is one array over the
-    rows, NaN where no family fired.  :meth:`rows` reads the record as
-    Python lists without building a node, and is what the report and
+    Row 0 is the root, and each applied point appends one :class:`TreeRows`
+    of the children it made, its scalar columns as arrays;
+    ``children_prob_sum`` is one array over the rows, NaN where no family
+    fired.  :meth:`rows` hands out the same records with those columns as
+    Python lists, without building a node, and is what the report and
     :func:`sample_paths` read.  ``root`` builds the :class:`BranchNode`
     and :class:`ActualEvent` objects of every row in one pass the first
     time it is read, and keeps them, for callers that want the objects.
@@ -254,37 +237,38 @@ class HistoryTree:
     _initial: State = field(repr=False)
     _net: AlgebraNet = field(repr=False)
     _policy: NumericPolicy = field(repr=False)
-    _blocks: list[_Block] = field(repr=False)
+    _rows: list[TreeRows] = field(repr=False)
     _sums: np.ndarray = field(repr=False)
     _root: BranchNode | None = field(default=None, repr=False)
 
     def rows(self) -> tuple[list[float | None], list[TreeRows]]:
-        """Every row's ``children_prob_sum`` (None where no family fired), and each block's rows.
+        """Every row's ``children_prob_sum`` (None where no family fired), and each point's rows.
 
-        The blocks' rows follow the root in order: the first row of a
-        block is one past the last row of the block before.  A leaf is a
-        row that no row names as its parent.
+        Each point's rows follow the root in order: its first row is one
+        past the last row of the point before.  A leaf is a row that no
+        row names as its parent.
         """
         sums = [None if s != s else s for s in self._sums.tolist()]  # NaN is None
-        return sums, [TreeRows(b.leaf_index, b.point, b.labels, b.parent.tolist(),
-                               b.outcome.tolist(), b.cond.tolist(), b.cum.tolist(),
-                               b.event_dim.tolist(), None if b.draws is None else b.draws.tolist())
-                      for b in self._blocks]
+        return sums, [r._replace(parent=r.parent.tolist(), outcome=r.outcome.tolist(),
+                                 cond_prob=r.cond_prob.tolist(), cum_prob=r.cum_prob.tolist(),
+                                 event_dim=r.event_dim.tolist(),
+                                 draws=None if r.draws is None else r.draws.tolist())
+                      for r in self._rows]
 
     @property
     def root(self) -> BranchNode:
         if self._root is None:
             net, policy = self._net, self._policy
-            sums, blocks = self.rows()
+            sums, points = self.rows()
             nodes = [BranchNode(-1, None, None, self._initial.rho, tuple(range(net.n_cells)),
                                 1.0, 1.0, None, policy, children_prob_sum=sums[0],
                                 _state=self._initial)]
-            for b, r in zip(self._blocks, blocks):
-                for p, k, iso, rho, w, cum, dim in zip(r.parent, r.outcome, b.iso, b.rho,
+            for r in points:
+                for p, k, iso, rho, w, cum, dim in zip(r.parent, r.outcome, r.iso, r.rho,
                                                        r.cond_prob, r.cum_prob, r.event_dim):
-                    actual = ActualEvent.from_isometry(b.point, b.labels[k], iso, b.support,
+                    actual = ActualEvent.from_isometry(r.point, r.labels[k], iso, r.support,
                                                        net, w)
-                    node = BranchNode(b.leaf_index, b.point, actual, rho, b.cells, w, cum, dim,
+                    node = BranchNode(r.leaf_index, r.point, actual, rho, r.cells, w, cum, dim,
                                       policy, children_prob_sum=sums[len(nodes)])
                     nodes[p].children.append(node)
                     nodes.append(node)
@@ -435,21 +419,16 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
     """Conditioned states on ``keep``: outcome ``ks[c]`` of parent ``rows[c]``, for every c.
 
     ``rho`` is a stack of parent states and ``iso[i]`` the isometry stack
-    of parent i's family.  The cells no outcome reads and no later point
-    keeps are traced out first; V is then contracted on the support axes,
-    for each parent with a child once, and the support cells that are not
-    kept are traced out with it.  Each state is divided by its own trace,
-    not by its Born weight, which is taken separately on the support
-    state: for weights near 1e-6 the two differ enough to miss unit trace
-    by more than ``tol_trace``.
+    of parent i's family; ``rows`` and ``ks`` are the children that
+    :func:`_branch_point` chose.  The cells no outcome reads and no later
+    point keeps are traced out first; V is then contracted on the support
+    axes of every parent, and the support cells that are not kept are
+    traced out with it.  Each state is divided by its own trace, not by its
+    Born weight, which is taken separately on the support state: for
+    weights near 1e-6 the two differ enough to miss unit trace by more than
+    ``tol_trace``.
     """
     d = cell_dim
-    # rows ascend; keep the parents that have a child, once each
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    if first.sum() < len(rho):
-        rho, iso = rho[rows[first]], iso[rows[first]]
-    rows = np.cumsum(first) - 1
     n, outcomes, ds, rank = iso.shape
     rest = tuple(c for c in keep if c not in support)
     held = tuple(c for c in support if c in keep)
@@ -497,8 +476,8 @@ class _Frontier(NamedTuple):
 
 def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
                   policy: NumericPolicy, gen: np.random.Generator | None,
-                  sums: np.ndarray) -> tuple[_Frontier, _Block, float]:
-    """Apply one point's family to every live branch: new frontier, block, pruned mass.
+                  sums: np.ndarray) -> tuple[_Frontier, TreeRows, float]:
+    """Apply one point's family to every live branch: new frontier, tree rows, pruned mass.
 
     ``sums`` has one entry per row so far, and the children's rows come
     next; each row the family fires on gets its outcomes' total weight
@@ -521,7 +500,7 @@ def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
     pruned = float(cums[alive[:, None] & valid & ~kept].sum())
     sums[front.row[fired]] = probs.sum(axis=1)
     # a parent whose every outcome is pruned is a leaf with its own mass and draws
-    take = kept & alive[:, None]
+    take = kept
     if front.draws is not None:
         split = np.zeros(probs.shape, dtype=np.int64)
         for f in np.flatnonzero(alive).tolist():
@@ -529,15 +508,15 @@ def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
             split[f, :counts[f]] = gen.multinomial(front.draws[fired[f]], w / w.sum())
         if split[~kept].any():
             raise NullBranchError("sampled an outcome below prob_floor")
-        take &= split > 0
+        take = kept & (split > 0)
     rows, ks = np.nonzero(take)
     draws = None if front.draws is None else split[rows, ks]
     if len(still) + len(rows) > cap:
         raise BranchOverflowError(f"branching exceeded the branch cap of {cap}")
     states = _collapse(sub, front.cells, fam.support, fam.keep, iso, rows, ks, d)
-    block = _Block(li, fam.point, fam.labels, fam.support, fam.keep, front.row[fired[rows]], ks,
-                   probs[rows, ks], cums[rows, ks], counts[rows], iso[rows, ks], states, draws)
-    new = _Frontier(states, fam.keep, len(sums) + np.arange(len(ks)), block.cum,
+    made = TreeRows(li, fam.point, fam.labels, fam.support, fam.keep, front.row[fired[rows]], ks,
+                    probs[rows, ks], cums[rows, ks], counts[rows], iso[rows, ks], states, draws)
+    new = _Frontier(states, fam.keep, len(sums) + np.arange(len(ks)), made.cum_prob,
                     front.origin[fired[rows]], draws)
     if len(still):
         # merge the branches the family skipped back in, each before the children
@@ -547,7 +526,7 @@ def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
                             *(None if a is None else a[still] for a in front[2:]))
         new = _Frontier(*(b if a is None or isinstance(a, tuple) else np.concatenate([a, b])[order]
                           for a, b in zip(skipped, new)))
-    return new, block, pruned
+    return new, made, pruned
 
 
 def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: NumericPolicy,
@@ -588,12 +567,12 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
     front = _Frontier(initial.rho[None], tuple(range(net.n_cells)), np.zeros(1, dtype=np.int64),
                       np.ones(1), np.zeros(1, dtype=int),
                       None if draws is None else np.array([draws]))
-    blocks: list[_Block] = []
+    points: list[TreeRows] = []
     sums = np.full(1, np.nan)
     last = front
     pruned = 0.0
     dims: set[int] = set()
-    comm_worst: dict[tuple[int, Point, Point], float] = {}
+    comm: list[tuple[int, Point, Point, float]] = []
 
     for li, leaf in enumerate(foliation.leaves):
         if not len(front.row):
@@ -607,27 +586,25 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
                                              local, policy)
         dims.update(dims_seen)
         pairs = _family_commutators(families, net.cell_dim)
-        if commutation == "abort":
-            bad = [(int(np.argmax(n > policy.tol_commutation)), k)
-                   for k, (_, _, n) in enumerate(pairs) if (n > policy.tol_commutation).any()]
-            if bad:
-                row, k = min(bad)
-                pa, pb, norms = pairs[k]
+        if commutation == "abort" and pairs:
+            bad = np.stack([norms for *_, norms in pairs]) > policy.tol_commutation
+            if bad.any():
+                # the first entry branch with a bad pair, then that branch's first bad pair
+                row = int(np.argmax(bad.any(axis=0)))
+                pa, pb, norms = pairs[int(np.argmax(bad[:, row]))]
                 raise CommutationError(f"spacelike families at {pa} and {pb} fail to "
                                        f"commute (norm {norms[row]:.3e})")
-        for pa, pb, norms in pairs:
-            comm_worst[(li, pa, pb)] = float(norms.max())
+        comm += [(li, pa, pb, float(norms.max())) for pa, pb, norms in pairs]
         front = front._replace(origin=np.arange(len(front.row)))
         for fam in families:
             last = front if len(front.row) else last
-            front, block, lost = _branch_point(front, fam, li, net, policy, gen, sums)
-            blocks.append(block)
+            front, made, lost = _branch_point(front, fam, li, net, policy, gen, sums)
+            points.append(made)
             pruned += lost
-            sums = np.concatenate([sums, np.full(len(block.parent), np.nan)])
-    comm_list = sorted((li, pa, pb, n) for (li, pa, pb), n in comm_worst.items())
-    tree = HistoryTree(foliation, pruned, sorted(dims), comm_list,
-                       max((n for *_, n in comm_list), default=0.0),
-                       initial, net, policy, blocks, sums)
+            sums = np.concatenate([sums, np.full(len(made.parent), np.nan)])
+    comm.sort()
+    tree = HistoryTree(foliation, pruned, sorted(dims), comm,
+                       max((n for *_, n in comm), default=0.0), initial, net, policy, points, sums)
     return tree, front if len(front.row) else last
 
 
@@ -750,13 +727,13 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
     tree, _ = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
                     draws=n_samples, gen=np.random.default_rng(seed))
     # each row's path is its parent row's and one step; a leaf is no row's parent
-    _, blocks = tree.rows()
+    _, points = tree.rows()
     paths, draws, parents = [()], [n_samples], set()
-    for b in blocks:
-        step = [(b.point.tau, b.point.x, label) for label in b.labels]
-        paths += [paths[p] + (step[k],) for p, k in zip(b.parent, b.outcome)]
-        draws += b.draws
-        parents.update(b.parent)
+    for r in points:
+        step = [(r.point.tau, r.point.x, label) for label in r.labels]
+        paths += [paths[p] + (step[k],) for p, k in zip(r.parent, r.outcome)]
+        draws += r.draws
+        parents.update(r.parent)
     counts = {path: count for row, (path, count) in enumerate(zip(paths, draws))
               if row not in parents}
     return SampleSummary(n_samples=n_samples, seed=seed, counts=counts,

@@ -206,8 +206,6 @@ def orthonormal_rows(rows, tol: float, scale: float | None = None) -> np.ndarray
     if mat.size == 0:
         return np.zeros((0, mat.shape[-1]), dtype=complex)
     _, svals, vh = np.linalg.svd(mat, full_matrices=False)
-    if svals.size == 0:
-        return np.zeros((0, mat.shape[1]), dtype=complex)
     if scale is None:
         scale = float(svals[0])
     cutoff = tol * max(1.0, scale)

@@ -262,6 +262,8 @@ def two_leaf_chain(seed: int = 7, spectrum: Sequence[float] = (0.4, 0.3, 0.2, 0.
     of the event machinery that reproduces them.
     """
     spectrum = tuple(float(s) for s in spectrum)
+    if len(spectrum) != 4:
+        raise ConfigError(f"spectrum has {len(spectrum)} levels, not the 4 of two qubits")
     if list(spectrum) != sorted(spectrum, reverse=True):
         raise ConfigError("spectrum must be given in decreasing order")
     if min(np.diff(sorted(spectrum))) <= policy.gap_min:
@@ -319,6 +321,8 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
     net = build_tensor_net(lattice, 2, policy=policy)
     p = Point(0, 0)
     spectrum = tuple(float(s) for s in spectrum)
+    if len(spectrum) != 2:
+        raise ConfigError(f"spectrum has {len(spectrum)} levels, not the 2 of one qubit")
     initial = State.diagonal(spectrum, policy=policy)
     aligned = np.diag([2.0, -3.0]).astype(complex)
     half = tilt / 2.0

@@ -148,11 +148,15 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
     {"scenario": "recording-demo", "mode": "record", "epsilon": True},
     {"scenario": "recording-demo", "mode": "record", "epsilon": 1e-9},
     {"scenario": "epr", "mode": "sample", "samples": 2**63},
+    {"scenario": "epr", "mode": "record", "record": {"quantity": "left-spin", "point": [0, 1]}},
+    {"scenario": "recording-demo", "scenario_params": {"spectrum": [1.0]}},
+    {"scenario": "two-leaf-chain", "scenario_params": {"spectrum": [0.6, 0.4]}},
 ], ids=["cell-dim-string", "cell-dim-one", "n-cells-string", "n-cells-too-many",
         "state-dim", "point-string", "point-outside", "samples-bool", "samples-float",
         "seed-bool", "seed-negative", "params-string", "params-range", "params-zero-direction",
         "net-key-typo", "record-key-typo", "epsilon-string", "epsilon-bool",
-        "epsilon-below-floor", "samples-too-large"])
+        "epsilon-below-floor", "samples-too-large", "record-no-representative",
+        "demo-spectrum-one-level", "chain-spectrum-two-levels"])
 def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
@@ -323,6 +327,10 @@ def test_state_from_config_kinds():
                     for row in report["initial_state"]])
     assert rho[0, 0] == pytest.approx(0.36)
     assert rho[0, 1] == pytest.approx(0.48)
+    entries = [[[0.5, 0.0], [0.25, -0.125]], [[0.25, 0.125], [0.5, 0.0]]]
+    report, _ = run(_cfg(net={"kind": "full", "extent_tau": 1, "cell_dim": 2},
+                         initial_state={"kind": "matrix", "entries": entries}))
+    assert report["initial_state"] == entries  # each pair read as [re, im], row by row
 
 
 def test_state_from_config_rejects_garbage():
@@ -332,6 +340,21 @@ def test_state_from_config_rejects_garbage():
     with pytest.raises(ConfigError, match="not recognized"):
         run(_cfg(net={"kind": "full", "extent_tau": 1, "cell_dim": 2},
                  initial_state={"kind": "thermal"}))
+    # every entry a pair of two finite real numbers, every weight one; no bools
+    for state in ({"kind": "vector", "entries": [[0.6, 0, 7], [0.8, 0]]},
+                  {"kind": "vector", "entries": [[0.6, 0, 7], [0.8, 0, 0]]},
+                  {"kind": "vector", "entries": [[True, 0], [0, 0]]},
+                  {"kind": "vector", "entries": [["0.6", 0], [0.8, 0]]},
+                  {"kind": "vector", "entries": [0.6, 0.8]},
+                  {"kind": "matrix", "entries": [[[0.5, 0, 7], [0, 0]], [[0, 0], [0.5, 0]]]},
+                  {"kind": "matrix", "entries": [[[0.5, 0], [0, 0]], [[0, 0], [True, 0]]]},
+                  {"kind": "matrix", "entries": [[[0.5, 0], [0, 0]], [[0.5, 0]]]},
+                  {"kind": "vector", "entries": [[math.nan, 0], [1, 0]]},
+                  {"kind": "diagonal", "weights": [True, False]},
+                  {"kind": "diagonal", "weights": [0.5, None]},
+                  {"kind": "diagonal", "weights": [math.inf, 0.5]}):
+        with pytest.raises(ConfigError, match="initial_state is malformed"):
+            run(_cfg(net={"kind": "full", "extent_tau": 1, "cell_dim": 2}, initial_state=state))
 
 
 def test_net_from_config_rejects_unknown_kind():
@@ -468,12 +491,20 @@ class _Pair(NamedTuple):
     second: object
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(),
-    st.floats(), st.floats().map(np.float64),
+    st.integers().map(_Int), st.floats(), st.floats().map(np.float64),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, math.nan, math.inf, -math.inf,
                      np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf)]),
-    st.text(), st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\t']),
+    st.text(), st.text().map(_Str), st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\t']),
 )
 _JSON_LIKE = st.recursive(
     _SCALARS,

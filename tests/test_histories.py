@@ -408,19 +408,48 @@ def cone_2x3():
     return net, initial, tree
 
 
-@pytest.mark.parametrize("extents", [(2, 2), (2, 3)])
-def test_cone_tree_matches_dense_reference(extents, cone_2x3):
+# every branch of the 2x2 cone (seed 3) ends on leaf 0 at this floor, so the
+# frontier empties before the last leaf
+ENDS_ON_LEAF_0 = NumericPolicy(prob_floor=0.1)
+
+
+@pytest.mark.parametrize("extents, policy", [((2, 2), COARSE), ((2, 3), COARSE),
+                                             ((2, 2), ENDS_ON_LEAF_0)],
+                         ids=["extents0", "extents1", "ends-on-leaf-0"])
+def test_cone_tree_matches_dense_reference(extents, policy, cone_2x3):
     if extents == (2, 3):
         net, initial, tree = cone_2x3
     else:
         net, initial = _cone_case(*extents)
-        tree = enumerate_tree(net, foliate(net.lattice), initial, policy=COARSE)
-    dense = oracles.enumerate_tree_dense(net, foliate(net.lattice), initial, policy=COARSE)
+        tree = enumerate_tree(net, foliate(net.lattice), initial, policy=policy)
+    dense = oracles.enumerate_tree_dense(net, foliate(net.lattice), initial, policy=policy)
     _assert_matches_dense(net, tree, dense)
     assert tree.max_commutator > 0.1  # overlapping spacelike supports on leaf 0
-    # after the last point no later point touches any cell
     last = [leaf for leaf in tree.leaves() if leaf.point == net.lattice.points()[-1]]
-    assert last and all(leaf.state_cells == () for leaf in last)
+    if policy is COARSE:
+        # after the last point no later point touches any cell
+        assert last and all(leaf.state_cells == () for leaf in last)
+        return
+    leaves = tree.leaves()
+    assert not last and {leaf.leaf_index for leaf in leaves} == {0}
+    assert all(leaf.children_prob_sum is not None for leaf in leaves)  # all dead
+    assert (len(leaves), round(tree.pruned_mass, 4)) == (5, 0.1808)
+    # 18% of the mass is pruned beside kept outcomes: 10^4 draws land on it
+    fol = foliate(net.lattice)
+    with pytest.raises(NullBranchError):
+        sample_paths(net, fol, initial, 10**4, 1, policy=policy)
+    # one draw lands on pruned mass or on an enumerated leaf
+    paths = {tuple((e.point.tau, e.point.x, e.label) for e in events)
+             for events, _ in tree.leaf_paths()}
+    landed = 0
+    for seed in range(10):
+        try:
+            counts = sample_paths(net, fol, initial, 1, seed, policy=policy).counts
+        except NullBranchError:
+            continue
+        assert set(counts) <= paths
+        landed += 1
+    assert landed
 
 
 def test_tree_mass_is_conserved_when_all_outcomes_are_pruned(cone_2x3):

@@ -126,6 +126,14 @@ def test_massive_control_spectrum_parameter():
         assert res.ok, res
 
 
+@pytest.mark.parametrize("name, spectrum, levels", [
+    ("recording-demo", [1.0], 2), ("recording-demo", [0.5, 0.3, 0.2], 2),
+    ("two-leaf-chain", [0.6, 0.4], 4), ("two-leaf-chain", [0.3, 0.25, 0.2, 0.15, 0.1], 4)])
+def test_scenario_refuses_a_spectrum_of_the_wrong_length(name, spectrum, levels):
+    with pytest.raises(ConfigError, match=f"has {len(spectrum)} levels, not the {levels}"):
+        build_scenario(name, {"spectrum": spectrum})
+
+
 def test_massive_control_rejects_unfaithful_spectrum():
     with pytest.raises(ConfigError):
         massive_control(spectrum=(1.0, 0.0))
