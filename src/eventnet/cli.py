@@ -3,11 +3,11 @@
 Configuration is a JSON file; a handful of flags override its fields.
 Reports are deterministic functions of (config, seed), with no timestamps
 and no wall-clock data (timings go to stderr).  Their canonical bytes are
-defined as ``json.dumps(report, indent=2, sort_keys=True) + "\n"`` and are
-written by an equivalent writer, :func:`serialize_report`, which writes a
-regular nested array of floats in one formatting pass.  Complex matrices
-serialize as row-major [re, im] pairs.  The tree section is read off the
-history tree's rows (:meth:`HistoryTree.rows`); no node object is built.
+``json.dumps(report, sort_keys=True) + "\n"`` (:func:`serialize_report`),
+so a structured report is one line; ``python -m json.tool --sort-keys
+--indent 2`` indents it.  Complex matrices serialize as row-major [re, im]
+pairs.  The tree section is read off the history tree's rows
+(:meth:`HistoryTree.rows`); no node object is built.
 
 Exit codes: 0 success, 1 configuration problems, 2 numeric failures
 (including a commutation abort), 3 resource caps.
@@ -20,14 +20,11 @@ import csv
 import gc
 import io
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Mapping
 
 import numpy as np
@@ -264,11 +261,11 @@ def _net_from_config(desc: Mapping[str, Any], policy: NumericPolicy):
 
 @contextmanager
 def _gc_paused():
-    """Pause the cyclic garbage collector while a report's containers are built.
+    """Pause the cyclic garbage collector while the tree section's containers are built.
 
-    The tree section and the report text hold no reference cycles, but
-    each collection walks every live container: on a tree of 5e5 rows,
-    collecting as the dicts and lists pile up took longer than the build.
+    The tree section holds no reference cycles, but each collection walks
+    every live container: on a tree of 5e5 rows, collecting as the dicts
+    and lists pile up took longer than the build.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -434,168 +431,13 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     return report, timings
 
 
-@_gc_paused()
 def serialize_report(report: dict) -> str:
-    """Canonical bytes: ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``.
+    """Canonical bytes: ``json.dumps(report, sort_keys=True) + "\\n"``, one line.
 
-    Written by one recursive pass that appends to a list (:class:`_Writer`),
-    since with an indent set ``json.dumps`` runs its pure-Python encoder,
-    one generator per nesting level.  The output is the same text.  A value
-    json cannot hold raises ``TypeError``, and so does a dict key that is
-    not a string, which ``json.dumps`` would write as one; no report holds
-    such a key.
+    ``python -m json.tool --sort-keys --indent 2`` writes the same report
+    indented.  A value json cannot hold raises ``TypeError``.
     """
-    writer = _Writer()
-    writer.write(report, 0)
-    out = writer.out
-    del writer  # its memos are freed before the pieces are joined
-    out.append("\n")
-    return "".join(out)
-
-
-def _float_text(value: float, floats: dict) -> str:
-    """json's text for a float; ``floats`` memoizes nonzero finite values by value."""
-    text = floats.get(value)
-    if text is None:
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        text = float.__repr__(value)
-        if value:  # 0.0 == -0.0 would share one entry
-            floats[value] = text
-    return text
-
-
-class _Writer:
-    """The text of one report, appended to ``out`` in one recursive pass.
-
-    ``lines[d]`` is the newline and indent of depth ``d``, bare and after a
-    comma, so all containers at one depth append the same separator
-    strings; a dict's key heads are kept per depth and key tuple, and a
-    container writes the scalars it holds itself.
-
-    A list that is a regular nested array of exact, finite floats (every
-    row a non-empty list of one length, down to the floats) is written in
-    one step: one ``%s`` template, built for its shape and depth, filled
-    with the floats' texts.  An array's texts are kept under its bytes, so
-    an array written twice, at any depth, is formatted once; bytes tell 0.0
-    from -0.0, which compare equal.  Every other value takes the general
-    path.
-    """
-
-    def __init__(self):
-        self.out: list[str] = []
-        self.lines = [("\n", ",\n")]
-        self.floats: dict[float, str] = {}
-        self.arrays: dict[bytes, tuple[str, ...]] = {}
-        self.heads: dict[tuple, tuple[list, list[str]]] = {}
-        # keyed by exact type, so a bool is never an int; see _scalar_format
-        self.scalars = {str: _escape, float: partial(_float_text, floats=self.floats),
-                        int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
-                        type(None): lambda _: "null"}
-
-    def write(self, value, depth: int) -> None:
-        """Append the text of ``value``, nested ``depth`` containers deep."""
-        out, lines = self.out, self.lines
-        kind = type(value)
-        fmt = self.scalars.get(kind)
-        if fmt is None and kind is not list and kind is not dict:
-            fmt = self._scalar_format(kind)
-        if fmt is not None:
-            text = fmt(value)
-        elif kind is list and value:
-            text = self._float_array(value, depth)
-        elif value:
-            text = None
-        else:
-            text = "{}" if isinstance(value, dict) else "[]"
-        if text is not None:
-            out.append(text)
-            return
-        sep, comma = self._line(depth + 1)
-        scalars = self.scalars
-        if isinstance(value, dict):
-            keys, heads = self._heads(value, depth)
-            out.append("{")
-            for key, head in zip(keys, heads):
-                item = value[key]
-                fmt = scalars.get(type(item))
-                if fmt is None:
-                    out.append(head)
-                    self.write(item, depth + 1)
-                else:
-                    out.append(head + fmt(item))
-            out.append(lines[depth][0] + "}")
-        else:
-            out.append("[")
-            for item in value:
-                fmt = scalars.get(type(item))
-                if fmt is None:
-                    out.append(sep)
-                    self.write(item, depth + 1)
-                else:
-                    out.append(sep + fmt(item))
-                sep = comma
-            out.append(lines[depth][0] + "]")
-
-    def _scalar_format(self, kind: type):
-        """The formatter of ``kind``'s first base in ``scalars``, stored for ``kind``.
-
-        So ``np.float64`` is a float, as in json; a container gets None.
-        """
-        for base in kind.__mro__:
-            fmt = self.scalars.get(base)
-            if fmt is not None:
-                self.scalars[kind] = fmt
-                return fmt
-        if issubclass(kind, (list, tuple, dict)):
-            return None
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-    def _line(self, depth: int) -> tuple[str, str]:
-        """The newline and indent of ``depth``, bare and after a comma."""
-        lines = self.lines
-        while len(lines) <= depth:
-            line = lines[-1][0] + "  "
-            lines.append((line, "," + line))
-        return lines[depth]
-
-    def _heads(self, value: dict, depth: int) -> tuple[list, list[str]]:
-        """The dict's keys in sorted order, each with its separator, text and colon."""
-        found = self.heads.get((depth, tuple(value)))
-        if found is None:
-            sep, comma = self.lines[depth + 1]
-            keys = sorted(value)
-            heads = [(comma if i else sep) + _escape(key) + ": "  # TypeError unless a str
-                     for i, key in enumerate(keys)]
-            found = self.heads[(depth, tuple(value))] = keys, heads
-        return found
-
-    def _float_array(self, value: list, depth: int) -> str | None:
-        """The text of a regular nested array of exact, finite floats; None for other lists."""
-        shape, first = [], value
-        while type(first) is list and first:
-            shape.append(len(first))
-            first = first[0]
-        if type(first) is not float:
-            return None
-        flat = value
-        for n in shape[1:]:
-            if set(map(type, flat)) != {list} or set(map(len, flat)) != {n}:
-                return None
-            flat = list(chain.from_iterable(flat))
-        if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-            return None
-        bits = np.array(flat).tobytes()
-        texts = self.arrays.get(bits)
-        if texts is None:
-            texts = self.arrays[bits] = tuple(map(float.__repr__, flat))
-        template = "%s"
-        for d in reversed(range(depth, depth + len(shape))):
-            sep, comma = self._line(d + 1)
-            template = f"[{sep}{comma.join([template] * shape[d - depth])}{self.lines[d][0]}]"
-        return template % texts
+    return json.dumps(report, sort_keys=True) + "\n"
 
 
 def parse_report(text: str) -> dict:

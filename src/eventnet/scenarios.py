@@ -10,6 +10,7 @@ act as end-to-end oracles.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -21,7 +22,7 @@ from .events import mixture_defect, normalize_branch
 from .histories import enumerate_tree
 from .measurement import PhysicalQuantity, recording_check
 from .opalg import Operator, PotentialEvent, State
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY, NumericPolicy, is_real_number
 from .spacetime import (AlgebraNet, CausalLattice, Foliation, Point,
                         build_full_net, build_tensor_net, derive_causal_order,
                         foliate)
@@ -323,6 +324,8 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
     spectrum = tuple(float(s) for s in spectrum)
     if len(spectrum) != 2:
         raise ConfigError(f"spectrum has {len(spectrum)} levels, not the 2 of one qubit")
+    if not is_real_number(tilt) or not abs(tilt) <= sys.float_info.max:
+        raise ConfigError(f"tilt: {tilt!r} is not a finite real number")
     initial = State.diagonal(spectrum, policy=policy)
     aligned = np.diag([2.0, -3.0]).astype(complex)
     half = tilt / 2.0

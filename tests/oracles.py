@@ -112,11 +112,6 @@ def is_self_adjoint(op, policy=None):
     return linalg.hermiticity_defect(op.entries) <= policy.tol_proj
 
 
-def serialize_report_by_json(report):
-    """The canonical report bytes as defined: ``json.dumps`` with indent 2 and sorted keys."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 def tree_section_by_walk(tree):
     """The report's tree section and detection rows, from one walk of ``tree.root``'s objects.
 

@@ -1,15 +1,14 @@
 """Tests for configuration loading, the run driver, and report emission."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from eventnet import (
     SCENARIO_BUILDERS,
@@ -29,7 +28,6 @@ from eventnet import (
 from eventnet.cli import (
     RunConfig,
     _tree_section,
-    _Writer,
     emit_report,
     load_config,
     main,
@@ -151,12 +149,25 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
     {"scenario": "epr", "mode": "record", "record": {"quantity": "left-spin", "point": [0, 1]}},
     {"scenario": "recording-demo", "scenario_params": {"spectrum": [1.0]}},
     {"scenario": "two-leaf-chain", "scenario_params": {"spectrum": [0.6, 0.4]}},
+    {"scenario": "recording-demo", "scenario_params": {"tilt": math.nan}},
+    {"scenario": "recording-demo", "mode": "record", "scenario_params": {"tilt": math.inf}},
+    {"scenario": 3},
+    {"scenario": "epr", "scenario_params": []},
+    {"net": []},
+    {"scenario": "recording-demo", "mode": "record", "record": 5},
+    {"scenario": "epr", "initial_state": []},
+    {"scenario": "epr", "out": 3},
+    {"scenario": "epr", "policy": []},
+    [],
+    {"scenario": "massive-control", "mode": "record"},
 ], ids=["cell-dim-string", "cell-dim-one", "n-cells-string", "n-cells-too-many",
         "state-dim", "point-string", "point-outside", "samples-bool", "samples-float",
         "seed-bool", "seed-negative", "params-string", "params-range", "params-zero-direction",
         "net-key-typo", "record-key-typo", "epsilon-string", "epsilon-bool",
         "epsilon-below-floor", "samples-too-large", "record-no-representative",
-        "demo-spectrum-one-level", "chain-spectrum-two-levels"])
+        "demo-spectrum-one-level", "chain-spectrum-two-levels", "demo-tilt-nan",
+        "demo-tilt-infinity", "scenario-number", "params-list", "net-list", "record-number",
+        "state-list", "out-number", "policy-list", "root-list", "record-without-quantities"])
 def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
@@ -469,118 +480,40 @@ def test_enumerate_run_builds_no_node_objects(monkeypatch):
 CONFIGS = Path(__file__).parent / "configs"
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
-def test_serialized_scenario_reports_equal_the_json_encoding(name):
-    modes = ["enumerate", "sample"]
-    if "default_quantity" in build_scenario(name).params:
-        modes.append("record")
-    for mode in modes:
-        report, _ = run(_cfg(scenario=name, mode=mode, seed=1))
-        assert serialize_report(report) == oracles.serialize_report_by_json(report)
+_REPORT_SOURCES = [pytest.param({"scenario": name}, id=name)
+                   for name in sorted(SCENARIO_BUILDERS)] + [
+    pytest.param({"config": config, "mode": mode}, id=f"{config}-{mode}")
+    for config, mode in [("cone-2x2", "enumerate"), ("cone-2x2", "sample"),
+                         ("record-tilted", None), ("record-transverse", None)]]
 
 
-@pytest.mark.parametrize("config, mode", [("cone-2x2", "enumerate"), ("cone-2x2", "sample"),
-                                          ("record-tilted", None), ("record-transverse", None)])
-def test_serialized_config_reports_equal_the_json_encoding(config, mode):
-    report, _ = run(load_config(str(CONFIGS / f"{config}.json"), {"mode": mode}))
-    assert serialize_report(report) == oracles.serialize_report_by_json(report)
+@pytest.mark.parametrize("source", _REPORT_SOURCES)
+def test_report_bytes_are_their_own_canonical_encoding(source):
+    # a scenario in every mode it runs at seed 1, or one config file; the CI smoke rule
+    if "scenario" in source:
+        name = source["scenario"]
+        modes = ["enumerate", "sample"]
+        if "default_quantity" in build_scenario(name).params:
+            modes.append("record")
+        reports = [run(_cfg(scenario=name, mode=mode, seed=1))[0] for mode in modes]
+    else:
+        path = str(CONFIGS / f"{source['config']}.json")
+        reports = [run(load_config(path, {"mode": source["mode"]}))[0]]
+    for report in reports:
+        text = serialize_report(report)
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
-class _Pair(NamedTuple):
-    first: object
-    second: object
+def test_serialize_report_writes_one_ascii_line():
+    report = {"b": [1.5, -0.0, None, True], "a": {"z": math.nan, "y": -math.inf},
+              "label": "\u00e9\u2028\n"}
+    assert serialize_report(report) == ('{"a": {"y": -Infinity, "z": NaN}, '
+                                        '"b": [1.5, -0.0, null, true], '
+                                        '"label": "\\u00e9\\u2028\\n"}\n')
 
 
-class _Int(int):
-    pass
-
-
-class _Str(str):
-    pass
-
-
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.integers().map(_Int), st.floats(), st.floats().map(np.float64),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, math.nan, math.inf, -math.inf,
-                     np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf)]),
-    st.text(), st.text().map(_Str), st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\t']),
-)
-_JSON_LIKE = st.recursive(
-    _SCALARS,
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.lists(inner, max_size=4).map(tuple),
-                            st.builds(_Pair, inner, inner),
-                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
-    max_leaves=24)
-
-
-@settings(max_examples=300, deadline=None)
-@given(value=_JSON_LIKE)
-def test_serialize_report_equals_the_json_encoding(value):
-    assert serialize_report(value) == oracles.serialize_report_by_json(value)
-
-
-def _nested(flat, shape):
-    for n in reversed(shape[1:]):
-        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
-    return flat
-
-
-@st.composite
-def _float_arrays(draw):
-    """Regular nested lists of finite floats, 1 to 3 levels deep, of 2 to 4 rows each."""
-    shape = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
-    size = math.prod(shape)
-    flat = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                         min_size=size, max_size=size))
-    return _nested(flat, shape)
-
-
-@settings(max_examples=200, deadline=None)
-@given(array=_float_arrays(), other=_float_arrays())
-def test_serialize_report_writes_float_arrays_as_json_does(array, other):
-    assert _Writer()._float_array(array, 0) is not None  # written in one step
-    report = {"a": array, "b": {"c": [array, other]}, "d": other}
-    assert serialize_report(report) == oracles.serialize_report_by_json(report)
-
-
-@pytest.mark.parametrize("array", [
-    [[0.5, 0.25], [1.0, np.float64(2.0)]],
-    [[0.5, 0.25], [1.0, 2]],
-    [[0.5, 0.25], [True, 2.0]],
-    [[0.5, math.nan], [1.0, 2.0]],
-    [[0.5, 0.25], [math.inf, 2.0]],
-    [[0.5, -math.inf], [1.0, 2.0]],
-    [[0.5, 0.25], [1.0]],
-    [[0.5, 0.25], []],
-    [[0.5, 0.25], [[1.0, 2.0], 3.0]],
-    [(0.5, 0.25), (1.0, 2.0)],
-], ids=["np-float64", "int", "bool", "nan", "inf", "minus-inf", "ragged", "empty-row",
-        "mixed-depth", "tuple-rows"])
-def test_serialize_report_writes_other_arrays_by_the_general_path(array):
-    assert _Writer()._float_array(array, 0) is None
-    report = {"a": array, "b": [array, {"c": array}]}
-    assert serialize_report(report) == oracles.serialize_report_by_json(report)
-
-
-def test_serialize_report_tells_a_zero_from_a_negative_zero():
-    # equal as tuples, so only a key exact to the bit keeps their texts apart
-    report = {"a": [[0.0, 1.5], [2.5, 0.0]], "b": [[-0.0, 1.5], [2.5, 0.0]]}
-    text = serialize_report(report)
-    assert text == oracles.serialize_report_by_json(report)
-    assert "-0.0" in text
-
-
-def test_serialize_report_handles_deep_nesting():
-    # 400 levels of containers, shaped like a tree section: a node dict, then its children
-    node = {"children": [], "cum_prob": 0.5}
-    for depth in range(200):
-        node = {"children": [node, []], "cum_prob": 0.5 ** depth, "label": depth}
-    assert serialize_report(node) == oracles.serialize_report_by_json(node)
-
-
-@pytest.mark.parametrize("value", [{1: "one"}, {"a": {(0, 1): 2}}, {"a": object()},
+# a dict with both str and int keys cannot be written with its keys sorted
+@pytest.mark.parametrize("value", [{"a": 1, 1: "one"}, {"a": {(0, 1): 2}}, {"a": object()},
                                    {"a": [1, {2, 3}]}, {"a": 1j}, {"a": b"bytes"},
                                    {"a": np.int64(1)}])
 def test_serialize_report_refuses_what_json_cannot_hold(value):
@@ -603,6 +536,20 @@ def test_csv_tree_output():
         path, prob = line.rsplit(",", 1)
         assert float(prob) == pytest.approx(0.25, abs=1e-12)
         assert "0,0=" in path and "0,1=" in path
+
+
+def test_csv_sample_output():
+    report, _ = run(_cfg(scenario="two-leaf-chain", mode="sample", samples=200, seed=1))
+    header, *rows = csv.reader(io.StringIO(emit_report(report, "csv", None)))
+    assert header == ["path", "count", "frequency"]
+    paths = report["samples"]["paths"]
+    assert len(paths) > 1 and len(rows) == len(paths)
+    counts = []
+    for (path, count, freq), row in zip(rows, paths):
+        assert path == "|".join(f"{t},{x}={lbl}" for t, x, lbl in row["path"])
+        assert float(freq) == int(count) / 200
+        counts.append(int(count))
+    assert sum(counts) == 200
 
 
 def test_csv_recording_output():

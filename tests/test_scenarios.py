@@ -157,6 +157,15 @@ def test_recording_demo_large_tilt_fails():
     assert max(rep.alignment_norms) > 0.05
 
 
+@pytest.mark.parametrize("tilt", [np.nan, np.inf, -np.inf, 10**400, True, "0.1"],
+                         ids=["nan", "inf", "minus-inf", "huge-int", "bool", "string"])
+def test_recording_demo_refuses_a_tilt_that_is_not_a_finite_number(tilt):
+    with pytest.raises(ConfigError, match="tilt"):
+        recording_demo(tilt=tilt)
+    with pytest.raises(ConfigError, match="tilt"):
+        build_scenario("recording-demo", {"tilt": tilt})
+
+
 def test_build_scenario_rejects_unknown_name():
     with pytest.raises(ConfigError):
         build_scenario("no-such-scenario")
