@@ -5,12 +5,14 @@ Reports are deterministic functions of (config, seed), with no timestamps
 and no wall-clock data (timings go to stderr).  Their canonical bytes are
 ``json.dumps(report, sort_keys=True) + "\n"`` (:func:`serialize_report`),
 so a structured report is one line; ``python -m json.tool --sort-keys
---indent 2`` indents it.  Complex matrices serialize as row-major [re, im]
-pairs.  The tree section is read off the history tree's rows
-(:meth:`HistoryTree.rows`); no node object is built.
+--indent 2`` indents it.  The ``config`` echo is the only record of the
+input: a config-given initial state appears there as written, and a
+scenario's or the default state follows from the echoed fields.  The tree
+section is read off the history tree's rows (:meth:`HistoryTree.rows`); no
+node object is built.
 
 Exit codes: 0 success, 1 configuration problems, 2 numeric failures
-(including a commutation abort), 3 resource caps.
+(including a commutation abort), 3 resource caps or running out of memory.
 """
 
 from __future__ import annotations
@@ -186,12 +188,6 @@ def load_config(path: str | None, overrides: Mapping[str, Any]) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def _pairs(mat: np.ndarray) -> list:
-    """Row-major [re, im] pairs for a complex matrix."""
-    mat = np.asarray(mat)
-    return np.stack([mat.real, mat.imag], -1).tolist()
 
 
 def _real_array(values, ndim: int) -> np.ndarray:
@@ -370,7 +366,6 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
             "ambient_dim": net.dim,
         },
     }
-    report["initial_state"] = _pairs(initial.rho) if net.dim <= 64 else None
 
     t0 = time.perf_counter()
     report["nesting"] = _nesting_section(net, policy)
@@ -506,14 +501,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         report, timings = run(cfg)
+        text = emit_report(report, cfg.format, cfg.out)
     except EventNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, CapExceededError) else 2
-    try:
-        text = emit_report(report, cfg.format, cfg.out)
     except OSError as exc:
         print(f"error: cannot write report to {cfg.out}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory while running or writing the report", file=sys.stderr)
+        return 3
     for phase, secs in timings.items():
         print(f"timing {phase}: {secs:.3f}s", file=sys.stderr)
     if text is not None:

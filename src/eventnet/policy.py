@@ -7,8 +7,8 @@ run config sets it, like any other field, in its ``policy`` block.
 Values are checked on construction.
 """
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, asdict, fields
 
 
@@ -28,7 +28,8 @@ class NumericPolicy:
     """Tolerances and limits shared by all numeric routines.
 
     Raises ``ValueError`` when an int field is not an integer of at least
-    1, or a float field is not a finite, non-negative real number; bools
+    1, or a float field is not a non-negative real number a float can hold
+    (NaN, infinities and integers beyond float range are refused); bools
     are refused for both.
     """
 
@@ -65,7 +66,7 @@ class NumericPolicy:
             if f.type is int:
                 if not is_integer_at_least(value, 1):
                     raise ValueError(f"{f.name}: {value!r} is not an integer of at least 1")
-            elif not is_real_number(value) or not math.isfinite(value) or value < 0:
+            elif not is_real_number(value) or not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"{f.name}: {value!r} is not a finite, non-negative number")
 
     def as_dict(self) -> dict:

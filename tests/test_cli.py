@@ -1,5 +1,6 @@
 """Tests for configuration loading, the run driver, and report emission."""
 
+import copy
 import csv
 import dataclasses
 import io
@@ -25,8 +26,10 @@ from eventnet import (
     epr_scenario,
     foliate,
 )
+from eventnet import cli
 from eventnet.cli import (
     RunConfig,
+    _state_from_config,
     _tree_section,
     emit_report,
     load_config,
@@ -36,7 +39,7 @@ from eventnet.cli import (
     serialize_report,
 )
 from eventnet.linalg import random_unitary
-from eventnet.policy import NumericPolicy
+from eventnet.policy import DEFAULT_POLICY, NumericPolicy
 
 import oracles
 
@@ -297,11 +300,23 @@ def test_run_custom_full_net_with_state():
     assert report["nesting"]["matches_geometric"] is False
 
 
-def test_run_large_net_omits_state_matrix():
-    cfg = _cfg(net={"kind": "cone", "extent_tau": 3, "extent_x": 3})
-    report, _ = run(cfg)
+def test_report_holds_the_initial_state_once():
+    # a config-given state is in the config echo only, as written; a
+    # scenario's state follows from the echoed scenario and is not written
+    entries = [[[0.5, 0.0], [0.25, -0.125]], [[0.25, 0.125], [0.5, 0.0]]]
+    configs = [
+        {"net": {"kind": "full", "extent_tau": 1, "cell_dim": 2},
+         "initial_state": {"kind": "matrix", "entries": entries}},
+        {"scenario": "epr"},
+        {"net": {"kind": "cone", "extent_tau": 3, "extent_x": 3},
+         "initial_state": {"kind": "maximally-mixed"}},
+    ]
+    for config in configs:
+        given = copy.deepcopy(config.get("initial_state"))
+        report = parse_report(serialize_report(run(_cfg(**config))[0]))
+        assert "initial_state" not in report
+        assert report["config"]["initial_state"] == given
     assert report["lattice"]["ambient_dim"] == 512
-    assert report["initial_state"] is None
 
 
 def test_run_scenario_with_state_override_drops_expected():
@@ -331,17 +346,14 @@ def test_coarse_policy_refuses_oracle_scenario():
 
 
 def test_state_from_config_kinds():
-    cfg = _cfg(net={"kind": "full", "extent_tau": 1, "cell_dim": 2},
-               initial_state={"kind": "vector", "entries": [[0.6, 0.0], [0.8, 0.0]]})
-    report, _ = run(cfg)
-    rho = np.array([[complex(re, im) for re, im in row]
-                    for row in report["initial_state"]])
+    rho = _state_from_config({"kind": "vector", "entries": [[0.6, 0.0], [0.8, 0.0]]},
+                             2, DEFAULT_POLICY).rho
     assert rho[0, 0] == pytest.approx(0.36)
     assert rho[0, 1] == pytest.approx(0.48)
     entries = [[[0.5, 0.0], [0.25, -0.125]], [[0.25, 0.125], [0.5, 0.0]]]
-    report, _ = run(_cfg(net={"kind": "full", "extent_tau": 1, "cell_dim": 2},
-                         initial_state={"kind": "matrix", "entries": entries}))
-    assert report["initial_state"] == entries  # each pair read as [re, im], row by row
+    rho = _state_from_config({"kind": "matrix", "entries": entries}, 2, DEFAULT_POLICY).rho
+    # each pair read as [re, im], row by row
+    assert rho.tolist() == [[0.5, 0.25 - 0.125j], [0.25 + 0.125j, 0.5]]
 
 
 def test_state_from_config_rejects_garbage():
@@ -596,6 +608,28 @@ def test_main_refuses_an_unwritable_out_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert f"error: cannot write report to {out}" in err
+    assert "Traceback" not in err
+
+
+def test_main_refuses_a_policy_number_beyond_float_range(capsys):
+    # a 401-digit integer: math.isfinite cannot convert it to a float
+    path = Path(__file__).parent / "configs" / "bad-policy-overflow.json"
+    assert main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: policy: tol_basis: ")
+    assert "Traceback" not in err
+    with pytest.raises(ValueError, match="tol_basis"):
+        NumericPolicy(tol_basis=10**400)
+
+
+def test_main_turns_running_out_of_memory_into_exit_3(monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    assert main(["--scenario", "epr"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
     assert "Traceback" not in err
 
 
