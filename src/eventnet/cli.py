@@ -9,7 +9,8 @@ so a structured report is one line; ``python -m json.tool --sort-keys
 input: a config-given initial state appears there as written, and a
 scenario's or the default state follows from the echoed fields.  The tree
 section is read off the history tree's rows (:meth:`HistoryTree.rows`); no
-node object is built.
+node object is built.  A scenario's ``expected`` block is evaluated on the
+tree or the sample the run grew, so no run grows a tree twice.
 
 Exit codes: 0 success, 1 configuration problems, 2 numeric failures
 (including a commutation abort), 3 resource caps or running out of memory.
@@ -176,7 +177,7 @@ def load_config(path: str | None, overrides: Mapping[str, Any]) -> RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad json, bytes that are not UTF-8, or an oversized integer
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
@@ -374,18 +375,19 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     report["commutation"] = commutation = {"policy": cfg.commutation, "max_norm": 0.0,
                                            "entries": []}
+    outcome = None  # the tree or the sample this run grows, for the expected block
     if cfg.mode == "enumerate":
-        tree = enumerate_tree(net, foliation, initial, policy=policy, imposed=imposed,
-                              commutation=cfg.commutation)
+        outcome = tree = enumerate_tree(net, foliation, initial, policy=policy,
+                                        imposed=imposed, commutation=cfg.commutation)
         report["tree"], report["detections"] = _tree_section(tree)
         report["spectrum_dims"] = tree.spectrum_dims
         commutation["max_norm"] = tree.max_commutator
         commutation["entries"] = [{"leaf": li, "p": list(pa), "q": list(pb), "norm": n}
                                   for li, pa, pb, n in tree.commutation_norms]
     elif cfg.mode == "sample":
-        summary = sample_paths(net, foliation, initial, cfg.samples, cfg.seed,
-                               policy=policy, imposed=imposed,
-                               commutation=cfg.commutation)
+        outcome = summary = sample_paths(net, foliation, initial, cfg.samples, cfg.seed,
+                                         policy=policy, imposed=imposed,
+                                         commutation=cfg.commutation)
         rows = [{"path": [list(step) for step in key], "count": count,
                  "frequency": count / summary.n_samples}
                 for key, count in summary.counts.items()]
@@ -421,7 +423,7 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     if scenario is not None and scenario.expected and cfg.initial_state is None:
         t0 = time.perf_counter()
         report["expected"] = [dict(vars(r))
-                              for r in evaluate_expected(scenario, policy=policy)]
+                              for r in evaluate_expected(scenario, outcome, policy=policy)]
         timings["expected"] = time.perf_counter() - t0
     return report, timings
 

@@ -35,6 +35,7 @@ only when they are read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -291,6 +292,38 @@ class HistoryTree:
     def leaf_paths(self) -> list[tuple[tuple[ActualEvent, ...], float]]:
         """Each leaf's event sequence (causal order) and its path probability."""
         return [(events, leaf.cum_prob) for leaf, events in self._walk_leaves()]
+
+    def leaf_steps(self) -> list[tuple[tuple[tuple[int, int, object], ...], float]]:
+        """Each leaf's (tau, x, label) steps and its path probability, read off the rows.
+
+        The leaves come in the order of :meth:`leaf_paths`, and no node
+        object is built.
+        """
+        _, points = self.rows()
+        steps, leaves = _leaf_rows(points)
+        cum = [1.0, *chain.from_iterable(r.cum_prob for r in points)]
+        return [(steps[row], cum[row]) for row in leaves]
+
+
+def _leaf_rows(points: Sequence[TreeRows]) -> tuple[list[tuple], list[int]]:
+    """Each row's (tau, x, label) steps from the root, and the leaf rows in tree order.
+
+    ``points`` is the second half of :meth:`HistoryTree.rows`.  A row's
+    steps are its parent row's and one more, and a leaf is a row that no
+    row names as its parent.  Tree order is the order of ``root``'s walk:
+    siblings are rows of one point in outcome order, so it sorts the
+    leaves by the outcome indices on their paths.
+    """
+    steps, outcomes, parents = [()], [()], set()
+    for r in points:
+        step = [(r.point.tau, r.point.x, label) for label in r.labels]
+        for p, k in zip(r.parent, r.outcome):
+            steps.append(steps[p] + (step[k],))
+            outcomes.append(outcomes[p] + (k,))
+        parents.update(r.parent)
+    leaves = sorted((row for row in range(len(steps)) if row not in parents),
+                    key=outcomes.__getitem__)
+    return steps, leaves
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +749,8 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
     a leaf that keeps its draws.  ``policy.branch_cap`` caps the live
     branches as in enumeration, but at most ``n_samples`` are live, so
     trees too large to enumerate can still be sampled.  Path keys are
-    tuples of (tau, x, label); identical seeds give identical summaries,
+    tuples of (tau, x, label), in the order of the tree's leaves (see
+    :meth:`HistoryTree.leaf_paths`); identical seeds give identical summaries,
     though not those of releases that drew from one spawned Generator per
     sample, or branch by branch.  ``max_commutator`` and ``spectrum_dims``
     cover the branches the draws visited.
@@ -726,16 +760,10 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
                          f"{MAX_SAMPLES}")
     tree, _ = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
                     draws=n_samples, gen=np.random.default_rng(seed))
-    # each row's path is its parent row's and one step; a leaf is no row's parent
     _, points = tree.rows()
-    paths, draws, parents = [()], [n_samples], set()
-    for r in points:
-        step = [(r.point.tau, r.point.x, label) for label in r.labels]
-        paths += [paths[p] + (step[k],) for p, k in zip(r.parent, r.outcome)]
-        draws += r.draws
-        parents.update(r.parent)
-    counts = {path: count for row, (path, count) in enumerate(zip(paths, draws))
-              if row not in parents}
-    return SampleSummary(n_samples=n_samples, seed=seed, counts=counts,
+    steps, leaves = _leaf_rows(points)
+    draws = [n_samples, *chain.from_iterable(r.draws for r in points)]
+    return SampleSummary(n_samples=n_samples, seed=seed,
+                         counts={steps[row]: draws[row] for row in leaves},
                          max_commutator=tree.max_commutator,
                          spectrum_dims=tree.spectrum_dims)

@@ -6,10 +6,17 @@ a list of expected values with the arithmetic identity they come from,
 and its own evaluator that re-derives those values through the event
 machinery.  ``evaluate_expected`` compares the two, so the closed forms
 act as end-to-end oracles.
+
+The evaluators read the outcome a run already grew: its enumerated
+:class:`HistoryTree`, or the :class:`SampleSummary` of its draws, whose
+leaf frequencies are held to the closed forms within four binomial
+sigmas.  Only a call without an outcome enumerates the scenario's tree,
+once, and only for a scenario whose evaluator reads one.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -19,7 +26,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError
 from .events import mixture_defect, normalize_branch
-from .histories import enumerate_tree
+from .histories import HistoryTree, SampleSummary, enumerate_tree
 from .measurement import PhysicalQuantity, recording_check
 from .opalg import Operator, PotentialEvent, State
 from .policy import DEFAULT_POLICY, NumericPolicy, is_real_number
@@ -47,18 +54,33 @@ __all__ = [
 
 @dataclass
 class Expected:
+    """A closed-form value, its tolerance and how a sampled run checks it.
+
+    ``kind`` is ``"exact"`` for a value every run evaluates the same way,
+    ``"probability"`` for a leaf or joint probability, which a sample holds
+    to within four binomial sigmas, and ``"tree"`` for a count of the whole
+    enumerated tree, which a sample does not grow and does not check.
+    """
+
     name: str
     value: float
     tol: float
     derivation: str
+    kind: str = "exact"
+
+
+# what a run grew: the whole tree, or the draws of a sample
+Outcome = HistoryTree | SampleSummary
 
 
 @dataclass
 class Scenario:
     """A shipped scenario.
 
-    ``evaluate(scenario, policy)`` returns the actual value of each name in
-    ``expected``, computed through the event machinery.
+    ``evaluate(scenario, outcome, policy)`` returns the actual value of
+    each name in ``expected``, computed through the event machinery.  It
+    reads ``outcome`` where it needs the branching; with ``None`` it
+    enumerates the tree itself (see :func:`evaluate_expected`).
     """
 
     name: str
@@ -69,7 +91,8 @@ class Scenario:
     quantities: dict[str, PhysicalQuantity] = field(default_factory=dict)
     expected: list[Expected] = field(default_factory=list)
     params: dict = field(default_factory=dict)
-    evaluate: Callable[[Scenario, NumericPolicy], dict[str, float]] | None = None
+    evaluate: Callable[[Scenario, Outcome | None, NumericPolicy],
+                       dict[str, float]] | None = None
 
 
 @dataclass
@@ -127,7 +150,7 @@ def epr_scenario(n_dir=(0.0, 0.0, 1.0), n_prime_dir=(1.0, 0.0, 0.0),
                 name=f"joint_prob[{s_l}{s_r}]",
                 value=0.25 * (1.0 - sign_l * sign_r * dot),
                 tol=1e-12,
-                derivation="singlet correlation closed form"))
+                derivation="singlet correlation closed form", kind="probability"))
     expected.append(Expected("commutator_max", 0.0, 0.0,
                              "disjoint tensor factors commute identically"))
     expected.append(Expected("order_dependence", 0.0, 1e-12,
@@ -143,29 +166,51 @@ def epr_scenario(n_dir=(0.0, 0.0, 1.0), n_prime_dir=(1.0, 0.0, 0.0),
                     evaluate=_evaluate_epr)
 
 
-def _evaluate_spacelike_pair(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
+def _grown(scenario: Scenario, outcome: Outcome | None, policy: NumericPolicy) -> Outcome:
+    """The run's outcome, or the scenario's tree enumerated under ``policy``."""
+    if outcome is not None:
+        return outcome
+    return enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
+                          policy=policy, imposed=scenario.imposed)
+
+
+def _leaf_probabilities(outcome: Outcome) -> list[tuple[tuple, float]]:
+    """Each leaf's (tau, x, label) steps and its probability.
+
+    A tree gives its leaves' path probabilities, in the order of
+    :meth:`HistoryTree.leaf_paths`; a sample gives the frequency of each
+    leaf its draws reached, as the report's sample rows do.
+    """
+    if isinstance(outcome, SampleSummary):
+        return list(outcome.frequencies().items())
+    return outcome.leaf_steps()
+
+
+def _evaluate_spacelike_pair(scenario: Scenario, outcome: Outcome | None,
+                             policy: NumericPolicy) -> dict[str, float]:
     """Commutator, conditioning-order and joint-outcome actuals of the imposed families.
 
-    The commutator is the worst the engine found on the tree; families on
-    disjoint cells give exactly 0.0.
+    The commutator is the worst the engine found at the root, where both
+    families fire and every draw passes; families on disjoint cells give
+    exactly 0.0.
     """
-    tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
-                          policy=policy, imposed=scenario.imposed)
-    actuals = {"commutator_max": tree.max_commutator,
+    outcome = _grown(scenario, outcome, policy)
+    actuals = {"commutator_max": outcome.max_commutator,
                "order_dependence": order_independence_check(scenario, policy=policy)}
     # zero-probability branches are pruned from the tree, so seed every
-    # joint outcome with 0 and let the enumerated paths overwrite it
+    # joint outcome with 0 and let the leaf paths overwrite it
     pairs = _imposed_pairs_first_leaf(scenario)
     for la in pairs[0][1].labels:
         for lb in pairs[1][1].labels:
             actuals[f"joint_prob[{la}{lb}]"] = 0.0
-    for events, prob in tree.leaf_paths():
-        actuals[f"joint_prob[{''.join(str(e.label) for e in events)}]"] = prob
+    for steps, prob in _leaf_probabilities(outcome):
+        actuals[f"joint_prob[{''.join(str(label) for *_, label in steps)}]"] = prob
     return actuals
 
 
-def _evaluate_epr(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
-    actuals = _evaluate_spacelike_pair(scenario, policy)
+def _evaluate_epr(scenario: Scenario, outcome: Outcome | None,
+                  policy: NumericPolicy) -> dict[str, float]:
+    actuals = _evaluate_spacelike_pair(scenario, outcome, policy)
     report = nonlocality_demo(scenario, ("+", "+"), policy=policy)
     actuals["unconditioned_prob"] = report.unconditioned
     actuals["conditioned_prob"] = report.conditioned
@@ -225,11 +270,11 @@ def massive_control(extent_tau: int = 2, spectrum: Sequence[float] = (0.75, 0.25
     initial = State.diagonal(spectrum, policy=policy)
     expected = [
         Expected("n_leaves", float(len(spectrum)), 0.0,
-                 "one collapse resolves the full algebra"),
+                 "one collapse resolves the full algebra", kind="tree"),
         Expected("first_leaf_outcomes", float(len(spectrum)), 0.0,
-                 "faithful mixed state branches over its spectrum"),
+                 "faithful mixed state branches over its spectrum", kind="tree"),
         Expected("later_branchings", 0.0, 0.0,
-                 "collapsed state is pure; no further events"),
+                 "collapsed state is pure; no further events", kind="tree"),
         Expected("derived_future_pairs", 0.0, 0.0,
                  "equal algebras admit no strict nesting"),
     ]
@@ -238,13 +283,14 @@ def massive_control(extent_tau: int = 2, spectrum: Sequence[float] = (0.75, 0.25
                     params={"spectrum": list(spectrum)}, evaluate=_evaluate_massive_control)
 
 
-def _evaluate_massive_control(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
-    tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial, policy=policy)
-    deep = max((sum(e.point.tau > 0 for e in events) for events, _ in tree.leaf_paths()),
-               default=0)
+def _evaluate_massive_control(scenario: Scenario, outcome: Outcome | None,
+                              policy: NumericPolicy) -> dict[str, float]:
+    paths = _leaf_probabilities(_grown(scenario, outcome, policy))
+    deep = max((sum(tau > 0 for tau, *_ in steps) for steps, _ in paths), default=0)
+    # the root's children are the distinct first steps of the leaf paths
     return {
-        "n_leaves": float(len(tree.leaves())),
-        "first_leaf_outcomes": float(len(tree.root.children)),
+        "n_leaves": float(len(paths)),
+        "first_leaf_outcomes": float(len({steps[0] for steps, _ in paths if steps})),
         "later_branchings": float(deep),
         "derived_future_pairs": float(
             len(derive_causal_order(scenario.net, policy=policy).future_pairs)),
@@ -276,7 +322,8 @@ def two_leaf_chain(seed: int = 7, spectrum: Sequence[float] = (0.4, 0.3, 0.2, 0.
     rho = (v * np.asarray(spectrum)) @ v.conj().T
     initial = State(rho, policy=policy)
 
-    expected = [Expected("total_prob", 1.0, 1e-12, "leaf probabilities are exhaustive")]
+    expected = [Expected("total_prob", 1.0, 1e-12, "leaf probabilities are exhaustive",
+                         kind="probability")]
     n_leaves = 0
     for i, s_i in enumerate(spectrum):
         psi = v[:, i]
@@ -289,21 +336,22 @@ def two_leaf_chain(seed: int = 7, spectrum: Sequence[float] = (0.4, 0.3, 0.2, 0.
         for j, w in enumerate(vals):
             expected.append(Expected(
                 name=f"leaf_prob[{i},{j}]", value=float(s_i * w), tol=1e-12,
-                derivation="eigendecomposition arithmetic on the initial state"))
+                derivation="eigendecomposition arithmetic on the initial state",
+                kind="probability"))
             n_leaves += 1
     expected.append(Expected("n_leaves", float(n_leaves), 0.0,
-                             "nondegenerate spectra at both steps"))
+                             "nondegenerate spectra at both steps", kind="tree"))
     return Scenario(name="two-leaf-chain", net=net, initial=initial,
                     foliation=foliate(lattice), expected=expected,
                     params={"seed": seed, "spectrum": list(spectrum)},
                     evaluate=_evaluate_two_leaf_chain)
 
 
-def _evaluate_two_leaf_chain(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
-    tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial, policy=policy)
-    paths = tree.leaf_paths()
-    actuals = {f"leaf_prob[{','.join(str(e.label) for e in events)}]": prob
-               for events, prob in paths}
+def _evaluate_two_leaf_chain(scenario: Scenario, outcome: Outcome | None,
+                             policy: NumericPolicy) -> dict[str, float]:
+    paths = _leaf_probabilities(_grown(scenario, outcome, policy))
+    actuals = {f"leaf_prob[{','.join(str(label) for *_, label in steps)}]": prob
+               for steps, prob in paths}
     actuals["total_prob"] = sum(prob for _, prob in paths)
     actuals["n_leaves"] = float(len(paths))
     return actuals
@@ -358,7 +406,8 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
                     evaluate=_evaluate_recording_demo)
 
 
-def _evaluate_recording_demo(scenario: Scenario, policy: NumericPolicy) -> dict[str, float]:
+def _evaluate_recording_demo(scenario: Scenario, outcome: Outcome | None,
+                             policy: NumericPolicy) -> dict[str, float]:
     p = Point(0, 0)
     eps = float(scenario.params.get("epsilon", 0.05))
     reports = {name: recording_check(scenario.net, p, scenario.initial,
@@ -470,15 +519,32 @@ def nonlocality_demo(scenario: Scenario, outcome: tuple = ("+", "+"),
                              difference=abs(unconditioned - conditioned))
 
 
-def evaluate_expected(scenario: Scenario,
+def evaluate_expected(scenario: Scenario, outcome: Outcome | None = None,
                       *, policy: NumericPolicy = DEFAULT_POLICY) -> list[EvaluatedExpectation]:
-    """Compare every expected value with the scenario's own evaluation of it."""
-    actuals = scenario.evaluate(scenario, policy) if scenario.evaluate is not None else {}
+    """Compare every expected value with the scenario's own evaluation of it.
+
+    ``outcome`` is what a run of the scenario grew under ``policy``.  Its
+    :class:`HistoryTree` gives every value the scenario's own enumeration
+    gives, bit for bit.  Its :class:`SampleSummary` gives each
+    ``"probability"`` value as a sampled frequency, 0 on a path no draw
+    reached, held to ``max(tol, 4 sqrt(p (1 - p) / n))`` around the closed
+    form p; ``"tree"`` values are left out.  Without an outcome, the
+    evaluator enumerates the scenario's tree if it reads one.
+    """
+    actuals = scenario.evaluate(scenario, outcome, policy) if scenario.evaluate is not None else {}
+    sampled = isinstance(outcome, SampleSummary)
     out = []
     for exp in scenario.expected:
-        actual = actuals.get(exp.name, float("nan"))
-        ok = bool(abs(actual - exp.value) <= exp.tol) if np.isfinite(actual) else False
+        if sampled and exp.kind == "tree":
+            continue
+        drawn = sampled and exp.kind == "probability"
+        actual = actuals.get(exp.name, 0.0 if drawn else float("nan"))
+        tol = exp.tol
+        if drawn:  # the closed form can stray past [0, 1] by a rounding
+            spread = max(0.0, exp.value * (1.0 - exp.value)) / outcome.n_samples
+            tol = max(tol, 4.0 * math.sqrt(spread))
+        ok = bool(abs(actual - exp.value) <= tol) if np.isfinite(actual) else False
         out.append(EvaluatedExpectation(name=exp.name, expected=exp.value,
-                                        actual=actual, tol=exp.tol, ok=ok,
+                                        actual=actual, tol=tol, ok=ok,
                                         derivation=exp.derivation))
     return out

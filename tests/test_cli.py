@@ -26,7 +26,7 @@ from eventnet import (
     epr_scenario,
     foliate,
 )
-from eventnet import cli
+from eventnet import cli, histories
 from eventnet.cli import (
     RunConfig,
     _state_from_config,
@@ -100,14 +100,23 @@ def test_main_rejects_the_removed_max_branches_field(tmp_path, capsys):
     assert "unknown fields" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["enumerate", "sample"])
-def test_main_branch_cap_bounds_the_expected_block(tmp_path, capsys, mode):
-    # sample mode still enumerates the scenario tree for its expected block
+def test_main_branch_cap_bounds_the_enumerated_tree(tmp_path, capsys):
     path = tmp_path / "capped.json"
-    path.write_text(json.dumps({"scenario": "two-leaf-chain", "mode": mode, "samples": 3,
+    path.write_text(json.dumps({"scenario": "two-leaf-chain", "mode": "enumerate",
                                 "policy": {"branch_cap": 4}}))
     assert main(["--config", str(path)]) == 3
     assert "branch cap" in capsys.readouterr().err
+
+
+def test_main_sample_expected_block_stays_under_the_branch_cap(tmp_path, capsys):
+    # the expected block reads the draws, so a sample under the cap enumerates nothing
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({"scenario": "two-leaf-chain", "mode": "sample", "samples": 3,
+                                "seed": 1, "policy": {"branch_cap": 4}}))
+    assert main(["--config", str(path)]) == 0
+    rows = parse_report(capsys.readouterr().out)["expected"]
+    assert {row["name"] for row in rows} == {f"leaf_prob[{i},{j}]" for i in range(4)
+                                             for j in range(2)} | {"total_prob"}
 
 
 @pytest.mark.parametrize("target", [{"scenario": "epr"},
@@ -163,6 +172,10 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
     {"scenario": "epr", "policy": []},
     [],
     {"scenario": "massive-control", "mode": "record"},
+    # raw file bytes: a config saved as UTF-16, and an integer of more digits
+    # than Python converts (4300)
+    '{"scenario": "epr", "seed": 1}'.encode("utf-16"),
+    b'{"scenario": "epr", "mode": "sample", "samples": 1' + b"0" * 5000 + b"}",
 ], ids=["cell-dim-string", "cell-dim-one", "n-cells-string", "n-cells-too-many",
         "state-dim", "point-string", "point-outside", "samples-bool", "samples-float",
         "seed-bool", "seed-negative", "params-string", "params-range", "params-zero-direction",
@@ -170,10 +183,14 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
         "epsilon-below-floor", "samples-too-large", "record-no-representative",
         "demo-spectrum-one-level", "chain-spectrum-two-levels", "demo-tilt-nan",
         "demo-tilt-infinity", "scenario-number", "params-list", "net-list", "record-number",
-        "state-list", "out-number", "policy-list", "root-list", "record-without-quantities"])
+        "state-list", "out-number", "policy-list", "root-list", "record-without-quantities",
+        "text-utf16", "samples-5001-digits"])
 def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps(config))
     assert main(["--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
@@ -483,6 +500,77 @@ def test_enumerate_run_builds_no_node_objects(monkeypatch):
                                 {"mode": "enumerate"}))
     assert report["tree"]["n_leaves"] > 1
     assert events == [] and nodes == []
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_scenario_runs_build_no_node_objects(monkeypatch, name):
+    # the expected block reads the rows or the sample, like the rest of the report
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CLI run built a node object")
+
+    monkeypatch.setattr(ActualEvent, "from_isometry", classmethod(refuse))
+    monkeypatch.setattr(BranchNode, "__init__", refuse)
+    for mode in ("enumerate", "sample"):
+        report, _ = run(_cfg(scenario=name, mode=mode, seed=1))
+        assert report["expected"]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_each_scenario_run_grows_one_tree(monkeypatch, name):
+    grown = []
+    grow = histories._grow
+
+    def counted(*args, **kwargs):
+        grown.append(1)
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(histories, "_grow", counted)
+    for mode in ("enumerate", "sample"):
+        grown.clear()
+        report, _ = run(_cfg(scenario=name, mode=mode, seed=1))
+        assert report["expected"] and len(grown) == 1, mode
+    if "default_quantity" in build_scenario(name).params:
+        grown.clear()
+        report, _ = run(_cfg(scenario=name, mode="record", seed=1))
+        assert report["expected"] and grown == []
+
+
+def test_sample_expected_rows_hold_the_draws():
+    n = 2000
+    report, _ = run(_cfg(scenario="two-leaf-chain", mode="sample", samples=n, seed=3))
+    freq = {",".join(str(label) for *_, label in row["path"]): row["frequency"]
+            for row in report["samples"]["paths"]}
+    declared = {exp.name: exp for exp in build_scenario("two-leaf-chain").expected}
+    rows = {row["name"]: row for row in report["expected"]}
+    assert set(rows) == set(declared) - {"n_leaves"}
+    for name, row in rows.items():
+        assert row["ok"], row
+        if name.startswith("leaf_prob["):
+            p = declared[name].value
+            assert row["tol"] == max(1e-12, oracles.binomial_four_sigma(p, n))
+            assert row["actual"] == freq.get(name[len("leaf_prob["):-1], 0.0)
+    assert rows["total_prob"]["tol"] == 1e-12
+    assert rows["total_prob"]["actual"] == pytest.approx(1.0, abs=1e-12)
+    # every count of the whole tree is left out
+    control, _ = run(_cfg(scenario="massive-control", mode="sample", seed=3))
+    assert [row["name"] for row in control["expected"]] == ["derived_future_pairs"]
+
+
+def test_sample_expected_zero_probability_row_stays_exact():
+    report, _ = run(_cfg(scenario="epr", mode="sample", samples=500, seed=4,
+                         scenario_params={"n_prime_dir": [0.0, 0.0, 1.0]}))
+    freq = {"".join(label for *_, label in row["path"]): row["frequency"]
+            for row in report["samples"]["paths"]}
+    rows = {row["name"]: row for row in report["expected"]}
+    for pair in ("++", "--"):
+        row = rows[f"joint_prob[{pair}]"]
+        assert (row["expected"], row["actual"], row["tol"], row["ok"]) == (0.0, 0.0, 1e-12, True)
+    for pair in ("+-", "-+"):
+        row = rows[f"joint_prob[{pair}]"]
+        assert row["actual"] == freq[pair]
+        assert row["tol"] == oracles.binomial_four_sigma(0.5, 500) and row["ok"]
+    # closed-form rows read no draw
+    assert rows["conditioned_prob"]["tol"] == rows["unconditioned_prob"]["tol"] == 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the shipped scenarios and their closed-form expectations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ def test_scenario_expectations_all_hold(name):
     assert results, name
     for res in results:
         assert res.ok, (name, res.name, res.expected, res.actual, res.tol)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_expected_values_on_a_given_tree_are_the_enumerated_ones(name):
+    # a run hands its own tree over; every value is the one enumeration gives, bit for bit
+    scenario = build_scenario(name)
+    tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
+                          imposed=scenario.imposed)
+    alone, given = evaluate_expected(scenario), evaluate_expected(scenario, tree)
+    assert [repr(dataclasses.astuple(r)) for r in given] == [
+        repr(dataclasses.astuple(r)) for r in alone]
 
 
 def test_two_leaf_chain_matches_frozen_literals():
