@@ -1,6 +1,7 @@
 """Command-line runner: configure a net or scenario, run, emit a report.
 
-Configuration is a JSON file; a handful of flags override its fields.
+Configuration is a JSON file; a handful of flags override its fields, and
+one validator checks both, so a bad flag exits 1 like a bad field.
 Reports are deterministic functions of (config, seed), with no timestamps
 and no wall-clock data (timings go to stderr).  Their canonical bytes are
 ``json.dumps(report, sort_keys=True) + "\n"`` (:func:`serialize_report`),
@@ -9,7 +10,9 @@ so a structured report is one line; ``python -m json.tool --sort-keys
 input: a config-given initial state appears there as written, and a
 scenario's or the default state follows from the echoed fields.  The tree
 section is read off the history tree's rows (:meth:`HistoryTree.rows`); no
-node object is built.  A scenario's ``expected`` block is evaluated on the
+node object is built.  Its leaves are :meth:`HistoryTree.leaf_steps` and a
+sample's rows are :attr:`SampleSummary.counts`, both in tree order, which
+the CSV rows keep.  A scenario's ``expected`` block is evaluated on the
 tree or the sample the run grew, so no run grows a tree twice.
 
 Exit codes: 0 success, 1 configuration problems, 2 numeric failures
@@ -278,41 +281,34 @@ def _tree_section(tree) -> tuple[dict, list[dict]]:
     """The tree section and the detection rows, read off the tree's rows.
 
     Each row's node dict is appended to its parent row's ``children``, in
-    row order, which is the order of ``tree.root``.  A row's [tau, x,
-    label] path, and the json text of that path (the leaf rows' sort key),
-    are its parent's and one step.  A detection row is one ``TreeRows``:
-    the nodes one (leaf, point) made, and the largest outcome count among
-    them.  No node object is built.
+    row order, which is the order of ``tree.root``.  The leaves are
+    :meth:`HistoryTree.leaf_steps`, in its tree order; a leaf's path holds
+    one shared [tau, x, label] list per step.  A detection row is one
+    ``TreeRows``: the nodes one (leaf, point) made, and the largest outcome
+    count among them.  No node object is built.
     """
     sums, points = tree.rows()
     nodes = [{"point": None, "label": None, "cond_prob": 1.0, "cum_prob": 1.0,
               "event_dim": None, "children_prob_sum": sums[0], "children": []}]
-    paths: list[list] = [[]]
-    keys = ["[]"]
-    parents: set[int] = set()
+    steps = {}  # (tau, x, label) -> the one list every leaf path through that step holds
     detections = []
     for r in points:
         if not r.parent:
             continue
         tau, x = r.point
-        steps = [json.dumps([tau, x, label]) for label in r.labels]
         for p, k, w, cum, dim in zip(r.parent, r.outcome, r.cond_prob, r.cum_prob,
                                      r.event_dim):
-            label = r.labels[k]
-            node = {"point": [tau, x], "label": label, "cond_prob": w, "cum_prob": cum,
+            node = {"point": [tau, x], "label": r.labels[k], "cond_prob": w, "cum_prob": cum,
                     "event_dim": dim, "children_prob_sum": sums[len(nodes)], "children": []}
             nodes[p]["children"].append(node)
             nodes.append(node)
-            paths.append(paths[p] + [[tau, x, label]])
-            key = keys[p]
-            keys.append(f"{key[:-1]}, {steps[k]}]" if p else f"[{steps[k]}]")
-        parents.update(r.parent)
+        steps.update({(tau, x, label): [tau, x, label] for label in r.labels})
         detections.append({"leaf": r.leaf_index, "point": [tau, x], "nodes": len(r.parent),
                            "event_dim": max(r.event_dim)})
-    leaves = sorted((r for r in range(len(nodes)) if r not in parents), key=keys.__getitem__)
+    leaves = [{"path": [steps[step] for step in path], "probability": prob}
+              for path, prob in tree.leaf_steps()]
     section = {"root": nodes[0], "n_leaves": len(leaves), "pruned_mass": tree.pruned_mass,
-               "leaves": [{"path": paths[r], "probability": nodes[r]["cum_prob"]}
-                          for r in leaves]}
+               "leaves": leaves}
     detections.sort(key=lambda row: (row["leaf"], row["point"]))
     return section, detections
 
@@ -391,7 +387,6 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
         rows = [{"path": [list(step) for step in key], "count": count,
                  "frequency": count / summary.n_samples}
                 for key, count in summary.counts.items()]
-        rows.sort(key=lambda r: json.dumps(r["path"]))
         report["samples"] = {
             "n": summary.n_samples,
             "seed": cfg.seed,
@@ -483,25 +478,26 @@ def emit_report(report: dict, fmt: str, out: str | None):
     return None
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a bad flag exits 1, as a bad config field does
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="eventnet",
         description="Run an operator-algebra event simulation and emit a report.")
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--scenario", choices=sorted(SCENARIO_BUILDERS),
-                        help="shipped scenario name")
-    parser.add_argument("--mode", choices=_MODES, help="what to compute")
+    parser.add_argument("--scenario",
+                        help=f"shipped scenario: {', '.join(sorted(SCENARIO_BUILDERS))}")
+    parser.add_argument("--mode", help=f"what to compute: {', '.join(_MODES)}")
     parser.add_argument("--samples", type=int, help="sample count for sample mode")
     parser.add_argument("--seed", type=int, help="run seed")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=_FORMATS, dest="fmt",
-                        help="report format")
-    args = parser.parse_args(argv)
-    overrides = {"scenario": args.scenario, "mode": args.mode,
-                 "samples": args.samples, "seed": args.seed, "out": args.out,
-                 "format": args.fmt}
+    parser.add_argument("--format", help=f"report format: {', '.join(_FORMATS)}")
     try:
-        cfg = load_config(args.config, overrides)
+        overrides = vars(parser.parse_args(argv))  # each flag but --config names a config field
+        cfg = load_config(overrides.pop("config"), overrides)
         report, timings = run(cfg)
         text = emit_report(report, cfg.format, cfg.out)
     except EventNetError as exc:

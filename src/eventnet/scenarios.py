@@ -442,7 +442,7 @@ def build_scenario(name: str, params: Mapping | None = None,
             f"unknown scenario {name!r}; pick one of {sorted(SCENARIO_BUILDERS)}") from None
     try:
         return builder(**dict(params or {}), policy=policy)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: a number beyond float range
         raise ConfigError(f"bad parameters for scenario {name!r}: {exc}") from None
 
 

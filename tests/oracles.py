@@ -5,8 +5,6 @@ index loops and brute-force product enumeration — so that agreement with
 the package's SVD-based routines is evidence, not circularity.
 """
 
-import json
-
 import numpy as np
 
 
@@ -116,9 +114,9 @@ def tree_section_by_walk(tree):
     """The report's tree section and detection rows, from one walk of ``tree.root``'s objects.
 
     The walk carries each node's [tau, x, label] path down to the leaf
-    rows, which are sorted by the json text of their paths.  A detection
-    row counts the nodes of one (leaf, point) and holds the largest
-    outcome count among them; rows are sorted by (leaf, point).
+    rows, which come in the walk's order: children in outcome order.  A
+    detection row counts the nodes of one (leaf, point) and holds the
+    largest outcome count among them; rows are sorted by (leaf, point).
     """
     leaves, detections = [], {}
 
@@ -139,7 +137,6 @@ def tree_section_by_walk(tree):
                 "children": [walk(child, path) for child in node.children]}
 
     root = walk(tree.root, [])
-    leaves.sort(key=lambda r: json.dumps(r["path"]))
     section = {"root": root, "n_leaves": len(leaves), "pruned_mass": tree.pruned_mass,
                "leaves": leaves}
     return section, [detections[key] for key in sorted(detections)]

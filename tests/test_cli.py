@@ -176,6 +176,14 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
     # than Python converts (4300)
     '{"scenario": "epr", "seed": 1}'.encode("utf-16"),
     b'{"scenario": "epr", "mode": "sample", "samples": 1' + b"0" * 5000 + b"}",
+    # a scenario parameter of 401 digits, beyond float range
+    {"scenario": "epr", "scenario_params": {"n_dir": [10**400, 0, 0]}},
+    {"scenario": "epr", "scenario_params": {"n_prime_dir": [10**400, 0, 0]}},
+    {"scenario": "epr-overlap", "scenario_params": {"n_dir": [0, 0, 10**400]}},
+    {"scenario": "epr-overlap", "scenario_params": {"n_prime_dir": [0, 0, 10**400]}},
+    {"scenario": "massive-control", "scenario_params": {"spectrum": [10**400, 1]}},
+    {"scenario": "two-leaf-chain", "scenario_params": {"spectrum": [10**400, 0.3, 0.2, 0.1]}},
+    {"scenario": "recording-demo", "scenario_params": {"spectrum": [10**400, 1]}},
 ], ids=["cell-dim-string", "cell-dim-one", "n-cells-string", "n-cells-too-many",
         "state-dim", "point-string", "point-outside", "samples-bool", "samples-float",
         "seed-bool", "seed-negative", "params-string", "params-range", "params-zero-direction",
@@ -184,7 +192,9 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
         "demo-spectrum-one-level", "chain-spectrum-two-levels", "demo-tilt-nan",
         "demo-tilt-infinity", "scenario-number", "params-list", "net-list", "record-number",
         "state-list", "out-number", "policy-list", "root-list", "record-without-quantities",
-        "text-utf16", "samples-5001-digits"])
+        "text-utf16", "samples-5001-digits", "epr-n-dir-overflow", "epr-n-prime-dir-overflow",
+        "overlap-n-dir-overflow", "overlap-n-prime-dir-overflow", "control-spectrum-overflow",
+        "chain-spectrum-overflow", "demo-spectrum-overflow"])
 def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
     if isinstance(config, bytes):
@@ -449,6 +459,51 @@ def _seeded_cone(seed):
     return net, State(rho / np.trace(rho).real)
 
 
+_MANY_OUTCOMES = Path(__file__).parent / "configs" / "cone-2x3-many-outcomes.json"
+
+
+def _many_outcomes(overrides):
+    """The config of a 2x3 cone whose point (0, 1) has 16 outcomes, its net and its state.
+
+    Outcome 10 sorts before outcome 2 as json text, so a leaf order read
+    off path texts is not the tree's.
+    """
+    cfg = load_config(str(_MANY_OUTCOMES), overrides)
+    return cfg, build_tensor_net(CausalLattice(2, 3), 2), State.diagonal(
+        cfg.initial_state["weights"])
+
+
+def _csv_path(steps):
+    return "|".join(f"{t},{x}={lbl}" for t, x, lbl in steps)
+
+
+def test_report_leaves_and_csv_rows_follow_leaf_steps():
+    cfg, net, initial = _many_outcomes({})
+    report, _ = run(cfg)
+    tree = enumerate_tree(net, foliate(net.lattice), initial)
+    assert max(tree.spectrum_dims) > 10
+    leaves = [{"path": [list(step) for step in steps], "probability": prob}
+              for steps, prob in tree.leaf_steps()]
+    assert report["tree"]["leaves"] == leaves
+    assert leaves != sorted(leaves, key=lambda r: json.dumps(r["path"]))
+    header, *rows = csv.reader(io.StringIO(emit_report(report, "csv", None)))
+    assert rows == [[_csv_path(steps), repr(prob)] for steps, prob in tree.leaf_steps()]
+    assert parse_report(serialize_report(report)) == report
+
+
+def test_sample_rows_follow_the_summary_counts():
+    cfg, net, initial = _many_outcomes({"mode": "sample"})
+    report, _ = run(cfg)
+    summary = histories.sample_paths(net, foliate(net.lattice), initial, cfg.samples, cfg.seed)
+    rows = [{"path": [list(step) for step in steps], "count": count,
+             "frequency": count / cfg.samples} for steps, count in summary.counts.items()]
+    assert report["samples"]["paths"] == rows
+    assert rows != sorted(rows, key=lambda r: json.dumps(r["path"]))
+    header, *lines = csv.reader(io.StringIO(emit_report(report, "csv", None)))
+    assert lines == [[_csv_path(steps), str(count), repr(count / cfg.samples)]
+                     for steps, count in summary.counts.items()]
+
+
 def test_tree_section_agrees_with_the_tree():
     path = Path(__file__).parent / "configs" / "cone-2x2.json"
     cfg = load_config(str(path), {})
@@ -458,7 +513,6 @@ def test_tree_section_agrees_with_the_tree():
     tree = enumerate_tree(net, foliate(net.lattice), State(rho))
     rows = [{"path": [[e.point.tau, e.point.x, e.label] for e in events], "probability": prob}
             for events, prob in tree.leaf_paths()]
-    rows.sort(key=lambda r: json.dumps(r["path"]))
     assert report["tree"]["leaves"] == rows
     assert report["tree"]["n_leaves"] == len(tree.leaves())
     # the section read off the rows is the one a walk of tree.root's objects gives
@@ -473,7 +527,9 @@ def test_tree_section_agrees_with_the_tree():
     gated = enumerate_tree(cone, foliate(cone.lattice), initial,
                            policy=NumericPolicy(prob_floor=1e-3),
                            propagators={1: random_unitary(cone.dim, np.random.default_rng(8))})
-    for case in (tree, epr, dead, gated):
+    _, cone, initial = _many_outcomes({})
+    many = enumerate_tree(cone, foliate(cone.lattice), initial)
+    for case in (tree, epr, dead, gated, many):
         section, detections = _tree_section(case)
         walked = oracles.tree_section_by_walk(case)
         assert (section, detections) == walked
@@ -719,6 +775,30 @@ def test_main_turns_running_out_of_memory_into_exit_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "epr", "--mode", "bogus"],
+    ["--scenario", "epr", "--mode", "sample", "--samples", "x"],
+    ["--scenario", "epr", "--seed", "1.5"],
+    ["--scenario", "epr", "--frobnicate"],
+    ["--scenario", "bogus"],
+    ["--scenario", "epr", "--format", "xml"],
+    ["--scenario"],
+], ids=["mode", "samples-not-int", "seed-not-int", "unknown-flag", "scenario", "format",
+        "missing-value"])
+def test_main_refuses_bad_flags_with_exit_1(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "usage:" not in err and "Traceback" not in err
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--mode" in capsys.readouterr().out
 
 
 def test_main_config_error_exit_code(capsys):
