@@ -65,6 +65,9 @@ _NET_SIZES = (("extent_tau", 1, 1), ("extent_x", 1, 1), ("speed", 1, 1),
 # the keys a "net" or a "record" object may hold; "scenario_params" goes to the builder
 _OBJECT_KEYS = {"net": {"kind"} | {name for name, *_ in _NET_SIZES},
                 "record": {"quantity", "point"}}
+# the keys an "initial_state" object of each kind may hold
+_STATE_KEYS = {"maximally-mixed": {"kind"}, "diagonal": {"kind", "weights"},
+               "vector": {"kind", "entries"}, "matrix": {"kind", "entries"}}
 
 @dataclass
 class RunConfig:
@@ -116,11 +119,18 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
         problems.append("scenario and net are mutually exclusive")
     if not cfg.scenario and not cfg.net:
         problems.append("one of scenario or net is required")
-    if "initial_state" in raw and raw["initial_state"] is not None:
-        if not isinstance(raw["initial_state"], dict) or "kind" not in raw["initial_state"]:
+    state = raw.get("initial_state")
+    if state is not None:
+        if not isinstance(state, dict) or "kind" not in state:
             problems.append("initial_state: must be an object with a 'kind'")
+        elif state["kind"] not in tuple(_STATE_KEYS):  # a tuple: the kind may be unhashable
+            problems.append(f"initial_state: kind {state['kind']!r} is not recognized; "
+                            f"known: {list(_STATE_KEYS)}")
+        elif extra := set(state) - _STATE_KEYS[state["kind"]]:
+            problems.append(f"initial_state: unknown keys {sorted(extra)} "
+                            f"for kind {state['kind']!r}")
         else:
-            cfg.initial_state = dict(raw["initial_state"])
+            cfg.initial_state = dict(state)
     for key, choices in (("mode", _MODES), ("commutation", _COMMUTATION),
                          ("format", _FORMATS)):
         value = raw.get(key, getattr(cfg, key))
@@ -217,9 +227,7 @@ def _real_array(values, ndim: int) -> np.ndarray:
 
 def _state_from_config(desc: Mapping[str, Any] | None, dim: int,
                        policy: NumericPolicy) -> State:
-    kind = "maximally-mixed" if desc is None else desc.get("kind")
-    if kind not in ("maximally-mixed", "diagonal", "vector", "matrix"):
-        raise ConfigError(f"initial_state kind {kind!r} is not recognized")
+    kind = "maximally-mixed" if desc is None else desc["kind"]  # checked by _validate_config
     try:
         if kind == "maximally-mixed":
             state = State.maximally_mixed(dim, policy=policy)
@@ -281,7 +289,8 @@ def _tree_section(tree) -> tuple[dict, list[dict]]:
     """The tree section and the detection rows, read off the tree's rows.
 
     Each row's node dict is appended to its parent row's ``children``, in
-    row order, which is the order of ``tree.root``.  The leaves are
+    row order, which is the order of ``tree.root``; the nodes of one
+    ``TreeRows`` share one [tau, x] list.  The leaves are
     :meth:`HistoryTree.leaf_steps`, in its tree order; a leaf's path holds
     one shared [tau, x, label] list per step.  A detection row is one
     ``TreeRows``: the nodes one (leaf, point) made, and the largest outcome
@@ -296,14 +305,15 @@ def _tree_section(tree) -> tuple[dict, list[dict]]:
         if not r.parent:
             continue
         tau, x = r.point
+        at = [tau, x]  # the one point list every node of these rows holds
         for p, k, w, cum, dim in zip(r.parent, r.outcome, r.cond_prob, r.cum_prob,
                                      r.event_dim):
-            node = {"point": [tau, x], "label": r.labels[k], "cond_prob": w, "cum_prob": cum,
+            node = {"point": at, "label": r.labels[k], "cond_prob": w, "cum_prob": cum,
                     "event_dim": dim, "children_prob_sum": sums[len(nodes)], "children": []}
             nodes[p]["children"].append(node)
             nodes.append(node)
         steps.update({(tau, x, label): [tau, x, label] for label in r.labels})
-        detections.append({"leaf": r.leaf_index, "point": [tau, x], "nodes": len(r.parent),
+        detections.append({"leaf": r.leaf_index, "point": at, "nodes": len(r.parent),
                            "event_dim": max(r.event_dim)})
     leaves = [{"path": [steps[step] for step in path], "probability": prob}
               for path, prob in tree.leaf_steps()]

@@ -124,7 +124,7 @@ class OperatorAlgebra:
         if validate:
             gram = self._flat.conj() @ self._flat.T
             dev = float(np.max(np.abs(gram - np.eye(len(mats)))))
-            if dev > policy.tol_basis:
+            if dev > policy.tol_closure:
                 raise ValueError(f"basis is not orthonormal (deviation {dev:.3e})")
             if self.membership_residual(np.eye(n, dtype=complex)) > policy.tol_closure * np.sqrt(n):
                 raise ValueError("algebra span does not contain the identity")
@@ -328,9 +328,10 @@ def algebra_closure(generators: Iterable, ambient_dim: int | None = None,
 
     Starts from the span of {1} + generators + adjoints and alternates
     product formation with re-orthonormalization until no product leaves
-    the span.  A product direction counts as new only if its singular value
-    exceeds ``tol_closure`` times the largest singular value of the stacked
-    candidate matrix.
+    the span.  ``tol_closure`` is the one rank cutoff: a product direction
+    counts as new only if its singular value exceeds ``tol_closure`` times
+    the largest singular value of the stacked candidate matrix, and the
+    same cutoff drops dependent rows when the basis is re-orthonormalized.
     """
     mats = []
     for g in generators:
@@ -346,7 +347,7 @@ def algebra_closure(generators: Iterable, ambient_dim: int | None = None,
         if m.shape[0] != n:
             raise DimensionMismatchError("generators live on different spaces")
     seed = np.stack([np.eye(n, dtype=complex).ravel()] + [m.ravel() for m in mats])
-    basis = linalg.orthonormal_rows(seed, policy.tol_basis)
+    basis = linalg.orthonormal_rows(seed, policy.tol_closure)
     while True:
         k = basis.shape[0]
         if k == n * n:
@@ -359,7 +360,7 @@ def algebra_closure(generators: Iterable, ambient_dim: int | None = None,
         new = linalg.orthonormal_rows(resid, policy.tol_closure, scale=scale)
         if new.shape[0] == 0:
             break
-        basis = linalg.orthonormal_rows(np.vstack([basis, new]), policy.tol_basis)
+        basis = linalg.orthonormal_rows(np.vstack([basis, new]), policy.tol_closure)
     ops = basis.reshape(-1, n, n)
     return OperatorAlgebra(list(ops), policy=policy, validate=False)
 
@@ -506,7 +507,7 @@ def gns_construct(alg: OperatorAlgebra, omega: State,
     """Build the cyclic representation of ``omega`` on ``alg``.
 
     The Gram matrix ``G[i, j] = omega(B_i* B_j)`` is diagonalized;
-    directions with eigenvalue at most ``tol_gns_null`` times the largest
+    directions with eigenvalue at most ``tol_closure`` times the largest
     are treated as null and removed.  Raises ``ArithmeticError`` when the
     squared norm of the cyclic vector misses ``omega(1)`` by more than
     ``tol_trace`` plus the mass those null directions carried.
@@ -521,7 +522,7 @@ def gns_construct(alg: OperatorAlgebra, omega: State,
     gram = (gram + dagger(gram)) / 2.0
     lam, u = np.linalg.eigh(gram)
     top = float(lam[-1]) if lam.size else 0.0
-    keep = lam > policy.tol_gns_null * max(top, 0.0)
+    keep = lam > policy.tol_closure * max(top, 0.0)
     embed_map = np.sqrt(lam[keep])[:, None] * dagger(u[:, keep])
     one = alg.coefficients(np.eye(n, dtype=complex))
     space = GnsSpace(algebra=alg, dim=int(keep.sum()), embed_map=embed_map,
@@ -590,14 +591,14 @@ def support_restrict(omega: State, *, policy: NumericPolicy = DEFAULT_POLICY) ->
     """Clamp numerically-zero eigenvalues and renormalize onto the support.
 
     Eigenvalues below ``tol_psd`` are set to zero; if the surviving trace
-    falls below ``trace_floor`` the state has no usable support and an
-    error is raised.
+    falls below ``prob_floor``, the floor a branch weight must clear, the
+    state has no usable support and ``NullBranchError`` is raised.
     """
     vals, vecs = omega.eigensystem()
     clamped = np.where(vals < policy.tol_psd, 0.0, vals)
     mass = float(np.sum(vals) - np.sum(clamped))
     tr = float(np.sum(clamped))
-    if tr < policy.trace_floor:
+    if tr < policy.prob_floor:
         raise NullBranchError(f"state trace {tr:.3e} below floor after clamping")
     keep = clamped > 0.0
     rho = (vecs * (clamped / tr)) @ dagger(vecs)

@@ -34,24 +34,23 @@ class NumericPolicy:
     """
 
     # linear algebra on operator spans
-    tol_basis: float = 1e-10        # Hilbert-Schmidt orthonormality of algebra bases
-    tol_closure: float = 1e-10      # span-membership residuals and null-space cutoffs
+    tol_closure: float = 1e-10      # span-membership residuals, rank and null-space cutoffs,
+                                    # algebra-basis orthonormality and GNS null directions
     tol_proj: float = 1e-9          # projection-family checks (idempotent, orthogonal, complete)
 
     # states
     tol_psd: float = 1e-12          # allowed negative slack on state eigenvalues
     tol_trace: float = 1e-12        # allowed deviation of a state trace from 1
-    trace_floor: float = 1e-9       # smallest trace surviving support clamping
 
-    # state representations and conditioning
-    tol_gns_null: float = 1e-10     # relative cutoff for null directions of the Gram matrix
+    # conditioning
     eps_floor: float = 1e-6         # smallest admissible projection weight when conditioning
 
     # events and branching
     gap_min: float = 1e-6           # eigenvalue clustering threshold
-    prob_floor: float = 1e-9        # smallest probability counted as strictly positive
-    tol_tree: float = 1e-9          # read by nothing in the package; report checks use it
-                                    # as the slack on listed leaves + pruned_mass = 1
+    prob_floor: float = 1e-9        # smallest branch weight or clamped support trace kept
+    tol_tree: float = 1e-9          # read by no package code; echoed in the report, where
+                                    # the benchmark's tree-mass check reads it as the slack
+                                    # on listed leaves + pruned_mass = 1
     tol_commutation: float = 1e-9   # spacelike commutator norms treated as zero
     match_threshold: float = 0.5    # projection matching radius in operator norm
 

@@ -252,6 +252,19 @@ def epr_overlap_scenario(n_dir=(0.0, 0.0, 1.0), n_prime_dir=(1.0, 0.0, 0.0),
                     evaluate=_evaluate_spacelike_pair)
 
 
+def _require_resolved(spectrum: tuple[float, ...], floor: float,
+                      policy: NumericPolicy) -> None:
+    """Refuse levels the detection merges (gap at most ``gap_min``) or drops (below ``floor``).
+
+    A closed form that counts one outcome per level holds only when every
+    level is its own outcome and is kept.
+    """
+    if min(np.diff(sorted(spectrum))) <= policy.gap_min:
+        raise ConfigError("spectrum gaps must exceed the clustering threshold")
+    if min(spectrum) < floor:
+        raise ConfigError(f"spectrum level {min(spectrum)!r} is below the floor {floor!r}")
+
+
 def massive_control(extent_tau: int = 2, spectrum: Sequence[float] = (0.75, 0.25),
                     *, policy: NumericPolicy = DEFAULT_POLICY) -> Scenario:
     """Structureless control: every point carries the full algebra.
@@ -266,6 +279,7 @@ def massive_control(extent_tau: int = 2, spectrum: Sequence[float] = (0.75, 0.25
         raise ConfigError("control spectrum needs at least two levels")
     if any(s <= 0 for s in spectrum):
         raise ConfigError("control spectrum must be strictly positive (faithful)")
+    _require_resolved(spectrum, policy.prob_floor, policy)
     net = build_full_net(lattice, len(spectrum), 1, policy=policy)
     initial = State.diagonal(spectrum, policy=policy)
     expected = [
@@ -313,8 +327,7 @@ def two_leaf_chain(seed: int = 7, spectrum: Sequence[float] = (0.4, 0.3, 0.2, 0.
         raise ConfigError(f"spectrum has {len(spectrum)} levels, not the 4 of two qubits")
     if list(spectrum) != sorted(spectrum, reverse=True):
         raise ConfigError("spectrum must be given in decreasing order")
-    if min(np.diff(sorted(spectrum))) <= policy.gap_min:
-        raise ConfigError("spectrum gaps must exceed the clustering threshold")
+    _require_resolved(spectrum, policy.prob_floor, policy)
     lattice = CausalLattice(2, 1)
     net = build_tensor_net(lattice, 2, policy=policy)
     rng = np.random.default_rng(seed)
@@ -364,14 +377,18 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
     "aligned" shares its eigenprojections with the event family and is
     recorded exactly; "transverse" is maximally misaligned and fails with
     alignment norms of exactly 1/2; "tilted" is the aligned quantity
-    rotated by a small angle and passes at moderate resolution.
+    rotated by ``tilt``, with alignment norm ``|sin tilt| / 2``, so it
+    passes at the resolution 0.05 only for a small tilt.  Both levels of
+    the spectrum must be resolved outcomes at that resolution.
     """
+    eps = 0.05
     lattice = CausalLattice(1, 1)
     net = build_tensor_net(lattice, 2, policy=policy)
     p = Point(0, 0)
     spectrum = tuple(float(s) for s in spectrum)
     if len(spectrum) != 2:
         raise ConfigError(f"spectrum has {len(spectrum)} levels, not the 2 of one qubit")
+    _require_resolved(spectrum, max(policy.prob_floor, eps), policy)
     if not is_real_number(tilt) or not abs(tilt) <= sys.float_info.max:
         raise ConfigError(f"tilt: {tilt!r} is not a finite real number")
     initial = State.diagonal(spectrum, policy=policy)
@@ -392,8 +409,8 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
                  "averaging a transverse projection yields half the identity"),
         Expected("transverse_norm[1]", 0.5, 1e-10,
                  "averaging a transverse projection yields half the identity"),
-        Expected("tilted_passes", 1.0, 0.0,
-                 "small rotations stay within the resolution"),
+        Expected("tilted_passes", 1.0 if abs(math.sin(tilt)) / 2.0 < eps else 0.0, 0.0,
+                 "the tilted alignment norm |sin tilt|/2 passes below the resolution"),
         Expected("mixture_defect_transverse", abs(spectrum[0] - 0.5), 1e-12,
                  "block-diagonalizing in the transverse basis levels the spectrum"),
     ]
@@ -401,7 +418,7 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
                     foliation=foliate(lattice), quantities=quantities,
                     expected=expected,
                     params={"spectrum": list(spectrum), "tilt": tilt,
-                            "epsilon": 0.05, "default_quantity": "aligned",
+                            "epsilon": eps, "default_quantity": "aligned",
                             "record_point": [0, 0]},
                     evaluate=_evaluate_recording_demo)
 

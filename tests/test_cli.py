@@ -184,6 +184,15 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
     {"scenario": "massive-control", "scenario_params": {"spectrum": [10**400, 1]}},
     {"scenario": "two-leaf-chain", "scenario_params": {"spectrum": [10**400, 0.3, 0.2, 0.1]}},
     {"scenario": "recording-demo", "scenario_params": {"spectrum": [10**400, 1]}},
+    # an initial_state key its kind does not read
+    {"net": _CONE_1X2, "initial_state": {"kind": "maximally-mixed", "weights": [1, 0, 0, 0]}},
+    {"net": _CONE_1X2,
+     "initial_state": {"kind": "diagonal", "weights": [0.4, 0.3, 0.2, 0.1], "seed": 3}},
+    # spectra whose levels the detection merges (within gap_min) or drops
+    {"scenario": "massive-control", "scenario_params": {"spectrum": [0.5, 0.5]}},
+    {"scenario": "massive-control", "scenario_params": {"spectrum": [0.9999999999, 1e-10]}},
+    {"scenario": "recording-demo", "scenario_params": {"spectrum": [0.5, 0.5]}},
+    {"scenario": "recording-demo", "scenario_params": {"spectrum": [0.99, 0.01]}},
 ], ids=["cell-dim-string", "cell-dim-one", "n-cells-string", "n-cells-too-many",
         "state-dim", "point-string", "point-outside", "samples-bool", "samples-float",
         "seed-bool", "seed-negative", "params-string", "params-range", "params-zero-direction",
@@ -194,7 +203,9 @@ _CONE_1X2 = {"kind": "cone", "extent_tau": 1, "extent_x": 2}
         "state-list", "out-number", "policy-list", "root-list", "record-without-quantities",
         "text-utf16", "samples-5001-digits", "epr-n-dir-overflow", "epr-n-prime-dir-overflow",
         "overlap-n-dir-overflow", "overlap-n-prime-dir-overflow", "control-spectrum-overflow",
-        "chain-spectrum-overflow", "demo-spectrum-overflow"])
+        "chain-spectrum-overflow", "demo-spectrum-overflow", "mixed-state-weights",
+        "diagonal-state-seed", "control-spectrum-equal", "control-spectrum-below-floor",
+        "demo-spectrum-equal", "demo-spectrum-below-resolution"])
 def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
     if isinstance(config, bytes):
@@ -205,6 +216,39 @@ def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["trace_floor", "tol_basis", "tol_gns_null"])
+def test_main_refuses_a_removed_policy_field(tmp_path, capsys, name):
+    # prob_floor owns the support-trace floor, tol_closure the basis and GNS cutoffs
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"scenario": "epr", "policy": {name: 1e-9}}))
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: policy: unknown tolerances ['{name}']\n"
+
+
+def test_initial_state_keys_follow_its_kind():
+    for state in ({"kind": "maximally-mixed"}, {"kind": "diagonal", "weights": [0.5, 0.5]},
+                  {"kind": "vector", "entries": [[1, 0], [0, 0]]},
+                  {"kind": "matrix", "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}):
+        assert _cfg(scenario="recording-demo", initial_state=state).initial_state == state
+    with pytest.raises(ConfigError, match=r"unknown keys \['entries'\] for kind 'diagonal'"):
+        _cfg(scenario="recording-demo",
+             initial_state={"kind": "diagonal", "weights": [0.5, 0.5], "entries": []})
+
+
+def test_main_runs_a_large_recording_tilt_with_its_closed_form(tmp_path, capsys):
+    # a tilt of 0.11 has alignment norm sin(0.11)/2 = 0.0549, above the resolution 0.05
+    path = tmp_path / "tilt.json"
+    path.write_text(json.dumps({"scenario": "recording-demo", "mode": "record",
+                                "record": {"quantity": "tilted"},
+                                "scenario_params": {"tilt": 0.11}}))
+    assert main(["--config", str(path)]) == 0
+    report = parse_report(capsys.readouterr().out)
+    assert report["recording"]["passes"] is False
+    rows = {row["name"]: row for row in report["expected"]}
+    assert rows["tilted_passes"]["expected"] == 0.0 and rows["tilted_passes"]["ok"]
+    assert all(row["ok"] for row in report["expected"])
 
 
 def test_config_collects_all_problems():
@@ -760,10 +804,10 @@ def test_main_refuses_a_policy_number_beyond_float_range(capsys):
     path = Path(__file__).parent / "configs" / "bad-policy-overflow.json"
     assert main(["--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: policy: tol_basis: ")
+    assert err.startswith("error: policy: tol_closure: ")
     assert "Traceback" not in err
-    with pytest.raises(ValueError, match="tol_basis"):
-        NumericPolicy(tol_basis=10**400)
+    with pytest.raises(ValueError, match="tol_closure"):
+        NumericPolicy(tol_closure=10**400)
 
 
 def test_main_turns_running_out_of_memory_into_exit_3(monkeypatch, capsys):

@@ -7,6 +7,7 @@ from eventnet import (
     DEFAULT_POLICY,
     DimensionMismatchError,
     EigengapError,
+    NullBranchError,
     NumericPolicy,
     Operator,
     OperatorAlgebra,
@@ -192,6 +193,19 @@ def test_algebra_validation_accepts_an_orthonormal_unital_basis():
 def test_algebra_validation_refuses_a_non_orthonormal_basis():
     with pytest.raises(ValueError, match="not orthonormal"):
         OperatorAlgebra([np.eye(2) / np.sqrt(2.0), np.diag([1.0, 0.0])])
+
+
+def test_algebra_orthonormality_and_rank_cutoffs_read_tol_closure():
+    # a basis element 1e-8 too long is orthonormal to within 2e-8
+    off = [np.eye(2) / np.sqrt(2.0), PAULI_Z * (1.0 + 1e-8) / np.sqrt(2.0)]
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OperatorAlgebra(off)
+    assert OperatorAlgebra(off, policy=NumericPolicy(tol_closure=1e-6)).dim == 2
+    # a generator 1e-8 away from the identity spans a direction only the
+    # default cutoff keeps
+    near_one = np.diag([1.0, 1.0 + 1e-8])
+    assert algebra_closure([near_one], 2).dim == 2
+    assert algebra_closure([near_one], 2, policy=NumericPolicy(tol_closure=1e-6)).dim == 1
 
 
 def test_algebra_validation_refuses_a_span_without_the_identity():
@@ -417,7 +431,7 @@ def test_opalg_tolerances_come_from_the_policy():
 @pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
 def test_gns_accepts_near_pure_states(eps):
     # the quotient drops the Gram direction of weight eps once it falls
-    # below tol_gns_null; the cyclic-vector check allows for that mass
+    # below tol_closure; the cyclic-vector check allows for that mass
     omega = State.diagonal([1.0 - eps, eps])
     for alg in (full_matrix_algebra(2), diagonal_algebra(2)):
         space = gns_construct(alg, omega)
@@ -427,6 +441,14 @@ def test_gns_accepts_near_pure_states(eps):
     a = np.array([[1.0, 2.0], [0.5j, -1.0]])
     dual = conditional_expectation_gns(full_matrix_algebra(2), omega, event, a)
     assert abs(omega.value(dual) - omega.value(Operator(a))) < 1e-9
+
+
+def test_gns_null_cutoff_reads_tol_closure():
+    # the Gram eigenvalues of diag(1 - 1e-6, 1e-6) on M2 are 1 - 1e-6 twice and 1e-6 twice
+    omega = State.diagonal([1.0 - 1e-6, 1e-6])
+    assert gns_construct(full_matrix_algebra(2), omega).dim == 4
+    coarse = gns_construct(full_matrix_algebra(2), omega, policy=NumericPolicy(tol_closure=1e-4))
+    assert coarse.dim == 2
 
 
 def test_gns_quotient_for_pure_state():
@@ -498,6 +520,13 @@ def test_support_restrict_clamps_noise():
     restricted = support_restrict(omega)
     assert np.linalg.eigvalsh(restricted.state.rho).min() >= 0.0
     assert abs(np.trace(restricted.support.entries) - 2.0) < 1e-10
+
+
+def test_support_restrict_refuses_a_trace_below_prob_floor():
+    omega = State.diagonal([0.6, 0.4, 0.0])
+    assert support_restrict(omega, policy=NumericPolicy(prob_floor=0.999)).state.dim == 3
+    with pytest.raises(NullBranchError, match="below floor"):
+        support_restrict(omega, policy=NumericPolicy(prob_floor=1.5))
 
 
 def test_policy_roundtrip():

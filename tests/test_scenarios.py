@@ -8,6 +8,7 @@ import pytest
 from eventnet import (
     CausalLattice,
     ConfigError,
+    NumericPolicy,
     Point,
     SCENARIO_BUILDERS,
     State,
@@ -150,6 +151,40 @@ def test_scenario_refuses_a_spectrum_of_the_wrong_length(name, spectrum, levels)
 def test_massive_control_rejects_unfaithful_spectrum():
     with pytest.raises(ConfigError):
         massive_control(spectrum=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("builder, spectrum, match", [
+    (massive_control, (0.5, 0.5), "gaps"),
+    (massive_control, (0.5, 0.5 - 5e-7, 5e-7), "gaps"),
+    (massive_control, (0.9999999999, 1e-10), "below the floor"),
+    (recording_demo, (0.5, 0.5), "gaps"),
+    (recording_demo, (0.99, 0.01), "below the floor"),
+], ids=["control-equal", "control-close", "control-below-prob-floor", "demo-equal",
+        "demo-below-resolution"])
+def test_scenario_refuses_a_spectrum_its_closed_forms_do_not_cover(builder, spectrum, match):
+    with pytest.raises(ConfigError, match=match):
+        builder(spectrum=spectrum)
+
+
+def test_scenario_spectrum_floors_follow_prob_floor():
+    coarse = NumericPolicy(prob_floor=0.3)
+    with pytest.raises(ConfigError, match="below the floor 0.3"):
+        massive_control(policy=coarse)
+    with pytest.raises(ConfigError, match="below the floor 0.3"):
+        recording_demo(policy=coarse)
+    # a level at the resolution is kept, so it is allowed
+    assert recording_demo(spectrum=(0.95, 0.05)).params["spectrum"] == [0.95, 0.05]
+
+
+@pytest.mark.parametrize("tilt, passes", [(0.01, 1.0), (0.099, 1.0), (-0.099, 1.0),
+                                          (0.11, 0.0), (0.3, 0.0), (np.pi, 1.0)])
+def test_recording_demo_tilted_passes_is_its_closed_form(tilt, passes):
+    # the tilted alignment norm is |sin tilt| / 2, held to the resolution 0.05
+    sc = recording_demo(tilt=tilt)
+    results = {r.name: r for r in evaluate_expected(sc)}
+    assert results["tilted_passes"].expected == passes
+    for res in results.values():
+        assert res.ok, res
 
 
 def test_pure_state_never_branches():
