@@ -28,15 +28,23 @@ with V contracted on the support axes, and recorded as one
 :class:`TreeRows`.  Each branch is replaced in place by its children, so
 the frontier stays in tree order.  Commutator norms of two families are
 taken by principal angles (:func:`linalg.max_commutator_norm`), for every
-entry branch at once.  Node objects are built, and their states checked,
-only when they are read.
+entry branch at once.
+
+Memory is the live frontier plus one bounded block of work.  The collapse
+takes consecutive parents in blocks (:data:`linalg.BLOCK_ENTRIES`) and
+normalizes their children in place, and the frontier is the only place a
+branch state lives: the tree keeps the rows' isometries and the run's
+localized propagators, not the states.  Node objects are built only when
+they are read, and a node's state is replayed from its parent's, and
+checked, only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,9 +166,11 @@ class BranchNode:
     partial trace of the ambient branch state onto them.  Cells that no
     later point reads or acts on are dropped, so a leaf at the end of a
     cone net carries no cells and a 1x1 state.  The root holds the initial
-    state on every cell, and any other node a row of the state stack its
-    point made (see :class:`HistoryTree`).  ``state_after`` is ``rho`` as a
-    :class:`State`, built and checked under ``policy`` when first read.
+    state on every cell.  The tree keeps no other state: any other node
+    replays its own from its parent node's the first time ``rho`` is read,
+    and keeps it (see :class:`HistoryTree`); a state assigned to ``rho``
+    replaces it.  ``state_after`` is ``rho`` as a :class:`State`, built
+    and checked under ``policy`` when first read.
 
     ``children_prob_sum`` is the total weight of the outcomes at the next
     applied family.  A node whose every outcome fell below ``prob_floor``
@@ -170,7 +180,6 @@ class BranchNode:
     leaf_index: int
     point: Point | None
     actual: ActualEvent | None
-    rho: np.ndarray = field(repr=False)
     state_cells: tuple[int, ...]
     cond_prob: float
     cum_prob: float
@@ -178,7 +187,19 @@ class BranchNode:
     policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
     children: list["BranchNode"] = field(default_factory=list)
     children_prob_sum: float | None = None
+    _rho: np.ndarray | None = field(default=None, repr=False)
+    _replay: Callable[[], None] | None = field(default=None, repr=False)
     _state: State | None = field(default=None, repr=False)
+
+    @property
+    def rho(self) -> np.ndarray:
+        if self._rho is None:
+            self._replay()
+        return self._rho
+
+    @rho.setter
+    def rho(self, value: np.ndarray) -> None:
+        self._rho, self._state = value, None
 
     @property
     def state_after(self) -> State:
@@ -192,9 +213,11 @@ class TreeRows(NamedTuple):
 
     Row c descends from row ``parent[c]`` by the outcome labelled
     ``labels[outcome[c]]`` (one of ``event_dim[c]``), on leaf ``leaf_index``;
-    ``iso[c]`` spans it on ``support`` and ``rho[c]`` is its state on
-    ``cells``.  ``draws`` is None for an enumerated tree.  The tree holds the
-    scalar columns as arrays; :meth:`HistoryTree.rows` gives them as lists.
+    ``iso[c]`` spans it on ``support``, and its state lives on ``cells``.
+    No state is kept: a row's follows from its parent's, and
+    :class:`BranchNode` replays it when read.  ``draws`` is None for an
+    enumerated tree.  The tree holds the scalar columns as arrays;
+    :meth:`HistoryTree.rows` gives them as lists.
     """
 
     leaf_index: int
@@ -208,7 +231,6 @@ class TreeRows(NamedTuple):
     cum_prob: list[float]
     event_dim: list[int]
     iso: np.ndarray
-    rho: np.ndarray
     draws: list[int] | None
 
 
@@ -224,6 +246,9 @@ class HistoryTree:
     :func:`sample_paths` read.  ``root`` builds the :class:`BranchNode`
     and :class:`ActualEvent` objects of every row in one pass the first
     time it is read, and keeps them, for callers that want the objects.
+    Building them computes no state: the tree holds the initial state, the
+    rows' isometries and the run's localized propagators, and a node's
+    ``rho`` is replayed from its parent's when first read (:meth:`_replay`).
 
     ``pruned_mass`` is the mass of outcomes dropped below ``prob_floor``
     beside a sibling that was kept.  The listed leaves and the pruned mass
@@ -238,6 +263,8 @@ class HistoryTree:
     _initial: State = field(repr=False)
     _net: AlgebraNet = field(repr=False)
     _policy: NumericPolicy = field(repr=False)
+    _gates: Mapping[int, tuple] = field(repr=False)
+    _imposed: frozenset[Point] = field(repr=False)
     _rows: list[TreeRows] = field(repr=False)
     _sums: np.ndarray = field(repr=False)
     _root: BranchNode | None = field(default=None, repr=False)
@@ -261,20 +288,73 @@ class HistoryTree:
         if self._root is None:
             net, policy = self._net, self._policy
             sums, points = self.rows()
-            nodes = [BranchNode(-1, None, None, self._initial.rho, tuple(range(net.n_cells)),
-                                1.0, 1.0, None, policy, children_prob_sum=sums[0],
+            first = np.cumsum([1] + [len(r.parent) for r in points])  # each point's first row
+            nodes = [BranchNode(-1, None, None, tuple(range(net.n_cells)), 1.0, 1.0, None, policy,
+                                children_prob_sum=sums[0], _rho=self._initial.rho,
                                 _state=self._initial)]
             for r in points:
-                for p, k, iso, rho, w, cum, dim in zip(r.parent, r.outcome, r.iso, r.rho,
-                                                       r.cond_prob, r.cum_prob, r.event_dim):
+                for p, k, iso, w, cum, dim in zip(r.parent, r.outcome, r.iso, r.cond_prob,
+                                                  r.cum_prob, r.event_dim):
                     actual = ActualEvent.from_isometry(r.point, r.labels[k], iso, r.support,
                                                        net, w)
-                    node = BranchNode(r.leaf_index, r.point, actual, rho, r.cells, w, cum, dim,
-                                      policy, children_prob_sum=sums[len(nodes)])
+                    node = BranchNode(r.leaf_index, r.point, actual, r.cells, w, cum, dim, policy,
+                                      children_prob_sum=sums[len(nodes)],
+                                      _replay=partial(self._replay, nodes, first, len(nodes)))
                     nodes[p].children.append(node)
                     nodes.append(node)
             self._root = nodes[0]
         return self._root
+
+    def _replay(self, nodes: list[BranchNode], first: np.ndarray, row: int) -> None:
+        """Give node ``row``, and each ancestor without one, its state.
+
+        The walk starts at the nearest ancestor that holds a state, the
+        root at the latest, and steps down as the engine did: through each
+        point between a parent and its child the state is reduced to that
+        point's ``cells``, a leaf with a propagator conjugates it by the
+        localized gate, and at the child's point the rows' isometries
+        collapse it (:func:`_reduce`, :func:`_apply_gate`, :func:`_collapse`).
+        Each step collapses every child of the parent at once, as a block of
+        one parent in the engine, and gives each sibling without a state
+        its own.
+        """
+        d, points = self._net.cell_dim, self._rows
+
+        def point_of(row):  # -1 for the root
+            return int(np.searchsorted(first, row, side="right")) - 1
+
+        path = []
+        while nodes[row]._rho is None:
+            j = point_of(row)
+            path.append((row, j))
+            row = int(points[j].parent[row - first[j]])
+        rho, cells, done = nodes[row]._rho[None], nodes[row].state_cells, point_of(row)
+        for row, j in reversed(path):
+            for m in range(done + 1, j + 1):
+                for li in range(points[m - 1].leaf_index + 1 if m else 0,
+                                points[m].leaf_index + 1):
+                    if li in self._gates:
+                        rho = _apply_gate(rho, cells, self._gates[li], d)
+                if m < j:
+                    rho, cells = _reduce(rho, cells, points[m].cells, d), points[m].cells
+            r = points[j]
+            kin = np.flatnonzero(r.parent == r.parent[row - first[j]])  # consecutive rows
+            # the parent's family as the engine held it: every outcome, those not kept
+            # zero, and a detected family's rows outermost (linalg.spectral_isometries);
+            # the products round differently on another shape or layout
+            ds, rank = r.iso.shape[1:]
+            if r.point in self._imposed:
+                family = np.zeros((1, len(r.labels), ds, rank), dtype=complex)
+            else:
+                family = np.zeros((1, ds, len(r.labels), rank), dtype=complex)
+                family = family.transpose(0, 2, 1, 3)
+            family[0, r.outcome[kin]] = r.iso[kin]
+            states = _collapse(rho, cells, r.support, r.cells, family, np.zeros_like(kin),
+                               r.outcome[kin], d)
+            for node, state in zip(nodes[first[j] + kin[0]:first[j] + kin[-1] + 1], states):
+                if node._rho is None:
+                    node._rho = state
+            rho, cells, done = nodes[row]._rho[None], r.cells, j
 
     def _walk_leaves(self):
         """Each leaf in tree order, with the events on its path from the root."""
@@ -381,6 +461,14 @@ def _reduce(rho: np.ndarray, cells: tuple[int, ...], keep: tuple[int, ...],
     return linalg.partial_trace(rho, pos, len(cells), cell_dim)
 
 
+def _apply_gate(rho: np.ndarray, cells: tuple[int, ...], gate: tuple,
+                cell_dim: int) -> np.ndarray:
+    """A stack of states on ``cells`` conjugated by a localized propagator ``(support, [u])``."""
+    support, (u,) = gate
+    mat = linalg.embed_factor(u, tuple(cells.index(c) for c in support), len(cells), cell_dim)
+    return mat @ rho @ mat.conj().T
+
+
 def _leaf_families(net: AlgebraNet, leaf: Sequence[Point], keep: Sequence[tuple[int, ...]],
                    rho: np.ndarray, cells: tuple[int, ...],
                    imposed: Mapping[Point, tuple], policy: NumericPolicy):
@@ -452,15 +540,49 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
     """Conditioned states on ``keep``: outcome ``ks[c]`` of parent ``rows[c]``, for every c.
 
     ``rho`` is a stack of parent states and ``iso[i]`` the isometry stack
-    of parent i's family; ``rows`` and ``ks`` are the children that
-    :func:`_branch_point` chose.  The cells no outcome reads and no later
-    point keeps are traced out first; V is then contracted on the support
-    axes of every parent, and the support cells that are not kept are
-    traced out with it.  Each state is divided by its own trace, not by its
-    Born weight, which is taken separately on the support state: for
+    of parent i's family; ``rows`` (sorted) and ``ks`` are the children
+    that :func:`_branch_point` chose.  The cells no outcome reads and no
+    later point keeps are traced out first; V is then contracted on the
+    support axes of every parent, and the support cells that are not kept
+    are traced out with it.  Each state is divided by its own trace, not by
+    its Born weight, which is taken separately on the support state: for
     weights near 1e-6 the two differ enough to miss unit trace by more than
     ``tol_trace``.
+
+    The parents are taken in blocks of consecutive ones, each as large as
+    :func:`linalg.block_size` allows for the largest temporary: per parent,
+    the contracted stack of ``outcomes * rank * ds * dr**2`` entries, or
+    the states of its children, at most ``outcomes * (dh * dr)**2``, where
+    ``dr`` and ``dh`` are the dimensions of the kept cells off and on the
+    support.  A block's children are a slice of the result, normalized in
+    place.  When one block holds every parent, its own stack is the
+    result.  Every child is computed alone, so the states do not depend on
+    the block size, and replaying one child (:meth:`HistoryTree._replay`)
+    gives the state its block gave.
     """
+    n, outcomes, ds, rank = iso.shape
+    dr = cell_dim ** sum(c not in support for c in keep)
+    dh = cell_dim ** sum(c in keep for c in support)
+    # per parent: the contracted stack, and the states of at most ``outcomes`` children
+    step = linalg.block_size(outcomes * dr * dr * max(rank * ds, dh * dh))
+    if step >= n:
+        return linalg.trace_normalize_in_place(
+            _conditioned(rho, cells, support, keep, iso, rows, ks, cell_dim))
+    dim = cell_dim ** len(keep)
+    out = np.empty((len(ks), dim, dim), dtype=complex)
+    for p in range(0, n, step):
+        lo, hi = np.searchsorted(rows, (p, p + step))
+        if lo < hi:
+            out[lo:hi] = _conditioned(rho[p:p + step], cells, support, keep, iso[p:p + step],
+                                      rows[lo:hi] - p, ks[lo:hi], cell_dim)
+            linalg.trace_normalize_in_place(out[lo:hi])
+    return out
+
+
+def _conditioned(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
+                 keep: tuple[int, ...], iso: np.ndarray, rows: np.ndarray, ks: np.ndarray,
+                 cell_dim: int) -> np.ndarray:
+    """One block of :func:`_collapse`: the children's states before normalization."""
     d = cell_dim
     n, outcomes, ds, rank = iso.shape
     rest = tuple(c for c in keep if c not in support)
@@ -488,7 +610,7 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
     else:
         out = np.einsum("irabr->iab", y)
     dim = d ** len(keep)
-    return linalg.trace_normalized(out.reshape(len(ks), dim, dim))
+    return out.reshape(len(ks), dim, dim)
 
 
 class _Frontier(NamedTuple):
@@ -548,18 +670,29 @@ def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
         raise BranchOverflowError(f"branching exceeded the branch cap of {cap}")
     states = _collapse(sub, front.cells, fam.support, fam.keep, iso, rows, ks, d)
     made = TreeRows(li, fam.point, fam.labels, fam.support, fam.keep, front.row[fired[rows]], ks,
-                    probs[rows, ks], cums[rows, ks], counts[rows], iso[rows, ks], states, draws)
+                    probs[rows, ks], cums[rows, ks], counts[rows], iso[rows, ks], draws)
     new = _Frontier(states, fam.keep, len(sums) + np.arange(len(ks)), made.cum_prob,
                     front.origin[fired[rows]], draws)
     if len(still):
         # merge the branches the family skipped back in, each before the children
-        # of later branches; rows, cum, origin and draws all follow ``order``
-        order = np.argsort(np.concatenate([still, fired[rows]]), kind="stable")
+        # of later branches: every column is allocated once, and each part is
+        # written to its places
+        parents = fired[rows]
+        at_still = np.arange(len(still)) + np.searchsorted(parents, still)
+        at_new = np.arange(len(parents)) + np.searchsorted(still, parents)
         skipped = _Frontier(_reduce(front.rho[still], front.cells, fam.keep, d), fam.keep,
                             *(None if a is None else a[still] for a in front[2:]))
-        new = _Frontier(*(b if a is None or isinstance(a, tuple) else np.concatenate([a, b])[order]
-                          for a, b in zip(skipped, new)))
+        new = _Frontier(*(b if a is None or isinstance(a, tuple)
+                          else _merged(a, at_still, b, at_new) for a, b in zip(skipped, new)))
     return new, made, pruned
+
+
+def _merged(a: np.ndarray, at_a: np.ndarray, b: np.ndarray, at_b: np.ndarray) -> np.ndarray:
+    """One array holding ``a[i]`` at ``at_a[i]`` and ``b[i]`` at ``at_b[i]``."""
+    out = np.empty((len(a) + len(b),) + a.shape[1:], dtype=np.result_type(a, b))
+    out[at_a] = a
+    out[at_b] = b
+    return out
 
 
 def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: NumericPolicy,
@@ -611,10 +744,8 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
         if not len(front.row):
             break
         if li in gates:
-            support, (gate,) = gates[li]
-            pos = tuple(front.cells.index(c) for c in support)
-            mat = linalg.embed_factor(gate, pos, len(front.cells), net.cell_dim)
-            front = front._replace(rho=mat @ front.rho @ mat.conj().T)
+            front = front._replace(rho=_apply_gate(front.rho, front.cells, gates[li],
+                                                   net.cell_dim))
         families, dims_seen = _leaf_families(net, leaf, keep[li], front.rho, front.cells,
                                              local, policy)
         dims.update(dims_seen)
@@ -637,7 +768,8 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
             sums = np.concatenate([sums, np.full(len(made.parent), np.nan)])
     comm.sort()
     tree = HistoryTree(foliation, pruned, sorted(dims), comm,
-                       max((n for *_, n in comm), default=0.0), initial, net, policy, points, sums)
+                       max((n for *_, n in comm), default=0.0), initial, net, policy, gates,
+                       frozenset(local), points, sums)
     return tree, front if len(front.row) else last
 
 

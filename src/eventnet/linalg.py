@@ -12,7 +12,9 @@ of matrices), outcome order (:func:`decreasing_order`), commutator norms
 of two families (:func:`max_commutator_norm`), the block-diagonal mixture
 (:func:`mixture_residual`), normalization by a branch's own trace
 (:func:`trace_normalized`) and the hermiticity defect
-(:func:`hermiticity_defect`).
+(:func:`hermiticity_defect`).  A batched product whose temporaries would
+grow with the batch is taken in blocks of at most :data:`BLOCK_ENTRIES`
+entries (:func:`block_size`).
 
 An outcome family can be held by its isometries: outcome k is an
 ``(n, r)`` block of orthonormal columns spanning the range of its
@@ -39,6 +41,9 @@ __all__ = [
     "range_isometries",
     "mixture_residual",
     "trace_normalized",
+    "trace_normalize_in_place",
+    "BLOCK_ENTRIES",
+    "block_size",
     "orthonormal_rows",
     "null_space_rows",
     "subspace_intersection",
@@ -55,6 +60,14 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+# the most entries one block of a batched product holds in each temporary
+BLOCK_ENTRIES = 2**20
+
+
+def block_size(per_item: int) -> int:
+    """How many items of ``per_item`` temporary entries each one block takes: at least 1."""
+    return max(1, BLOCK_ENTRIES // per_item)
 
 
 def dagger(mat: np.ndarray) -> np.ndarray:
@@ -144,8 +157,8 @@ def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
     g = g.reshape(batch + (kb, ka * e, dx * rb))
     worst = np.zeros(batch)
     diag = np.arange(ka)
-    # q is (ka e)^2 per outcome j; take the j in chunks of at most 2**20 entries
-    step = max(1, 2 ** 20 // (max(1, int(np.prod(batch))) * (ka * e) ** 2))
+    # q is (ka e)^2 per outcome j and branch; take the j in blocks
+    step = block_size(max(1, int(np.prod(batch))) * (ka * e) ** 2)
     for j in range(0, kb, step):
         gj = g[..., j:j + step, :, :]
         q = (gj @ np.swapaxes(gj.conj(), -1, -2)).reshape(gj.shape[:-2] + (ka, e, ka, e))
@@ -183,9 +196,30 @@ def mixture_residual(rho: np.ndarray, projections) -> np.ndarray:
 
 
 def trace_normalized(mat: np.ndarray) -> np.ndarray:
-    """``mat`` divided by its own trace, then hermitized; a stack matrix by matrix."""
-    out = mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
-    return (out + np.swapaxes(out.conj(), -1, -2)) / 2.0
+    """``mat`` divided by its own trace, then hermitized; a stack matrix by matrix.
+
+    The work is :func:`trace_normalize_in_place` on a complex copy of ``mat``.
+    """
+    return trace_normalize_in_place(np.array(mat, dtype=complex))
+
+
+def trace_normalize_in_place(out: np.ndarray) -> np.ndarray:
+    """:func:`trace_normalized` on ``out`` itself, a complex array, which is returned.
+
+    The real and imaginary parts are scaled by ``1 / trace`` as floats,
+    which is what dividing by a real trace computes, and hermitized as
+    ``(re + re^T) / 2`` and ``(im - im^T) / 2``: the one temporary is
+    numpy's copy of a transposed part, half the size of ``out``.
+    """
+    scale = (1.0 / np.trace(out, axis1=-2, axis2=-1).real)[..., None, None]
+    re, im = out.real, out.imag
+    re *= scale
+    im *= scale
+    re += np.swapaxes(re, -1, -2)
+    im -= np.swapaxes(im, -1, -2)
+    re *= 0.5
+    im *= 0.5
+    return out
 
 
 def _as_matrix(rows) -> np.ndarray:

@@ -1,12 +1,22 @@
 """Tests for the row record of the history tree and the objects built from it."""
 
+import json
+import tracemalloc
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from eventnet import (ActualEvent, BranchNode, CausalLattice, State, build_tensor_net,
-                      enumerate_tree, epr_scenario, foliate, sample_paths, two_leaf_chain)
-from eventnet.linalg import random_unitary
+from eventnet import (ActualEvent, BranchNode, CausalLattice, State, build_scenario,
+                      build_tensor_net, enumerate_tree, epr_scenario, foliate, histories, linalg,
+                      sample_paths, two_leaf_chain)
+from eventnet.cli import _tree_section, main
+from eventnet.histories import TreeRows
+from eventnet.linalg import partial_trace, random_unitary
 from eventnet.policy import NumericPolicy
+
+CONFIGS = Path(__file__).parent / "configs"
 
 
 def test_enumeration_builds_node_objects_only_when_the_root_is_read(monkeypatch):
@@ -70,3 +80,193 @@ def test_leaf_steps_are_the_leaf_paths_read_off_the_rows(monkeypatch):
     assert steps == walked
     # dead leaves end some paths early, so the walk's order is not the rows' order
     assert any(len(a) > len(b) for (a, _), (b, _) in zip(steps[2], steps[2][1:]))
+
+
+# ---------------------------------------------------------------------------
+# Bounded memory: rows keep no state, the collapse runs in blocks
+# ---------------------------------------------------------------------------
+
+
+def _cone(extent_x, seed, gate_seed=None, prob_floor=1e-3):
+    """A 2 x ``extent_x`` cone with a seeded Ginibre state, and a propagator before leaf 1."""
+    net = build_tensor_net(CausalLattice(2, extent_x), 2)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((net.dim, net.dim)) + 1j * rng.standard_normal((net.dim, net.dim))
+    rho = g @ g.conj().T
+    gates = (None if gate_seed is None
+             else {1: random_unitary(net.dim, np.random.default_rng(gate_seed))})
+    return (net, foliate(net.lattice), State(rho / np.trace(rho).real),
+            dict(policy=NumericPolicy(prob_floor=prob_floor), propagators=gates))
+
+
+def _growing(monkeypatch, grow):
+    """The tree ``grow()`` makes, and every state stack ``_collapse`` returned meanwhile."""
+    made, collapse = [], histories._collapse
+
+    def kept(*args):
+        made.append(collapse(*args))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(histories, "_collapse", kept)
+        tree = grow()
+    return tree, made
+
+
+def _nodes_in_row_order(tree):
+    """``tree.root`` and its descendants, one per row, in the order of ``tree.rows()``."""
+    nodes, taken = [tree.root], Counter()
+    for r in tree.rows()[1]:
+        for p in r.parent:
+            nodes.append(nodes[p].children[taken[p]])
+            taken[p] += 1
+    return nodes
+
+
+def test_tree_rows_keep_no_state():
+    assert "rho" not in TreeRows._fields
+    net, fol, initial, kwargs = _cone(2, 3)
+    tree = enumerate_tree(net, fol, initial, **kwargs)
+    for r in tree.rows()[1]:
+        # the isometries are the only arrays of more than one axis a row keeps
+        assert [name for name, value in zip(r._fields, r)
+                if isinstance(value, np.ndarray) and value.ndim > 1] == ["iso"]
+
+
+def test_reading_the_node_objects_builds_no_state(monkeypatch):
+    net, fol, initial, kwargs = _cone(2, 3)
+    sc = two_leaf_chain()
+    trees = [enumerate_tree(net, fol, initial, **kwargs),
+             enumerate_tree(sc.net, sc.foliation, sc.initial, imposed=sc.imposed),
+             histories._grow(sc.net, sc.foliation, sc.initial, NumericPolicy(), sc.imposed, None,
+                             "warn", draws=1000, gen=np.random.default_rng(2))[0]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was computed")
+
+    monkeypatch.setattr(histories, "_collapse", refuse)
+    monkeypatch.setattr(histories, "_reduce", refuse)
+    for tree in trees:
+        # what a benchmark reference reads: every node with its children and sums, the paths
+        stack, nodes, dead = list(tree.root.children), 0, 0
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            dead += not node.children and node.children_prob_sum is not None
+            stack.extend(node.children)
+        assert nodes == sum(len(r.parent) for r in tree.rows()[1])
+        assert dead <= len(tree.leaves()) == len(tree.leaf_paths()) == len(tree.leaf_steps())
+
+
+@pytest.mark.parametrize("extent_x, gate_seed", [(2, None), (2, 8), (3, None), (3, 8)],
+                         ids=["2x2", "2x2-propagator", "2x3", "2x3-propagator"])
+def test_replayed_states_are_the_states_the_engine_made(monkeypatch, extent_x, gate_seed):
+    net, fol, initial, kwargs = _cone(extent_x, 3, gate_seed)
+    tree, made = _growing(monkeypatch, lambda: enumerate_tree(net, fol, initial, **kwargs))
+    nodes = _nodes_in_row_order(tree)
+    assert len(nodes) == 1 + sum(map(len, made))
+    # read deepest first, so each replay walks up through ancestors that hold no state
+    for node, state in reversed(list(zip(nodes[1:], (s for stack in made for s in stack)))):
+        assert np.array_equal(node.rho, state)
+    assert nodes[0].rho is initial.rho
+
+
+def _skipping_cone_state():
+    """A 2x2 cone state whose family at (1, 0) fires on some entry branches only.
+
+    The state is alpha on cells (0, 2) times beta on cells (1, 3), with beta's
+    spectrum tuned so that the family at (0, 1) has a rank-2 outcome, which
+    leaves cell 2 pure on some branches (as in ``test_histories``).
+    """
+    rng = np.random.default_rng(0)
+    u = random_unitary(4, rng)
+    alpha = (u * np.array([0.4, 0.3, 0.2, 0.1])) @ u.conj().T
+    mu = np.linalg.eigvalsh(partial_trace(alpha, (1,), 2, 2))
+    nu = np.array([mu[1], mu[0], 0.9 * mu[0], 0.7 * mu[1]])
+    v = random_unitary(4, rng)
+    beta = (v * (nu / nu.sum())) @ v.conj().T
+    full = np.kron(alpha, beta).reshape([2] * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    return State(full.reshape(16, 16))
+
+
+def test_replay_crosses_skipped_points_and_imposed_families(monkeypatch):
+    sc, overlap = two_leaf_chain(), build_scenario("epr-overlap")
+    net = build_tensor_net(CausalLattice(2, 2))
+    runs = {
+        "imposed": lambda: enumerate_tree(sc.net, sc.foliation, sc.initial, imposed=sc.imposed),
+        "overlap": lambda: enumerate_tree(overlap.net, overlap.foliation, overlap.initial,
+                                          imposed=overlap.imposed),
+        "sampled": lambda: histories._grow(sc.net, sc.foliation, sc.initial, NumericPolicy(),
+                                           sc.imposed, None, "warn", draws=1,
+                                           gen=np.random.default_rng(4))[0],
+        "skipping": lambda: enumerate_tree(net, foliate(net.lattice), _skipping_cone_state(),
+                                           policy=NumericPolicy(prob_floor=1e-3)),
+    }
+    for name, grow in runs.items():
+        tree, made = _growing(monkeypatch, grow)
+        nodes = _nodes_in_row_order(tree)
+        for node, state in reversed(list(zip(nodes[1:], (s for stack in made for s in stack)))):
+            assert np.array_equal(node.rho, state), name
+    # some branch of the last tree skipped a point: its child's parent is two points back
+    _, points = tree.rows()
+    first = np.cumsum([1] + [len(r.parent) for r in points])
+    assert any(int(np.searchsorted(first, p, side="right")) - 1 < j - 1
+               for j, r in enumerate(points) for p in r.parent)
+
+
+def test_collapse_blocks_change_no_state_and_no_report(monkeypatch, tmp_path):
+    cones = [_cone(3, 3), _cone(2, 5, gate_seed=8)]
+
+    def outputs(block):
+        monkeypatch.setattr(linalg, "block_size", lambda per_item: block)
+        blocks, conditioned = [], histories._conditioned
+        monkeypatch.setattr(histories, "_conditioned",
+                            lambda *args: blocks.append(1) or conditioned(*args))
+        stacks = []
+        for net, fol, initial, kwargs in cones:
+            tree, made = _growing(monkeypatch, lambda: enumerate_tree(net, fol, initial, **kwargs))
+            stacks += made
+        texts = [json.dumps(_tree_section(tree), sort_keys=True)]  # the last, propagator tree
+        for args in (["--config", str(CONFIGS / "cone-2x2.json")],
+                     ["--scenario", "epr-overlap", "--seed", "1"]):
+            out = tmp_path / f"{block}.json"
+            assert main(args + ["--out", str(out)]) == 0
+            texts.append(out.read_text())
+        return stacks, texts, len(blocks)
+
+    whole, whole_texts, calls = outputs(2**62)  # one block holds every parent
+    for block in (1, 7):
+        stacks, texts, blocks = outputs(block)
+        assert blocks > calls  # some collapse ran in more than one block
+        assert len(stacks) == len(whole)
+        assert all(np.array_equal(a, b) for a, b in zip(stacks, whole))
+        assert texts == whole_texts
+
+
+def test_enumeration_peak_is_a_few_child_stacks(monkeypatch):
+    # the seeded 2x3 cone (D = 64); its largest child stack is (1024, 8, 8), 1 MiB.
+    # The peak holds the parent frontier, that child stack, one block of
+    # temporaries and the rows' isometries (0.6 MiB): about 3.6 stacks.  Rows that
+    # kept every state, and a normalization with three complex temporaries of the
+    # whole stack, made it 6.7.
+    net = build_tensor_net(CausalLattice(2, 3), 2)
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((net.dim, net.dim)) + 1j * rng.standard_normal((net.dim, net.dim))
+    rho = g @ g.conj().T
+    initial = State(rho / np.trace(rho).real)
+    largest, collapse = [], histories._collapse
+
+    def sized(*args):
+        out = collapse(*args)
+        largest.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(histories, "_collapse", sized)
+    tracemalloc.start()
+    try:
+        enumerate_tree(net, foliate(net.lattice), initial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(largest) == 1024 * 8 * 8 * 16
+    assert peak <= 5 * max(largest)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from eventnet.linalg import (embed_factor, max_commutator_norm, partial_trace,
                              random_unitary, range_isometries, spectral_isometries,
-                             spectral_projections, trace_normalized)
+                             spectral_projections, trace_normalize_in_place,
+                             trace_normalized)
 
 import oracles
 
@@ -172,3 +173,21 @@ def test_batched_kernels_act_matrix_by_matrix():
     for i in range(3):
         assert np.array_equal(reduced[i], partial_trace(stack[i], (2, 0), 3, 2))
         assert np.array_equal(normalized[i], trace_normalized(stack[i]))
+
+
+def test_trace_normalized_in_place_is_the_complex_division():
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))
+    stack = (g @ np.swapaxes(g.conj(), -1, -2)) * rng.uniform(1e-7, 10.0, (4, 1, 1))
+    out = stack / np.trace(stack, axis1=-2, axis2=-1).real[..., None, None]
+    want = (out + np.swapaxes(out.conj(), -1, -2)) / 2.0
+    kept = stack.copy()
+    assert np.array_equal(trace_normalized(stack), want)
+    assert np.array_equal(stack, kept)  # the input is left alone
+    assert trace_normalize_in_place(stack) is stack
+    assert np.array_equal(stack, want)
+    # a strided view is normalized in place too
+    wide = np.zeros((4, 16, 32), dtype=complex)
+    wide[:, :, ::2] = kept
+    trace_normalize_in_place(wide[:, :, ::2])
+    assert np.array_equal(wide[:, :, ::2], want) and not wide[:, :, 1::2].any()
