@@ -29,9 +29,8 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -69,12 +68,15 @@ _OBJECT_KEYS = {"net": {"kind"} | {name for name, *_ in _NET_SIZES},
 _STATE_KEYS = {"maximally-mixed": {"kind"}, "diagonal": {"kind", "weights"},
                "vector": {"kind", "entries"}, "matrix": {"kind", "entries"}}
 
-@dataclass
-class RunConfig:
-    """Validated run description; every field but ``out`` and ``policy`` is echoed."""
+class RunConfig(NamedTuple):
+    """Validated run description; every field but ``out`` and ``policy`` is echoed.
+
+    :func:`load_config` builds one.  The default dicts are shared and only
+    read; a config read from JSON holds dicts of its own.
+    """
 
     scenario: str | None = None
-    scenario_params: dict = field(default_factory=dict)
+    scenario_params: dict = {}
     net: dict | None = None
     initial_state: dict | None = None
     mode: str = "enumerate"
@@ -82,22 +84,23 @@ class RunConfig:
     seed: object = None
     epsilon: float = 0.05
     commutation: str = "warn"
-    record: dict = field(default_factory=dict)
+    record: dict = {}
     format: str = "structured"
     out: str | None = None
     policy: NumericPolicy = DEFAULT_POLICY
 
     def echo(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("out", "policy")}
+        echo = self._asdict()
+        del echo["out"], echo["policy"]
+        return echo
 
 
 def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
     problems = []
-    unknown = set(raw) - {f.name for f in fields(RunConfig)}
+    unknown = set(raw) - set(RunConfig._fields)
     if unknown:
         problems.append(f"unknown fields {sorted(unknown)}")
-    cfg = RunConfig()
+    cfg = RunConfig._field_defaults | {"scenario_params": {}, "record": {}}
     if "scenario" in raw and raw["scenario"] is not None:
         if not isinstance(raw["scenario"], str):
             problems.append("scenario: must be a string")
@@ -105,19 +108,19 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
             problems.append(f"scenario: unknown name {raw['scenario']!r}; "
                             f"known: {sorted(SCENARIO_BUILDERS)}")
         else:
-            cfg.scenario = raw["scenario"]
+            cfg["scenario"] = raw["scenario"]
     for key in ("scenario_params", "net", "record"):
         if raw.get(key) is not None:
             if not isinstance(raw[key], dict):
                 problems.append(f"{key}: must be an object")
                 continue
-            setattr(cfg, key, dict(raw[key]))
+            cfg[key] = dict(raw[key])
             extra = set(raw[key]) - _OBJECT_KEYS[key] if key in _OBJECT_KEYS else ()
             if extra:
                 problems.append(f"{key}: unknown keys {sorted(extra)}")
-    if cfg.scenario and cfg.net:
+    if cfg["scenario"] and cfg["net"]:
         problems.append("scenario and net are mutually exclusive")
-    if not cfg.scenario and not cfg.net:
+    if not cfg["scenario"] and not cfg["net"]:
         problems.append("one of scenario or net is required")
     state = raw.get("initial_state")
     if state is not None:
@@ -130,22 +133,22 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
             problems.append(f"initial_state: unknown keys {sorted(extra)} "
                             f"for kind {state['kind']!r}")
         else:
-            cfg.initial_state = dict(state)
+            cfg["initial_state"] = dict(state)
     for key, choices in (("mode", _MODES), ("commutation", _COMMUTATION),
                          ("format", _FORMATS)):
-        value = raw.get(key, getattr(cfg, key))
+        value = raw.get(key, cfg[key])
         if value in choices:
-            setattr(cfg, key, value)
+            cfg[key] = value
         else:
             problems.append(f"{key}: {value!r} is not one of {choices}")
     if raw.get("samples") is not None:
         if is_integer_at_least(raw["samples"], 1) and raw["samples"] <= MAX_SAMPLES:
-            cfg.samples = raw["samples"]
+            cfg["samples"] = raw["samples"]
         else:
             problems.append(f"samples: {raw['samples']!r} is not a count from 1 to {MAX_SAMPLES}")
     seed = raw.get("seed")
     if seed is None or is_integer_at_least(seed, 0):
-        cfg.seed = seed
+        cfg["seed"] = seed
     else:
         problems.append(f"seed: {seed!r} is not a non-negative integer or null")
     if raw.get("epsilon") is not None:
@@ -154,12 +157,12 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
         elif not 0.0 < raw["epsilon"] < 1.0:
             problems.append("epsilon: must lie strictly between 0 and 1")
         else:
-            cfg.epsilon = float(raw["epsilon"])
+            cfg["epsilon"] = float(raw["epsilon"])
     if "out" in raw and raw["out"] is not None:
         if not isinstance(raw["out"], str):
             problems.append("out: must be a path string")
         else:
-            cfg.out = raw["out"]
+            cfg["out"] = raw["out"]
     if "policy" in raw and raw["policy"] is not None:
         if not isinstance(raw["policy"], dict):
             problems.append("policy: must be an object of tolerance overrides")
@@ -170,15 +173,15 @@ def _validate_config(raw: Mapping[str, Any]) -> RunConfig:
                 problems.append(f"policy: unknown tolerances {sorted(bad)}")
             else:
                 try:
-                    cfg.policy = NumericPolicy(**{**DEFAULT_POLICY.as_dict(), **raw["policy"]})
+                    cfg["policy"] = NumericPolicy(**raw["policy"])
                 except ValueError as exc:
                     problems.append(f"policy: {exc}")
-    if cfg.epsilon < cfg.policy.eps_floor:
-        problems.append(f"epsilon: {cfg.epsilon!r} is below the resolution floor "
-                        f"eps_floor={cfg.policy.eps_floor!r}")
+    if cfg["epsilon"] < cfg["policy"].eps_floor:
+        problems.append(f"epsilon: {cfg['epsilon']!r} is below the resolution floor "
+                        f"eps_floor={cfg['policy'].eps_floor!r}")
     if problems:
         raise ConfigError("; ".join(problems))
-    return cfg
+    return RunConfig(**cfg)
 
 
 def load_config(path: str | None, overrides: Mapping[str, Any]) -> RunConfig:
@@ -347,7 +350,8 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     scenario: Scenario | None = None
     if cfg.scenario:
-        scenario = build_scenario(cfg.scenario, cfg.scenario_params, policy=policy)
+        scenario = build_scenario(cfg.scenario, cfg.scenario_params, policy=policy,
+                                  epsilon=cfg.epsilon)
         net = scenario.net
         foliation = scenario.foliation
         initial = (scenario.initial if cfg.initial_state is None
@@ -421,13 +425,13 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
             raise ConfigError(f"record quantity {qname!r} has no representative at {pt_raw!r}; "
                               f"it has one at {sorted(map(list, quantity.representatives))}")
         rep = recording_check(net, point, initial, quantity, cfg.epsilon, policy=policy)
-        report["recording"] = dict(vars(rep))
+        report["recording"] = rep._asdict()
         report["spectrum_dims"] = []
     timings["run"] = time.perf_counter() - t0
 
     if scenario is not None and scenario.expected and cfg.initial_state is None:
         t0 = time.perf_counter()
-        report["expected"] = [dict(vars(r))
+        report["expected"] = [r._asdict()
                               for r in evaluate_expected(scenario, outcome, policy=policy)]
         timings["expected"] = time.perf_counter() - t0
     return report, timings

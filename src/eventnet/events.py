@@ -17,7 +17,6 @@ same form: an :class:`EventDetection` holding outcome isometries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class EventDetection:
     """Outcome family the state singles out at a point.
 
@@ -62,14 +60,18 @@ class EventDetection:
     one against an explicit algebra).
     """
 
-    point: Point | None
-    probabilities: tuple[float, ...]
-    happened: bool
-    support: tuple[int, ...] | None
-    isometries: np.ndarray = field(repr=False)
-    net: AlgebraNet | None = field(default=None, repr=False)
-    policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
-    support_state: np.ndarray | None = field(default=None, repr=False)
+    def __init__(self, point: Point | None, probabilities: tuple[float, ...], happened: bool,
+                 support: tuple[int, ...] | None, isometries: np.ndarray,
+                 net: AlgebraNet | None = None, policy: NumericPolicy = DEFAULT_POLICY,
+                 support_state: np.ndarray | None = None):
+        self.point = point
+        self.probabilities = probabilities
+        self.happened = happened
+        self.support = support
+        self.isometries = isometries
+        self.net = net
+        self.policy = policy
+        self.support_state = support_state
 
     @cached_property
     def factor_projections(self) -> tuple[np.ndarray, ...]:

@@ -41,7 +41,6 @@ checked, only when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -74,8 +73,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class HistoryOperator:
+class HistoryOperator(NamedTuple):
     """Product of event projections in causal order (earliest rightmost)."""
 
     events: tuple[ActualEvent, ...]
@@ -153,7 +151,6 @@ def apply_propagator(u, state: State, *, policy: NumericPolicy = DEFAULT_POLICY)
     return State(mat @ state.rho @ mat.conj().T, policy=policy)
 
 
-@dataclass(eq=False)
 class BranchNode:
     """One realized outcome in the branching tree, built from the tree's rows.
 
@@ -175,21 +172,31 @@ class BranchNode:
     ``children_prob_sum`` is the total weight of the outcomes at the next
     applied family.  A node whose every outcome fell below ``prob_floor``
     keeps it but has no children: it stays a leaf holding its own mass.
+    A node is built with its ``state`` (the root) or with the ``replay``
+    that gives it one; ``children`` starts empty.
     """
 
-    leaf_index: int
-    point: Point | None
-    actual: ActualEvent | None
-    state_cells: tuple[int, ...]
-    cond_prob: float
-    cum_prob: float
-    event_dim: int | None
-    policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
-    children: list["BranchNode"] = field(default_factory=list)
-    children_prob_sum: float | None = None
-    _rho: np.ndarray | None = field(default=None, repr=False)
-    _replay: Callable[[], None] | None = field(default=None, repr=False)
-    _state: State | None = field(default=None, repr=False)
+    __slots__ = ("leaf_index", "point", "actual", "state_cells", "cond_prob", "cum_prob",
+                 "event_dim", "policy", "children", "children_prob_sum", "_rho", "_replay",
+                 "_state")
+
+    def __init__(self, leaf_index: int, point: Point | None, actual: ActualEvent | None,
+                 state_cells: tuple[int, ...], cond_prob: float, cum_prob: float,
+                 event_dim: int | None, policy: NumericPolicy, children_prob_sum: float | None,
+                 *, state: State | None = None, replay: Callable[[], None] | None = None):
+        self.leaf_index = leaf_index
+        self.point = point
+        self.actual = actual
+        self.state_cells = state_cells
+        self.cond_prob = cond_prob
+        self.cum_prob = cum_prob
+        self.event_dim = event_dim
+        self.policy = policy
+        self.children: list[BranchNode] = []
+        self.children_prob_sum = children_prob_sum
+        self._rho = None if state is None else state.rho
+        self._replay = replay
+        self._state = state
 
     @property
     def rho(self) -> np.ndarray:
@@ -234,7 +241,6 @@ class TreeRows(NamedTuple):
     draws: list[int] | None
 
 
-@dataclass(eq=False)
 class HistoryTree:
     """Full enumeration of histories along a foliation, held as rows.
 
@@ -255,19 +261,24 @@ class HistoryTree:
     together hold every unit of probability once.
     """
 
-    foliation: Foliation
-    pruned_mass: float
-    spectrum_dims: list[int]
-    commutation_norms: list[tuple[int, Point, Point, float]]
-    max_commutator: float
-    _initial: State = field(repr=False)
-    _net: AlgebraNet = field(repr=False)
-    _policy: NumericPolicy = field(repr=False)
-    _gates: Mapping[int, tuple] = field(repr=False)
-    _imposed: frozenset[Point] = field(repr=False)
-    _rows: list[TreeRows] = field(repr=False)
-    _sums: np.ndarray = field(repr=False)
-    _root: BranchNode | None = field(default=None, repr=False)
+    def __init__(self, foliation: Foliation, pruned_mass: float, spectrum_dims: list[int],
+                 commutation_norms: list[tuple[int, Point, Point, float]],
+                 max_commutator: float, initial: State, net: AlgebraNet,
+                 policy: NumericPolicy, gates: Mapping[int, tuple], imposed: frozenset[Point],
+                 rows: list[TreeRows], sums: np.ndarray):
+        self.foliation = foliation
+        self.pruned_mass = pruned_mass
+        self.spectrum_dims = spectrum_dims
+        self.commutation_norms = commutation_norms
+        self.max_commutator = max_commutator
+        self._initial = initial
+        self._net = net
+        self._policy = policy
+        self._gates = gates
+        self._imposed = imposed
+        self._rows = rows
+        self._sums = sums
+        self._root: BranchNode | None = None
 
     def rows(self) -> tuple[list[float | None], list[TreeRows]]:
         """Every row's ``children_prob_sum`` (None where no family fired), and each point's rows.
@@ -290,16 +301,15 @@ class HistoryTree:
             sums, points = self.rows()
             first = np.cumsum([1] + [len(r.parent) for r in points])  # each point's first row
             nodes = [BranchNode(-1, None, None, tuple(range(net.n_cells)), 1.0, 1.0, None, policy,
-                                children_prob_sum=sums[0], _rho=self._initial.rho,
-                                _state=self._initial)]
+                                sums[0], state=self._initial)]
             for r in points:
                 for p, k, iso, w, cum, dim in zip(r.parent, r.outcome, r.iso, r.cond_prob,
                                                   r.cum_prob, r.event_dim):
                     actual = ActualEvent.from_isometry(r.point, r.labels[k], iso, r.support,
                                                        net, w)
                     node = BranchNode(r.leaf_index, r.point, actual, r.cells, w, cum, dim, policy,
-                                      children_prob_sum=sums[len(nodes)],
-                                      _replay=partial(self._replay, nodes, first, len(nodes)))
+                                      sums[len(nodes)],
+                                      replay=partial(self._replay, nodes, first, len(nodes)))
                     nodes[p].children.append(node)
                     nodes.append(node)
             self._root = nodes[0]
@@ -808,8 +818,7 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     return tree
 
 
-@dataclass
-class SampledHistory:
+class SampledHistory(NamedTuple):
     """One Monte-Carlo trajectory through the event tree.
 
     ``final_state`` is the conditioned state on the cells ``final_cells``,
@@ -850,8 +859,7 @@ def sample_history(net: AlgebraNet, foliation: Foliation, initial: State,
                           spectrum_dims=tree.spectrum_dims)
 
 
-@dataclass
-class SampleSummary:
+class SampleSummary(NamedTuple):
     """Aggregate of repeated history sampling under one run seed."""
 
     n_samples: int

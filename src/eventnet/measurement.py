@@ -10,7 +10,8 @@ event family a faithful record of the measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
 import numpy as np
 
 from . import linalg
@@ -32,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class PhysicalQuantity:
+class PhysicalQuantity(NamedTuple):
     """A named self-adjoint observable with one representative per point."""
 
     name: str
@@ -73,8 +73,7 @@ def validate_quantity(quantity: PhysicalQuantity, net: AlgebraNet,
     return factors
 
 
-@dataclass
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Spectral projections of a quantity, ordered by decreasing state weight.
 
     ``retained`` is the smallest count whose weights leave less than the
@@ -115,8 +114,7 @@ def spectral_decompose(x, omega: State, epsilon: float,
                                  retained=retained, residual=1.0 - covered)
 
 
-@dataclass
-class EventBasis:
+class EventBasis(NamedTuple):
     """The outcomes of a detection that resolve the state at precision epsilon.
 
     ``labels`` name the kept outcomes of the detection (its outcomes are
@@ -153,8 +151,7 @@ def event_basis(detection: EventDetection, epsilon: float,
                       factor_projections=[detection.factor_projections[i] for i in kept])
 
 
-@dataclass
-class RecordingReport:
+class RecordingReport(NamedTuple):
     """Whether an event family records a quantity at resolution epsilon.
 
     ``alignment_norms[k]`` is the operator-norm distance between the k-th
@@ -175,8 +172,8 @@ class RecordingReport:
     passes: bool
     mixture_residual: float
     mixture_constant: float
-    matches: list[tuple[int, object | None, float]] = field(default_factory=list)
-    event_weights: list[float] = field(default_factory=list)
+    matches: list[tuple[int, object | None, float]]
+    event_weights: list[float]
 
 
 def recording_check(net: AlgebraNet, point: Point, omega: State,

@@ -10,8 +10,7 @@ computed by SVD with relative cutoffs from :class:`~eventnet.policy.NumericPolic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -480,8 +479,7 @@ def minimal_projections(alg: OperatorAlgebra,
 # states as vectors: cyclic representation
 
 
-@dataclass
-class GnsSpace:
+class GnsSpace(NamedTuple):
     """The Hilbert space a state induces on an algebra.
 
     ``embed`` sends an algebra element A to the vector representing
@@ -580,8 +578,7 @@ def conditional_expectation_gns(alg: OperatorAlgebra, omega: State, event: Poten
     return Operator(out)
 
 
-@dataclass
-class RestrictedState:
+class RestrictedState(NamedTuple):
     state: State
     support: Operator
     clamped_mass: float

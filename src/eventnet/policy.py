@@ -1,7 +1,7 @@
 """Central numeric policy.
 
 Every tolerance, floor and cap a run can set lives in one frozen
-dataclass, and it is the only way to set one, so a run is reproducible
+record, and it is the only way to set one, so a run is reproducible
 from its echoed policy block alone.  The branch cap is ``branch_cap``; a
 run config sets it, like any other field, in its ``policy`` block.
 Values are checked on construction.
@@ -9,7 +9,6 @@ Values are checked on construction.
 
 import numbers
 import sys
-from dataclasses import dataclass, asdict, fields
 
 
 def is_integer_at_least(value, low: int) -> bool:
@@ -23,14 +22,46 @@ def is_real_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
+class FrozenRecord:
+    """Base of a plain class whose fields, named in ``_fields``, are set once.
+
+    ``__init__`` writes them to the instance ``__dict__``; assigning or
+    deleting one afterwards raises ``AttributeError``.  Two records are
+    equal when they are of one class and their fields are equal.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class NumericPolicy(FrozenRecord):
     """Tolerances and limits shared by all numeric routines.
 
-    Raises ``ValueError`` when an int field is not an integer of at least
-    1, or a float field is not a non-negative real number a float can hold
-    (NaN, infinities and integers beyond float range are refused); bools
-    are refused for both.
+    Built by keyword only; each field left out takes the default below.
+    Raises ``TypeError`` for a name that is not a field, and ``ValueError``
+    when an int field is not an integer of at least 1, or a float field is
+    not a non-negative real number a float can hold (NaN, infinities and
+    integers beyond float range are refused); bools are refused for both.
     """
 
     # linear algebra on operator spans
@@ -59,17 +90,22 @@ class NumericPolicy:
     dimension_cap: int = 4096       # largest ambient Hilbert dimension a net may use
     branch_cap: int = 10_000        # largest number of live branches a tree may hold
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int:
+    _fields = tuple(__annotations__)
+
+    def __init__(self, **values):
+        if unknown := values.keys() - self.__annotations__.keys():
+            raise TypeError(f"NumericPolicy has no fields {sorted(unknown)}")
+        for name, kind in self.__annotations__.items():
+            value = values.get(name, getattr(NumericPolicy, name))
+            if kind is int:
                 if not is_integer_at_least(value, 1):
-                    raise ValueError(f"{f.name}: {value!r} is not an integer of at least 1")
+                    raise ValueError(f"{name}: {value!r} is not an integer of at least 1")
             elif not is_real_number(value) or not 0 <= value <= sys.float_info.max:
-                raise ValueError(f"{f.name}: {value!r} is not a finite, non-negative number")
+                raise ValueError(f"{name}: {value!r} is not a finite, non-negative number")
+            self.__dict__[name] = value
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 DEFAULT_POLICY = NumericPolicy()

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Expected:
+class Expected(NamedTuple):
     """A closed-form value, its tolerance and how a sampled run checks it.
 
     ``kind`` is ``"exact"`` for a value every run evaluates the same way,
@@ -73,8 +72,7 @@ class Expected:
 Outcome = HistoryTree | SampleSummary
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A shipped scenario.
 
     ``evaluate(scenario, outcome, policy)`` returns the actual value of
@@ -87,16 +85,15 @@ class Scenario:
     net: AlgebraNet
     initial: State
     foliation: Foliation
-    imposed: dict[Point, PotentialEvent] | None = None
-    quantities: dict[str, PhysicalQuantity] = field(default_factory=dict)
-    expected: list[Expected] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
+    imposed: Mapping[Point, PotentialEvent] | None = None
+    quantities: Mapping[str, PhysicalQuantity] = MappingProxyType({})
+    expected: Sequence[Expected] = ()
+    params: Mapping = MappingProxyType({})
     evaluate: Callable[[Scenario, Outcome | None, NumericPolicy],
                        dict[str, float]] | None = None
 
 
-@dataclass
-class EvaluatedExpectation:
+class EvaluatedExpectation(NamedTuple):
     name: str
     expected: float
     actual: float
@@ -371,24 +368,25 @@ def _evaluate_two_leaf_chain(scenario: Scenario, outcome: Outcome | None,
 
 
 def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
-                   *, policy: NumericPolicy = DEFAULT_POLICY) -> Scenario:
+                   *, policy: NumericPolicy = DEFAULT_POLICY,
+                   epsilon: float = 0.05) -> Scenario:
     """Single-cell recording testbed with three quantities.
 
     "aligned" shares its eigenprojections with the event family and is
     recorded exactly; "transverse" is maximally misaligned and fails with
     alignment norms of exactly 1/2; "tilted" is the aligned quantity
     rotated by ``tilt``, with alignment norm ``|sin tilt| / 2``, so it
-    passes at the resolution 0.05 only for a small tilt.  Both levels of
-    the spectrum must be resolved outcomes at that resolution.
+    passes at the resolution ``epsilon`` only for a tilt small enough.
+    Both levels of the spectrum must be resolved outcomes at that
+    resolution, which is the run's (see :func:`build_scenario`).
     """
-    eps = 0.05
     lattice = CausalLattice(1, 1)
     net = build_tensor_net(lattice, 2, policy=policy)
     p = Point(0, 0)
     spectrum = tuple(float(s) for s in spectrum)
     if len(spectrum) != 2:
         raise ConfigError(f"spectrum has {len(spectrum)} levels, not the 2 of one qubit")
-    _require_resolved(spectrum, max(policy.prob_floor, eps), policy)
+    _require_resolved(spectrum, max(policy.prob_floor, epsilon), policy)
     if not is_real_number(tilt) or not abs(tilt) <= sys.float_info.max:
         raise ConfigError(f"tilt: {tilt!r} is not a finite real number")
     initial = State.diagonal(spectrum, policy=policy)
@@ -409,7 +407,7 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
                  "averaging a transverse projection yields half the identity"),
         Expected("transverse_norm[1]", 0.5, 1e-10,
                  "averaging a transverse projection yields half the identity"),
-        Expected("tilted_passes", 1.0 if abs(math.sin(tilt)) / 2.0 < eps else 0.0, 0.0,
+        Expected("tilted_passes", 1.0 if abs(math.sin(tilt)) / 2.0 < epsilon else 0.0, 0.0,
                  "the tilted alignment norm |sin tilt|/2 passes below the resolution"),
         Expected("mixture_defect_transverse", abs(spectrum[0] - 0.5), 1e-12,
                  "block-diagonalizing in the transverse basis levels the spectrum"),
@@ -418,7 +416,7 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
                     foliation=foliate(lattice), quantities=quantities,
                     expected=expected,
                     params={"spectrum": list(spectrum), "tilt": tilt,
-                            "epsilon": eps, "default_quantity": "aligned",
+                            "epsilon": epsilon, "default_quantity": "aligned",
                             "record_point": [0, 0]},
                     evaluate=_evaluate_recording_demo)
 
@@ -426,7 +424,7 @@ def recording_demo(spectrum: Sequence[float] = (0.75, 0.25), tilt: float = 0.01,
 def _evaluate_recording_demo(scenario: Scenario, outcome: Outcome | None,
                              policy: NumericPolicy) -> dict[str, float]:
     p = Point(0, 0)
-    eps = float(scenario.params.get("epsilon", 0.05))
+    eps = scenario.params["epsilon"]
     reports = {name: recording_check(scenario.net, p, scenario.initial,
                                      scenario.quantities[name], eps, policy=policy)
                for name in ("aligned", "transverse", "tilted")}
@@ -451,14 +449,22 @@ SCENARIO_BUILDERS: dict[str, Callable[..., Scenario]] = {
 
 
 def build_scenario(name: str, params: Mapping | None = None,
-                   *, policy: NumericPolicy = DEFAULT_POLICY) -> Scenario:
+                   *, policy: NumericPolicy = DEFAULT_POLICY, epsilon: float = 0.05) -> Scenario:
+    """The scenario ``name`` built from ``params``, under ``policy``.
+
+    ``epsilon`` is the run's resolution: a builder with a keyword-only
+    ``epsilon`` (:func:`recording_demo`) is built at it, so its expected
+    values hold at the resolution the run records at.  Bad parameters
+    raise :class:`ConfigError`.
+    """
     try:
         builder = SCENARIO_BUILDERS[name]
     except KeyError:
         raise ConfigError(
             f"unknown scenario {name!r}; pick one of {sorted(SCENARIO_BUILDERS)}") from None
+    resolution = {"epsilon": epsilon} if "epsilon" in (builder.__kwdefaults__ or ()) else {}
     try:
-        return builder(**dict(params or {}), policy=policy)
+        return builder(**dict(params or {}), policy=policy, **resolution)
     except (TypeError, ValueError, OverflowError) as exc:  # overflow: a number beyond float range
         raise ConfigError(f"bad parameters for scenario {name!r}: {exc}") from None
 
@@ -500,8 +506,7 @@ def order_independence_check(scenario: Scenario,
     return worst
 
 
-@dataclass
-class NonlocalityReport:
+class NonlocalityReport(NamedTuple):
     """Unconditioned vs conditioned probability of a distant outcome."""
 
     left_label: object

@@ -12,7 +12,6 @@ handful of cells already exhausts any reasonable memory budget).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import linalg, opalg
 from .errors import CapExceededError, DimensionMismatchError
 from .opalg import State
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY, FrozenRecord, NumericPolicy
 
 __all__ = [
     "Point",
@@ -52,23 +51,21 @@ class Relation(enum.Enum):
     SPACELIKE = "spacelike"
 
 
-@dataclass(frozen=True)
-class CausalLattice:
+class CausalLattice(FrozenRecord):
     """A finite 1+1 lattice with a fixed signal speed.
 
     ``extent_tau`` time slices by ``extent_x`` spatial sites; a signal may
     move at most ``speed`` sites per slice.
     """
 
-    extent_tau: int
-    extent_x: int
-    speed: int = 1
+    _fields = ("extent_tau", "extent_x", "speed")
 
-    def __post_init__(self):
-        if self.extent_tau < 1 or self.extent_x < 1:
+    def __init__(self, extent_tau: int, extent_x: int, speed: int = 1):
+        if extent_tau < 1 or extent_x < 1:
             raise ValueError("lattice extents must be at least 1")
-        if self.speed < 1:
+        if speed < 1:
             raise ValueError("signal speed must be at least 1")
+        self.__dict__.update(extent_tau=extent_tau, extent_x=extent_x, speed=speed)
 
     def points(self) -> list[Point]:
         """All points in canonical (tau, x) order."""
@@ -99,11 +96,13 @@ def future_cone(lattice: CausalLattice, p: Point) -> tuple[Point, ...]:
     return tuple(cone)
 
 
-@dataclass(frozen=True)
-class Foliation:
+class Foliation(FrozenRecord):
     """Constant-time slices, each a list of points with ascending ``x``."""
 
-    leaves: tuple[tuple[Point, ...], ...]
+    _fields = ("leaves",)
+
+    def __init__(self, leaves: tuple[tuple[Point, ...], ...]):
+        self.__dict__["leaves"] = leaves
 
     def __len__(self) -> int:
         return len(self.leaves)
@@ -264,7 +263,14 @@ def build_full_net(lattice: CausalLattice, cell_dim: int = 2, n_cells: int = 1,
 
     This is the structureless control: localized algebras never shrink
     toward the future, so no causal order can be recovered from them.
+    Every point gets a support of its own, so a lattice of more points
+    than ``policy.dimension_cap`` raises :class:`CapExceededError` before
+    any point is listed.
     """
+    points = lattice.extent_tau * lattice.extent_x
+    if points > policy.dimension_cap:
+        raise CapExceededError(f"full net of {lattice.extent_tau}x{lattice.extent_x} lattice "
+                               f"points exceeds the cap {policy.dimension_cap}")
     cells = lattice.points()[:n_cells]
     if len(cells) < n_cells:
         raise ValueError("lattice has fewer points than requested cells")
@@ -273,8 +279,7 @@ def build_full_net(lattice: CausalLattice, cell_dim: int = 2, n_cells: int = 1,
     return AlgebraNet(lattice, cell_dim, cells=cells, supports=supports, policy=policy)
 
 
-@dataclass
-class NestingReport:
+class NestingReport(NamedTuple):
     """Whether one point's algebra sits strictly inside another's, non-trivially."""
 
     p: Point
@@ -306,8 +311,7 @@ def verify_nesting(net: AlgebraNet, p: Point, q: Point,
                          holds=holds)
 
 
-@dataclass
-class CausalOrderReport:
+class CausalOrderReport(NamedTuple):
     """Causal order reconstructed from algebra inclusions alone.
 
     ``reports`` holds the nesting report of every ordered pair of distinct
@@ -318,8 +322,8 @@ class CausalOrderReport:
     future_pairs: list[tuple[Point, Point]]
     geometric_pairs: list[tuple[Point, Point]]
     matches_geometric: bool
-    mismatches: list[tuple[Point, Point, str, str]] = field(default_factory=list)
-    reports: list[NestingReport] = field(default_factory=list)
+    mismatches: list[tuple[Point, Point, str, str]]
+    reports: list[NestingReport]
 
 
 def derive_causal_order(net: AlgebraNet,

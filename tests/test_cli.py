@@ -2,7 +2,6 @@
 
 import copy
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -251,6 +250,33 @@ def test_main_runs_a_large_recording_tilt_with_its_closed_form(tmp_path, capsys)
     assert all(row["ok"] for row in report["expected"])
 
 
+def test_recording_demo_is_evaluated_at_the_runs_epsilon(capsys):
+    # at epsilon 0.2 the norm 0.0549 of a 0.11 tilt passes, and the expected
+    # block, built and evaluated at the run's epsilon, expects that verdict
+    path = Path(__file__).parent / "configs" / "record-tilted-eps.json"
+    assert main(["--config", str(path)]) == 0
+    report = parse_report(capsys.readouterr().out)
+    assert report["recording"]["passes"] is True and report["recording"]["epsilon"] == 0.2
+    rows = {row["name"]: row for row in report["expected"]}
+    assert (rows["tilted_passes"]["expected"], rows["tilted_passes"]["actual"]) == (1.0, 1.0)
+    assert all(row["ok"] for row in report["expected"])
+    # a spectrum level below the run's epsilon is no resolved outcome there
+    with pytest.raises(ConfigError, match="spectrum"):
+        run(_cfg(scenario="recording-demo", mode="record", epsilon=0.3))
+
+
+def test_main_refuses_a_full_net_on_a_vast_lattice(capsys, monkeypatch):
+    # refused from the extents alone: listing the lattice's points would raise
+    def unlisted(lattice):
+        raise AssertionError("the lattice's points were listed")
+
+    monkeypatch.setattr(CausalLattice, "points", unlisted)
+    path = Path(__file__).parent / "configs" / "huge-full.json"
+    assert main(["--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "error: full net of 100000x100000 lattice points exceeds the cap 4096" in err
+
+
 def test_config_collects_all_problems():
     with pytest.raises(ConfigError, match="mode.*;.*format"):
         _cfg(scenario="epr", mode="explode", format="yaml")
@@ -482,7 +508,7 @@ def test_detection_row_reports_the_largest_event_dim():
 
 
 def _field_names(cls):
-    return {f.name for f in dataclasses.fields(cls)}
+    return set(cls._fields)
 
 
 def test_report_sections_hold_their_records_fields():

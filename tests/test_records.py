@@ -1,0 +1,78 @@
+"""Structural checks on the package's records: no generated code, frozen where promised."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import eventnet
+from eventnet import (
+    CausalLattice,
+    Foliation,
+    NumericPolicy,
+    Point,
+    build_tensor_net,
+    foliate,
+    verify_nesting,
+)
+from eventnet import cli, errors, events, histories, linalg, measurement, opalg, policy
+from eventnet import scenarios, spacetime
+
+_MODULES = (cli, errors, events, histories, linalg, measurement, opalg, policy, scenarios,
+            spacetime)
+
+
+def test_importing_eventnet_loads_neither_dataclasses_nor_copy():
+    # numpy imports neither, so any that is loaded came from the package
+    src = str(Path(eventnet.__file__).resolve().parent.parent)
+    code = ("import sys; import eventnet, eventnet.cli; "
+            "print(sorted({'dataclasses', 'copy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    classes = [obj for mod in _MODULES for obj in vars(mod).values()
+               if isinstance(obj, type) and obj.__module__.startswith("eventnet")]
+    assert {"NumericPolicy", "HistoryTree", "EventDetection", "RunConfig"} <= {
+        cls.__name__ for cls in classes}
+    assert [cls.__name__ for cls in classes if hasattr(cls, "__dataclass_fields__")] == []
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (NumericPolicy(), "prob_floor", 0.5),
+    (CausalLattice(2, 3), "extent_x", 4),
+    (foliate(CausalLattice(2, 1)), "leaves", ()),
+])
+def test_frozen_records_refuse_assignment(record, field, value):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError, match=field):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError, match=field):
+        delattr(record, field)
+    assert getattr(record, field) == before
+
+
+def test_frozen_records_compare_and_hash_by_their_fields():
+    assert CausalLattice(2, 3) == CausalLattice(2, 3, speed=1) != CausalLattice(2, 3, 2)
+    assert hash(CausalLattice(2, 3)) == hash(CausalLattice(2, 3))
+    assert foliate(CausalLattice(2, 1)) == Foliation(((Point(0, 0),), (Point(1, 0),)))
+    assert NumericPolicy(branch_cap=7) == NumericPolicy(**NumericPolicy(branch_cap=7).as_dict())
+    assert NumericPolicy(branch_cap=7) != NumericPolicy()
+    assert repr(CausalLattice(2, 3)) == "CausalLattice(extent_tau=2, extent_x=3, speed=1)"
+
+
+def test_policy_refuses_a_name_that_is_not_a_field():
+    with pytest.raises(TypeError, match="trace_floor"):
+        NumericPolicy(trace_floor=1e-9)
+
+
+def test_named_tuple_records_are_immutable():
+    rep = verify_nesting(build_tensor_net(CausalLattice(2, 1)), Point(0, 0), Point(1, 0))
+    with pytest.raises(AttributeError):
+        rep.holds = False
+    assert rep.holds and not rep._replace(holds=False).holds
+    assert rep._asdict()["rel_commutant_dim"] == rep.rel_commutant_dim == 4

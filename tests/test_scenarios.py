@@ -1,7 +1,5 @@
 """Tests for the shipped scenarios and their closed-form expectations."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -57,8 +55,7 @@ def test_expected_values_on_a_given_tree_are_the_enumerated_ones(name):
     tree = enumerate_tree(scenario.net, scenario.foliation, scenario.initial,
                           imposed=scenario.imposed)
     alone, given = evaluate_expected(scenario), evaluate_expected(scenario, tree)
-    assert [repr(dataclasses.astuple(r)) for r in given] == [
-        repr(dataclasses.astuple(r)) for r in alone]
+    assert [repr(tuple(r)) for r in given] == [repr(tuple(r)) for r in alone]
 
 
 def test_two_leaf_chain_matches_frozen_literals():

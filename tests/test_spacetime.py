@@ -8,6 +8,7 @@ from eventnet import (
     CapExceededError,
     CausalLattice,
     DimensionMismatchError,
+    NumericPolicy,
     Point,
     Relation,
     State,
@@ -94,6 +95,15 @@ def test_tensor_net_dimensions():
 def test_net_dimension_cap():
     with pytest.raises(CapExceededError):
         build_tensor_net(CausalLattice(4, 4))
+
+
+def test_full_net_points_are_capped_by_the_dimension_cap():
+    # a full net lists every point; past dimension_cap points it is refused first
+    assert len(build_full_net(CausalLattice(20, 20), cell_dim=4).supports) == 400
+    policy = NumericPolicy(dimension_cap=399)
+    with pytest.raises(CapExceededError, match="20x20 lattice points exceeds the cap 399"):
+        build_full_net(CausalLattice(20, 20), cell_dim=2, policy=policy)
+    assert build_full_net(CausalLattice(19, 21), cell_dim=2, policy=policy).dim == 2
 
 
 def test_supports_shrink_into_the_future():
