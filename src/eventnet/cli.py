@@ -2,6 +2,9 @@
 
 Configuration is a JSON file; a handful of flags override its fields, and
 one validator checks both, so a bad flag exits 1 like a bad field.
+:func:`main` imports ``argparse`` and the CSV branch of :func:`emit_report`
+imports ``csv``, so a caller of :func:`load_config`, :func:`run` and
+:func:`serialize_report` loads neither.
 Reports are deterministic functions of (config, seed), with no timestamps
 and no wall-clock data (timings go to stderr).  Their canonical bytes are
 ``json.dumps(report, sort_keys=True) + "\n"`` (:func:`serialize_report`),
@@ -21,16 +24,14 @@ Exit codes: 0 success, 1 configuration problems, 2 numeric failures
 
 from __future__ import annotations
 
-import argparse
-import csv
 import gc
-import io
 import json
 import sys
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from itertools import chain
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -68,26 +69,23 @@ _OBJECT_KEYS = {"net": {"kind"} | {name for name, *_ in _NET_SIZES},
 _STATE_KEYS = {"maximally-mixed": {"kind"}, "diagonal": {"kind", "weights"},
                "vector": {"kind", "entries"}, "matrix": {"kind", "entries"}}
 
-class RunConfig(NamedTuple):
+class RunConfig(namedtuple("RunConfig", (
+        "scenario", "scenario_params", "net", "initial_state", "mode", "samples", "seed",
+        "epsilon", "commutation", "record", "format", "out", "policy"),
+        defaults=(None, {}, None, None, "enumerate", 1000, None, 0.05, "warn", {},
+                  "structured", None, DEFAULT_POLICY))):
     """Validated run description; every field but ``out`` and ``policy`` is echoed.
 
-    :func:`load_config` builds one.  The default dicts are shared and only
-    read; a config read from JSON holds dicts of its own.
+    ``scenario``, ``mode``, ``commutation``, ``format`` and ``out`` are strs
+    (``scenario`` and ``out`` may be None), ``scenario_params`` and
+    ``record`` dicts, ``net`` and ``initial_state`` dicts or None,
+    ``samples`` an int, ``seed`` an int or None, ``epsilon`` a float and
+    ``policy`` a :class:`NumericPolicy`.  :func:`load_config` builds one.
+    The default dicts are shared and only read; a config read from JSON
+    holds dicts of its own.
     """
 
-    scenario: str | None = None
-    scenario_params: dict = {}
-    net: dict | None = None
-    initial_state: dict | None = None
-    mode: str = "enumerate"
-    samples: int = 1000
-    seed: object = None
-    epsilon: float = 0.05
-    commutation: str = "warn"
-    record: dict = {}
-    format: str = "structured"
-    out: str | None = None
-    policy: NumericPolicy = DEFAULT_POLICY
+    __slots__ = ()
 
     def echo(self) -> dict:
         echo = self._asdict()
@@ -479,6 +477,9 @@ def emit_report(report: dict, fmt: str, out: str | None):
     if fmt == "structured":
         text = serialize_report(report)
     else:
+        import csv
+        import io
+
         header, rows = _csv_rows(report)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -492,15 +493,17 @@ def emit_report(report: dict, fmt: str, out: str | None):
     return None
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):  # a bad flag exits 1, as a bad config field does
-        raise ConfigError(message)
+def _refuse_flag(message):
+    raise ConfigError(message)
 
 
 def main(argv=None) -> int:
-    parser = _ArgumentParser(
+    import argparse
+
+    parser = argparse.ArgumentParser(
         prog="eventnet",
         description="Run an operator-algebra event simulation and emit a report.")
+    parser.error = _refuse_flag  # a bad flag exits 1, as a bad config field does
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--scenario",
                         help=f"shipped scenario: {', '.join(sorted(SCENARIO_BUILDERS))}")

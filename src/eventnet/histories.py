@@ -41,9 +41,10 @@ checked, only when it is read.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 from itertools import chain
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,13 +74,16 @@ __all__ = [
 ]
 
 
-class HistoryOperator(NamedTuple):
-    """Product of event projections in causal order (earliest rightmost)."""
+class HistoryOperator(namedtuple("HistoryOperator",
+                                 ("events", "matrix", "spacelike_norms", "flagged"))):
+    """Product of event projections in causal order (earliest rightmost).
 
-    events: tuple[ActualEvent, ...]
-    matrix: np.ndarray
-    spacelike_norms: list[tuple[Point, Point, float]]
-    flagged: bool
+    ``events`` is a tuple of :class:`ActualEvent`, ``matrix`` the product
+    (an ndarray), ``spacelike_norms`` a list of (Point, Point, float) and
+    ``flagged`` a bool.
+    """
+
+    __slots__ = ()
 
 
 def history_operator(events: Sequence[ActualEvent], lattice: CausalLattice | None = None,
@@ -215,30 +219,23 @@ class BranchNode:
         return self._state
 
 
-class TreeRows(NamedTuple):
+class TreeRows(namedtuple("TreeRows", ("leaf_index", "point", "labels", "support", "cells",
+                                       "parent", "outcome", "cond_prob", "cum_prob",
+                                       "event_dim", "iso", "draws"))):
     """The rows one applied point added to a :class:`HistoryTree`.
 
     Row c descends from row ``parent[c]`` by the outcome labelled
-    ``labels[outcome[c]]`` (one of ``event_dim[c]``), on leaf ``leaf_index``;
-    ``iso[c]`` spans it on ``support``, and its state lives on ``cells``.
-    No state is kept: a row's follows from its parent's, and
-    :class:`BranchNode` replays it when read.  ``draws`` is None for an
-    enumerated tree.  The tree holds the scalar columns as arrays;
-    :meth:`HistoryTree.rows` gives them as lists.
+    ``labels[outcome[c]]`` (one of ``event_dim[c]``), on leaf ``leaf_index``
+    (an int) at ``point`` (a Point); ``iso[c]`` spans it on ``support``, and
+    its state lives on ``cells`` (``labels``, ``support`` and ``cells`` are
+    tuples, ``iso`` an ndarray).  No state is kept: a row's follows from its
+    parent's, and :class:`BranchNode` replays it when read.  ``draws`` is
+    None for an enumerated tree.  The tree holds the scalar columns
+    (``parent`` to ``event_dim``, and ``draws``) as arrays;
+    :meth:`HistoryTree.rows` gives them as lists of ints and floats.
     """
 
-    leaf_index: int
-    point: Point
-    labels: tuple
-    support: tuple[int, ...]
-    cells: tuple[int, ...]
-    parent: list[int]
-    outcome: list[int]
-    cond_prob: list[float]
-    cum_prob: list[float]
-    event_dim: list[int]
-    iso: np.ndarray
-    draws: list[int] | None
+    __slots__ = ()
 
 
 class HistoryTree:
@@ -420,24 +417,20 @@ def _leaf_rows(points: Sequence[TreeRows]) -> tuple[list[tuple], list[int]]:
 # branching on support factors, over the whole live frontier
 
 
-class _Family(NamedTuple):
+class _Family(namedtuple("_Family", ("point", "support", "labels", "iso", "counts", "fires",
+                                     "keep"))):
     """Outcomes to fork over at one point, for each entry branch of the leaf.
 
     ``iso[b, k]`` is the isometry of outcome k at entry branch b, rows in
     the slot order of ``support`` (see :mod:`eventnet.linalg` for the
     padding); ``counts[b]`` is the number of outcomes there and ``fires[b]``
-    whether the family applies there.  An imposed family is the same at
-    every branch and always applies.  ``keep`` names the cells a branch
-    still needs once the point is done.
+    whether the family applies there (all three ndarrays).  An imposed
+    family is the same at every branch and always applies.  ``keep`` names
+    the cells a branch still needs once the point is done; it, ``support``
+    and ``labels`` are tuples.
     """
 
-    point: Point
-    support: tuple[int, ...]
-    labels: tuple
-    iso: np.ndarray
-    counts: np.ndarray
-    fires: np.ndarray
-    keep: tuple[int, ...]
+    __slots__ = ()
 
 
 def _keep_cells(net: AlgebraNet, foliation: Foliation,
@@ -623,20 +616,16 @@ def _conditioned(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ..
     return out.reshape(len(ks), dim, dim)
 
 
-class _Frontier(NamedTuple):
+class _Frontier(namedtuple("_Frontier", ("rho", "cells", "row", "cum", "origin", "draws"))):
     """The live branches, as one stack of states on the same cells.
 
-    Branch i is tree row ``row[i]``, of path probability ``cum[i]``, and
-    descends from entry branch ``origin[i]`` of the current leaf; ``draws``
-    is None when enumerating.
+    Branch i has state ``rho[i]`` on the tuple of ``cells``, is tree row
+    ``row[i]``, of path probability ``cum[i]``, and descends from entry
+    branch ``origin[i]`` of the current leaf; the columns are ndarrays, and
+    ``draws`` is None when enumerating.
     """
 
-    rho: np.ndarray
-    cells: tuple[int, ...]
-    row: np.ndarray
-    cum: np.ndarray
-    origin: np.ndarray
-    draws: np.ndarray | None
+    __slots__ = ()
 
 
 def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
@@ -705,6 +694,42 @@ def _merged(a: np.ndarray, at_a: np.ndarray, b: np.ndarray, at_b: np.ndarray) ->
     return out
 
 
+def _check_foliation(lattice: CausalLattice, foliation: Foliation) -> None:
+    """Refuse, with ``ValueError``, leaves that do not foliate ``lattice``.
+
+    Each point lies on the lattice and is listed once, the points of a
+    leaf are pairwise spacelike, and no point lies in the causal past of a
+    point on an earlier leaf, under the rule of :func:`causal_relate`: q is
+    causally related to p when ``|q.x - p.x| <= speed * |q.tau - p.tau|``.
+    Every pair is compared at once, in row blocks of :func:`linalg.block_size`.
+    """
+    points = [pt for leaf in foliation.leaves for pt in leaf]
+    if outside := [pt for pt in points if not lattice.contains(pt)]:
+        raise ValueError(f"foliation points outside the lattice: {outside}")
+    leaf = np.repeat(np.arange(len(foliation.leaves)), [len(lf) for lf in foliation.leaves])
+    tau, x = np.array(points, dtype=np.int64).reshape(-1, 2).T
+    n = len(points)
+    # any speed of at least extent_x relates the same pairs, and this one cannot overflow
+    speed = min(lattice.speed, lattice.extent_x)
+    step = linalg.block_size(max(n, 1))
+    for s in range(0, n, step):
+        rows = np.arange(s, min(s + step, n))[:, None]
+        dt = tau - tau[rows]  # q.tau - p.tau for p = points[row] and q = points[column]
+        # a bad pair: p is listed before q and related to it, on one leaf or with q not later
+        bad = ((np.abs(x - x[rows]) <= speed * np.abs(dt))
+               & ((leaf == leaf[rows]) | (dt <= 0)) & (np.arange(n) > rows))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            p, q = points[s + i], points[j]
+            if causal_relate(lattice, p, q) is Relation.EQUAL:
+                raise ValueError(f"foliation lists {p} twice")
+            if leaf[s + i] == leaf[j]:
+                raise ValueError(f"foliation leaf {leaf[j]} holds {p} and {q}, "
+                                 "which are not spacelike")
+            raise ValueError(f"foliation point {q} on leaf {leaf[j]} lies in the causal past "
+                             f"of {p} on the earlier leaf {leaf[s + i]}")
+
+
 def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: NumericPolicy,
           imposed: Mapping[Point, PotentialEvent] | None,
           propagators: Mapping[int, object] | None, commutation: str,
@@ -721,6 +746,7 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
     """
     if commutation not in ("warn", "abort"):
         raise ValueError("commutation policy must be 'warn' or 'abort'")
+    _check_foliation(net.lattice, foliation)
     imposed, propagators = imposed or {}, propagators or {}
     points = {pt for leaf in foliation.leaves for pt in leaf}
     if not set(imposed) <= points:
@@ -800,10 +826,12 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     ``propagators`` optionally maps a leaf index to a unitary on the whole
     net, applied to every branch before that leaf is processed.  The tree
     is held as rows, and its node objects are built when ``root`` is first
-    read (see :class:`HistoryTree`).  An imposed family at a point outside
-    the foliation, a propagator key that is not a leaf index, or an
-    initial state, family or propagator not on the net's dimension raises
-    before any branching.
+    read (see :class:`HistoryTree`).  Leaves that do not foliate the net's
+    lattice (a point off it or listed twice, a leaf with causally related
+    points, or a point in the causal past of a point on an earlier leaf),
+    an imposed family at a point outside the foliation, a propagator key
+    that is not a leaf index, or an initial state, family or propagator not
+    on the net's dimension raises before any branching.
 
     ``commutation`` controls the response to non-commuting spacelike
     families: "warn" records them, "abort" raises for the first entry
@@ -818,21 +846,21 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     return tree
 
 
-class SampledHistory(NamedTuple):
+class SampledHistory(namedtuple("SampledHistory", ("events", "final_state", "final_cells",
+                                                   "probability", "max_commutator",
+                                                   "spectrum_dims"))):
     """One Monte-Carlo trajectory through the event tree.
 
-    ``final_state`` is the conditioned state on the cells ``final_cells``,
-    the ones a branch still carries at the end (see :class:`BranchNode`):
-    none at the end of the foliation, and those kept after its last point
-    for a branch that ended early because every outcome was pruned.
+    ``events`` is a tuple of :class:`ActualEvent`.  ``final_state`` is the
+    conditioned :class:`State` on the tuple of cells ``final_cells``, the
+    ones a branch still carries at the end (see :class:`BranchNode`): none
+    at the end of the foliation, and those kept after its last point for a
+    branch that ended early because every outcome was pruned.
+    ``probability`` and ``max_commutator`` are floats, ``spectrum_dims`` a
+    list of ints.
     """
 
-    events: tuple[ActualEvent, ...]
-    final_state: State
-    final_cells: tuple[int, ...]
-    probability: float
-    max_commutator: float
-    spectrum_dims: list[int]
+    __slots__ = ()
 
 
 def sample_history(net: AlgebraNet, foliation: Foliation, initial: State,
@@ -859,14 +887,16 @@ def sample_history(net: AlgebraNet, foliation: Foliation, initial: State,
                           spectrum_dims=tree.spectrum_dims)
 
 
-class SampleSummary(NamedTuple):
-    """Aggregate of repeated history sampling under one run seed."""
+class SampleSummary(namedtuple("SampleSummary", ("n_samples", "seed", "counts",
+                                                 "max_commutator", "spectrum_dims"))):
+    """Aggregate of repeated history sampling under one run seed.
 
-    n_samples: int
-    seed: object
-    counts: dict[tuple, int]
-    max_commutator: float
-    spectrum_dims: list[int]
+    ``n_samples`` is an int, ``seed`` the run's seed as given, ``counts`` a
+    dict of path key (a tuple) to int, ``max_commutator`` a float and
+    ``spectrum_dims`` a list of ints.
+    """
+
+    __slots__ = ()
 
     def frequencies(self) -> dict[tuple, float]:
         return {k: v / self.n_samples for k, v in self.counts.items()}

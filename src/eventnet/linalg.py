@@ -110,7 +110,10 @@ def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
     basis of the first family's outcomes, q's block row of outcome i
     without its diagonal block is ``p_i q (1 - p_i)``, and nothing is
     subtracted from 1.  In factor form ``u^H v`` is the contraction over
-    the shared cells C of u on (A - B, C) with v on (C, B - A).
+    the shared cells C of u on (A - B, C) with v on (C, B - A).  The
+    branches of the batch are taken in blocks (:func:`block_size`) whose
+    u, v and ``u^H v`` each fit :data:`BLOCK_ENTRIES`; a branch's products
+    do not depend on its block, so neither does its norm.
     """
     us = np.asarray(us)
     vs = np.asarray(vs)
@@ -132,41 +135,53 @@ def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
     if kb * (ka * ra * dy) ** 2 > ka * (kb * rb * dx) ** 2:
         # the norm is symmetric; write the smaller family basis in full
         return max_commutator_norm(vs, us, (b, a), d)
-    us = np.broadcast_to(us, batch + us.shape[-3:])
-    vs = np.broadcast_to(vs, batch + vs.shape[-3:])
-    nb = len(batch)
-    lead = tuple(range(nb))
+    # per branch: u and v as read, then g = u^H v; take the branches in blocks
+    x, y = ka * ra * dx, kb * dy * rb
+    step = block_size(max(x * dc, dc * y, x * y))
+    flat = batch or (1,)
+    us = np.broadcast_to(us, flat + us.shape[-3:])
+    vs = np.broadcast_to(vs, flat + vs.shape[-3:])
+    n = int(np.prod(flat))
+    worst = np.empty(n)
+    for s in range(0, n, step):
+        at = ((slice(s, s + step),) if len(flat) == 1
+              else np.unravel_index(np.arange(s, min(s + step, n)), flat))
+        worst[s:s + step] = _commutator_block(us[at], vs[at], a, b, only_a, shared, only_b, d)
+    return float(worst[0]) if not batch else worst.reshape(batch)
+
+
+def _commutator_block(us, vs, a, b, only_a, shared, only_b, d) -> np.ndarray:
+    """:func:`max_commutator_norm` of a block of branches ``(m, k, n, r)``: shape ``(m,)``."""
+    m, (ka, ra), (kb, rb) = len(us), (us.shape[1], us.shape[3]), (vs.shape[1], vs.shape[3])
+    dx, dc, dy = d ** len(only_a), d ** len(shared), d ** len(only_b)
 
     def slots(iso, support, first, second):
-        # (..., k, n, r) -> (..., k, first, second, r), slots regrouped
-        t = iso.reshape(iso.shape[:-2] + (d,) * len(support) + (iso.shape[-1],))
-        order = [nb + 1 + support.index(c) for c in first + second]
-        t = t.transpose(list(range(nb + 1)) + order + [t.ndim - 1])
-        return t.reshape(iso.shape[:-2] + (d ** len(first), d ** len(second), iso.shape[-1]))
+        # (m, k, n, r) -> (m, k, first, second, r), slots regrouped
+        t = iso.reshape(iso.shape[:2] + (d,) * len(support) + (iso.shape[-1],))
+        t = t.transpose([0, 1] + [2 + support.index(c) for c in first + second] + [t.ndim - 1])
+        return t.reshape(iso.shape[:2] + (d ** len(first), d ** len(second), iso.shape[-1]))
 
-    u = slots(us, a, only_a, shared)                  # (..., ka, x, c, ra)
-    v = slots(vs, b, shared, only_b)                  # (..., kb, c, y, rb)
-    left = u.conj().transpose(lead + (nb, nb + 3, nb + 1, nb + 2))
-    left = left.reshape(batch + (ka * ra * dx, dc))
-    right = v.transpose(lead + (nb + 1, nb, nb + 2, nb + 3)).reshape(batch + (dc, kb * dy * rb))
-    # g[..., j] stacks u_i^H v_j over the first family's outcomes i, rows
+    # u is (m, ka, x, c, ra) and v is (m, kb, c, y, rb)
+    left = slots(us, a, only_a, shared).conj().transpose(0, 1, 4, 2, 3)
+    left = left.reshape(m, ka * ra * dx, dc)
+    right = slots(vs, b, shared, only_b).transpose(0, 2, 1, 3, 4).reshape(m, dc, kb * dy * rb)
+    # g[:, j] stacks u_i^H v_j over the first family's outcomes i, rows
     # (i, ra, y) and columns (x, rb)
-    g = (left @ right).reshape(batch + (ka, ra, dx, kb, dy, rb))
-    g = g.transpose(lead + (nb + 3, nb, nb + 1, nb + 4, nb + 2, nb + 5))
+    g = (left @ right).reshape(m, ka, ra, dx, kb, dy, rb).transpose(0, 4, 1, 2, 5, 3, 6)
     e = ra * dy
-    g = g.reshape(batch + (kb, ka * e, dx * rb))
-    worst = np.zeros(batch)
+    g = g.reshape(m, kb, ka * e, dx * rb)
+    worst = np.zeros(m)
     diag = np.arange(ka)
     # q is (ka e)^2 per outcome j and branch; take the j in blocks
-    step = block_size(max(1, int(np.prod(batch))) * (ka * e) ** 2)
+    step = block_size(m * (ka * e) ** 2)
     for j in range(0, kb, step):
-        gj = g[..., j:j + step, :, :]
+        gj = g[:, j:j + step]
         q = (gj @ np.swapaxes(gj.conj(), -1, -2)).reshape(gj.shape[:-2] + (ka, e, ka, e))
         q[..., diag, :, diag, :] = 0.0
         rows = q.reshape(gj.shape[:-2] + (ka, e, ka * e))
         top = np.linalg.eigvalsh(rows @ np.swapaxes(rows.conj(), -1, -2))[..., -1]
         worst = np.maximum(worst, np.sqrt(np.clip(top, 0.0, None)).max(axis=(-2, -1)))
-    return float(worst) if worst.ndim == 0 else worst
+    return worst
 
 
 def range_isometries(projections) -> np.ndarray:

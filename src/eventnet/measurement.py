@@ -10,7 +10,7 @@ event family a faithful record of the measurement.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,11 +33,13 @@ __all__ = [
 ]
 
 
-class PhysicalQuantity(NamedTuple):
-    """A named self-adjoint observable with one representative per point."""
+class PhysicalQuantity(namedtuple("PhysicalQuantity", ("name", "representatives"))):
+    """A named self-adjoint observable with one representative per point.
 
-    name: str
-    representatives: dict[Point, Operator]
+    ``name`` is a str and ``representatives`` a dict of Point to Operator.
+    """
+
+    __slots__ = ()
 
     def at(self, point: Point) -> Operator:
         try:
@@ -73,18 +75,17 @@ def validate_quantity(quantity: PhysicalQuantity, net: AlgebraNet,
     return factors
 
 
-class SpectralDecomposition(NamedTuple):
+class SpectralDecomposition(namedtuple("SpectralDecomposition", (
+        "eigenvalues", "projections", "weights", "retained", "residual"))):
     """Spectral projections of a quantity, ordered by decreasing state weight.
 
-    ``retained`` is the smallest count whose weights leave less than the
-    requested epsilon uncovered.
+    ``eigenvalues`` and ``weights`` are lists of floats and ``projections``
+    a list of Operators.  ``retained`` is the smallest count (an int) whose
+    weights leave less than the requested epsilon uncovered, and
+    ``residual`` the float weight they leave.
     """
 
-    eigenvalues: list[float]
-    projections: list[Operator]
-    weights: list[float]
-    retained: int
-    residual: float
+    __slots__ = ()
 
 
 def spectral_decompose(x, omega: State, epsilon: float,
@@ -114,19 +115,19 @@ def spectral_decompose(x, omega: State, epsilon: float,
                                  retained=retained, residual=1.0 - covered)
 
 
-class EventBasis(NamedTuple):
+class EventBasis(namedtuple("EventBasis", ("labels", "weights", "residual",
+                                           "factor_projections"))):
     """The outcomes of a detection that resolve the state at precision epsilon.
 
-    ``labels`` name the kept outcomes of the detection (its outcomes are
-    labelled 0..k-1 in decreasing weight).  Their projections on the
-    support cells are ``factor_projections``; the ambient ones are the
-    detection's ``event.projections`` at the same labels.
+    ``labels`` (a list) name the kept outcomes of the detection (its
+    outcomes are labelled 0..k-1 in decreasing weight), ``weights`` is the
+    list of their float weights and ``residual`` the float weight dropped.
+    Their projections on the support cells are ``factor_projections``, a
+    list of ndarrays; the ambient ones are the detection's
+    ``event.projections`` at the same labels.
     """
 
-    labels: list
-    weights: list[float]
-    residual: float
-    factor_projections: list[np.ndarray]
+    __slots__ = ()
 
 
 def event_basis(detection: EventDetection, epsilon: float,
@@ -151,29 +152,26 @@ def event_basis(detection: EventDetection, epsilon: float,
                       factor_projections=[detection.factor_projections[i] for i in kept])
 
 
-class RecordingReport(NamedTuple):
+class RecordingReport(namedtuple("RecordingReport", (
+        "point", "quantity", "epsilon", "retained", "eigenvalues", "weights",
+        "alignment_norms", "passes", "mixture_residual", "mixture_constant", "matches",
+        "event_weights"))):
     """Whether an event family records a quantity at resolution epsilon.
 
-    ``alignment_norms[k]`` is the operator-norm distance between the k-th
-    retained spectral projection and its average over the event basis;
-    ``passes`` requires all of them below epsilon.  ``mixture_residual``
-    is the statistics shift caused by block-diagonalizing the state over
-    the retained spectral projections, and ``mixture_constant`` expresses
-    it in units of (retained x epsilon).
+    The quantity named ``quantity`` (a str) is checked at ``point`` (a
+    Point) at the float ``epsilon``; its ``retained`` (an int) leading
+    spectral projections have the float lists ``eigenvalues`` and
+    ``weights``.  ``alignment_norms[k]`` is the operator-norm distance
+    between the k-th retained spectral projection and its average over the
+    event basis; ``passes`` (a bool) requires all of them below epsilon.
+    ``mixture_residual`` (a float) is the statistics shift caused by
+    block-diagonalizing the state over the retained spectral projections,
+    and ``mixture_constant`` expresses it in units of (retained x epsilon).
+    ``matches`` lists (k, matched event label or None, float distance), and
+    ``event_weights`` the event basis's float weights.
     """
 
-    point: Point
-    quantity: str
-    epsilon: float
-    retained: int
-    eigenvalues: list[float]
-    weights: list[float]
-    alignment_norms: list[float]
-    passes: bool
-    mixture_residual: float
-    mixture_constant: float
-    matches: list[tuple[int, object | None, float]]
-    event_weights: list[float]
+    __slots__ = ()
 
 
 def recording_check(net: AlgebraNet, point: Point, omega: State,

@@ -10,7 +10,8 @@ computed by SVD with relative cutoffs from :class:`~eventnet.policy.NumericPolic
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -479,19 +480,19 @@ def minimal_projections(alg: OperatorAlgebra,
 # states as vectors: cyclic representation
 
 
-class GnsSpace(NamedTuple):
+class GnsSpace(namedtuple("GnsSpace", ("algebra", "dim", "embed_map", "cyclic_vector"))):
     """The Hilbert space a state induces on an algebra.
 
-    ``embed`` sends an algebra element A to the vector representing
-    "A applied to the state vector"; inner products of embedded elements
-    reproduce ``omega(A* B)``.  Null directions of the Gram matrix are
-    quotiented away, so ``dim`` can be smaller than the algebra dimension.
+    ``embed`` sends an element A of ``algebra`` (an :class:`OperatorAlgebra`)
+    to the vector representing "A applied to the state vector"; inner
+    products of embedded elements reproduce ``omega(A* B)``.  Null
+    directions of the Gram matrix are quotiented away, so ``dim`` (an int)
+    can be smaller than the algebra dimension.  ``embed_map`` is the
+    ``(dim, algebra.dim)`` ndarray and ``cyclic_vector`` the ndarray
+    ``embed(identity)``.
     """
 
-    algebra: OperatorAlgebra
-    dim: int
-    embed_map: np.ndarray          # (dim, algebra.dim)
-    cyclic_vector: np.ndarray      # embed(identity)
+    __slots__ = ()
 
     def embed(self, op) -> np.ndarray:
         return self.embed_map @ self.algebra.coefficients(op)
@@ -578,10 +579,11 @@ def conditional_expectation_gns(alg: OperatorAlgebra, omega: State, event: Poten
     return Operator(out)
 
 
-class RestrictedState(NamedTuple):
-    state: State
-    support: Operator
-    clamped_mass: float
+class RestrictedState(namedtuple("RestrictedState", ("state", "support", "clamped_mass"))):
+    """A :class:`State` on its support, the support projection as an
+    :class:`Operator`, and the float mass clamped away."""
+
+    __slots__ = ()
 
 
 def support_restrict(omega: State, *, policy: NumericPolicy = DEFAULT_POLICY) -> RestrictedState:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import sys
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,54 +53,52 @@ __all__ = [
 ]
 
 
-class Expected(NamedTuple):
+class Expected(namedtuple("Expected", ("name", "value", "tol", "derivation", "kind"),
+                          defaults=("exact",))):
     """A closed-form value, its tolerance and how a sampled run checks it.
 
+    ``name`` and ``derivation`` are strs, ``value`` and ``tol`` floats.
     ``kind`` is ``"exact"`` for a value every run evaluates the same way,
     ``"probability"`` for a leaf or joint probability, which a sample holds
     to within four binomial sigmas, and ``"tree"`` for a count of the whole
     enumerated tree, which a sample does not grow and does not check.
     """
 
-    name: str
-    value: float
-    tol: float
-    derivation: str
-    kind: str = "exact"
+    __slots__ = ()
 
 
 # what a run grew: the whole tree, or the draws of a sample
 Outcome = HistoryTree | SampleSummary
 
 
-class Scenario(NamedTuple):
+class Scenario(namedtuple("Scenario", ("name", "net", "initial", "foliation", "imposed",
+                                       "quantities", "expected", "params", "evaluate"),
+                          defaults=(None, MappingProxyType({}), (), MappingProxyType({}),
+                                    None))):
     """A shipped scenario.
 
-    ``evaluate(scenario, outcome, policy)`` returns the actual value of
-    each name in ``expected``, computed through the event machinery.  It
-    reads ``outcome`` where it needs the branching; with ``None`` it
-    enumerates the tree itself (see :func:`evaluate_expected`).
+    ``name`` (a str) runs ``initial`` (a :class:`State`) on ``net`` (an
+    :class:`AlgebraNet`) along ``foliation`` (a :class:`Foliation`).
+    ``imposed`` maps Points to :class:`PotentialEvent` or is None,
+    ``quantities`` maps names to :class:`PhysicalQuantity`, ``expected``
+    is a sequence of :class:`Expected` and ``params`` a mapping.
+    ``evaluate(scenario, outcome, policy)``, or None, returns the actual
+    value of each name in ``expected``, as a dict of floats, computed
+    through the event machinery.  It reads ``outcome`` (a
+    :class:`HistoryTree` or :class:`SampleSummary`) where it needs the
+    branching; with ``None`` it enumerates the tree itself (see
+    :func:`evaluate_expected`).
     """
 
-    name: str
-    net: AlgebraNet
-    initial: State
-    foliation: Foliation
-    imposed: Mapping[Point, PotentialEvent] | None = None
-    quantities: Mapping[str, PhysicalQuantity] = MappingProxyType({})
-    expected: Sequence[Expected] = ()
-    params: Mapping = MappingProxyType({})
-    evaluate: Callable[[Scenario, Outcome | None, NumericPolicy],
-                       dict[str, float]] | None = None
+    __slots__ = ()
 
 
-class EvaluatedExpectation(NamedTuple):
-    name: str
-    expected: float
-    actual: float
-    tol: float
-    ok: bool
-    derivation: str
+class EvaluatedExpectation(namedtuple("EvaluatedExpectation", (
+        "name", "expected", "actual", "tol", "ok", "derivation"))):
+    """One expected row checked: str ``name`` and ``derivation``, float
+    ``expected``, ``actual`` and ``tol``, and the bool ``ok``."""
+
+    __slots__ = ()
 
 
 def _singlet_state(policy: NumericPolicy) -> State:
@@ -506,14 +505,15 @@ def order_independence_check(scenario: Scenario,
     return worst
 
 
-class NonlocalityReport(NamedTuple):
-    """Unconditioned vs conditioned probability of a distant outcome."""
+class NonlocalityReport(namedtuple("NonlocalityReport", (
+        "left_label", "right_label", "unconditioned", "conditioned", "difference"))):
+    """Unconditioned vs conditioned probability of a distant outcome.
 
-    left_label: object
-    right_label: object
-    unconditioned: float
-    conditioned: float
-    difference: float
+    ``left_label`` and ``right_label`` are the two outcome labels; the
+    other three fields are floats.
+    """
+
+    __slots__ = ()
 
 
 def nonlocality_demo(scenario: Scenario, outcome: tuple = ("+", "+"),

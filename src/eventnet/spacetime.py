@@ -12,7 +12,8 @@ handful of cells already exhausts any reasonable memory budget).
 from __future__ import annotations
 
 import enum
-from typing import Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,9 +40,10 @@ __all__ = [
 ]
 
 
-class Point(NamedTuple):
-    tau: int
-    x: int
+class Point(namedtuple("Point", ("tau", "x"))):
+    """A lattice point: the int time slice ``tau`` and the int site ``x``."""
+
+    __slots__ = ()
 
 
 class Relation(enum.Enum):
@@ -97,7 +99,11 @@ def future_cone(lattice: CausalLattice, p: Point) -> tuple[Point, ...]:
 
 
 class Foliation(FrozenRecord):
-    """Constant-time slices, each a list of points with ascending ``x``."""
+    """Leaves of lattice points, earliest first; :func:`foliate` makes constant-time slices.
+
+    The branching engine refuses leaves that do not foliate its lattice
+    (see :func:`eventnet.histories.enumerate_tree`).
+    """
 
     _fields = ("leaves",)
 
@@ -279,15 +285,14 @@ def build_full_net(lattice: CausalLattice, cell_dim: int = 2, n_cells: int = 1,
     return AlgebraNet(lattice, cell_dim, cells=cells, supports=supports, policy=policy)
 
 
-class NestingReport(NamedTuple):
-    """Whether one point's algebra sits strictly inside another's, non-trivially."""
+class NestingReport(namedtuple("NestingReport", (
+        "p", "q", "strict_inclusion", "rel_commutant_dim", "rel_commutant_abelian", "holds"))):
+    """Whether one point's algebra sits strictly inside another's, non-trivially.
 
-    p: Point
-    q: Point
-    strict_inclusion: bool
-    rel_commutant_dim: int
-    rel_commutant_abelian: bool
-    holds: bool
+    ``p`` and ``q`` are Points, ``rel_commutant_dim`` an int, the rest bools.
+    """
+
+    __slots__ = ()
 
 
 def verify_nesting(net: AlgebraNet, p: Point, q: Point,
@@ -311,19 +316,18 @@ def verify_nesting(net: AlgebraNet, p: Point, q: Point,
                          holds=holds)
 
 
-class CausalOrderReport(NamedTuple):
+class CausalOrderReport(namedtuple("CausalOrderReport", (
+        "future_pairs", "geometric_pairs", "matches_geometric", "mismatches", "reports"))):
     """Causal order reconstructed from algebra inclusions alone.
 
-    ``reports`` holds the nesting report of every ordered pair of distinct
-    points, in the order of the sweep (``p`` outer, ``q`` inner, both in
-    canonical point order).
+    ``future_pairs`` and ``geometric_pairs`` are lists of (Point, Point),
+    ``matches_geometric`` a bool and ``mismatches`` a list of (Point, Point,
+    str, str).  ``reports`` lists the :class:`NestingReport` of every
+    ordered pair of distinct points, in the order of the sweep (``p``
+    outer, ``q`` inner, both in canonical point order).
     """
 
-    future_pairs: list[tuple[Point, Point]]
-    geometric_pairs: list[tuple[Point, Point]]
-    matches_geometric: bool
-    mismatches: list[tuple[Point, Point, str, str]]
-    reports: list[NestingReport]
+    __slots__ = ()
 
 
 def derive_causal_order(net: AlgebraNet,

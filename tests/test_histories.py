@@ -11,15 +11,19 @@ from eventnet import (
     CausalLattice,
     CommutationError,
     DimensionMismatchError,
+    Foliation,
     NullBranchError,
     Operator,
     Point,
     PotentialEvent,
+    Relation,
+    SCENARIO_BUILDERS,
     State,
     apply_propagator,
     build_full_net,
     build_scenario,
     build_tensor_net,
+    causal_relate,
     collapse,
     enumerate_tree,
     epr_overlap_scenario,
@@ -33,8 +37,10 @@ from eventnet import (
     sample_paths,
     two_leaf_chain,
 )
+from eventnet import histories, linalg
 from eventnet.cli import main
 from eventnet.events import detect_event
+from eventnet.histories import _branch_point
 from eventnet.linalg import PAULI_X, partial_trace, random_unitary
 from eventnet.policy import NumericPolicy
 
@@ -295,6 +301,60 @@ def test_engine_refuses_inputs_off_the_net(case, error):
     for run in (enumerate_tree, lambda *a, **kw: sample_paths(*a, n_samples=10, seed=1, **kw)):
         with pytest.raises(error):
             run(sc.net, sc.foliation, **inputs)
+
+
+P = Point
+# leaves over the 2x2 lattice that are not a foliation of it, and the refusal each meets
+NOT_A_FOLIATION = {
+    "timelike points on one leaf": (((P(1, 0), P(0, 0)), (P(0, 1), P(1, 1))), "not spacelike"),
+    "a point listed twice": (((P(0, 0), P(0, 1)), (P(0, 1), P(1, 1))), "twice"),
+    "a later point in an earlier one's past": (((P(1, 0), P(1, 1)), (P(0, 0), P(0, 1))),
+                                               "causal past"),
+    "a point outside the lattice": (((P(0, 0), P(0, 1)), (P(1, 0), P(2, 1))), "outside"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_FOLIATION))
+def test_engine_refuses_leaves_that_are_not_a_foliation(case, monkeypatch):
+    leaves, message = NOT_A_FOLIATION[case]
+    net = build_tensor_net(CausalLattice(2, 2))
+    initial = State.maximally_mixed(net.dim)
+    grown = []
+    monkeypatch.setattr(histories, "_branch_point",
+                        lambda *args: grown.append(1) or _branch_point(*args))
+    for run in (enumerate_tree, lambda *a: sample_paths(*a, n_samples=10, seed=1)):
+        with pytest.raises(ValueError, match=message):
+            run(net, Foliation(leaves), initial)
+    assert not grown  # refused before any branching
+
+
+@pytest.mark.parametrize("speed", [1, 2, 2**70])
+def test_foliation_check_follows_causal_relate(speed, monkeypatch):
+    lattice = CausalLattice(3, 3, speed)
+    for block in (None, 1):  # every pair at once, and one row of pairs at a time
+        if block:
+            monkeypatch.setattr(linalg, "block_size", lambda per_item: block)
+        for p in lattice.points():
+            for q in lattice.points():
+                relation = causal_relate(lattice, p, q)
+                for leaves, refused in ((((p, q),), relation is not Relation.SPACELIKE),
+                                        (((p,), (q,)), relation in (Relation.EQUAL,
+                                                                   Relation.PAST))):
+                    if refused:
+                        with pytest.raises(ValueError):
+                            histories._check_foliation(lattice, Foliation(leaves))
+                    else:
+                        histories._check_foliation(lattice, Foliation(leaves))
+
+
+def test_shipped_foliations_are_accepted():
+    for name in SCENARIO_BUILDERS:
+        sc = build_scenario(name)
+        histories._check_foliation(sc.net.lattice, sc.foliation)
+    for tau in (1, 2, 3):
+        for x in (1, 2, 3):
+            lattice = CausalLattice(tau, x)
+            histories._check_foliation(lattice, foliate(lattice))
 
 
 def test_propagator_rotates_first_detection():

@@ -1,4 +1,4 @@
-"""Structural checks on the package's records: no generated code, frozen where promised."""
+"""Structural checks on the package's records and on what importing the package loads."""
 
 import os
 import subprocess
@@ -25,10 +25,17 @@ _MODULES = (cli, errors, events, histories, linalg, measurement, opalg, policy, 
 
 
 def test_importing_eventnet_loads_neither_dataclasses_nor_copy():
-    # numpy imports neither, so any that is loaded came from the package
+    # numpy is imported first and loads none of the four modules, so any that
+    # is loaded came from the package; argparse and csv wait for main and CSV
+    # output.  typing's NamedTuple is refused after numpy, so the import fails
+    # if a record is built through it.
     src = str(Path(eventnet.__file__).resolve().parent.parent)
-    code = ("import sys; import eventnet, eventnet.cli; "
-            "print(sorted({'dataclasses', 'copy'} & set(sys.modules)))")
+    code = ("import sys, typing, numpy\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('a record is a typing.NamedTuple')\n"
+            "typing.NamedTupleMeta.__new__ = refuse\n"
+            "import eventnet, eventnet.cli\n"
+            "print(sorted({'argparse', 'csv', 'dataclasses', 'copy'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
@@ -76,3 +83,18 @@ def test_named_tuple_records_are_immutable():
         rep.holds = False
     assert rep.holds and not rep._replace(holds=False).holds
     assert rep._asdict()["rel_commutant_dim"] == rep.rel_commutant_dim == 4
+
+
+def test_records_are_named_tuples_without_an_instance_dict():
+    records = [obj for mod in _MODULES for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, tuple)
+               and obj.__module__ == mod.__name__]
+    assert len(records) == 20
+    for cls in records:
+        assert vars(cls)["__slots__"] == () and cls._fields, cls.__name__
+    point = Point(1, 2)
+    assert repr(point) == "Point(tau=1, x=2)" and point[1:] == (2,) and point == (1, 2)
+    assert not hasattr(point, "__dict__")
+    assert scenarios.Expected("a", 1.0, 0.1, "d").kind == "exact"
+    assert cli.RunConfig._field_defaults["mode"] == "enumerate"
+    assert cli.RunConfig()._replace(seed=3).seed == 3
