@@ -7,16 +7,20 @@ imports ``csv``, so a caller of :func:`load_config`, :func:`run` and
 :func:`serialize_report` loads neither.
 Reports are deterministic functions of (config, seed), with no timestamps
 and no wall-clock data (timings go to stderr).  Their canonical bytes are
-``json.dumps(report, sort_keys=True) + "\n"`` (:func:`serialize_report`),
-so a structured report is one line; ``python -m json.tool --sort-keys
---indent 2`` indents it.  The ``config`` echo is the only record of the
-input: a config-given initial state appears there as written, and a
-scenario's or the default state follows from the echoed fields.  The tree
-section is read off the history tree's rows (:meth:`HistoryTree.rows`); no
-node object is built.  Its leaves are :meth:`HistoryTree.leaf_steps` and a
-sample's rows are :attr:`SampleSummary.counts`, both in tree order, which
-the CSV rows keep.  A scenario's ``expected`` block is evaluated on the
-tree or the sample the run grew, so no run grows a tree twice.
+``json.dumps(report, sort_keys=True, check_circular=False) + "\n"``
+(:func:`serialize_report`), so a structured report is one line;
+``python -m json.tool --sort-keys --indent 2`` indents it.  No cycle check
+is needed: :func:`run` builds each report as a tree of containers, and
+the lists it shares between nodes (a point's [tau, x], a step's
+[tau, x, label]) hold no container, so none can lead back to itself.
+The ``config`` echo is the only record of the input: a config-given
+initial state appears there as written, and a scenario's or the default
+state follows from the echoed fields.  The tree section is read off the
+history tree's rows (:meth:`HistoryTree.rows`), once; no node object is
+built.  Its leaves are :meth:`HistoryTree.leaf_steps` and a sample's rows
+are :attr:`SampleSummary.counts`, both in tree order, which the CSV rows
+keep.  A scenario's ``expected`` block is evaluated on the tree or the
+sample the run grew, so no run grows a tree twice.
 
 Exit codes: 0 success, 1 configuration problems, 2 numeric failures
 (including a commutation abort), 3 resource caps or running out of memory.
@@ -36,7 +40,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, EventNetError
-from .histories import MAX_SAMPLES, enumerate_tree, sample_paths
+from .histories import MAX_SAMPLES, enumerate_tree, leaf_steps_from_rows, sample_paths
 from .measurement import recording_check
 from .opalg import State
 from .policy import DEFAULT_POLICY, NumericPolicy, is_integer_at_least, is_real_number
@@ -292,10 +296,11 @@ def _tree_section(tree) -> tuple[dict, list[dict]]:
     Each row's node dict is appended to its parent row's ``children``, in
     row order, which is the order of ``tree.root``; the nodes of one
     ``TreeRows`` share one [tau, x] list.  The leaves are
-    :meth:`HistoryTree.leaf_steps`, in its tree order; a leaf's path holds
-    one shared [tau, x, label] list per step.  A detection row is one
-    ``TreeRows``: the nodes one (leaf, point) made, and the largest outcome
-    count among them.  No node object is built.
+    :meth:`HistoryTree.leaf_steps`, in its tree order, taken from the same
+    rows (:func:`leaf_steps_from_rows`), so the rows are read once; a
+    leaf's path holds one shared [tau, x, label] list per step.  A
+    detection row is one ``TreeRows``: the nodes one (leaf, point) made,
+    and the largest outcome count among them.  No node object is built.
     """
     sums, points = tree.rows()
     nodes = [{"point": None, "label": None, "cond_prob": 1.0, "cum_prob": 1.0,
@@ -317,7 +322,7 @@ def _tree_section(tree) -> tuple[dict, list[dict]]:
         detections.append({"leaf": r.leaf_index, "point": at, "nodes": len(r.parent),
                            "event_dim": max(r.event_dim)})
     leaves = [{"path": [steps[step] for step in path], "probability": prob}
-              for path, prob in tree.leaf_steps()]
+              for path, prob in leaf_steps_from_rows(points)]
     section = {"root": nodes[0], "n_leaves": len(leaves), "pruned_mass": tree.pruned_mass,
                "leaves": leaves}
     detections.sort(key=lambda row: (row["leaf"], row["point"]))
@@ -438,10 +443,15 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
 def serialize_report(report: dict) -> str:
     """Canonical bytes: ``json.dumps(report, sort_keys=True) + "\\n"``, one line.
 
+    The call is ``json.dumps(report, sort_keys=True, check_circular=False)``.
+    A report of :func:`run` is a tree of containers whose shared lists
+    (points and steps) hold no container, so it has no cycle, and the
+    encoder's per-container cycle bookkeeping would be wasted; a report
+    that did hold one would recurse until ``RecursionError``.
     ``python -m json.tool --sort-keys --indent 2`` writes the same report
     indented.  A value json cannot hold raises ``TypeError``.
     """
-    return json.dumps(report, sort_keys=True) + "\n"
+    return json.dumps(report, sort_keys=True, check_circular=False) + "\n"
 
 
 def parse_report(text: str) -> dict:

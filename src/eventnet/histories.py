@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -71,6 +71,7 @@ __all__ = [
     "enumerate_tree",
     "sample_history",
     "sample_paths",
+    "leaf_steps_from_rows",
 ]
 
 
@@ -384,33 +385,71 @@ class HistoryTree:
         """Each leaf's (tau, x, label) steps and its path probability, read off the rows.
 
         The leaves come in the order of :meth:`leaf_paths`, and no node
-        object is built.
+        object is built.  The rows are read as the tree holds them, with
+        no column turned into a list (:func:`leaf_steps_from_rows`).
         """
-        _, points = self.rows()
-        steps, leaves = _leaf_rows(points)
-        cum = [1.0, *chain.from_iterable(r.cum_prob for r in points)]
-        return [(steps[row], cum[row]) for row in leaves]
+        return leaf_steps_from_rows(self._rows)
+
+
+def leaf_steps_from_rows(points: Sequence[TreeRows]
+                         ) -> list[tuple[tuple[tuple[int, int, object], ...], float]]:
+    """:meth:`HistoryTree.leaf_steps` of the tree whose rows are ``points``.
+
+    ``points`` is the second half of :meth:`HistoryTree.rows`, or the same
+    records with the columns still arrays.  A caller that has read the
+    rows for itself, as the CLI report does, passes them here instead of
+    having them read a second time.
+    """
+    steps, leaves = _leaf_rows(points)
+    cum = np.concatenate([[1.0], *(r.cum_prob for r in points)])[leaves].tolist()
+    return [(steps[row], p) for row, p in zip(leaves, cum)]
 
 
 def _leaf_rows(points: Sequence[TreeRows]) -> tuple[list[tuple], list[int]]:
     """Each row's (tau, x, label) steps from the root, and the leaf rows in tree order.
 
-    ``points`` is the second half of :meth:`HistoryTree.rows`.  A row's
-    steps are its parent row's and one more, and a leaf is a row that no
-    row names as its parent.  Tree order is the order of ``root``'s walk:
-    siblings are rows of one point in outcome order, so it sorts the
-    leaves by the outcome indices on their paths.
+    ``points`` is as in :func:`leaf_steps_from_rows`.  A row's steps are
+    its parent row's and one more; the order is
+    :func:`_preorder_leaves` of the ``parent`` columns.
     """
-    steps, outcomes, parents = [()], [()], set()
+    leaves = _preorder_leaves([np.asarray(r.parent, dtype=np.int64) for r in points])
+    steps = [()]
     for r in points:
         step = [(r.point.tau, r.point.x, label) for label in r.labels]
         for p, k in zip(r.parent, r.outcome):
             steps.append(steps[p] + (step[k],))
-            outcomes.append(outcomes[p] + (k,))
-        parents.update(r.parent)
-    leaves = sorted((row for row in range(len(steps)) if row not in parents),
-                    key=outcomes.__getitem__)
     return steps, leaves
+
+
+def _preorder_leaves(parents: Sequence[np.ndarray]) -> list[int]:
+    """The leaf rows in tree order, from each point's ``parent`` column.
+
+    Row 0 is the root, and each point's rows follow the rows of the point
+    before.  Tree order is the preorder of ``root``'s depth-first walk, in
+    which a row's children are consecutive rows of one point, in outcome
+    order.  Every row's subtree size is summed up point by point from the
+    last; every row's preorder position is its parent's plus 1 plus the
+    sizes of its earlier siblings, point by point from the first; and the
+    leaves, the rows of subtree size 1, are ordered by position.
+    """
+    first = list(accumulate([1, *map(len, parents)]))  # each point's first row
+    par = np.concatenate([np.full(1, -1), *parents])  # the root has no parent
+    size = np.ones(len(par), dtype=np.int64)
+    for j in reversed(range(len(parents))):
+        np.add.at(size, par[first[j]:first[j + 1]], size[first[j]:first[j + 1]])
+    # a row's children all come from one point, so siblings are the runs of equal
+    # parents; the sizes of a row's earlier siblings are the sum of the sizes
+    # since the eldest, and running sums never decrease
+    before = np.cumsum(size) - size
+    eldest = np.ones(len(par), dtype=bool)
+    eldest[1:] = par[1:] != par[:-1]
+    before -= np.maximum.accumulate(np.where(eldest, before, 0))
+    pos = np.zeros(len(par), dtype=np.int64)
+    for j in range(len(parents)):
+        rows = slice(first[j], first[j + 1])
+        pos[rows] = pos[par[rows]] + 1 + before[rows]
+    leaves = np.flatnonzero(size == 1)
+    return leaves[np.argsort(pos[leaves])].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +570,23 @@ def _born_weights(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, .
     """Weights tr(V^H rho_S V) of every outcome of every parent, clipped at 0.
 
     ``rho`` is a stack of parent states and ``iso[i]`` the isometry stack
-    of parent i's family; padding outcomes weigh 0.
+    of parent i's family; padding outcomes weigh 0.  The parents are taken
+    in blocks of :func:`linalg.block_size`, so that each of a block's
+    temporaries, of the size of its isometry stacks, fits
+    :data:`linalg.BLOCK_ENTRIES`; a parent's weights do not depend on its
+    block.
     """
+    n, outcomes, ds, rank = iso.shape
     rho_s = _reduce(rho, cells, support, cell_dim)
-    return np.clip(np.sum(iso.conj() * (rho_s[:, None] @ iso), axis=(-2, -1)).real, 0.0, None)
+    step = linalg.block_size(outcomes * ds * rank)
+    blocks = []
+    for p in range(0, n, step):
+        v = iso[p:p + step]
+        blocks.append(np.sum(v.conj() * (rho_s[p:p + step, None] @ v), axis=(-2, -1)).real)
+    # joined after the loop, so that no output of every parent is held beside the
+    # first block's work, and one block peaks where the unblocked product did
+    out = np.concatenate(blocks) if blocks else np.zeros((0, outcomes))
+    return np.clip(out, 0.0, None, out=out)
 
 
 def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],

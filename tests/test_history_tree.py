@@ -68,9 +68,23 @@ def _seeded_cone_tree(seed, prob_floor, gate_seed=None):
 
 def test_leaf_steps_are_the_leaf_paths_read_off_the_rows(monkeypatch):
     sc = epr_scenario()
+    # a 2x3 cone whose point (0, 1) has 16 outcomes, so outcome 10 comes after outcome 2
+    cone = build_tensor_net(CausalLattice(2, 3), 2)
+    many = State.diagonal(json.loads((CONFIGS / "cone-2x3-many-outcomes.json").read_text())
+                          ["initial_state"]["weights"])
+    skipping = build_tensor_net(CausalLattice(2, 2))
+    dying = _cone(3, 0, prob_floor=0.02)
     trees = [enumerate_tree(sc.net, sc.foliation, sc.initial, imposed=sc.imposed),
              _seeded_cone_tree(0, 1e-9), _seeded_cone_tree(0, 0.01),
-             _seeded_cone_tree(5, 1e-3, gate_seed=8)]
+             _seeded_cone_tree(5, 1e-3, gate_seed=8),
+             enumerate_tree(cone, foliate(cone.lattice), many),
+             enumerate_tree(skipping, foliate(skipping.lattice), _skipping_cone_state(),
+                            policy=NumericPolicy(prob_floor=1e-3)),
+             # the tree sample_paths grows for 1000 draws at seed 1
+             histories._grow(cone, foliate(cone.lattice), many, NumericPolicy(), None, None,
+                             "warn", draws=1000, gen=np.random.default_rng(1))[0],
+             # every branch dies at (0, 1), so the last points add no row
+             enumerate_tree(*dying[:3], **dying[3])]
     walked = [[(tuple((e.point.tau, e.point.x, e.label) for e in events), prob)
                for events, prob in tree.leaf_paths()] for tree in trees]
     for tree in trees:
@@ -80,6 +94,32 @@ def test_leaf_steps_are_the_leaf_paths_read_off_the_rows(monkeypatch):
     assert steps == walked
     # dead leaves end some paths early, so the walk's order is not the rows' order
     assert any(len(a) > len(b) for (a, _), (b, _) in zip(steps[2], steps[2][1:]))
+    labels = [[label for *_, label in path] for path, _ in steps[4]]
+    assert labels == sorted(labels) and max(map(max, labels)) > 10
+    # some branch of the skipping tree goes through (1, 1) without an event at (1, 0)
+    assert any((1, 0) not in points and (1, 1) in points
+               for points in ({(t, x) for t, x, _ in path} for path, _ in steps[5]))
+    assert not trees[7].rows()[1][-1].parent
+    summary = sample_paths(cone, foliate(cone.lattice), many, 1000, 1)
+    assert list(summary.counts) == [path for path, _ in steps[6]]
+    assert len(summary.counts) > 10
+
+
+def test_leaf_steps_peak_is_about_its_result():
+    # the seeded 2x3 cone at the default policy: 15 497 rows, 8192 leaves.  The
+    # result holds a steps tuple and a float per leaf; reading the rows as lists
+    # and sorting the leaves by per-row outcome tuples made the peak 3.0 times it
+    net, fol, initial, _ = _cone(3, 0)
+    tree = enumerate_tree(net, fol, initial)
+    tree.leaf_steps()  # numpy's first calls allocate caches that outlive them
+    tracemalloc.start()
+    try:
+        steps = tree.leaf_steps()
+        result, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 8192 and 1 + sum(len(r.parent) for r in tree.rows()[1]) == 15497
+    assert peak <= 2 * result, (peak, result)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +255,17 @@ def test_replay_crosses_skipped_points_and_imposed_families(monkeypatch):
 
 
 def test_collapse_blocks_change_no_state_and_no_report(monkeypatch, tmp_path):
+    # the Born weights and the collapse both take their parents in blocks
     cones = [_cone(3, 3), _cone(2, 5, gate_seed=8)]
+    conditioned, born = histories._conditioned, histories._born_weights
 
     def outputs(block):
         monkeypatch.setattr(linalg, "block_size", lambda per_item: block)
-        blocks, conditioned = [], histories._conditioned
+        blocks, weights = [], []
         monkeypatch.setattr(histories, "_conditioned",
                             lambda *args: blocks.append(1) or conditioned(*args))
+        monkeypatch.setattr(histories, "_born_weights",
+                            lambda *args: weights.append(born(*args)) or weights[-1])
         stacks = []
         for net, fol, initial, kwargs in cones:
             tree, made = _growing(monkeypatch, lambda: enumerate_tree(net, fol, initial, **kwargs))
@@ -232,15 +276,44 @@ def test_collapse_blocks_change_no_state_and_no_report(monkeypatch, tmp_path):
             out = tmp_path / f"{block}.json"
             assert main(args + ["--out", str(out)]) == 0
             texts.append(out.read_text())
-        return stacks, texts, len(blocks)
+        return stacks, weights, texts, len(blocks)
 
-    whole, whole_texts, calls = outputs(2**62)  # one block holds every parent
+    whole, whole_weights, whole_texts, calls = outputs(2**62)  # one block holds every parent
+    # some call weighs more than 7 parents, so blocks of 1 and 7 split it
+    assert max(map(len, whole_weights)) > 7
     for block in (1, 7):
-        stacks, texts, blocks = outputs(block)
+        stacks, weights, texts, blocks = outputs(block)
         assert blocks > calls  # some collapse ran in more than one block
         assert len(stacks) == len(whole)
         assert all(np.array_equal(a, b) for a, b in zip(stacks, whole))
+        assert len(weights) == len(whole_weights)
+        assert all(np.array_equal(a, b) for a, b in zip(weights, whole_weights))
         assert texts == whole_texts
+
+
+def test_born_weight_peak_is_a_few_blocks(monkeypatch):
+    # 64 parents, each with 4 outcomes of rank 4 on 4 cells: 16 384 isometry entries
+    rng = np.random.default_rng(6)
+    n, outcomes, ds, rank = 64, 4, 16, 4
+    iso = (rng.standard_normal((n, outcomes, ds, rank))
+           + 1j * rng.standard_normal((n, outcomes, ds, rank)))
+    g = rng.standard_normal((n, ds, ds)) + 1j * rng.standard_normal((n, ds, ds))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    cells = (0, 1, 2, 3)
+    whole = histories._born_weights(rho, cells, cells, iso, 2)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 2**10)
+    tracemalloc.start()
+    try:
+        blocked = histories._born_weights(rho, cells, cells, iso, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(blocked, whole)
+    # tracing starts after the inputs are made, so the peak is what the call adds:
+    # its result and at most four blocks of BLOCK_ENTRIES complex entries (three
+    # are used).  Taken whole, two temporaries of the whole isometry stack were
+    # alive at once, 512 KiB
+    assert peak <= blocked.nbytes + 4 * 2**10 * 16, peak
 
 
 def test_enumeration_peak_is_a_few_child_stacks(monkeypatch):
