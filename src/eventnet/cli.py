@@ -40,7 +40,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, EventNetError
-from .histories import MAX_SAMPLES, enumerate_tree, leaf_steps_from_rows, sample_paths
+from .histories import MAX_SAMPLES, enumerate_tree, sample_paths
 from .measurement import recording_check
 from .opalg import State
 from .policy import DEFAULT_POLICY, NumericPolicy, is_integer_at_least, is_real_number
@@ -296,11 +296,11 @@ def _tree_section(tree) -> tuple[dict, list[dict]]:
     Each row's node dict is appended to its parent row's ``children``, in
     row order, which is the order of ``tree.root``; the nodes of one
     ``TreeRows`` share one [tau, x] list.  The leaves are
-    :meth:`HistoryTree.leaf_steps`, in its tree order, taken from the same
-    rows (:func:`leaf_steps_from_rows`), so the rows are read once; a
-    leaf's path holds one shared [tau, x, label] list per step.  A
-    detection row is one ``TreeRows``: the nodes one (leaf, point) made,
-    and the largest outcome count among them.  No node object is built.
+    :meth:`HistoryTree.leaf_steps`, in its tree order, which reads the
+    tree's arrays and not these lists; a leaf's path holds one shared
+    [tau, x, label] list per step.  A detection row is one ``TreeRows``:
+    the nodes one (leaf, point) made, and the largest outcome count among
+    them.  No node object is built.
     """
     sums, points = tree.rows()
     nodes = [{"point": None, "label": None, "cond_prob": 1.0, "cum_prob": 1.0,
@@ -322,7 +322,7 @@ def _tree_section(tree) -> tuple[dict, list[dict]]:
         detections.append({"leaf": r.leaf_index, "point": at, "nodes": len(r.parent),
                            "event_dim": max(r.event_dim)})
     leaves = [{"path": [steps[step] for step in path], "probability": prob}
-              for path, prob in leaf_steps_from_rows(points)]
+              for path, prob in tree.leaf_steps()]
     section = {"root": nodes[0], "n_leaves": len(leaves), "pruned_mass": tree.pruned_mass,
                "leaves": leaves}
     detections.sort(key=lambda row: (row["leaf"], row["point"]))

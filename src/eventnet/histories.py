@@ -33,10 +33,11 @@ entry branch at once.
 Memory is the live frontier plus one bounded block of work.  The collapse
 takes consecutive parents in blocks (:data:`linalg.BLOCK_ENTRIES`) and
 normalizes their children in place, and the frontier is the only place a
-branch state lives: the tree keeps the rows' isometries and the run's
-localized propagators, not the states.  Node objects are built only when
-they are read, and a node's state is replayed from its parent's, and
-checked, only when it is read.
+branch state lives: the tree keeps each point's family of isometries,
+which its rows index, and the run's localized propagators, not the states.
+Each family stack exists once, and the work gathers it block by block.
+Node objects are built only when they are read, and a node's state is
+replayed from its parent's, and checked, only when it is read.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ __all__ = [
     "enumerate_tree",
     "sample_history",
     "sample_paths",
-    "leaf_steps_from_rows",
 ]
 
 
@@ -221,19 +221,23 @@ class BranchNode:
 
 
 class TreeRows(namedtuple("TreeRows", ("leaf_index", "point", "labels", "support", "cells",
-                                       "parent", "outcome", "cond_prob", "cum_prob",
-                                       "event_dim", "iso", "draws"))):
+                                       "family", "parent", "origin", "outcome", "cond_prob",
+                                       "cum_prob", "event_dim", "draws"))):
     """The rows one applied point added to a :class:`HistoryTree`.
 
     Row c descends from row ``parent[c]`` by the outcome labelled
     ``labels[outcome[c]]`` (one of ``event_dim[c]``), on leaf ``leaf_index``
-    (an int) at ``point`` (a Point); ``iso[c]`` spans it on ``support``, and
-    its state lives on ``cells`` (``labels``, ``support`` and ``cells`` are
-    tuples, ``iso`` an ndarray).  No state is kept: a row's follows from its
-    parent's, and :class:`BranchNode` replays it when read.  ``draws`` is
-    None for an enumerated tree.  The tree holds the scalar columns
-    (``parent`` to ``event_dim``, and ``draws``) as arrays;
-    :meth:`HistoryTree.rows` gives them as lists of ints and floats.
+    (an int) at ``point`` (a Point); its state lives on ``cells``
+    (``labels``, ``support`` and ``cells`` are tuples).  ``family`` is the
+    point's isometry stack as the engine branched on it (see
+    :class:`_Family`), one ndarray shared by every row of the point, and
+    ``family[origin[c], outcome[c]]`` spans row c's outcome on ``support``:
+    ``origin[c]`` is the entry branch of the leaf it descends from.  No
+    state is kept: a row's follows from its parent's, and
+    :class:`BranchNode` replays it when read.  ``draws`` is None for an
+    enumerated tree.  The tree holds the scalar columns (``parent`` to
+    ``draws``) as arrays; :meth:`HistoryTree.rows` gives them as lists of
+    ints and floats.
     """
 
     __slots__ = ()
@@ -250,9 +254,11 @@ class HistoryTree:
     :func:`sample_paths` read.  ``root`` builds the :class:`BranchNode`
     and :class:`ActualEvent` objects of every row in one pass the first
     time it is read, and keeps them, for callers that want the objects.
-    Building them computes no state: the tree holds the initial state, the
-    rows' isometries and the run's localized propagators, and a node's
-    ``rho`` is replayed from its parent's when first read (:meth:`_replay`).
+    Building them computes no state: the tree holds the initial state, each
+    point's family stack, which a node's event views, and the run's
+    localized propagators, and a node's ``rho`` is replayed from its
+    parent's when first read (:meth:`_replay`).  ``max_commutator`` is the
+    largest of the ``commutation_norms``, 0.0 when there are none.
 
     ``pruned_mass`` is the mass of outcomes dropped below ``prob_floor``
     beside a sibling that was kept.  The listed leaves and the pruned mass
@@ -260,23 +266,24 @@ class HistoryTree:
     """
 
     def __init__(self, foliation: Foliation, pruned_mass: float, spectrum_dims: list[int],
-                 commutation_norms: list[tuple[int, Point, Point, float]],
-                 max_commutator: float, initial: State, net: AlgebraNet,
-                 policy: NumericPolicy, gates: Mapping[int, tuple], imposed: frozenset[Point],
+                 commutation_norms: list[tuple[int, Point, Point, float]], initial: State,
+                 net: AlgebraNet, policy: NumericPolicy, gates: Mapping[int, tuple],
                  rows: list[TreeRows], sums: np.ndarray):
         self.foliation = foliation
         self.pruned_mass = pruned_mass
         self.spectrum_dims = spectrum_dims
         self.commutation_norms = commutation_norms
-        self.max_commutator = max_commutator
         self._initial = initial
         self._net = net
         self._policy = policy
         self._gates = gates
-        self._imposed = imposed
         self._rows = rows
         self._sums = sums
         self._root: BranchNode | None = None
+
+    @property
+    def max_commutator(self) -> float:
+        return max((n for *_, n in self.commutation_norms), default=0.0)
 
     def rows(self) -> tuple[list[float | None], list[TreeRows]]:
         """Every row's ``children_prob_sum`` (None where no family fired), and each point's rows.
@@ -286,7 +293,8 @@ class HistoryTree:
         row names as its parent.
         """
         sums = [None if s != s else s for s in self._sums.tolist()]  # NaN is None
-        return sums, [r._replace(parent=r.parent.tolist(), outcome=r.outcome.tolist(),
+        return sums, [r._replace(parent=r.parent.tolist(), origin=r.origin.tolist(),
+                                 outcome=r.outcome.tolist(),
                                  cond_prob=r.cond_prob.tolist(), cum_prob=r.cum_prob.tolist(),
                                  event_dim=r.event_dim.tolist(),
                                  draws=None if r.draws is None else r.draws.tolist())
@@ -301,10 +309,10 @@ class HistoryTree:
             nodes = [BranchNode(-1, None, None, tuple(range(net.n_cells)), 1.0, 1.0, None, policy,
                                 sums[0], state=self._initial)]
             for r in points:
-                for p, k, iso, w, cum, dim in zip(r.parent, r.outcome, r.iso, r.cond_prob,
-                                                  r.cum_prob, r.event_dim):
-                    actual = ActualEvent.from_isometry(r.point, r.labels[k], iso, r.support,
-                                                       net, w)
+                for p, o, k, w, cum, dim in zip(r.parent, r.origin, r.outcome, r.cond_prob,
+                                                r.cum_prob, r.event_dim):
+                    actual = ActualEvent.from_isometry(r.point, r.labels[k], r.family[o, k],
+                                                       r.support, net, w)
                     node = BranchNode(r.leaf_index, r.point, actual, r.cells, w, cum, dim, policy,
                                       sums[len(nodes)],
                                       replay=partial(self._replay, nodes, first, len(nodes)))
@@ -320,10 +328,11 @@ class HistoryTree:
         root at the latest, and steps down as the engine did: through each
         point between a parent and its child the state is reduced to that
         point's ``cells``, a leaf with a propagator conjugates it by the
-        localized gate, and at the child's point the rows' isometries
-        collapse it (:func:`_reduce`, :func:`_apply_gate`, :func:`_collapse`).
-        Each step collapses every child of the parent at once, as a block of
-        one parent in the engine, and gives each sibling without a state
+        localized gate, and at the child's point the point's family collapses
+        it (:func:`_reduce`, :func:`_apply_gate`, :func:`_collapse`).  Each
+        step collapses every child of the parent at once, with the engine's
+        arguments for a block of one parent: the family the engine read and
+        the parent's entry branch.  It gives each sibling without a state
         its own.
         """
         d, points = self._net.cell_dim, self._rows
@@ -347,18 +356,8 @@ class HistoryTree:
                     rho, cells = _reduce(rho, cells, points[m].cells, d), points[m].cells
             r = points[j]
             kin = np.flatnonzero(r.parent == r.parent[row - first[j]])  # consecutive rows
-            # the parent's family as the engine held it: every outcome, those not kept
-            # zero, and a detected family's rows outermost (linalg.spectral_isometries);
-            # the products round differently on another shape or layout
-            ds, rank = r.iso.shape[1:]
-            if r.point in self._imposed:
-                family = np.zeros((1, len(r.labels), ds, rank), dtype=complex)
-            else:
-                family = np.zeros((1, ds, len(r.labels), rank), dtype=complex)
-                family = family.transpose(0, 2, 1, 3)
-            family[0, r.outcome[kin]] = r.iso[kin]
-            states = _collapse(rho, cells, r.support, r.cells, family, np.zeros_like(kin),
-                               r.outcome[kin], d)
+            states = _collapse(rho, cells, r.support, r.cells, r.family, r.origin[kin[:1]],
+                               np.zeros_like(kin), r.outcome[kin], d)
             for node, state in zip(nodes[first[j] + kin[0]:first[j] + kin[-1] + 1], states):
                 if node._rho is None:
                     node._rho = state
@@ -385,38 +384,25 @@ class HistoryTree:
         """Each leaf's (tau, x, label) steps and its path probability, read off the rows.
 
         The leaves come in the order of :meth:`leaf_paths`, and no node
-        object is built.  The rows are read as the tree holds them, with
-        no column turned into a list (:func:`leaf_steps_from_rows`).
+        object is built.
         """
-        return leaf_steps_from_rows(self._rows)
-
-
-def leaf_steps_from_rows(points: Sequence[TreeRows]
-                         ) -> list[tuple[tuple[tuple[int, int, object], ...], float]]:
-    """:meth:`HistoryTree.leaf_steps` of the tree whose rows are ``points``.
-
-    ``points`` is the second half of :meth:`HistoryTree.rows`, or the same
-    records with the columns still arrays.  A caller that has read the
-    rows for itself, as the CLI report does, passes them here instead of
-    having them read a second time.
-    """
-    steps, leaves = _leaf_rows(points)
-    cum = np.concatenate([[1.0], *(r.cum_prob for r in points)])[leaves].tolist()
-    return [(steps[row], p) for row, p in zip(leaves, cum)]
+        steps, leaves = _leaf_rows(self._rows)
+        cum = np.concatenate([[1.0], *(r.cum_prob for r in self._rows)])[leaves].tolist()
+        return [(steps[row], p) for row, p in zip(leaves, cum)]
 
 
 def _leaf_rows(points: Sequence[TreeRows]) -> tuple[list[tuple], list[int]]:
     """Each row's (tau, x, label) steps from the root, and the leaf rows in tree order.
 
-    ``points`` is as in :func:`leaf_steps_from_rows`.  A row's steps are
-    its parent row's and one more; the order is
+    ``points`` are a tree's rows as it holds them, columns as arrays.  A
+    row's steps are its parent row's and one more; the order is
     :func:`_preorder_leaves` of the ``parent`` columns.
     """
-    leaves = _preorder_leaves([np.asarray(r.parent, dtype=np.int64) for r in points])
+    leaves = _preorder_leaves([r.parent for r in points])
     steps = [()]
     for r in points:
         step = [(r.point.tau, r.point.x, label) for label in r.labels]
-        for p, k in zip(r.parent, r.outcome):
+        for p, k in zip(r.parent.tolist(), r.outcome.tolist()):
             steps.append(steps[p] + (step[k],))
     return steps, leaves
 
@@ -464,9 +450,10 @@ class _Family(namedtuple("_Family", ("point", "support", "labels", "iso", "count
     the slot order of ``support`` (see :mod:`eventnet.linalg` for the
     padding); ``counts[b]`` is the number of outcomes there and ``fires[b]``
     whether the family applies there (all three ndarrays).  An imposed
-    family is the same at every branch and always applies.  ``keep`` names
-    the cells a branch still needs once the point is done; it, ``support``
-    and ``labels`` are tuples.
+    family is the same at every branch, a broadcast view of one stack, and
+    always applies.  The rows the family makes share ``iso``
+    (:class:`TreeRows`).  ``keep`` names the cells a branch still needs
+    once the point is done; it, ``support`` and ``labels`` are tuples.
     """
 
     __slots__ = ()
@@ -566,23 +553,25 @@ def _family_commutators(families: Sequence[_Family],
 
 
 def _born_weights(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
-                  iso: np.ndarray, cell_dim: int) -> np.ndarray:
+                  family: np.ndarray, origin: np.ndarray, cell_dim: int) -> np.ndarray:
     """Weights tr(V^H rho_S V) of every outcome of every parent, clipped at 0.
 
-    ``rho`` is a stack of parent states and ``iso[i]`` the isometry stack
-    of parent i's family; padding outcomes weigh 0.  The parents are taken
-    in blocks of :func:`linalg.block_size`, so that each of a block's
-    temporaries, of the size of its isometry stacks, fits
+    ``rho`` is a stack of parent states and ``family[origin[i]]`` the
+    isometry stack of parent i's family; padding outcomes weigh 0.  The
+    parents are taken in blocks of :func:`linalg.block_size`, so that each
+    of a block's temporaries, of the size of its isometry stacks, fits
     :data:`linalg.BLOCK_ENTRIES`; a parent's weights do not depend on its
     block.
     """
-    n, outcomes, ds, rank = iso.shape
+    n, (outcomes, ds, rank) = len(origin), family.shape[1:]
     rho_s = _reduce(rho, cells, support, cell_dim)
     step = linalg.block_size(outcomes * ds * rank)
     blocks = []
     for p in range(0, n, step):
-        v = iso[p:p + step]
-        blocks.append(np.sum(v.conj() * (rho_s[p:p + step, None] @ v), axis=(-2, -1)).real)
+        v = family[origin[p:p + step]]  # a copy, so conjugated in place
+        w = rho_s[p:p + step, None] @ v
+        w *= np.conj(v, out=v)
+        blocks.append(np.sum(w, axis=(-2, -1)).real)
     # joined after the loop, so that no output of every parent is held beside the
     # first block's work, and one block peaks where the unblocked product did
     out = np.concatenate(blocks) if blocks else np.zeros((0, outcomes))
@@ -590,16 +579,16 @@ def _born_weights(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, .
 
 
 def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
-              keep: tuple[int, ...], iso: np.ndarray, rows: np.ndarray, ks: np.ndarray,
-              cell_dim: int) -> np.ndarray:
+              keep: tuple[int, ...], family: np.ndarray, origin: np.ndarray,
+              rows: np.ndarray, ks: np.ndarray, cell_dim: int) -> np.ndarray:
     """Conditioned states on ``keep``: outcome ``ks[c]`` of parent ``rows[c]``, for every c.
 
-    ``rho`` is a stack of parent states and ``iso[i]`` the isometry stack
-    of parent i's family; ``rows`` (sorted) and ``ks`` are the children
-    that :func:`_branch_point` chose.  The cells no outcome reads and no
-    later point keeps are traced out first; V is then contracted on the
-    support axes of every parent, and the support cells that are not kept
-    are traced out with it.  Each state is divided by its own trace, not by
+    ``rho`` is a stack of parent states and ``family[origin[i]]`` the
+    isometry stack of parent i's family; ``rows`` (sorted) and ``ks`` are
+    the children that :func:`_branch_point` chose.  The cells no outcome
+    reads and no later point keeps are traced out first; V is then
+    contracted on the support axes of every parent, and the support cells
+    that are not kept are traced out with it.  Each state is divided by its own trace, not by
     its Born weight, which is taken separately on the support state: for
     weights near 1e-6 the two differ enough to miss unit trace by more than
     ``tol_trace``.
@@ -609,27 +598,29 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
     the contracted stack of ``outcomes * rank * ds * dr**2`` entries, or
     the states of its children, at most ``outcomes * (dh * dr)**2``, where
     ``dr`` and ``dh`` are the dimensions of the kept cells off and on the
-    support.  A block's children are a slice of the result, normalized in
-    place.  When one block holds every parent, its own stack is the
+    support.  Each block gathers its parents' isometry stacks from
+    ``family``.  A block's children are a slice of the result, normalized
+    in place.  When one block holds every parent, its own stack is the
     result.  Every child is computed alone, so the states do not depend on
     the block size, and replaying one child (:meth:`HistoryTree._replay`)
-    gives the state its block gave.
+    with the same ``family`` gives the state its block gave.
     """
-    n, outcomes, ds, rank = iso.shape
+    n, (outcomes, ds, rank) = len(origin), family.shape[1:]
     dr = cell_dim ** sum(c not in support for c in keep)
     dh = cell_dim ** sum(c in keep for c in support)
     # per parent: the contracted stack, and the states of at most ``outcomes`` children
     step = linalg.block_size(outcomes * dr * dr * max(rank * ds, dh * dh))
     if step >= n:
         return linalg.trace_normalize_in_place(
-            _conditioned(rho, cells, support, keep, iso, rows, ks, cell_dim))
+            _conditioned(rho, cells, support, keep, family[origin], rows, ks, cell_dim))
     dim = cell_dim ** len(keep)
     out = np.empty((len(ks), dim, dim), dtype=complex)
     for p in range(0, n, step):
         lo, hi = np.searchsorted(rows, (p, p + step))
         if lo < hi:
-            out[lo:hi] = _conditioned(rho[p:p + step], cells, support, keep, iso[p:p + step],
-                                      rows[lo:hi] - p, ks[lo:hi], cell_dim)
+            out[lo:hi] = _conditioned(rho[p:p + step], cells, support, keep,
+                                      family[origin[p:p + step]], rows[lo:hi] - p, ks[lo:hi],
+                                      cell_dim)
             linalg.trace_normalize_in_place(out[lo:hi])
     return out
 
@@ -695,9 +686,9 @@ def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
     fires = fam.fires[front.origin]
     fired, still = np.flatnonzero(fires), np.flatnonzero(~fires)
     sub = front.rho if not len(still) else front.rho[fired]
-    iso = fam.iso[front.origin[fired]]
-    counts = fam.counts[front.origin[fired]]
-    probs = _born_weights(sub, front.cells, fam.support, iso, d)
+    origin = front.origin[fired]
+    counts = fam.counts[origin]
+    probs = _born_weights(sub, front.cells, fam.support, fam.iso, origin, d)
     cums = front.cum[fired, None] * probs
     valid = np.arange(probs.shape[1]) < counts[:, None]
     # a zero weight is never kept, so no child is divided by a zero trace
@@ -719,11 +710,12 @@ def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
     draws = None if front.draws is None else split[rows, ks]
     if len(still) + len(rows) > cap:
         raise BranchOverflowError(f"branching exceeded the branch cap of {cap}")
-    states = _collapse(sub, front.cells, fam.support, fam.keep, iso, rows, ks, d)
-    made = TreeRows(li, fam.point, fam.labels, fam.support, fam.keep, front.row[fired[rows]], ks,
-                    probs[rows, ks], cums[rows, ks], counts[rows], iso[rows, ks], draws)
+    states = _collapse(sub, front.cells, fam.support, fam.keep, fam.iso, origin, rows, ks, d)
+    made = TreeRows(li, fam.point, fam.labels, fam.support, fam.keep, fam.iso,
+                    front.row[fired[rows]], origin[rows], ks, probs[rows, ks], cums[rows, ks],
+                    counts[rows], draws)
     new = _Frontier(states, fam.keep, len(sums) + np.arange(len(ks)), made.cum_prob,
-                    front.origin[fired[rows]], draws)
+                    made.origin, draws)
     if len(still):
         # merge the branches the family skipped back in, each before the children
         # of later branches: every column is allocated once, and each part is
@@ -855,9 +847,8 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
             pruned += lost
             sums = np.concatenate([sums, np.full(len(made.parent), np.nan)])
     comm.sort()
-    tree = HistoryTree(foliation, pruned, sorted(dims), comm,
-                       max((n for *_, n in comm), default=0.0), initial, net, policy, gates,
-                       frozenset(local), points, sums)
+    tree = HistoryTree(foliation, pruned, sorted(dims), comm, initial, net, policy, gates,
+                       points, sums)
     return tree, front if len(front.row) else last
 
 
@@ -982,9 +973,8 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
                          f"{MAX_SAMPLES}")
     tree, _ = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
                     draws=n_samples, gen=np.random.default_rng(seed))
-    _, points = tree.rows()
-    steps, leaves = _leaf_rows(points)
-    draws = [n_samples, *chain.from_iterable(r.draws for r in points)]
+    steps, leaves = _leaf_rows(tree._rows)
+    draws = [n_samples, *chain.from_iterable(r.draws.tolist() for r in tree._rows)]
     return SampleSummary(n_samples=n_samples, seed=seed,
                          counts={steps[row]: draws[row] for row in leaves},
                          max_commutator=tree.max_commutator,

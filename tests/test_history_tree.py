@@ -166,11 +166,24 @@ def _nodes_in_row_order(tree):
 def test_tree_rows_keep_no_state():
     assert "rho" not in TreeRows._fields
     net, fol, initial, kwargs = _cone(2, 3)
-    tree = enumerate_tree(net, fol, initial, **kwargs)
-    for r in tree.rows()[1]:
-        # the isometries are the only arrays of more than one axis a row keeps
-        assert [name for name, value in zip(r._fields, r)
-                if isinstance(value, np.ndarray) and value.ndim > 1] == ["iso"]
+    sc = two_leaf_chain()
+    for tree in (enumerate_tree(net, fol, initial, **kwargs),
+                 enumerate_tree(sc.net, sc.foliation, sc.initial, imposed=sc.imposed)):
+        points = tree.rows()[1]
+        for r in points:
+            # the point's family stack is the only array of more than one axis a row keeps
+            assert [name for name, value in zip(r._fields, r)
+                    if isinstance(value, np.ndarray) and value.ndim > 1] == ["family"]
+        # one stack per point, indexed by entry branch, not one isometry per row
+        assert len({id(r.family) for r in points}) == len(points)
+        assert all(len(r.family) > max(r.origin, default=-1) for r in points)
+        assert any(len(r.parent) > len(r.family) for r in points)
+        nodes = iter(_nodes_in_row_order(tree)[1:])
+        for r in points:
+            for o, k in zip(r.origin, r.outcome):
+                isometry = next(nodes).actual.isometry
+                assert np.shares_memory(isometry, r.family)
+                assert np.array_equal(isometry, r.family[o, k])
 
 
 def test_reading_the_node_objects_builds_no_state(monkeypatch):
@@ -262,8 +275,9 @@ def test_collapse_blocks_change_no_state_and_no_report(monkeypatch, tmp_path):
     def outputs(block):
         monkeypatch.setattr(linalg, "block_size", lambda per_item: block)
         blocks, weights = [], []
+        # each block gathers its own parents' isometry stacks, and no more
         monkeypatch.setattr(histories, "_conditioned",
-                            lambda *args: blocks.append(1) or conditioned(*args))
+                            lambda *args: blocks.append(len(args[4])) or conditioned(*args))
         monkeypatch.setattr(histories, "_born_weights",
                             lambda *args: weights.append(born(*args)) or weights[-1])
         stacks = []
@@ -276,14 +290,15 @@ def test_collapse_blocks_change_no_state_and_no_report(monkeypatch, tmp_path):
             out = tmp_path / f"{block}.json"
             assert main(args + ["--out", str(out)]) == 0
             texts.append(out.read_text())
-        return stacks, weights, texts, len(blocks)
+        return stacks, weights, texts, blocks
 
     whole, whole_weights, whole_texts, calls = outputs(2**62)  # one block holds every parent
     # some call weighs more than 7 parents, so blocks of 1 and 7 split it
     assert max(map(len, whole_weights)) > 7
     for block in (1, 7):
         stacks, weights, texts, blocks = outputs(block)
-        assert blocks > calls  # some collapse ran in more than one block
+        assert len(blocks) > len(calls)  # some collapse ran in more than one block
+        assert max(blocks) <= block
         assert len(stacks) == len(whole)
         assert all(np.array_equal(a, b) for a, b in zip(stacks, whole))
         assert len(weights) == len(whole_weights)
@@ -300,11 +315,11 @@ def test_born_weight_peak_is_a_few_blocks(monkeypatch):
     g = rng.standard_normal((n, ds, ds)) + 1j * rng.standard_normal((n, ds, ds))
     rho = g @ g.conj().swapaxes(-1, -2)
     cells = (0, 1, 2, 3)
-    whole = histories._born_weights(rho, cells, cells, iso, 2)
+    whole = histories._born_weights(rho, cells, cells, iso, np.arange(n), 2)
     monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 2**10)
     tracemalloc.start()
     try:
-        blocked = histories._born_weights(rho, cells, cells, iso, 2)
+        blocked = histories._born_weights(rho, cells, cells, iso, np.arange(n), 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -319,9 +334,9 @@ def test_born_weight_peak_is_a_few_blocks(monkeypatch):
 def test_enumeration_peak_is_a_few_child_stacks(monkeypatch):
     # the seeded 2x3 cone (D = 64); its largest child stack is (1024, 8, 8), 1 MiB.
     # The peak holds the parent frontier, that child stack, one block of
-    # temporaries and the rows' isometries (0.6 MiB): about 3.6 stacks.  Rows that
-    # kept every state, and a normalization with three complex temporaries of the
-    # whole stack, made it 6.7.
+    # temporaries and the points' family stacks, which the rows share (0.2 MiB):
+    # about 3.5 stacks.  Rows that kept every state, and a normalization with three
+    # complex temporaries of the whole stack, made it 6.7.
     net = build_tensor_net(CausalLattice(2, 3), 2)
     rng = np.random.default_rng(0)
     g = rng.standard_normal((net.dim, net.dim)) + 1j * rng.standard_normal((net.dim, net.dim))
