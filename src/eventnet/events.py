@@ -175,8 +175,7 @@ def event_happened(weights, policy: NumericPolicy):
     For a 2-D array of weights the test runs along each row and returns a
     boolean mask; padding weights of -inf never count.
     """
-    hits = np.count_nonzero(np.asarray(weights, dtype=float) >= policy.prob_floor,
-                            axis=-1) >= 2
+    hits = (np.asarray(weights, dtype=float) >= policy.prob_floor).sum(axis=-1) >= 2
     return hits if hits.ndim else bool(hits)
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from itertools import accumulate, chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -384,58 +383,66 @@ class HistoryTree:
         """Each leaf's (tau, x, label) steps and its path probability, read off the rows.
 
         The leaves come in the order of :meth:`leaf_paths`, and no node
-        object is built.
+        object is built; only the leaves get a steps tuple
+        (:func:`_leaf_paths`).
         """
-        steps, leaves = _leaf_rows(self._rows)
-        cum = np.concatenate([[1.0], *(r.cum_prob for r in self._rows)])[leaves].tolist()
-        return [(steps[row], p) for row, p in zip(leaves, cum)]
+        leaves, paths = _leaf_paths(self._rows)
+        return list(zip(paths, _column(self._rows, "cum_prob", 1.0)[leaves].tolist()))
 
 
-def _leaf_rows(points: Sequence[TreeRows]) -> tuple[list[tuple], list[int]]:
-    """Each row's (tau, x, label) steps from the root, and the leaf rows in tree order.
+def _column(points: Sequence[TreeRows], name: str, root) -> np.ndarray:
+    """One scalar column over every row of the tree, the root's entry ``root`` first."""
+    return np.concatenate([[root], *(getattr(r, name) for r in points)])
 
-    ``points`` are a tree's rows as it holds them, columns as arrays.  A
-    row's steps are its parent row's and one more; the order is
-    :func:`_preorder_leaves` of the ``parent`` columns.
+
+def _leaf_paths(points: Sequence[TreeRows]) -> tuple[np.ndarray, list[tuple]]:
+    """The leaf rows in tree order, and each one's (tau, x, label) steps from the root.
+
+    ``points`` are a tree's rows as it holds them, columns as arrays; row 0
+    is the root, and each point's rows follow the rows of the point before.
+    Tree order is the preorder of ``root``'s depth-first walk, in which a
+    row's children are consecutive rows of one point, in outcome order.
+    One pass over the points finds it, as the engine's frontier moves:
+    ``order`` holds the rows without a child so far, in tree order, and at
+    each point the parents in it are replaced by their children (a parent's
+    rows are one run of its ``parent`` column, and the runs come in tree
+    order).  The rows left at the end are the leaves.
+
+    A leaf's steps are then read upwards, one array step per level over
+    the leaves alone: the step of each leaf's row, of its parent, and so on
+    to the root.  Each point's (tau, x, label) tuples are made once and
+    shared by every path through them; a leaf nearer the root than the
+    deepest is padded with None there, and the padding is dropped.
     """
-    leaves = _preorder_leaves([r.parent for r in points])
-    steps = [()]
+    n_rows = 1 + sum(len(r.parent) for r in points)
+    parent = np.zeros(n_rows, dtype=np.int64)  # the root's is itself
+    step = np.zeros(n_rows, dtype=np.int64)  # each row's index into ``steps``
+    at = np.zeros(n_rows, dtype=np.int64)  # each row's place in ``order``
+    order = np.zeros(1, dtype=np.int64)
+    first, steps = 1, [None]  # the root's padding, then each point's (tau, x, label) tuples
     for r in points:
-        step = [(r.point.tau, r.point.x, label) for label in r.labels]
-        for p, k in zip(r.parent.tolist(), r.outcome.tolist()):
-            steps.append(steps[p] + (step[k],))
-    return steps, leaves
-
-
-def _preorder_leaves(parents: Sequence[np.ndarray]) -> list[int]:
-    """The leaf rows in tree order, from each point's ``parent`` column.
-
-    Row 0 is the root, and each point's rows follow the rows of the point
-    before.  Tree order is the preorder of ``root``'s depth-first walk, in
-    which a row's children are consecutive rows of one point, in outcome
-    order.  Every row's subtree size is summed up point by point from the
-    last; every row's preorder position is its parent's plus 1 plus the
-    sizes of its earlier siblings, point by point from the first; and the
-    leaves, the rows of subtree size 1, are ordered by position.
-    """
-    first = list(accumulate([1, *map(len, parents)]))  # each point's first row
-    par = np.concatenate([np.full(1, -1), *parents])  # the root has no parent
-    size = np.ones(len(par), dtype=np.int64)
-    for j in reversed(range(len(parents))):
-        np.add.at(size, par[first[j]:first[j + 1]], size[first[j]:first[j + 1]])
-    # a row's children all come from one point, so siblings are the runs of equal
-    # parents; the sizes of a row's earlier siblings are the sum of the sizes
-    # since the eldest, and running sums never decrease
-    before = np.cumsum(size) - size
-    eldest = np.ones(len(par), dtype=bool)
-    eldest[1:] = par[1:] != par[:-1]
-    before -= np.maximum.accumulate(np.where(eldest, before, 0))
-    pos = np.zeros(len(par), dtype=np.int64)
-    for j in range(len(parents)):
-        rows = slice(first[j], first[j + 1])
-        pos[rows] = pos[par[rows]] + 1 + before[rows]
-    leaves = np.flatnonzero(size == 1)
-    return leaves[np.argsort(pos[leaves])].tolist()
+        if len(r.parent):
+            rows = np.arange(first, first + len(r.parent))
+            first += len(rows)
+            parent[rows] = r.parent
+            step[rows] = r.outcome + len(steps)
+            at[order] = np.arange(len(order))
+            children = np.bincount(at[r.parent], minlength=len(order))
+            width = np.maximum(children, 1)
+            order = np.repeat(order, width)
+            order[np.repeat(children > 0, width)] = rows
+        steps += [(r.point.tau, r.point.x, label) for label in r.labels]
+    steps = np.fromiter(steps, dtype=object, count=len(steps))
+    levels, rows = [], order
+    while rows.any():
+        levels.append(steps[step[rows]].tolist())
+        rows = parent[rows]
+    if not levels:  # the root is the only leaf
+        return order, [()]
+    paths = zip(*reversed(levels))
+    if None in levels[-1]:
+        paths = map(tuple, map(partial(filter, None), paths))
+    return order, list(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +544,11 @@ def _family_commutators(families: Sequence[_Family],
     entry branch; ``norms[b]`` is the worst norm at branch b
     (:func:`linalg.max_commutator_norm`), and 0.0 where either does not
     fire.  Families on disjoint supports commute exactly and give 0.0.
+    When both fire on every entry branch, the two family stacks are passed
+    as they are; otherwise the branches where both fire are gathered from
+    them a block at a time, both gathers together of at most
+    :data:`linalg.BLOCK_ENTRIES` entries.  A branch's norm does not depend
+    on its block.
     """
     out = []
     for i, a in enumerate(families):
@@ -544,10 +556,17 @@ def _family_commutators(families: Sequence[_Family],
             both = a.fires & b.fires
             if not both.any():
                 continue
-            rows = np.flatnonzero(both)
-            norms = np.zeros(len(both))
-            norms[rows] = linalg.max_commutator_norm(a.iso[rows], b.iso[rows],
-                                                     (a.support, b.support), cell_dim)
+            supports = (a.support, b.support)
+            if both.all():
+                norms = linalg.max_commutator_norm(a.iso, b.iso, supports, cell_dim)
+            else:
+                rows = np.flatnonzero(both)
+                norms = np.zeros(len(both))
+                step = linalg.block_size(a.iso[0].size + b.iso[0].size)
+                for s in range(0, len(rows), step):
+                    at = rows[s:s + step]
+                    norms[at] = linalg.max_commutator_norm(a.iso[at], b.iso[at], supports,
+                                                           cell_dim)
             out.append((a.point, b.point, norms))
     return out
 
@@ -561,20 +580,18 @@ def _born_weights(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, .
     parents are taken in blocks of :func:`linalg.block_size`, so that each
     of a block's temporaries, of the size of its isometry stacks, fits
     :data:`linalg.BLOCK_ENTRIES`; a parent's weights do not depend on its
-    block.
+    block.  Each block writes its rows of the result, which is allocated
+    once.
     """
     n, (outcomes, ds, rank) = len(origin), family.shape[1:]
     rho_s = _reduce(rho, cells, support, cell_dim)
     step = linalg.block_size(outcomes * ds * rank)
-    blocks = []
+    out = np.empty((n, outcomes))
     for p in range(0, n, step):
         v = family[origin[p:p + step]]  # a copy, so conjugated in place
         w = rho_s[p:p + step, None] @ v
         w *= np.conj(v, out=v)
-        blocks.append(np.sum(w, axis=(-2, -1)).real)
-    # joined after the loop, so that no output of every parent is held beside the
-    # first block's work, and one block peaks where the unblocked product did
-    out = np.concatenate(blocks) if blocks else np.zeros((0, outcomes))
+        out[p:p + step] = w.sum(axis=(-2, -1)).real
     return np.clip(out, 0.0, None, out=out)
 
 
@@ -673,36 +690,40 @@ class _Frontier(namedtuple("_Frontier", ("rho", "cells", "row", "cum", "origin",
 
 def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
                   policy: NumericPolicy, gen: np.random.Generator | None,
-                  sums: np.ndarray) -> tuple[_Frontier, TreeRows, float]:
-    """Apply one point's family to every live branch: new frontier, tree rows, pruned mass.
+                  first: int) -> tuple[_Frontier, TreeRows, float, tuple]:
+    """Apply one point's family to every live branch.
 
-    ``sums`` has one entry per row so far, and the children's rows come
-    next; each row the family fires on gets its outcomes' total weight
-    there.  Weights come first; only the children kept (or drawn) are
-    collapsed.  Every branch, fired or not, is reduced to ``fam.keep``, and
-    each is replaced in place by its children, so the frontier stays in tree order.
+    Returns the new frontier, the tree rows of the children (numbered from
+    ``first`` on), the pruned mass, and the rows the family fires on with
+    their outcomes' total weights, each row's ``children_prob_sum``.
+    Weights come first; only the children kept (or drawn) are collapsed.
+    Every branch, fired or not, is reduced to ``fam.keep``, and each is
+    replaced in place by its children, so the frontier stays in tree order.
+    When the family fires on every branch, the frontier's columns are read
+    as they are, not gathered.
     """
     d, floor, cap = net.cell_dim, policy.prob_floor, policy.branch_cap
     fires = fam.fires[front.origin]
-    fired, still = np.flatnonzero(fires), np.flatnonzero(~fires)
-    sub = front.rho if not len(still) else front.rho[fired]
-    origin = front.origin[fired]
+    still = np.flatnonzero(~fires)
+    fired = np.flatnonzero(fires) if len(still) else slice(None)
+    sub, origin, cum, row = (a[fired] for a in (front.rho, front.origin, front.cum, front.row))
     counts = fam.counts[origin]
     probs = _born_weights(sub, front.cells, fam.support, fam.iso, origin, d)
-    cums = front.cum[fired, None] * probs
+    cums = cum[:, None] * probs
     valid = np.arange(probs.shape[1]) < counts[:, None]
     # a zero weight is never kept, so no child is divided by a zero trace
     kept = valid & (cums >= floor) & (probs > 0.0)
     alive = kept.any(axis=1)
     pruned = float(cums[alive[:, None] & valid & ~kept].sum())
-    sums[front.row[fired]] = probs.sum(axis=1)
     # a parent whose every outcome is pruned is a leaf with its own mass and draws
     take = kept
     if front.draws is not None:
+        live = np.flatnonzero(alive)
         split = np.zeros(probs.shape, dtype=np.int64)
-        for f in np.flatnonzero(alive).tolist():
-            w = probs[f, :counts[f]]
-            split[f, :counts[f]] = gen.multinomial(front.draws[fired[f]], w / w.sum())
+        for f, n, k in zip(live.tolist(), front.draws[fired][live].tolist(),
+                           counts[live].tolist()):
+            w = probs[f, :k]
+            split[f, :k] = gen.multinomial(n, w / w.sum())
         if split[~kept].any():
             raise NullBranchError("sampled an outcome below prob_floor")
         take = kept & (split > 0)
@@ -711,11 +732,10 @@ def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
     if len(still) + len(rows) > cap:
         raise BranchOverflowError(f"branching exceeded the branch cap of {cap}")
     states = _collapse(sub, front.cells, fam.support, fam.keep, fam.iso, origin, rows, ks, d)
-    made = TreeRows(li, fam.point, fam.labels, fam.support, fam.keep, fam.iso,
-                    front.row[fired[rows]], origin[rows], ks, probs[rows, ks], cums[rows, ks],
-                    counts[rows], draws)
-    new = _Frontier(states, fam.keep, len(sums) + np.arange(len(ks)), made.cum_prob,
-                    made.origin, draws)
+    made = TreeRows(li, fam.point, fam.labels, fam.support, fam.keep, fam.iso, row[rows],
+                    origin[rows], ks, probs[rows, ks], cums[rows, ks], counts[rows], draws)
+    new = _Frontier(states, fam.keep, first + np.arange(len(ks)), made.cum_prob, made.origin,
+                    draws)
     if len(still):
         # merge the branches the family skipped back in, each before the children
         # of later branches: every column is allocated once, and each part is
@@ -727,7 +747,7 @@ def _branch_point(front: _Frontier, fam: _Family, li: int, net: AlgebraNet,
                             *(None if a is None else a[still] for a in front[2:]))
         new = _Frontier(*(b if a is None or isinstance(a, tuple)
                           else _merged(a, at_still, b, at_new) for a, b in zip(skipped, new)))
-    return new, made, pruned
+    return new, made, pruned, (row, probs.sum(axis=1))
 
 
 def _merged(a: np.ndarray, at_a: np.ndarray, b: np.ndarray, at_b: np.ndarray) -> np.ndarray:
@@ -750,18 +770,20 @@ def _check_foliation(lattice: CausalLattice, foliation: Foliation) -> None:
     points = [pt for leaf in foliation.leaves for pt in leaf]
     if outside := [pt for pt in points if not lattice.contains(pt)]:
         raise ValueError(f"foliation points outside the lattice: {outside}")
-    leaf = np.repeat(np.arange(len(foliation.leaves)), [len(lf) for lf in foliation.leaves])
-    tau, x = np.array(points, dtype=np.int64).reshape(-1, 2).T
+    # each point's tau, x and leaf, as listed
+    tau, x, leaf = np.array([(*pt, li) for li, lf in enumerate(foliation.leaves) for pt in lf],
+                            dtype=np.int64).reshape(-1, 3).T
     n = len(points)
     # any speed of at least extent_x relates the same pairs, and this one cannot overflow
     speed = min(lattice.speed, lattice.extent_x)
     step = linalg.block_size(max(n, 1))
+    index = np.arange(n)
     for s in range(0, n, step):
-        rows = np.arange(s, min(s + step, n))[:, None]
-        dt = tau - tau[rows]  # q.tau - p.tau for p = points[row] and q = points[column]
+        rows = slice(s, s + step)
+        dt = tau - tau[rows, None]  # q.tau - p.tau for p = points[row] and q = points[column]
         # a bad pair: p is listed before q and related to it, on one leaf or with q not later
-        bad = ((np.abs(x - x[rows]) <= speed * np.abs(dt))
-               & ((leaf == leaf[rows]) | (dt <= 0)) & (np.arange(n) > rows))
+        bad = ((np.abs(x - x[rows, None]) <= speed * np.abs(dt))
+               & ((leaf == leaf[rows, None]) | (dt <= 0)) & (index > index[rows, None]))
         if bad.any():
             i, j = np.argwhere(bad)[0]
             p, q = points[s + i], points[j]
@@ -814,7 +836,8 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
                       np.ones(1), np.zeros(1, dtype=int),
                       None if draws is None else np.array([draws]))
     points: list[TreeRows] = []
-    sums = np.full(1, np.nan)
+    totals = []  # each point's (parent rows, children_prob_sum)
+    n_rows = 1
     last = front
     pruned = 0.0
     dims: set[int] = set()
@@ -842,10 +865,14 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
         front = front._replace(origin=np.arange(len(front.row)))
         for fam in families:
             last = front if len(front.row) else last
-            front, made, lost = _branch_point(front, fam, li, net, policy, gen, sums)
+            front, made, lost, weighed = _branch_point(front, fam, li, net, policy, gen, n_rows)
             points.append(made)
             pruned += lost
-            sums = np.concatenate([sums, np.full(len(made.parent), np.nan)])
+            totals.append(weighed)
+            n_rows += len(made.parent)
+    sums = np.full(n_rows, np.nan)
+    for rows, values in totals:
+        sums[rows] = values
     comm.sort()
     tree = HistoryTree(foliation, pruned, sorted(dims), comm, initial, net, policy, gates,
                        points, sums)
@@ -963,7 +990,9 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
     branches as in enumeration, but at most ``n_samples`` are live, so
     trees too large to enumerate can still be sampled.  Path keys are
     tuples of (tau, x, label), in the order of the tree's leaves (see
-    :meth:`HistoryTree.leaf_paths`); identical seeds give identical summaries,
+    :meth:`HistoryTree.leaf_paths`), and only the leaves' keys are built,
+    from the rows in one pass (:func:`_leaf_paths`), with each leaf's draws
+    read off its row; identical seeds give identical summaries,
     though not those of releases that drew from one spawned Generator per
     sample, or branch by branch.  ``max_commutator`` and ``spectrum_dims``
     cover the branches the draws visited.
@@ -973,9 +1002,8 @@ def sample_paths(net: AlgebraNet, foliation: Foliation, initial: State,
                          f"{MAX_SAMPLES}")
     tree, _ = _grow(net, foliation, initial, policy, imposed, propagators, commutation,
                     draws=n_samples, gen=np.random.default_rng(seed))
-    steps, leaves = _leaf_rows(tree._rows)
-    draws = [n_samples, *chain.from_iterable(r.draws.tolist() for r in tree._rows)]
-    return SampleSummary(n_samples=n_samples, seed=seed,
-                         counts={steps[row]: draws[row] for row in leaves},
+    leaves, paths = _leaf_paths(tree._rows)
+    draws = _column(tree._rows, "draws", n_samples)[leaves].tolist()
+    return SampleSummary(n_samples=n_samples, seed=seed, counts=dict(zip(paths, draws)),
                          max_commutator=tree.max_commutator,
                          spectrum_dims=tree.spectrum_dims)

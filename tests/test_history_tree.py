@@ -11,10 +11,11 @@ import pytest
 from eventnet import (ActualEvent, BranchNode, CausalLattice, State, build_scenario,
                       build_tensor_net, enumerate_tree, epr_scenario, foliate, histories, linalg,
                       sample_paths, two_leaf_chain)
-from eventnet.cli import _tree_section, main
+from eventnet.cli import _net_from_config, _state_from_config, _tree_section, load_config, main
 from eventnet.histories import TreeRows
 from eventnet.linalg import partial_trace, random_unitary
 from eventnet.policy import NumericPolicy
+from eventnet.spacetime import Point
 
 CONFIGS = Path(__file__).parent / "configs"
 
@@ -103,6 +104,17 @@ def test_leaf_steps_are_the_leaf_paths_read_off_the_rows(monkeypatch):
     summary = sample_paths(cone, foliate(cone.lattice), many, 1000, 1)
     assert list(summary.counts) == [path for path, _ in steps[6]]
     assert len(summary.counts) > 10
+
+
+def test_a_tree_whose_root_is_its_only_leaf():
+    # a pure product state: no reduced state is mixed, so no family fires anywhere
+    net = build_tensor_net(CausalLattice(2, 2), 2)
+    pure = np.zeros((net.dim, net.dim), dtype=complex)
+    pure[0, 0] = 1.0
+    tree = enumerate_tree(net, foliate(net.lattice), State(pure))
+    assert not any(len(r.parent) for r in tree.rows()[1])
+    assert tree.leaf_steps() == [((), 1.0)]
+    assert sample_paths(net, foliate(net.lattice), State(pure), 10, 1).counts == {(): 10}
 
 
 def test_leaf_steps_peak_is_about_its_result():
@@ -358,3 +370,73 @@ def test_enumeration_peak_is_a_few_child_stacks(monkeypatch):
         tracemalloc.stop()
     assert max(largest) == 1024 * 8 * 8 * 16
     assert peak <= 5 * max(largest)
+
+
+# ---------------------------------------------------------------------------
+# The sampling stream and the commutator stacks
+# ---------------------------------------------------------------------------
+
+
+# tree-order counts of two seeded sample runs; a change to the engine's walk, its
+# pruning or its multinomial calls that moves a draw fails here
+CHAIN_COUNTS = {((0, 0, 0), (1, 0, 0)): 38261, ((0, 0, 0), (1, 0, 1)): 1647,
+                ((0, 0, 1), (1, 0, 0)): 21345, ((0, 0, 1), (1, 0, 1)): 8499,
+                ((0, 0, 2), (1, 0, 0)): 18226, ((0, 0, 2), (1, 0, 1)): 1940,
+                ((0, 0, 3), (1, 0, 0)): 10041, ((0, 0, 3), (1, 0, 1)): 41}
+CONE_COUNTS = [
+    554, 56, 141, 109, 163, 90, 34, 9, 194, 2, 14, 16, 180, 12, 16, 29, 27, 20, 15, 15, 154, 65,
+    10, 26, 111, 17, 20, 12, 56, 2, 1, 9, 233, 19, 61, 59, 171, 95, 37, 6, 172, 3, 14, 16, 210, 6,
+    11, 39, 75, 70, 35, 44, 164, 71, 6, 42, 33, 4, 5, 4, 131, 12, 17, 167, 14, 31, 26, 133, 73,
+    24, 8, 514, 2, 27, 27, 65, 1, 7, 10, 37, 23, 16, 13, 110, 49, 10, 22, 81, 9, 13, 8, 69, 5, 8,
+    101, 10, 24, 11, 151, 87, 43, 5, 121, 8, 11, 266, 8, 13, 43, 140, 107, 61, 60, 62, 33, 7, 17,
+    90, 11, 20, 6, 29, 2, 1, 1, 76, 12, 23, 14, 102, 40, 17, 3, 143, 1, 9, 11, 95, 7, 4, 24, 50,
+    37, 20, 27, 119, 53, 3, 17, 40, 2, 6, 4, 80, 7, 9, 29, 1, 3, 6, 48, 13, 15, 141, 3, 8, 8, 55,
+    2, 2, 12, 62, 30, 21, 19, 39, 20, 4, 12, 78, 15, 23, 9, 119, 8, 9, 33, 3, 7, 9, 49, 25, 15, 3,
+    15, 1, 17, 3, 42, 25, 19, 15, 31, 11, 1, 8, 95, 12, 22, 8, 87, 8, 3, 8, 1, 1, 1, 36, 12, 6,
+    1, 13, 1, 42, 2, 5, 11, 13, 14, 3, 6, 34, 19, 6, 56, 2, 7, 57, 3, 2, 7]
+
+
+def test_seeded_sample_counts_stay_put():
+    sc = two_leaf_chain()
+    summary = sample_paths(sc.net, sc.foliation, sc.initial, 100_000, 1)
+    assert list(summary.counts.items()) == list(CHAIN_COUNTS.items())
+    cfg = load_config(str(CONFIGS / "cone-2x2.json"), {})
+    net = _net_from_config(cfg.net, cfg.policy)
+    initial = _state_from_config(cfg.initial_state, net.dim, cfg.policy)
+    summary = sample_paths(net, foliate(net.lattice), initial, 10_000, 3, policy=cfg.policy)
+    assert list(summary.counts.values()) == CONE_COUNTS
+    assert list(summary.counts)[:2] == [((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)),
+                                        ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1))]
+
+
+def test_family_commutators_read_the_stacks_a_block_at_a_time(monkeypatch):
+    # 4096 entry branches of two 4-outcome families of rank 2 on overlapping
+    # supports, laid out as detection lays them out (rows outermost); each stack
+    # holds 4096 * 64 entries (4 MiB), sixteen blocks of 2**14
+    rng = np.random.default_rng(11)
+    n, supports = 4096, ((0, 1, 2), (1, 2, 3))
+
+    def family(x, support, fires):
+        g = rng.standard_normal((n, 8, 8)) + 1j * rng.standard_normal((n, 8, 8))
+        iso = np.linalg.qr(g)[0].reshape(n, 8, 4, 2).transpose(0, 2, 1, 3)
+        return histories._Family(Point(0, x), support, (0, 1, 2, 3), iso, np.full(n, 4), fires,
+                                 ())
+
+    a, b = family(0, supports[0], np.ones(n, bool)), family(1, supports[1], np.ones(n, bool))
+    # the norms of C-ordered copies of the stacks, which the engine once gathered whole
+    whole = linalg.max_commutator_norm(a.iso.copy(), b.iso.copy(), supports, 2)
+    some = rng.random(n) < 0.5
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 2**14)
+    for fires in (np.ones(n, bool), some):
+        tracemalloc.start()
+        try:
+            ((p, q, norms),) = histories._family_commutators([a, b._replace(fires=fires)], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (p, q) == (Point(0, 0), Point(0, 1))
+        assert np.array_equal(norms[fires], whole[fires]) and not norms[~fires].any()
+        # tracing starts after the stacks are made, so the peak is what the call
+        # adds: the norms and at most six blocks of BLOCK_ENTRIES complex entries.
+        # Gathering both stacks whole added 8 MiB
+        assert peak <= norms.nbytes + 6 * 2**14 * 16, peak
