@@ -544,9 +544,8 @@ def _family_commutators(families: Sequence[_Family],
     entry branch; ``norms[b]`` is the worst norm at branch b
     (:func:`linalg.max_commutator_norm`), and 0.0 where either does not
     fire.  Families on disjoint supports commute exactly and give 0.0.
-    When both fire on every entry branch, the two family stacks are passed
-    as they are; otherwise the branches where both fire are gathered from
-    them a block at a time, both gathers together of at most
+    The branches where both fire are gathered from the two family stacks a
+    block at a time, both gathers together of at most
     :data:`linalg.BLOCK_ENTRIES` entries.  A branch's norm does not depend
     on its block.
     """
@@ -556,17 +555,13 @@ def _family_commutators(families: Sequence[_Family],
             both = a.fires & b.fires
             if not both.any():
                 continue
-            supports = (a.support, b.support)
-            if both.all():
-                norms = linalg.max_commutator_norm(a.iso, b.iso, supports, cell_dim)
-            else:
-                rows = np.flatnonzero(both)
-                norms = np.zeros(len(both))
-                step = linalg.block_size(a.iso[0].size + b.iso[0].size)
-                for s in range(0, len(rows), step):
-                    at = rows[s:s + step]
-                    norms[at] = linalg.max_commutator_norm(a.iso[at], b.iso[at], supports,
-                                                           cell_dim)
+            rows = np.flatnonzero(both)
+            norms = np.zeros(len(both))
+            step = linalg.block_size(a.iso[0].size + b.iso[0].size)
+            for s in range(0, len(rows), step):
+                at = rows[s:s + step]
+                norms[at] = linalg.max_commutator_norm(a.iso[at], b.iso[at],
+                                                       (a.support, b.support), cell_dim)
             out.append((a.point, b.point, norms))
     return out
 

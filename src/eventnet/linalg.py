@@ -112,10 +112,8 @@ def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
     subtracted from 1.  In factor form ``u^H v`` is the contraction over
     the shared cells C of u on (A - B, C) with v on (C, B - A).  The
     branches of the batch are taken in blocks (:func:`block_size`) whose
-    u, v and ``u^H v`` each fit :data:`BLOCK_ENTRIES`.  Each block of u and
-    v is read into rows-first (C-ordered) arrays, copied only when the
-    stack is laid out otherwise, so a branch's products depend neither on
-    its block nor on the layout of the stacks, and neither does its norm.
+    u, v and ``u^H v`` each fit :data:`BLOCK_ENTRIES`; a branch's products
+    do not depend on its block, so neither does its norm.
     """
     us = np.asarray(us)
     vs = np.asarray(vs)
@@ -148,9 +146,7 @@ def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
     for s in range(0, n, step):
         at = ((slice(s, s + step),) if len(flat) == 1
               else np.unravel_index(np.arange(s, min(s + step, n)), flat))
-        worst[s:s + step] = _commutator_block(np.ascontiguousarray(us[at]),
-                                              np.ascontiguousarray(vs[at]),
-                                              a, b, only_a, shared, only_b, d)
+        worst[s:s + step] = _commutator_block(us[at], vs[at], a, b, only_a, shared, only_b, d)
     return float(worst[0]) if not batch else worst.reshape(batch)
 
 
@@ -330,27 +326,12 @@ def spectral_isometries(mats: np.ndarray,
     ``weights[i, k]`` is the eigenvalue sum of outcome k, added in
     ascending order, and ``iso[i, k]`` its ``(n, r)`` block of
     eigenvectors, also in ascending order.  Padding outcomes weigh -inf.
-
-    The stack is one ``(b, n, kmax * r)`` buffer, rows outermost as in the
-    eigenvectors, viewed as ``(b, kmax, n, r)``: the collapse's products
-    on these blocks round differently on other layouts, and reports are
-    kept bit for bit.  When every gap of every
-    matrix splits, each outcome is one eigenvalue: its sum is that value
-    (plus 0.0, as the sum starts there), its block one eigenvector, and the
-    buffer is the eigenvectors with their columns in outcome order, so the
-    passes that label clusters, pad and place columns are skipped.
     """
     vals, vecs = np.linalg.eigh(mats)
     count, n = vals.shape
-    rows, index = np.arange(count)[:, None], np.arange(n)
-    split = _splits(vals, gap)
-    if split.all():
-        order = decreasing_order(vals)
-        iso = vecs[rows[:, :, None], index[:, None], order[:, None, :]]
-        return (vals[rows, order] + 0.0, np.full(count, n),
-                iso.reshape(count, n, n, 1).transpose(0, 2, 1, 3))
+    rows = np.arange(count)[:, None]
     starts = np.ones((count, n), dtype=bool)
-    starts[:, 1:] = split
+    starts[:, 1:] = _splits(vals, gap)
     label = starts.cumsum(axis=1) - 1                   # ascending cluster of each eigenvalue
     counts = label[:, -1] + 1
     kmax = int(counts.max())
@@ -358,8 +339,11 @@ def spectral_isometries(mats: np.ndarray,
     sums = sums.reshape(count, kmax)
     sums[np.arange(kmax) >= counts[:, None]] = -np.inf
     order = decreasing_order(sums)
+    index = np.arange(n)
     column = index - np.maximum.accumulate(np.where(starts, index, 0), axis=1)
     rank = int(column.max()) + 1
+    # rows outermost, as in vecs: the collapse's products on these blocks
+    # round differently on other layouts, and reports are kept bit for bit
     iso = np.zeros((count, n, kmax * rank), dtype=complex)
     place = order.argsort(axis=1)[rows, label] * rank + column
     iso[rows[:, :, None], index[:, None], place[:, None, :]] = vecs

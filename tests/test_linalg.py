@@ -191,45 +191,6 @@ def test_spectral_isometries_match_the_single_matrix_rule():
                 assert np.array_equal(proj, vecs[:, c] @ vecs[:, c].conj().T)
 
 
-def test_single_eigenvalue_clusters_give_the_general_layout():
-    # when every gap splits, the clustering passes are skipped; beside a matrix
-    # with a cluster of two, the same matrix goes through every pass
-    rng = np.random.default_rng(4)
-    u = random_unitary(4, rng)
-    split = (u * np.array([0.4, 0.3, 0.2, 0.1])) @ u.conj().T
-    merged = (u * np.array([0.4, 0.3, 0.15 + 0.2 * GAP, 0.15])) @ u.conj().T
-    weights, counts, iso = spectral_isometries(split[None], GAP)
-    general = spectral_isometries(np.stack([split, merged]), GAP)
-    assert counts.tolist() == [4] and general[1].tolist() == [4, 3]
-    assert np.array_equal(weights[0], general[0][0])
-    assert iso.shape == (1, 4, 4, 1) and general[2].shape == (2, 4, 4, 2)
-    assert np.array_equal(iso[0], general[2][0, :, :, :1]) and not general[2][0, :, :, 1:].any()
-    # one (b, n, kmax * r) buffer, rows outermost, viewed as (b, kmax, n, r)
-    assert iso.strides == (4 * 4 * 16, 16, 4 * 16, 16)
-    # an eigenvalue of -0.0 (numpy 2.4's eigh gives one here) sums to 0.0 either way
-    zero = np.array([[-0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    for stack in (zero[None], np.stack([zero, np.eye(2) / 2])):
-        weights = spectral_isometries(stack, GAP)[0]
-        assert weights[0].tolist() == [1.0, 0.0] and not np.signbit(weights[0]).any()
-
-
-def test_commutator_norms_do_not_depend_on_the_stack_layout():
-    # the stacks as detection lays them out (rows outermost, outcomes a view),
-    # and C-ordered copies of them: the norms are the same bits
-    rng = np.random.default_rng(12)
-
-    def stack(n):
-        g = rng.standard_normal((n, 8, 8)) + 1j * rng.standard_normal((n, 8, 8))
-        return np.linalg.qr(g)[0].reshape(n, 8, 4, 2).transpose(0, 2, 1, 3)
-
-    u, v = stack(64), stack(64)
-    assert not u.flags.c_contiguous
-    for supports in (((0, 1, 2), (1, 2, 3)), ((0, 1, 2), (2, 1, 0))):
-        want = max_commutator_norm(u.copy(), v.copy(), supports, CELL)
-        assert np.array_equal(max_commutator_norm(u, v, supports, CELL), want)
-        assert np.array_equal(max_commutator_norm(u, v.copy(), supports, CELL), want)
-
-
 def test_batched_kernels_act_matrix_by_matrix():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
