@@ -34,7 +34,6 @@ import sys
 import time
 from collections import namedtuple
 from contextlib import contextmanager
-from itertools import chain
 from typing import Any, Mapping
 
 import numpy as np
@@ -213,21 +212,17 @@ def _real_array(values, ndim: int) -> np.ndarray:
     """``values`` as a float array: lists nested ``ndim`` deep, of one length per depth.
 
     Each number must be finite, real and not a bool; else ``TypeError``.
+    JSON gives every number as an int or a float.
     """
-    cols, shape = [[values]], []
-    for _ in range(ndim):
-        try:  # one length per depth; the numbers come out in reversed axis order
-            cols = list(zip(*chain.from_iterable(cols), strict=True))
-        except ValueError:
-            raise TypeError("entries are not lists of one length at each depth") from None
-        shape.append(len(cols))
-    if (not set(map(type, chain.from_iterable(cols))) <= {int, float}
-            and not all(map(is_real_number, chain.from_iterable(cols)))):
+    arr = np.array(values, dtype=object)  # ragged lists stop at a shallower depth
+    if arr.ndim != ndim:
+        raise TypeError("entries are not lists of one length at each depth")
+    if not set(map(type, arr.flat)) <= {int, float}:
         raise TypeError("an entry is not a real number")
-    arr = np.array(cols, dtype=float)
+    arr = arr.astype(float)
     if not np.isfinite(arr).all():
         raise TypeError("an entry is not a finite number")
-    return arr.reshape(shape[::-1]).T
+    return arr
 
 
 def _state_from_config(desc: Mapping[str, Any] | None, dim: int,

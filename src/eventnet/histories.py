@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -176,18 +176,19 @@ class BranchNode:
     ``children_prob_sum`` is the total weight of the outcomes at the next
     applied family.  A node whose every outcome fell below ``prob_floor``
     keeps it but has no children: it stays a leaf holding its own mass.
-    A node is built with its ``state`` (the root) or with the ``replay``
-    that gives it one; ``children`` starts empty.
+    A node is built with its ``state`` (the root), or with the ``tree`` and
+    the ``row`` of it that the state is replayed from
+    (:meth:`HistoryTree._replay`); ``children`` starts empty.
     """
 
     __slots__ = ("leaf_index", "point", "actual", "state_cells", "cond_prob", "cum_prob",
-                 "event_dim", "policy", "children", "children_prob_sum", "_rho", "_replay",
+                 "event_dim", "policy", "children", "children_prob_sum", "_rho", "_tree", "_row",
                  "_state")
 
     def __init__(self, leaf_index: int, point: Point | None, actual: ActualEvent | None,
                  state_cells: tuple[int, ...], cond_prob: float, cum_prob: float,
                  event_dim: int | None, policy: NumericPolicy, children_prob_sum: float | None,
-                 *, state: State | None = None, replay: Callable[[], None] | None = None):
+                 *, state: State | None = None, tree: HistoryTree | None = None, row: int = 0):
         self.leaf_index = leaf_index
         self.point = point
         self.actual = actual
@@ -199,13 +200,14 @@ class BranchNode:
         self.children: list[BranchNode] = []
         self.children_prob_sum = children_prob_sum
         self._rho = None if state is None else state.rho
-        self._replay = replay
+        self._tree = tree
+        self._row = row
         self._state = state
 
     @property
     def rho(self) -> np.ndarray:
         if self._rho is None:
-            self._replay()
+            self._tree._replay(self._row)
         return self._rho
 
     @rho.setter
@@ -249,15 +251,17 @@ class HistoryTree:
     of the children it made, its scalar columns as arrays;
     ``children_prob_sum`` is one array over the rows, NaN where no family
     fired.  :meth:`rows` hands out the same records with those columns as
-    Python lists, without building a node, and is what the report and
-    :func:`sample_paths` read.  ``root`` builds the :class:`BranchNode`
-    and :class:`ActualEvent` objects of every row in one pass the first
-    time it is read, and keeps them, for callers that want the objects.
-    Building them computes no state: the tree holds the initial state, each
-    point's family stack, which a node's event views, and the run's
-    localized propagators, and a node's ``rho`` is replayed from its
-    parent's when first read (:meth:`_replay`).  ``max_commutator`` is the
-    largest of the ``commutation_norms``, 0.0 when there are none.
+    Python lists, without building a node, and is what the report reads;
+    :meth:`leaf_steps` and :func:`sample_paths` read the arrays themselves
+    (:func:`_leaf_paths`).  ``root`` builds the :class:`BranchNode` and
+    :class:`ActualEvent` objects of every row in one pass the first time
+    it is read, and keeps them in row order, for callers that want the
+    objects.  Building them computes no state: the tree holds the initial
+    state, each point's family stack, which a node's event views, and the
+    run's localized propagators, and a node's ``rho`` is replayed from its
+    parent's when first read (:meth:`_replay`, which finds a row's point
+    by the first rows that ``root`` computes once).  ``max_commutator`` is
+    the largest of the ``commutation_norms``, 0.0 when there are none.
 
     ``pruned_mass`` is the mass of outcomes dropped below ``prob_floor``
     beside a sibling that was kept.  The listed leaves and the pruned mass
@@ -304,23 +308,23 @@ class HistoryTree:
         if self._root is None:
             net, policy = self._net, self._policy
             sums, points = self.rows()
-            first = np.cumsum([1] + [len(r.parent) for r in points])  # each point's first row
-            nodes = [BranchNode(-1, None, None, tuple(range(net.n_cells)), 1.0, 1.0, None, policy,
-                                sums[0], state=self._initial)]
+            # the nodes in row order, and each point's first row, for _replay
+            self._first = np.cumsum([1] + [len(r.parent) for r in points])
+            self._nodes = nodes = [BranchNode(-1, None, None, tuple(range(net.n_cells)), 1.0,
+                                              1.0, None, policy, sums[0], state=self._initial)]
             for r in points:
                 for p, o, k, w, cum, dim in zip(r.parent, r.origin, r.outcome, r.cond_prob,
                                                 r.cum_prob, r.event_dim):
                     actual = ActualEvent.from_isometry(r.point, r.labels[k], r.family[o, k],
                                                        r.support, net, w)
                     node = BranchNode(r.leaf_index, r.point, actual, r.cells, w, cum, dim, policy,
-                                      sums[len(nodes)],
-                                      replay=partial(self._replay, nodes, first, len(nodes)))
+                                      sums[len(nodes)], tree=self, row=len(nodes))
                     nodes[p].children.append(node)
                     nodes.append(node)
             self._root = nodes[0]
         return self._root
 
-    def _replay(self, nodes: list[BranchNode], first: np.ndarray, row: int) -> None:
+    def _replay(self, row: int) -> None:
         """Give node ``row``, and each ancestor without one, its state.
 
         The walk starts at the nearest ancestor that holds a state, the
@@ -334,7 +338,7 @@ class HistoryTree:
         the parent's entry branch.  It gives each sibling without a state
         its own.
         """
-        d, points = self._net.cell_dim, self._rows
+        d, points, nodes, first = self._net.cell_dim, self._rows, self._nodes, self._first
 
         def point_of(row):  # -1 for the root
             return int(np.searchsorted(first, row, side="right")) - 1

@@ -9,7 +9,8 @@ The numeric rules that need no tolerance policy live here, each in one
 function that every layer calls: spectral clustering
 (:func:`spectral_projections`, and :func:`spectral_isometries` for a stack
 of matrices), outcome order (:func:`decreasing_order`), commutator norms
-of two families (:func:`max_commutator_norm`), the block-diagonal mixture
+of two families, or of two batches along one leading axis
+(:func:`max_commutator_norm`), the block-diagonal mixture
 (:func:`mixture_residual`), normalization by a branch's own trace
 (:func:`trace_normalized`) and the hermiticity defect
 (:func:`hermiticity_defect`).  A batched product whose temporaries would
@@ -18,9 +19,10 @@ entries (:func:`block_size`).
 
 An outcome family can be held by its isometries: outcome k is an
 ``(n, r)`` block of orthonormal columns spanning the range of its
-projection.  A family of several outcomes is a stack ``(..., k, n, r)``;
-zero columns pad the smaller ranks, and an all-zero block is an outcome
-of rank 0.
+projection.  A family of several outcomes is a stack ``(k, n, r)``, and
+a batch of families, one per branch, a stack ``(m, k, n, r)`` with one
+leading batch axis; zero columns pad the smaller ranks, and an all-zero
+block is an outcome of rank 0.
 """
 
 from __future__ import annotations
@@ -94,13 +96,14 @@ def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
                         cell_dim: int | None = None):
     """Largest ``||[p, q]||`` over the outcomes of two complete families.
 
-    ``us`` and ``vs`` are isometry stacks ``(..., k, n, r)`` of two families
-    whose projections each sum to the identity; leading axes broadcast and
-    the result has their shape (a float when there are none).  With
-    ``supports=(A, B)`` the families act on the tensor cells A and B (each
-    of dimension ``cell_dim``, slots in the listed order) and the norm is
-    that of the commutator on the whole product; without, both act on the
-    whole space.  Disjoint supports give exactly 0.0.
+    ``us`` and ``vs`` are isometry stacks ``(k, n, r)`` of two families
+    whose projections each sum to the identity, and the result is a float;
+    or they are two batches ``(m, k, n, r)`` of m families each, with one
+    leading batch axis, and the result holds the m norms of the pairs.
+    With ``supports=(A, B)`` the families act on the tensor cells A and B
+    (each of dimension ``cell_dim``, slots in the listed order) and the
+    norm is that of the commutator on the whole product; without, both act
+    on the whole space.  Disjoint supports give exactly 0.0.
 
     The rule is that of principal angles (Halmos 1969; Bjorck and Golub
     1973): with u and v orthonormal bases of the ranges of p and q,
@@ -117,7 +120,8 @@ def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
     """
     us = np.asarray(us)
     vs = np.asarray(vs)
-    batch = np.broadcast_shapes(us.shape[:-3], vs.shape[:-3])
+    if us.ndim == 3:
+        return float(max_commutator_norm(us[None], vs[None], supports, cell_dim)[0])
     if supports is None:
         a = b = (0,)
         d = us.shape[-2]
@@ -125,29 +129,23 @@ def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
         a, b = (tuple(s) for s in supports)
         d = cell_dim
     shared = [c for c in a if c in b]
-    if not shared or us.shape[-3] == 0 or vs.shape[-3] == 0:
-        out = np.zeros(batch)
-        return float(out) if out.ndim == 0 else out
+    if not shared or us.shape[1] == 0 or vs.shape[1] == 0:
+        return np.zeros(len(us))
     only_a = [c for c in a if c not in b]
     only_b = [c for c in b if c not in a]
     dx, dc, dy = d ** len(only_a), d ** len(shared), d ** len(only_b)
-    (ka, ra), (kb, rb) = (us.shape[-3], us.shape[-1]), (vs.shape[-3], vs.shape[-1])
+    (ka, ra), (kb, rb) = (us.shape[1], us.shape[3]), (vs.shape[1], vs.shape[3])
     if kb * (ka * ra * dy) ** 2 > ka * (kb * rb * dx) ** 2:
         # the norm is symmetric; write the smaller family basis in full
         return max_commutator_norm(vs, us, (b, a), d)
     # per branch: u and v as read, then g = u^H v; take the branches in blocks
     x, y = ka * ra * dx, kb * dy * rb
     step = block_size(max(x * dc, dc * y, x * y))
-    flat = batch or (1,)
-    us = np.broadcast_to(us, flat + us.shape[-3:])
-    vs = np.broadcast_to(vs, flat + vs.shape[-3:])
-    n = int(np.prod(flat))
-    worst = np.empty(n)
-    for s in range(0, n, step):
-        at = ((slice(s, s + step),) if len(flat) == 1
-              else np.unravel_index(np.arange(s, min(s + step, n)), flat))
-        worst[s:s + step] = _commutator_block(us[at], vs[at], a, b, only_a, shared, only_b, d)
-    return float(worst[0]) if not batch else worst.reshape(batch)
+    worst = np.empty(len(us))
+    for s in range(0, len(us), step):
+        worst[s:s + step] = _commutator_block(us[s:s + step], vs[s:s + step], a, b, only_a,
+                                              shared, only_b, d)
+    return worst
 
 
 def _commutator_block(us, vs, a, b, only_a, shared, only_b, d) -> np.ndarray:

@@ -380,3 +380,46 @@ def verify_nesting_dense(net, p, q, policy=None):
     return NestingReport(p=p, q=q, strict_inclusion=strict,
                          rel_commutant_dim=rel.dim, rel_commutant_abelian=abelian,
                          holds=holds)
+
+
+def product_state(populations):
+    """``⊗_c diag(p_c, 1 - p_c)`` over qubit cells, cell 0 in the leading slot."""
+    rho = np.ones((1, 1), dtype=complex)
+    for p in populations:
+        rho = np.kron(rho, np.diag([p, 1.0 - p]))
+    return rho
+
+
+def product_leaf_probability(populations, bits):
+    """The weight of the leaf on which cell c reads ``bits[c]``: a product of populations."""
+    prob = 1.0
+    for p, bit in zip(populations, bits):
+        prob *= p if bit == 0 else 1.0 - p
+    return prob
+
+
+def cat_state(n_cells, a):
+    """``sqrt(a)|0...0> + sqrt(1 - a)|1...1>`` over ``n_cells`` qubit cells, as a vector."""
+    vec = np.zeros(2 ** n_cells, dtype=complex)
+    vec[0], vec[-1] = np.sqrt(a), np.sqrt(1.0 - a)
+    return vec
+
+
+def basis_bits(events, n_cells, tol=1e-12):
+    """The qubit basis state a path of rank-one basis-vector events reads, cell by cell.
+
+    Each event's range must be one basis vector of its support cells (slots
+    in support order); a cell read twice must read the same bit.  Returns
+    ``bits[c]`` for every cell the path reads (None for the others).
+    """
+    bits = [None] * n_cells
+    for event in events:
+        weight = np.abs(event.isometry) ** 2
+        diag = weight.sum(axis=1)  # the diagonal of the outcome's projection
+        index = int(np.argmax(diag))
+        assert abs(diag[index] - 1.0) <= tol and abs(diag.sum() - 1.0) <= tol, diag
+        for slot, cell in enumerate(event.support):
+            bit = (index >> (len(event.support) - 1 - slot)) & 1
+            assert bits[cell] in (None, bit), (cell, bits[cell], bit)
+            bits[cell] = bit
+    return bits

@@ -279,6 +279,41 @@ def test_replay_crosses_skipped_points_and_imposed_families(monkeypatch):
                for j, r in enumerate(points) for p in r.parent)
 
 
+def test_a_family_that_fires_everywhere_reads_the_frontier_in_place(monkeypatch):
+    # the weights and the collapse get the frontier's own state stack where the
+    # point's family fires on every live branch, and a gathered copy where it
+    # skips one; gathering every point costs the 2x4 cone 53 MB of peak RSS
+    branch_point, born, collapse = (histories._branch_point, histories._born_weights,
+                                    histories._collapse)
+    seen = []
+
+    def applied(front, fam, *args):
+        everywhere = bool(fam.fires[front.origin].all())
+
+        def reading(step):
+            def read(rho, *rest):
+                seen.append((everywhere, np.shares_memory(rho, front.rho)))
+                return step(rho, *rest)
+            return read
+
+        with monkeypatch.context() as patch:
+            patch.setattr(histories, "_born_weights", reading(born))
+            patch.setattr(histories, "_collapse", reading(collapse))
+            return branch_point(front, fam, *args)
+
+    monkeypatch.setattr(histories, "_branch_point", applied)
+    net = build_tensor_net(CausalLattice(2, 2))
+    # every family of the seeded state fires everywhere; some of the skipping state's do not
+    for grow, kinds in ((lambda: _seeded_cone_tree(0, 1e-3), {True}),
+                        (lambda: enumerate_tree(net, foliate(net.lattice), _skipping_cone_state(),
+                                                policy=NumericPolicy(prob_floor=1e-3)),
+                         {True, False})):
+        seen.clear()
+        grow()
+        assert {everywhere for everywhere, _ in seen} == kinds
+        assert all(everywhere == shared for everywhere, shared in seen), seen
+
+
 def test_collapse_blocks_change_no_state_and_no_report(monkeypatch, tmp_path):
     # the Born weights and the collapse both take their parents in blocks
     cones = [_cone(3, 3), _cone(2, 5, gate_seed=8)]

@@ -1,5 +1,6 @@
 """Structural checks on the package's records and on what importing the package loads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -39,6 +40,34 @@ def test_importing_eventnet_loads_neither_dataclasses_nor_copy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_the_set_up_path_imports_only_what_the_package_names():
+    # benchmarks/setup_probe.py times this import with numpy already loaded;
+    # numpy.random alone is about 17 ms of a sample-chain-100k set-up
+    src = Path(eventnet.__file__).resolve().parent
+    named = set()
+    for path in src.glob("*.py"):  # the stdlib modules of every module-level import
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                named.add(node.module)
+    named &= sys.stdlib_module_names
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import eventnet.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": str(src.parent)}
+                           ).stdout.split()
+    assert "eventnet.cli" in added
+    # _json is the json package's own accelerator
+    allowed = named | {"gc", "__future__", "_json"}
+    assert [m for m in added if not (m.split(".")[0] in ("eventnet", "json") or m in allowed)
+            ] == []
+    assert [m for m in added if m.split(".")[0] in ("scipy", "argparse", "csv")
+            or m.startswith("numpy.random")] == []
 
 
 def test_no_class_of_the_package_is_a_dataclass():
