@@ -18,7 +18,7 @@ class DimensionMismatchError(EventNetError, ValueError):
 
 
 class EigengapError(EventNetError, ArithmeticError):
-    """No generic element with well-separated eigenvalues was found."""
+    """An abelian algebra's joint eigenspaces at ``gap_min`` are not its minimal projections."""
 
 
 class ResolutionError(EventNetError, ArithmeticError):

@@ -241,7 +241,7 @@ def sample_actual(detection: EventDetection, rng=None,
     seeds give identical draws.  The outcome is given in factor form
     (:meth:`ActualEvent.from_isometry`) and no ``event`` is built.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     weights = np.clip(np.asarray(detection.probabilities, dtype=float), 0.0, None)
     total = float(weights.sum())
     if abs(total - 1.0) > policy.tol_proj:

@@ -252,7 +252,7 @@ class HistoryTree:
     ``children_prob_sum`` is one array over the rows, NaN where no family
     fired.  :meth:`rows` hands out the same records with those columns as
     Python lists, without building a node, and is what the report reads;
-    :meth:`leaf_steps` and :func:`sample_paths` read the arrays themselves
+    every leaf listing reads tree order off the arrays alone
     (:func:`_leaf_paths`).  ``root`` builds the :class:`BranchNode` and
     :class:`ActualEvent` objects of every row in one pass the first time
     it is read, and keeps them in row order, for callers that want the
@@ -366,29 +366,24 @@ class HistoryTree:
                     node._rho = state
             rho, cells, done = nodes[row]._rho[None], r.cells, j
 
-    def _walk_leaves(self):
-        """Each leaf in tree order, with the events on its path from the root."""
-        stack = [(self.root, ())]
-        while stack:
-            node, events = stack.pop()
-            events += () if node.actual is None else (node.actual,)
-            if not node.children:
-                yield node, events
-            stack.extend((child, events) for child in reversed(node.children))
+    def _leaf_nodes(self):
+        """Each leaf node in tree order and the events on its path, off the rows."""
+        self.root  # builds the nodes
+        events = np.fromiter((n.actual for n in self._nodes), dtype=object, count=len(self._nodes))
+        leaves, paths = _leaf_paths(self._rows, events)
+        return zip([self._nodes[i] for i in leaves.tolist()], paths)
 
     def leaves(self) -> list[BranchNode]:
-        return [leaf for leaf, _ in self._walk_leaves()]
+        return [leaf for leaf, _ in self._leaf_nodes()]
 
     def leaf_paths(self) -> list[tuple[tuple[ActualEvent, ...], float]]:
         """Each leaf's event sequence (causal order) and its path probability."""
-        return [(events, leaf.cum_prob) for leaf, events in self._walk_leaves()]
+        return [(events, leaf.cum_prob) for leaf, events in self._leaf_nodes()]
 
     def leaf_steps(self) -> list[tuple[tuple[tuple[int, int, object], ...], float]]:
         """Each leaf's (tau, x, label) steps and its path probability, read off the rows.
 
-        The leaves come in the order of :meth:`leaf_paths`, and no node
-        object is built; only the leaves get a steps tuple
-        (:func:`_leaf_paths`).
+        The leaves come in the order of :meth:`leaf_paths`; no node is built.
         """
         leaves, paths = _leaf_paths(self._rows)
         return list(zip(paths, _column(self._rows, "cum_prob", 1.0)[leaves].tolist()))
@@ -399,7 +394,7 @@ def _column(points: Sequence[TreeRows], name: str, root) -> np.ndarray:
     return np.concatenate([[root], *(getattr(r, name) for r in points)])
 
 
-def _leaf_paths(points: Sequence[TreeRows]) -> tuple[np.ndarray, list[tuple]]:
+def _leaf_paths(points: Sequence[TreeRows], events=None) -> tuple[np.ndarray, list[tuple]]:
     """The leaf rows in tree order, and each one's (tau, x, label) steps from the root.
 
     ``points`` are a tree's rows as it holds them, columns as arrays; row 0
@@ -416,7 +411,9 @@ def _leaf_paths(points: Sequence[TreeRows]) -> tuple[np.ndarray, list[tuple]]:
     the leaves alone: the step of each leaf's row, of its parent, and so on
     to the root.  Each point's (tau, x, label) tuples are made once and
     shared by every path through them; a leaf nearer the root than the
-    deepest is padded with None there, and the padding is dropped.
+    deepest is padded with None there, and the padding is dropped.  Given
+    ``events``, an object array of one entry per row (None for the root),
+    a path holds its rows' entries instead.
     """
     n_rows = 1 + sum(len(r.parent) for r in points)
     parent = np.zeros(n_rows, dtype=np.int64)  # the root's is itself
@@ -437,6 +434,8 @@ def _leaf_paths(points: Sequence[TreeRows]) -> tuple[np.ndarray, list[tuple]]:
             order[np.repeat(children > 0, width)] = rows
         steps += [(r.point.tau, r.point.x, label) for label in r.labels]
     steps = np.fromiter(steps, dtype=object, count=len(steps))
+    if events is not None:
+        steps, step = events, np.arange(n_rows)
     levels, rows = [], order
     while rows.any():
         levels.append(steps[step[rows]].tolist())

@@ -448,32 +448,32 @@ def minimal_projections(alg: OperatorAlgebra,
                         *, policy: NumericPolicy = DEFAULT_POLICY) -> PotentialEvent:
     """Minimal projections of an abelian algebra, as a potential event.
 
-    Diagonalizes a random self-adjoint element and clusters its spectrum
-    (eigenvalues closer than ``gap_min`` share a cluster); retries with
-    fresh coefficients, drawn from a fixed seed, until the cluster count
-    equals the algebra dimension and each projection lies in the algebra.
-    The element lies in the abelian algebra, so it is constant on each
-    minimal projection's range up to rounding: a cluster that spreads by
-    ``gap_min`` or more has merged two of them and fails the count.
+    Starts from the whole space as one block, held by an isometry, and
+    lets each self-adjoint part of the algebra split every block so far by
+    the clusters of its compression to that block (``linalg._splits`` at
+    ``gap_min``, as every clustering does).  The parts commute, so the
+    blocks left are their joint eigenspaces: the minimal projections.
+    Raises :class:`EigengapError` when the block count differs from the
+    algebra dimension (a gap below ``gap_min`` merged two of them) or a
+    block's projection lies outside the algebra.
     """
     if not alg.is_abelian(policy=policy):
         raise ValueError("minimal projections require an abelian algebra")
-    parts = alg.self_adjoint_parts(policy)
-    rng = np.random.default_rng(0)
-    last_reason = "no attempt made"
-    for _ in range(policy.max_retries):
-        coeff = rng.standard_normal(len(parts))
-        x = sum(c * p for c, p in zip(coeff, parts))
-        _, clusters, projs = linalg.spectral_projections((x + dagger(x)) / 2.0,
-                                                         policy.gap_min)
-        if len(clusters) != alg.dim:
-            last_reason = f"found {len(clusters)} clusters, expected {alg.dim}"
-        elif any(alg.membership_residual(p) > policy.tol_proj for p in projs):
-            last_reason = "spectral projection left the algebra span"
-        else:
-            return PotentialEvent(projs, policy=policy)
-    raise EigengapError(
-        f"no generic element after {policy.max_retries} attempts: {last_reason}")
+    blocks = [np.eye(alg.ambient_dim, dtype=complex)]
+    for part in alg.self_adjoint_parts(policy):
+        refined = []
+        for v in blocks:
+            vals, vecs = np.linalg.eigh(dagger(v) @ part @ v)
+            cuts = np.flatnonzero(linalg._splits(vals, policy.gap_min)) + 1
+            refined += np.split(v @ vecs, cuts, axis=1)
+        blocks = refined
+    if len(blocks) != alg.dim:
+        raise EigengapError(f"found {len(blocks)} joint eigenspaces at gap_min "
+                            f"{policy.gap_min:.1e}, expected {alg.dim}")
+    projs = [v @ dagger(v) for v in blocks]
+    if any(alg.membership_residual(p) > policy.tol_proj for p in projs):
+        raise EigengapError("a joint eigenspace's projection left the algebra span")
+    return PotentialEvent(projs, policy=policy)
 
 
 # ---------------------------------------------------------------------------

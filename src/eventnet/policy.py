@@ -85,8 +85,7 @@ class NumericPolicy(FrozenRecord):
     tol_commutation: float = 1e-9   # spacelike commutator norms treated as zero
     match_threshold: float = 0.5    # projection matching radius in operator norm
 
-    # retries and caps
-    max_retries: int = 8            # generic-element retries in minimal-projection search
+    # caps
     dimension_cap: int = 4096       # largest ambient Hilbert dimension a net may use
     branch_cap: int = 10_000        # largest number of live branches a tree may hold
 

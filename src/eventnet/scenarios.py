@@ -497,7 +497,8 @@ def order_independence_check(scenario: Scenario,
             worst = max(worst, abs(w1 - w2))
             if min(w1, w2) < policy.prob_floor:
                 continue
-            worst = max(worst, linalg.operator_norm(first / w1 - second / w2))
+            worst = max(worst, linalg.operator_norm(linalg.trace_normalized(first)
+                                                    - linalg.trace_normalized(second)))
     return worst
 
 

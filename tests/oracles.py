@@ -390,6 +390,24 @@ def product_state(populations):
     return rho
 
 
+def product_spectrum_dims(net, foliation):
+    """The outcome counts a product state of distinct populations meets on a cone.
+
+    At a point of the first leaf the support's spectrum is the products of
+    its cells' populations, 2^s of them on s cells; every later point sees
+    a pure support, whose spectrum {1, 0, ...} is two clusters.
+    """
+    return sorted({2 ** len(net.support(p)) for p in foliation.leaves[0]} | {2})
+
+
+def locally_turned(rho, unitaries):
+    """``U rho U^H`` for ``U = ⊗_c unitaries[c]``: every support keeps its spectrum."""
+    u = np.ones((1, 1), dtype=complex)
+    for cell in unitaries:
+        u = np.kron(u, cell)
+    return u @ rho @ u.conj().T
+
+
 def product_leaf_probability(populations, bits):
     """The weight of the leaf on which cell c reads ``bits[c]``: a product of populations."""
     prob = 1.0

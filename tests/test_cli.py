@@ -217,9 +217,10 @@ def test_main_refuses_malformed_configs(tmp_path, capsys, config):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["trace_floor", "tol_basis", "tol_gns_null"])
+@pytest.mark.parametrize("name", ["trace_floor", "tol_basis", "tol_gns_null", "max_retries"])
 def test_main_refuses_a_removed_policy_field(tmp_path, capsys, name):
-    # prob_floor owns the support-trace floor, tol_closure the basis and GNS cutoffs
+    # prob_floor owns the support-trace floor, tol_closure the basis and GNS cutoffs,
+    # and minimal projections are found without retries
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"scenario": "epr", "policy": {name: 1e-9}}))
     assert main(["--config", str(path)]) == 1

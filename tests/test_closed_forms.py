@@ -7,7 +7,9 @@ state has no mixed support, so nothing happens.  A cat state
 ``sqrt(a)|0...0> + sqrt(1 - a)|1...1>`` has the spectrum {a, 1 - a, 0, ...}
 on every proper support: each point of the first leaf fires and the first
 outcome fixes the others, so the tree has two leaves of a and 1 - a; at
-a = 1/2 the two levels are one cluster and nothing happens.
+a = 1/2 the two levels are one cluster and nothing happens.  A product of
+single-cell unitaries turns none of these spectra, so a locally turned
+copy of a state has its tree's probabilities.
 """
 
 import numpy as np
@@ -51,6 +53,28 @@ def test_a_product_state_branches_once_per_cell(tau, x):
     assert len(read) == len(leaves)  # every basis state of the cells, once
 
 
+@pytest.mark.parametrize("tau, x", [(2, 3), (2, 4), (4, 2), (3, 3)],
+                         ids=["2x3", "2x4", "4x2", "3x3"])
+def test_a_product_state_meets_its_spectrum_dims(tau, x):
+    net, fol, _, _, tree = _product_tree(tau, x)
+    assert tree.spectrum_dims == oracles.product_spectrum_dims(net, fol)
+
+
+@pytest.mark.parametrize("tau, x", [(2, 3), (2, 4), (3, 3)], ids=["2x3", "2x4", "3x3"])
+def test_a_locally_turned_product_state_keeps_its_leaf_probabilities(tau, x):
+    net, fol, initial, _, tree = _product_tree(tau, x)
+    rng = np.random.default_rng(5)
+    turned_state = oracles.locally_turned(initial.rho,
+                                          [random_unitary(2, rng) for _ in range(net.n_cells)])
+    turned = enumerate_tree(net, fol, State(turned_state))
+    probs = sorted(prob for _, prob in tree.leaf_steps())
+    turned_probs = sorted(prob for _, prob in turned.leaf_steps())
+    assert len(turned_probs) == len(probs)
+    assert np.max(np.abs(np.subtract(turned_probs, probs))) <= 1e-12
+    assert turned.pruned_mass <= 1e-12
+    assert turned.max_commutator <= 1e-11
+
+
 def test_draws_on_a_product_state_follow_its_closed_form():
     net, fol, initial, pops, tree = _product_tree(2, 4)
     exact = {tuple((e.point.tau, e.point.x, e.label) for e in events):
@@ -71,6 +95,16 @@ def test_a_pure_product_state_has_one_leaf():
     tree = enumerate_tree(net, fol, State.from_vector(vec))
     assert tree.leaf_steps() == [((), 1.0)]
     assert tree.pruned_mass == 0.0
+
+
+def test_a_pure_product_state_meets_two_clusters_only():
+    # every support spectrum is {1, 0, ...}: two clusters, and no event
+    net, fol = _net(3, 3)
+    rng = np.random.default_rng(3)
+    vec = np.ones(1, dtype=complex)
+    for _ in range(net.n_cells):
+        vec = np.kron(vec, random_unitary(2, rng)[:, 0])
+    assert enumerate_tree(net, fol, State.from_vector(vec)).spectrum_dims == [2]
 
 
 @pytest.mark.parametrize("tau, x", [(2, 3), (3, 3)], ids=["2x3", "3x3"])

@@ -350,7 +350,7 @@ def test_minimal_projections_deterministic():
 def test_minimal_projections_gap_failure():
     omega = State.diagonal([0.7, 0.3])
     z = center_of_centralizer(full_matrix_algebra(2), omega)
-    impossible = NumericPolicy(gap_min=10.0, max_retries=2)
+    impossible = NumericPolicy(gap_min=10.0)
     with pytest.raises(EigengapError):
         minimal_projections(z, policy=impossible)
 
@@ -375,6 +375,30 @@ def test_minimal_projections_of_random_abelian_algebras(seed):
         assert dists[best] < 1e-10
         matched.add(best)
     assert matched == set(range(len(blocks)))
+
+
+def test_minimal_projections_refine_blocks_without_drawing(monkeypatch):
+    # the first part, (P1 + P2)/sqrt(r1 + r2), leaves P1 and P2 in one block;
+    # the second, r2 P1 - r1 P2, splits them, and no random element is needed
+    rng = np.random.default_rng(29)
+    ranks = (2, 1, 2)
+    n = sum(ranks)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    edges = np.cumsum((0,) + ranks)
+    p1, p2, p3 = (q[:, lo:hi] @ q[:, lo:hi].conj().T for lo, hi in zip(edges[:-1], edges[1:]))
+    r1, r2, r3 = ranks
+    split = r2 * p1 - r1 * p2
+    alg = OperatorAlgebra([(p1 + p2) / np.sqrt(r1 + r2), split / np.linalg.norm(split),
+                           p3 / np.sqrt(r3)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_projections drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    event = minimal_projections(alg)
+    assert len(event) == 3
+    for want in (p1, p2, p3):
+        assert min(np.max(np.abs(p.entries - want)) for p in event.projections) < 1e-10
 
 
 def test_minimal_projections_require_abelian():
