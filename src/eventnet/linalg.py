@@ -4,6 +4,8 @@ Conventions: operators are square complex ndarrays; flattening is always
 row-major (``A.ravel()``), so the Hilbert-Schmidt inner product of two
 operators is ``(A.conj().ravel() @ B.ravel())`` and the commutator map
 ``X -> [B, X]`` acts on flattened operators as ``kron(B, I) - kron(I, B.T)``.
+On a product of n cells, cell c is row axis c and column axis ``n + c`` of
+an operator's tensor, in :func:`partial_trace` as in :func:`embed_factor`.
 
 The numeric rules that need no tolerance policy live here, each in one
 function that every layer calls: spectral clustering
@@ -211,7 +213,8 @@ def mixture_residual(rho: np.ndarray, projections) -> np.ndarray:
 def trace_normalized(mat: np.ndarray) -> np.ndarray:
     """``mat`` divided by its own trace, then hermitized; a stack matrix by matrix.
 
-    The work is :func:`trace_normalize_in_place` on a complex copy of ``mat``.
+    The work is :func:`trace_normalize_in_place` on a complex copy of ``mat``,
+    whose one temporary is the copy's conjugate transpose.
     """
     return trace_normalize_in_place(np.array(mat, dtype=complex))
 
@@ -219,19 +222,16 @@ def trace_normalized(mat: np.ndarray) -> np.ndarray:
 def trace_normalize_in_place(out: np.ndarray) -> np.ndarray:
     """:func:`trace_normalized` on ``out`` itself, a complex array, which is returned.
 
-    The real and imaginary parts are scaled by ``1 / trace`` as floats,
-    which is what dividing by a real trace computes, and hermitized as
-    ``(re + re^T) / 2`` and ``(im - im^T) / 2``: the one temporary is
-    numpy's copy of a transposed part, half the size of ``out``.
+    The parts are scaled as floats by ``0.5 / trace``, half of dividing by the
+    real trace, with no complex product to flip a zero's sign; one add of the
+    conjugate transpose then forms ``re + re^T`` and ``im - im^T``, and that
+    conjugate transpose, the size of ``out``, is the one temporary.
     """
-    scale = (1.0 / out.trace(axis1=-2, axis2=-1).real)[..., None, None]
+    scale = (0.5 / out.trace(axis1=-2, axis2=-1).real)[..., None, None]
     re, im = out.real, out.imag
     re *= scale
     im *= scale
-    re += re.swapaxes(-1, -2)
-    im -= im.swapaxes(-1, -2)
-    re *= 0.5
-    im *= 0.5
+    out += out.conj().swapaxes(-1, -2)
     return out
 
 
@@ -362,7 +362,7 @@ def embed_factor(op: np.ndarray, support: tuple[int, ...], n_cells: int, cell_di
     """Embed ``op`` acting on the tensor cells ``support`` into the full product.
 
     Cells are ordered; ``op`` must act on ``cell_dim ** len(support)``
-    dimensions with its tensor slots in the order given by ``support``.
+    dimensions with its tensor slots in the order given by ``support``; up to 26 cells.
     """
     support = tuple(support)
     d = cell_dim
@@ -370,36 +370,26 @@ def embed_factor(op: np.ndarray, support: tuple[int, ...], n_cells: int, cell_di
         raise DimensionMismatchError(
             f"operator of shape {op.shape} does not act on {len(support)} cells of dim {d}")
     rest = [c for c in range(n_cells) if c not in support]
-    full = np.kron(op, np.eye(d ** len(rest), dtype=complex))
-    # full now acts on cells ordered (support..., rest...); permute into 0..n-1
-    arrangement = list(support) + rest
-    perm = [arrangement.index(c) for c in range(n_cells)]
-    tensor = full.reshape([d] * (2 * n_cells))
-    tensor = tensor.transpose(perm + [n_cells + p for p in perm])
-    return np.ascontiguousarray(tensor.reshape(d ** n_cells, d ** n_cells))
+    eye = np.eye(d ** len(rest), dtype=complex).reshape((d,) * (2 * len(rest)))
+    full = np.einsum(op.reshape((d,) * (2 * len(support))),
+                     [*support, *(n_cells + c for c in support)],
+                     eye, [*rest, *(n_cells + c for c in rest)], range(2 * n_cells))
+    return full.reshape(d ** n_cells, d ** n_cells)
 
 
 def partial_trace(mat: np.ndarray, keep: tuple[int, ...], n_cells: int, cell_dim: int) -> np.ndarray:
     """Trace out every tensor cell not listed in ``keep`` (result slots follow ``keep``).
 
-    ``mat`` may be a stack ``(..., D, D)``; each matrix is traced alike.
+    ``mat`` may be a stack ``(..., D, D)`` of up to 26 cells; each matrix is traced alike.
     """
     keep = tuple(keep)
     d = cell_dim
     lead = mat.shape[:-2]
     tensor = mat.reshape(lead + (d,) * (2 * n_cells))
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n_cells > len(letters):
-        raise DimensionMismatchError("too many tensor cells for einsum labels")
-    row = list(letters[:n_cells])
-    col = list(letters[n_cells:2 * n_cells])
-    for c in range(n_cells):
-        if c not in keep:
-            col[c] = row[c]
-    out = "".join(row[c] for c in keep) + "".join(col[c] for c in keep)
-    reduced = np.einsum("..." + "".join(row) + "".join(col) + "->..." + out, tensor)
-    dim = d ** len(keep)
-    return np.ascontiguousarray(reduced.reshape(lead + (dim, dim)))
+    cols = [n_cells + c if c in keep else c for c in range(n_cells)]
+    reduced = np.einsum(tensor, [..., *range(n_cells), *cols],
+                        [..., *keep, *(n_cells + c for c in keep)])
+    return np.ascontiguousarray(reduced.reshape(lead + (d ** len(keep),) * 2))
 
 
 def spin_projections(direction) -> tuple[np.ndarray, np.ndarray]:

@@ -202,6 +202,12 @@ def test_batched_kernels_act_matrix_by_matrix():
         assert np.array_equal(normalized[i], trace_normalized(stack[i]))
 
 
+def test_partial_trace_takes_more_than_13_cells():
+    # a zero-length stack on 14 cells needs no memory; integer labels reach 26 cells
+    reduced = partial_trace(np.zeros((0, 2**14, 2**14), dtype=complex), (13, 0), 14, 2)
+    assert reduced.shape == (0, 4, 4)
+
+
 def test_trace_normalized_in_place_is_the_complex_division():
     rng = np.random.default_rng(9)
     g = rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))
@@ -218,3 +224,19 @@ def test_trace_normalized_in_place_is_the_complex_division():
     wide[:, :, ::2] = kept
     trace_normalize_in_place(wide[:, :, ::2])
     assert np.array_equal(wide[:, :, ::2], want) and not wide[:, :, 1::2].any()
+    # signed zeros keep their sign: the parts are scaled as floats, as the
+    # two-part formula reads; array_equal would take -0.0 for +0.0
+    g = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
+    stack = g @ np.swapaxes(g.conj(), -1, -2)
+    stack *= (np.geomspace(1e-9, 1.0, 4) / np.trace(stack, axis1=-2, axis2=-1).real)[:, None, None]
+    stack.imag[rng.random(stack.shape) < 0.3] = 0.0
+    stack.imag[rng.random(stack.shape) < 0.3] = -0.0
+    stack.imag[:, np.arange(8), np.arange(8)] = np.where(rng.random((4, 8)) < 0.5, -0.0, 0.0)
+    stack.real[(rng.random(stack.shape) < 0.3) & ~np.eye(8, dtype=bool)] = -0.0
+    scale = 1.0 / np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+    re, im = stack.real * scale, stack.imag * scale
+    want = np.empty_like(stack)
+    want.real = (re + np.swapaxes(re, -1, -2)) / 2.0
+    want.imag = (im - np.swapaxes(im, -1, -2)) / 2.0
+    assert np.signbit(want.imag).any() and np.signbit(want.real).any()
+    assert trace_normalized(stack).tobytes() == want.tobytes()
