@@ -14,8 +14,8 @@ draws over its children with one multinomial draw.
 Branching works on support factors.  A branch carries its state only on
 the tensor cells that later points still touch: after each point every
 cell that no later support or propagator reaches is traced out, whether
-or not an event fired on the branch there.  An imposed family and a
-propagator act on the fewest cells they touch.
+or not an event fired there.  An imposed family and a propagator act on
+the fewest cells they touch, a propagator U as one outcome V = U^H.
 
 One engine (:func:`_grow`) runs enumeration and both samplers, over the
 whole live frontier at once.  All live branches carry the same cells, so
@@ -24,17 +24,17 @@ batched partial trace and one batched ``eigh`` per point on the stack of
 entry states, and each outcome is held by its eigenvector isometry V.
 Per point, the Born weights ``tr(V^H rho_S V)`` of every outcome of every
 branch come first; only the kept (or drawn) children are then collapsed,
-with V contracted on the support axes, and recorded as one
-:class:`TreeRows`.  Each branch is replaced in place by its children, so
-the frontier stays in tree order.  Commutator norms of two families are
-taken by principal angles (:func:`linalg.max_commutator_norm`), for every
-entry branch at once.
+with V contracted on the support axes as a propagator's is, and recorded
+as one :class:`TreeRows`.  Each branch is replaced in place by its
+children, so the frontier stays in tree order.  Commutator norms of two
+families are taken by principal angles
+(:func:`linalg.max_commutator_norm`), for every entry branch at once.
 
 Memory is the live frontier plus one bounded block of work.  The collapse
 takes consecutive parents in blocks (:data:`linalg.BLOCK_ENTRIES`) and
 normalizes their children in place, and the frontier is the only place a
 branch state lives: the tree keeps each point's family of isometries,
-which its rows index, and the run's localized propagators, not the states.
+which its rows index, and each propagator's family, not the states.
 Each family stack exists once, and the work gathers it block by block.
 Node objects are built only when they are read, and a node's state is
 replayed from its parent's, and checked, only when it is read.
@@ -257,8 +257,8 @@ class HistoryTree:
     :class:`ActualEvent` objects of every row in one pass the first time
     it is read, and keeps them in row order, for callers that want the
     objects.  Building them computes no state: the tree holds the initial
-    state, each point's family stack, which a node's event views, and the
-    run's localized propagators, and a node's ``rho`` is replayed from its
+    state, each point's family stack, which a node's event views, and each
+    propagator's family, and a node's ``rho`` is replayed from its
     parent's when first read (:meth:`_replay`, which finds a row's point
     by the first rows that ``root`` computes once).  ``max_commutator`` is
     the largest of the ``commutation_norms``, 0.0 when there are none.
@@ -330,13 +330,13 @@ class HistoryTree:
         The walk starts at the nearest ancestor that holds a state, the
         root at the latest, and steps down as the engine did: through each
         point between a parent and its child the state is reduced to that
-        point's ``cells``, a leaf with a propagator conjugates it by the
-        localized gate, and at the child's point the point's family collapses
-        it (:func:`_reduce`, :func:`_apply_gate`, :func:`_collapse`).  Each
-        step collapses every child of the parent at once, with the engine's
-        arguments for a block of one parent: the family the engine read and
-        the parent's entry branch.  It gives each sibling without a state
-        its own.
+        point's ``cells``, a leaf with a propagator collapses it by the
+        propagator's family of one outcome, and at the child's point the
+        point's family collapses it (:func:`_reduce`, :func:`_apply_gate`,
+        :func:`_collapse`).  Each collapse takes the engine's arguments for
+        a block of one parent: the family the engine read and the parent's
+        entry branch; at a point it makes every child of the parent at once
+        and gives each sibling without a state its own.
         """
         d, points, nodes, first = self._net.cell_dim, self._rows, self._nodes, self._first
 
@@ -475,8 +475,8 @@ def _keep_cells(net: AlgebraNet, foliation: Foliation,
     """Per leaf and point, the cells that later points and propagators touch.
 
     Walks the foliation backwards.  A detected or imposed family reads and
-    acts on its support, and a propagator acts on the cells it is
-    localized to.
+    acts on its support, and a propagator, a family of one outcome, on the
+    cells it is localized to.
     """
     later: frozenset[int] = frozenset()
     keep: list[list[tuple[int, ...]]] = []
@@ -502,10 +502,10 @@ def _reduce(rho: np.ndarray, cells: tuple[int, ...], keep: tuple[int, ...],
 
 def _apply_gate(rho: np.ndarray, cells: tuple[int, ...], gate: tuple,
                 cell_dim: int) -> np.ndarray:
-    """A stack of states on ``cells`` conjugated by a localized propagator ``(support, [u])``."""
-    support, (u,) = gate
-    mat = linalg.embed_factor(u, tuple(cells.index(c) for c in support), len(cells), cell_dim)
-    return mat @ rho @ mat.conj().T
+    """A stack of states on ``cells`` conjugated by a gate ``(support, U^H as one outcome)``."""
+    zeros = np.zeros(len(rho), dtype=np.intp)
+    return _collapse(rho, cells, gate[0], cells, gate[1], zeros, np.arange(len(rho)), zeros,
+                     cell_dim, gate=True)
 
 
 def _leaf_families(net: AlgebraNet, leaf: Sequence[Point], keep: Sequence[tuple[int, ...]],
@@ -595,7 +595,7 @@ def _born_weights(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, .
 
 def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
               keep: tuple[int, ...], family: np.ndarray, origin: np.ndarray,
-              rows: np.ndarray, ks: np.ndarray, cell_dim: int) -> np.ndarray:
+              rows: np.ndarray, ks: np.ndarray, cell_dim: int, gate: bool = False) -> np.ndarray:
     """Conditioned states on ``keep``: outcome ``ks[c]`` of parent ``rows[c]``, for every c.
 
     ``rho`` is a stack of parent states and ``family[origin[i]]`` the
@@ -606,7 +606,8 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
     that are not kept are traced out with it.  Each state is divided by its own trace, not by
     its Born weight, which is taken separately on the support state: for
     weights near 1e-6 the two differ enough to miss unit trace by more than
-    ``tol_trace``.
+    ``tol_trace``.  With ``gate``, V = U^H for a propagator U, its rank axes the support's own
+    slots, all kept: ``V^H rho V`` is the state, not expanded by V, and keeps its trace.
 
     The parents are taken in blocks of consecutive ones, each as large as
     :func:`linalg.block_size` allows for the largest temporary: per parent,
@@ -626,8 +627,8 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
     # per parent: the contracted stack, and the states of at most ``outcomes`` children
     step = linalg.block_size(outcomes * dr * dr * max(rank * ds, dh * dh))
     if step >= n:
-        return linalg.trace_normalize_in_place(
-            _conditioned(rho, cells, support, keep, family[origin], rows, ks, cell_dim))
+        out = _conditioned(rho, cells, support, keep, family[origin], rows, ks, cell_dim, gate)
+        return out if gate else linalg.trace_normalize_in_place(out)
     dim = cell_dim ** len(keep)
     out = np.empty((len(ks), dim, dim), dtype=complex)
     for p in range(0, n, step):
@@ -635,14 +636,15 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
         if lo < hi:
             out[lo:hi] = _conditioned(rho[p:p + step], cells, support, keep,
                                       family[origin[p:p + step]], rows[lo:hi] - p, ks[lo:hi],
-                                      cell_dim)
-            linalg.trace_normalize_in_place(out[lo:hi])
+                                      cell_dim, gate)
+            if not gate:
+                linalg.trace_normalize_in_place(out[lo:hi])
     return out
 
 
 def _conditioned(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
                  keep: tuple[int, ...], iso: np.ndarray, rows: np.ndarray, ks: np.ndarray,
-                 cell_dim: int) -> np.ndarray:
+                 cell_dim: int, gate: bool) -> np.ndarray:
     """One block of :func:`_collapse`: the children's states before normalization."""
     d = cell_dim
     n, outcomes, ds, rank = iso.shape
@@ -655,21 +657,23 @@ def _conditioned(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ..
     t = (iso.conj().swapaxes(-1, -2) @ t).reshape(n, outcomes, rank, dr, ds, dr)
     t = t.swapaxes(-1, -2).reshape(n, outcomes, rank * dr * dr, ds)
     y = (t @ iso)[rows, ks].reshape(len(ks), rank, dr, dr, rank)
-    if held:
+    if gate:  # y[c, r, a, b, q] = (U rho U^H)[(r, a), (q, b)], r and q the held slots
+        out = y.swapaxes(-1, -2)
+    elif held:
         pos = [support.index(c) for c in held + dropped]
         v = iso[rows, ks].reshape((len(ks),) + (d,) * len(support) + (rank,))
         v = v.transpose([0] + [1 + p for p in pos] + [len(support) + 1])
         v = v.reshape(len(ks), d ** len(held), d ** len(dropped), rank)
         out = np.einsum("ihsr,irabq->ihabsq", v, y)
         out = np.einsum("ihabsq,iksq->ihakb", out, v.conj())
-        slots = held + rest
-        if slots != keep:
-            k = len(keep)
-            perm = [slots.index(c) for c in keep]
-            out = out.reshape((len(ks),) + (d,) * (2 * k))
-            out = out.transpose([0] + [1 + p for p in perm] + [1 + k + p for p in perm])
     else:
         out = np.einsum("irabr->iab", y)
+    slots = held + rest
+    if slots != keep:
+        k = len(keep)
+        perm = [slots.index(c) for c in keep]
+        out = out.reshape((len(ks),) + (d,) * (2 * k))
+        out = out.transpose([0] + [1 + p for p in perm] + [1 + k + p for p in perm])
     dim = d ** len(keep)
     return out.reshape(len(ks), dim, dim)
 
@@ -820,11 +824,12 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
     if initial.dim != net.dim:
         raise DimensionMismatchError(f"the initial state has dimension {initial.dim}, "
                                      f"not the net's {net.dim}")
-    # found once per run on the fewest cells each acts on: (support, [factor]) per
-    # propagator and (support, labels, isometry stack) per imposed family; localizing
-    # refuses a propagator or a family that is not on the net
+    # found once per run on the fewest cells each acts on: (support, U^H as a family of
+    # one outcome) per propagator U and (support, labels, isometry stack) per imposed
+    # family; localizing refuses a propagator or a family that is not on the net
     gates = {li: net.localize([_unitary(u, policy)], policy.tol_proj)
              for li, u in propagators.items()}
+    gates = {li: (support, u.conj().T[None, None]) for li, (support, (u,)) in gates.items()}
     local = {}
     for pt, fam in imposed.items():
         support, factors = net.localize([p.entries for p in fam.projections], policy.tol_proj)

@@ -643,10 +643,10 @@ def test_outcome_counts_that_differ_across_the_stack_match_dense():
     assert top.children == []  # no event on cell 1 after the rank-2 outcome
 
 
-@pytest.mark.parametrize("gate_cells", [(2, 3), (1, 2)])
+@pytest.mark.parametrize("gate_cells", [(2, 3), (1, 2), (1, 3), (1, 2, 3)])
 def test_local_gate_tree_matches_dense_reference(gate_cells):
     net, initial = _cone_case(2, 2, seed=5)
-    gate = net.embed(random_unitary(4, np.random.default_rng(8)), gate_cells)
+    gate = net.embed(random_unitary(2 ** len(gate_cells), np.random.default_rng(8)), gate_cells)
     fol = foliate(net.lattice)
     tree = enumerate_tree(net, fol, initial, policy=COARSE, propagators={1: gate})
     dense = oracles.enumerate_tree_dense(net, fol, initial, policy=COARSE,

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eventnet import (ActualEvent, BranchNode, CausalLattice, State, build_scenario,
+from eventnet import (ActualEvent, AlgebraNet, BranchNode, CausalLattice, State, build_scenario,
                       build_tensor_net, enumerate_tree, epr_scenario, foliate, histories, linalg,
-                      sample_paths, two_leaf_chain)
+                      sample_history, sample_paths, two_leaf_chain)
 from eventnet.cli import _net_from_config, _state_from_config, _tree_section, load_config, main
 from eventnet.histories import TreeRows
 from eventnet.linalg import partial_trace, random_unitary
@@ -152,12 +152,18 @@ def _cone(extent_x, seed, gate_seed=None, prob_floor=1e-3):
 
 
 def _growing(monkeypatch, grow):
-    """The tree ``grow()`` makes, and every state stack ``_collapse`` returned meanwhile."""
+    """The tree ``grow()`` makes, and every stack of children ``_collapse`` made meanwhile.
+
+    A propagator also runs through ``_collapse`` (``gate=True``), but makes
+    no children, so its stacks are not recorded.
+    """
     made, collapse = [], histories._collapse
 
-    def kept(*args):
-        made.append(collapse(*args))
-        return made[-1]
+    def kept(*args, gate=False):
+        out = collapse(*args, gate=gate)
+        if not gate:
+            made.append(out)
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(histories, "_collapse", kept)
@@ -234,6 +240,50 @@ def test_replayed_states_are_the_states_the_engine_made(monkeypatch, extent_x, g
     for node, state in reversed(list(zip(nodes[1:], (s for stack in made for s in stack)))):
         assert np.array_equal(node.rho, state)
     assert nodes[0].rho is initial.rho
+
+
+def test_gated_runs_embed_nothing_into_the_whole_net(monkeypatch):
+    net, fol, initial, kwargs = _cone(3, 3, gate_seed=8, prob_floor=0.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedded into the whole net")
+
+    monkeypatch.setattr(AlgebraNet, "embed", refuse)
+    monkeypatch.setattr(linalg, "embed_factor", refuse)
+    tree = enumerate_tree(net, fol, initial, **kwargs)
+    stack, nodes = [tree.root], 0
+    while stack:
+        node = stack.pop()
+        assert node.rho.shape == (2 ** len(node.state_cells),) * 2
+        nodes += 1
+        stack.extend(node.children)
+    assert nodes == 1 + sum(len(r.parent) for r in tree.rows()[1])
+    assert sum(sample_paths(net, fol, initial, 1000, 1, **kwargs).counts.values()) == 1000
+    assert sample_history(net, fol, initial, 2, **kwargs).final_cells == ()
+
+
+def test_gate_step_peak_is_one_stack_and_a_few_blocks(monkeypatch):
+    # 512 states on 6 cells (D = 64), 32 MiB, and a Haar gate on cells 1 and 3
+    rng = np.random.default_rng(7)
+    n, cells, support = 512, (0, 1, 2, 3, 4, 5), (1, 3)
+    rho = rng.standard_normal((n, 64, 64)) + 1j * rng.standard_normal((n, 64, 64))
+    rho = rho @ rho.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    u = random_unitary(4, rng)
+    full = linalg.embed_factor(u, support, len(cells), 2)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 2**14)
+    tracemalloc.start()
+    try:
+        # the form the tree keeps a gate in: U^H as a family of one outcome
+        out = histories._apply_gate(rho, cells, (support, u.conj().T[None, None]), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(out, full @ rho @ full.conj().T, atol=1e-14)
+    # tracing starts after the inputs are made, so the peak is what the call adds:
+    # the new stack and at most six blocks of BLOCK_ENTRIES complex entries.  The
+    # embedded gate's two dense products held two stacks
+    assert peak <= out.nbytes + 6 * 2**14 * 16, peak
 
 
 def _skipping_cone_state():
