@@ -13,12 +13,19 @@ and no wall-clock data (timings go to stderr).  Their canonical bytes are
 is needed: :func:`run` builds each report as a tree of containers, and
 the lists it shares between nodes (a point's [tau, x], a step's
 [tau, x, label]) hold no container, so none can lead back to itself.
-The ``config`` echo is the only record of the input: a config-given
-initial state appears there as written, and a scenario's or the default
-state follows from the echoed fields.  The tree section is read off the
-history tree's rows (:meth:`HistoryTree.rows`), once; no node object is
-built.  Its leaves are :meth:`HistoryTree.leaf_steps` and a sample's rows
-are :attr:`SampleSummary.counts`, both in tree order, which the CSV rows
+The ``config`` echo is the only record of the input.  A config-given
+initial state appears there with its kind as written and its numbers
+(``weights`` of a ``diagonal``, ``entries`` of a ``vector`` or
+``matrix``) as their exact float64 bits, not as decimal text:
+``{"shape": [...], "float64_le": "<base64>"}``, which
+``np.frombuffer(binascii.a2b_base64(e["float64_le"]), "<f8").reshape(e["shape"])``
+reads back: printing each float's shortest decimal took longer than
+enumerating the tree of a 64 x 64 state.  A ``maximally-mixed`` state
+echoes as written, and a scenario's or the default state follows from
+the echoed fields.  The tree section is read off the history tree's rows
+(:meth:`HistoryTree.rows`), once; no node object is built.  Its leaves
+are :meth:`HistoryTree.leaf_steps` and a sample's rows are
+:attr:`SampleSummary.counts`, both in tree order, which the CSV rows
 keep.  A scenario's ``expected`` block is evaluated on the tree or the
 sample the run grew, so no run grows a tree twice.
 
@@ -28,6 +35,7 @@ Exit codes: 0 success, 1 configuration problems, 2 numeric failures
 
 from __future__ import annotations
 
+import binascii
 import gc
 import json
 import sys
@@ -225,27 +233,43 @@ def _real_array(values, ndim: int) -> np.ndarray:
     return arr
 
 
+def _float64_bits(arr: np.ndarray) -> dict:
+    """``arr`` by its exact bits: its shape and its little-endian float64 bytes in base64."""
+    data = binascii.b2a_base64(arr.astype("<f8", copy=False).tobytes(), newline=False)
+    return {"shape": list(arr.shape), "float64_le": data.decode("ascii")}
+
+
 def _state_from_config(desc: Mapping[str, Any] | None, dim: int,
-                       policy: NumericPolicy) -> State:
+                       policy: NumericPolicy) -> tuple[State, Mapping[str, Any] | None]:
+    """The state a config's ``initial_state`` describes, and that description's echo.
+
+    The echo is ``desc`` with its numbers (``weights`` or ``entries``)
+    replaced by :func:`_float64_bits` of the floats they were read as; a
+    ``maximally-mixed`` state, or none given, echoes as ``desc``.
+    """
     kind = "maximally-mixed" if desc is None else desc["kind"]  # checked by _validate_config
+    echo = desc
     try:
         if kind == "maximally-mixed":
             state = State.maximally_mixed(dim, policy=policy)
         elif kind == "diagonal":
-            state = State.diagonal(_real_array(desc["weights"], 1), policy=policy)
+            weights = _real_array(desc["weights"], 1)
+            state = State.diagonal(weights, policy=policy)
+            echo = {"kind": kind, "weights": _float64_bits(weights)}
         else:  # [re, im] pairs, viewed as complex numbers
             pairs = _real_array(desc["entries"], 2 if kind == "vector" else 3)
             if pairs.shape[-1] != 2:
                 raise TypeError(f"an entry has {pairs.shape[-1]} numbers, not the 2 of [re, im]")
             z = np.ascontiguousarray(pairs).view(complex)[..., 0]
             state = (State.from_vector if kind == "vector" else State)(z, policy=policy)
+            echo = {"kind": kind, "entries": _float64_bits(pairs)}
     except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"initial_state is malformed: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"initial_state is not a valid state: {exc}") from exc
     if state.dim != dim:
         raise ConfigError(f"initial_state has dimension {state.dim}, but the net has {dim}")
-    return state
+    return state, echo
 
 
 def _net_from_config(desc: Mapping[str, Any], policy: NumericPolicy):
@@ -352,19 +376,19 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
                                   epsilon=cfg.epsilon)
         net = scenario.net
         foliation = scenario.foliation
-        initial = (scenario.initial if cfg.initial_state is None
-                   else _state_from_config(cfg.initial_state, net.dim, policy))
+        initial, given = ((scenario.initial, None) if cfg.initial_state is None
+                          else _state_from_config(cfg.initial_state, net.dim, policy))
         imposed = scenario.imposed
     else:
         net = _net_from_config(cfg.net, policy)
         foliation = foliate(net.lattice)
-        initial = _state_from_config(cfg.initial_state, net.dim, policy)
+        initial, given = _state_from_config(cfg.initial_state, net.dim, policy)
         imposed = None
     timings["setup"] = time.perf_counter() - t0
 
     report: dict[str, Any] = {
         "tool": "eventnet",
-        "config": cfg.echo(),
+        "config": {**cfg.echo(), "initial_state": given},
         "policy": policy.as_dict(),
         "lattice": {
             "extent_tau": net.lattice.extent_tau,

@@ -32,7 +32,8 @@ families are taken by principal angles
 
 Memory is the live frontier plus one bounded block of work.  The collapse
 takes consecutive parents in blocks (:data:`linalg.BLOCK_ENTRIES`) and
-normalizes their children in place, and the frontier is the only place a
+normalizes their children in place, a propagator's step writes each
+block back over the frontier it read, and the frontier is the only place a
 branch state lives: the tree keeps each point's family of isometries,
 which its rows index, and each propagator's family, not the states.
 Each family stack exists once, and the work gathers it block by block.
@@ -501,11 +502,14 @@ def _reduce(rho: np.ndarray, cells: tuple[int, ...], keep: tuple[int, ...],
 
 
 def _apply_gate(rho: np.ndarray, cells: tuple[int, ...], gate: tuple,
-                cell_dim: int) -> np.ndarray:
-    """A stack of states on ``cells`` conjugated by a gate ``(support, U^H as one outcome)``."""
+                cell_dim: int, in_place: bool = False) -> np.ndarray:
+    """A stack of states on ``cells`` conjugated by a gate ``(support, U^H as one outcome)``.
+
+    With ``in_place``, ``rho`` is a stack the caller owns and may lose: see :func:`_collapse`.
+    """
     zeros = np.zeros(len(rho), dtype=np.intp)
     return _collapse(rho, cells, gate[0], cells, gate[1], zeros, np.arange(len(rho)), zeros,
-                     cell_dim, gate=True)
+                     cell_dim, gate=True, in_place=in_place)
 
 
 def _leaf_families(net: AlgebraNet, leaf: Sequence[Point], keep: Sequence[tuple[int, ...]],
@@ -595,7 +599,8 @@ def _born_weights(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, .
 
 def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
               keep: tuple[int, ...], family: np.ndarray, origin: np.ndarray,
-              rows: np.ndarray, ks: np.ndarray, cell_dim: int, gate: bool = False) -> np.ndarray:
+              rows: np.ndarray, ks: np.ndarray, cell_dim: int, gate: bool = False,
+              in_place: bool = False) -> np.ndarray:
     """Conditioned states on ``keep``: outcome ``ks[c]`` of parent ``rows[c]``, for every c.
 
     ``rho`` is a stack of parent states and ``family[origin[i]]`` the
@@ -608,6 +613,8 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
     weights near 1e-6 the two differ enough to miss unit trace by more than
     ``tol_trace``.  With ``gate``, V = U^H for a propagator U, its rank axes the support's own
     slots, all kept: ``V^H rho V`` is the state, not expanded by V, and keeps its trace.
+    A gate makes child c of parent c, so with ``in_place`` each block is written back over
+    the parents it read, and ``rho`` is the result when there is more than one block.
 
     The parents are taken in blocks of consecutive ones, each as large as
     :func:`linalg.block_size` allows for the largest temporary: per parent,
@@ -630,7 +637,7 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
         out = _conditioned(rho, cells, support, keep, family[origin], rows, ks, cell_dim, gate)
         return out if gate else linalg.trace_normalize_in_place(out)
     dim = cell_dim ** len(keep)
-    out = np.empty((len(ks), dim, dim), dtype=complex)
+    out = rho if in_place else np.empty((len(ks), dim, dim), dtype=complex)
     for p in range(0, n, step):
         lo, hi = np.searchsorted(rows, (p, p + step))
         if lo < hi:
@@ -850,8 +857,9 @@ def _grow(net: AlgebraNet, foliation: Foliation, initial: State, policy: Numeric
         if not len(front.row):
             break
         if li in gates:
+            # the frontier is this run's own, unless it is still the initial state's
             front = front._replace(rho=_apply_gate(front.rho, front.cells, gates[li],
-                                                   net.cell_dim))
+                                                   net.cell_dim, front.rho.flags.writeable))
         families, dims_seen = _leaf_families(net, leaf, keep[li], front.rho, front.cells,
                                              local, policy)
         dims.update(dims_seen)

@@ -1,5 +1,6 @@
 """Tests for configuration loading, the run driver, and report emission."""
 
+import binascii
 import copy
 import csv
 import io
@@ -398,9 +399,24 @@ def test_run_custom_full_net_with_state():
     assert report["nesting"]["matches_geometric"] is False
 
 
+def _assert_echoes_bits(echo, given):
+    """A report's ``config.initial_state`` holds the config's state, bit for bit.
+
+    The kind is echoed as given, and each number array as its shape and
+    its little-endian float64 bytes in base64.
+    """
+    assert echo.keys() == given.keys() and echo["kind"] == given["kind"]
+    for key in given.keys() - {"kind"}:
+        want = np.array(given[key], dtype=float)
+        got = np.frombuffer(binascii.a2b_base64(echo[key]["float64_le"]), "<f8")
+        assert echo[key]["shape"] == list(want.shape)
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+
 def test_report_holds_the_initial_state_once():
-    # a config-given state is in the config echo only, as written; a
-    # scenario's state follows from the echoed scenario and is not written
+    # a config-given state is in the config echo only, with its numbers as
+    # their float64 bits; a scenario's state follows from the echoed scenario
+    # and is not written
     entries = [[[0.5, 0.0], [0.25, -0.125]], [[0.25, 0.125], [0.5, 0.0]]]
     configs = [
         {"net": {"kind": "full", "extent_tau": 1, "cell_dim": 2},
@@ -413,8 +429,36 @@ def test_report_holds_the_initial_state_once():
         given = copy.deepcopy(config.get("initial_state"))
         report = parse_report(serialize_report(run(_cfg(**config))[0]))
         assert "initial_state" not in report
-        assert report["config"]["initial_state"] == given
+        if given is None or given["kind"] == "maximally-mixed":
+            assert report["config"]["initial_state"] == given
+        else:
+            _assert_echoes_bits(report["config"]["initial_state"], given)
     assert report["lattice"]["ambient_dim"] == 512
+
+
+def test_config_numbers_echo_as_their_float64_bits(tmp_path):
+    # -0.0, an int (echoed as its float) and a subnormal, through a config
+    # file, for a net and for a scenario whose state the config overrides
+    net = {"kind": "full", "extent_tau": 1, "cell_dim": 2}
+    tiny = 5e-324
+    configs = [
+        {"net": net, "initial_state": {"kind": "matrix", "entries":
+                                       [[[1, 0], [tiny, -0.0]], [[tiny, 0.0], [0, -0.0]]]}},
+        {"net": net, "initial_state": {"kind": "vector", "entries": [[1, -0.0], [tiny, 0]]}},
+        {"net": {**net, "cell_dim": 4},
+         "initial_state": {"kind": "diagonal", "weights": [1, tiny, -0.0, 0]}},
+        {"scenario": "recording-demo",
+         "initial_state": {"kind": "vector", "entries": [[-0.0, tiny], [1, 0]]}},
+        {"scenario": "epr", "initial_state": {"kind": "diagonal", "weights": [0, -0.0, tiny, 1]}},
+    ]
+    for i, config in enumerate(configs):
+        path, out = tmp_path / f"{i}.json", tmp_path / f"{i}-report.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        given = json.loads(path.read_text())["initial_state"]
+        text = out.read_text()
+        _assert_echoes_bits(parse_report(text)["config"]["initial_state"], given)
+        assert json.dumps(parse_report(text), sort_keys=True) + "\n" == text
 
 
 def test_run_scenario_with_state_override_drops_expected():
@@ -445,11 +489,11 @@ def test_coarse_policy_refuses_oracle_scenario():
 
 def test_state_from_config_kinds():
     rho = _state_from_config({"kind": "vector", "entries": [[0.6, 0.0], [0.8, 0.0]]},
-                             2, DEFAULT_POLICY).rho
+                             2, DEFAULT_POLICY)[0].rho
     assert rho[0, 0] == pytest.approx(0.36)
     assert rho[0, 1] == pytest.approx(0.48)
     entries = [[[0.5, 0.0], [0.25, -0.125]], [[0.25, 0.125], [0.5, 0.0]]]
-    rho = _state_from_config({"kind": "matrix", "entries": entries}, 2, DEFAULT_POLICY).rho
+    rho = _state_from_config({"kind": "matrix", "entries": entries}, 2, DEFAULT_POLICY)[0].rho
     # each pair read as [re, im], row by row
     assert rho.tolist() == [[0.5, 0.25 - 0.125j], [0.25 + 0.125j, 0.5]]
 

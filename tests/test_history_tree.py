@@ -155,14 +155,16 @@ def _growing(monkeypatch, grow):
     """The tree ``grow()`` makes, and every stack of children ``_collapse`` made meanwhile.
 
     A propagator also runs through ``_collapse`` (``gate=True``), but makes
-    no children, so its stacks are not recorded.
+    no children, so its stacks are not recorded.  It may overwrite the
+    frontier it reads, which can be the last stack of children, so each
+    stack is recorded as a copy taken when it was made.
     """
     made, collapse = [], histories._collapse
 
-    def kept(*args, gate=False):
-        out = collapse(*args, gate=gate)
+    def kept(*args, gate=False, **kwargs):
+        out = collapse(*args, gate=gate, **kwargs)
         if not gate:
-            made.append(out)
+            made.append(out.copy())
         return out
 
     with monkeypatch.context() as patch:
@@ -284,6 +286,16 @@ def test_gate_step_peak_is_one_stack_and_a_few_blocks(monkeypatch):
     # the new stack and at most six blocks of BLOCK_ENTRIES complex entries.  The
     # embedded gate's two dense products held two stacks
     assert peak <= out.nbytes + 6 * 2**14 * 16, peak
+    # on a stack it may overwrite, as the engine's own frontier, the gate writes each
+    # block back over the states it read: the same bits, and no new stack
+    tracemalloc.start()
+    try:
+        inplace = histories._apply_gate(rho, cells, (support, u.conj().T[None, None]), 2, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inplace is rho and np.array_equal(inplace, out)
+    assert peak <= 6 * 2**14 * 16, peak
 
 
 def _skipping_cone_state():
@@ -487,7 +499,7 @@ def test_seeded_sample_counts_stay_put():
     assert list(summary.counts.items()) == list(CHAIN_COUNTS.items())
     cfg = load_config(str(CONFIGS / "cone-2x2.json"), {})
     net = _net_from_config(cfg.net, cfg.policy)
-    initial = _state_from_config(cfg.initial_state, net.dim, cfg.policy)
+    initial, _ = _state_from_config(cfg.initial_state, net.dim, cfg.policy)
     summary = sample_paths(net, foliate(net.lattice), initial, 10_000, 3, policy=cfg.policy)
     assert list(summary.counts.values()) == CONE_COUNTS
     assert list(summary.counts)[:2] == [((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)),
