@@ -287,7 +287,8 @@ def spacelike_commutator_norm(det_a: EventDetection, det_b: EventDetection,
     For detections at spacelike points this must vanish; passing the
     lattice makes the spacelike precondition explicit and enforced.  Two
     detections on one net are compared in factor form, on their supports;
-    any other pair is compared by its outcomes on the whole space.
+    any other pair is compared by its outcomes on the whole space, as two
+    families on one cell of the space's dimension.
     """
     if lattice is not None and det_a.point is not None and det_b.point is not None:
         rel = causal_relate(lattice, det_a.point, det_b.point)
@@ -295,9 +296,11 @@ def spacelike_commutator_norm(det_a: EventDetection, det_b: EventDetection,
             raise ValueError(f"points {det_a.point} and {det_b.point} are {rel.value}, "
                              "not spacelike")
     if det_a.net is not None and det_b.net is not None:
-        return linalg.max_commutator_norm(det_a.isometries, det_b.isometries,
-                                          (det_a.support, det_b.support),
-                                          det_a.net.cell_dim)
-    return linalg.max_commutator_norm(
-        *(linalg.range_isometries([p.entries for p in det.event.projections])
-          for det in (det_a, det_b)))
+        us, vs = det_a.isometries, det_b.isometries
+        supports, d = (det_a.support, det_b.support), det_a.net.cell_dim
+    else:
+        us, vs = (linalg.range_isometries([p.entries for p in det.event.projections])
+                  for det in (det_a, det_b))
+        supports, d = ((0,), (0,)), us.shape[1]
+    (norm,) = linalg.max_commutator_norm(us[None], vs[None], supports, d, [0])
+    return float(norm)

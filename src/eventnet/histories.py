@@ -28,7 +28,8 @@ with V contracted on the support axes as a propagator's is, and recorded
 as one :class:`TreeRows`.  Each branch is replaced in place by its
 children, so the frontier stays in tree order.  Commutator norms of two
 families are taken by principal angles
-(:func:`linalg.max_commutator_norm`), for every entry branch at once.
+(:func:`linalg.max_commutator_norm`), at every entry branch where both
+fire, in one call per pair of points.
 
 Memory is the live frontier plus one bounded block of work.  The collapse
 takes consecutive parents in blocks (:data:`linalg.BLOCK_ENTRIES`) and
@@ -36,7 +37,9 @@ normalizes their children in place, a propagator's step writes each
 block back over the frontier it read, and the frontier is the only place a
 branch state lives: the tree keeps each point's family of isometries,
 which its rows index, and each propagator's family, not the states.
-Each family stack exists once, and the work gathers it block by block.
+Each family stack exists once, and each kernel that reads one (the Born
+weights, the collapse and the commutator norm) gathers the rows it needs
+block by block inside its own block loop.
 Node objects are built only when they are read, and a node's state is
 replayed from its parent's, and checked, only when it is read.
 """
@@ -113,16 +116,17 @@ def history_operator(events: Sequence[ActualEvent], lattice: CausalLattice | Non
     norms = []
     if lattice is not None:
         # each event with its complement is a complete family, and
-        # ||[1 - p, q]|| = ||[p, q]||
+        # ||[1 - p, q]|| = ||[p, q]||; a batch of one family on one cell of dimension D
         ranges = {}
         for ev in ordered:
             p = ev.projection.entries
-            ranges[ev.point] = linalg.range_isometries([p, np.eye(p.shape[0]) - p])
+            ranges[ev.point] = linalg.range_isometries([p, np.eye(dim) - p])[None]
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
                 if causal_relate(lattice, a.point, b.point) is Relation.SPACELIKE:
-                    norm = linalg.max_commutator_norm(ranges[a.point], ranges[b.point])
-                    norms.append((a.point, b.point, norm))
+                    (norm,) = linalg.max_commutator_norm(ranges[a.point], ranges[b.point],
+                                                         ((0,), (0,)), dim, [0])
+                    norms.append((a.point, b.point, float(norm)))
     flagged = any(n > policy.tol_commutation for *_, n in norms)
     return HistoryOperator(events=tuple(ordered), matrix=mat,
                            spacelike_norms=norms, flagged=flagged)
@@ -142,8 +146,10 @@ def propagate_state(initial: State, history: HistoryOperator,
 
 
 def _unitary(u, policy: NumericPolicy) -> np.ndarray:
-    """The propagator's matrix, after checking that it is unitary."""
+    """The propagator's matrix, after checking that it is finite and unitary."""
     mat = _as_matrix(u)
+    if not np.isfinite(mat).all():
+        raise ValueError("propagator has a NaN or infinite entry")
     defect = linalg.operator_norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
     if defect > policy.tol_proj:
         raise ValueError(f"propagator is not unitary (defect {defect:.3e})")
@@ -549,12 +555,9 @@ def _family_commutators(families: Sequence[_Family],
 
     Returns (p, q, norms) for every two families that both fire on some
     entry branch; ``norms[b]`` is the worst norm at branch b
-    (:func:`linalg.max_commutator_norm`), and 0.0 where either does not
+    (:func:`linalg.max_commutator_norm`, which reads the branches where
+    both fire from the two family stacks), and 0.0 where either does not
     fire.  Families on disjoint supports commute exactly and give 0.0.
-    The branches where both fire are gathered from the two family stacks a
-    block at a time, both gathers together of at most
-    :data:`linalg.BLOCK_ENTRIES` entries.  A branch's norm does not depend
-    on its block.
     """
     out = []
     for i, a in enumerate(families):
@@ -562,13 +565,9 @@ def _family_commutators(families: Sequence[_Family],
             both = a.fires & b.fires
             if not both.any():
                 continue
-            rows = np.flatnonzero(both)
             norms = np.zeros(len(both))
-            step = linalg.block_size(a.iso[0].size + b.iso[0].size)
-            for s in range(0, len(rows), step):
-                at = rows[s:s + step]
-                norms[at] = linalg.max_commutator_norm(a.iso[at], b.iso[at],
-                                                       (a.support, b.support), cell_dim)
+            norms[both] = linalg.max_commutator_norm(a.iso, b.iso, (a.support, b.support),
+                                                     cell_dim, np.flatnonzero(both))
             out.append((a.point, b.point, norms))
     return out
 
@@ -911,8 +910,9 @@ def enumerate_tree(net: AlgebraNet, foliation: Foliation, initial: State,
     lattice (a point off it or listed twice, a leaf with causally related
     points, or a point in the causal past of a point on an earlier leaf),
     an imposed family at a point outside the foliation, a propagator key
-    that is not a leaf index, or an initial state, family or propagator not
-    on the net's dimension raises before any branching.
+    that is not a leaf index, an initial state, family or propagator not
+    on the net's dimension, or a propagator with a NaN or infinite entry
+    raises before any branching.
 
     ``commutation`` controls the response to non-commuting spacelike
     families: "warn" records them, "abort" raises for the first entry

@@ -11,8 +11,8 @@ The numeric rules that need no tolerance policy live here, each in one
 function that every layer calls: spectral clustering
 (:func:`spectral_projections`, and :func:`spectral_isometries` for a stack
 of matrices), outcome order (:func:`decreasing_order`), commutator norms
-of two families, or of two batches along one leading axis
-(:func:`max_commutator_norm`), the block-diagonal mixture
+of two batches of families on their tensor supports, read at the branch
+rows asked for (:func:`max_commutator_norm`), the block-diagonal mixture
 (:func:`mixture_residual`), normalization by a branch's own trace
 (:func:`trace_normalized`) and the hermiticity defect
 (:func:`hermiticity_defect`).  A batched product whose temporaries would
@@ -94,18 +94,18 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
-                        cell_dim: int | None = None):
-    """Largest ``||[p, q]||`` over the outcomes of two complete families.
+def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports, cell_dim: int,
+                        rows) -> np.ndarray:
+    """Largest ``||[p, q]||`` over the outcomes of two complete families, at each of ``rows``.
 
-    ``us`` and ``vs`` are isometry stacks ``(k, n, r)`` of two families
-    whose projections each sum to the identity, and the result is a float;
-    or they are two batches ``(m, k, n, r)`` of m families each, with one
-    leading batch axis, and the result holds the m norms of the pairs.
-    With ``supports=(A, B)`` the families act on the tensor cells A and B
-    (each of dimension ``cell_dim``, slots in the listed order) and the
-    norm is that of the commutator on the whole product; without, both act
-    on the whole space.  Disjoint supports give exactly 0.0.
+    ``us`` and ``vs`` are two batches ``(m, k, n, r)`` of isometry stacks,
+    one family per branch, whose projections each sum to the identity on
+    the tensor cells ``supports = (A, B)``: each cell of dimension
+    ``cell_dim``, slots in the listed order.  The result holds, for each
+    branch of the index array ``rows``, the norm of the commutator on the
+    whole product.  A family on the whole space is a family on one cell of
+    the space's dimension.  Disjoint supports give exactly 0.0, and no row
+    is read.
 
     The rule is that of principal angles (Halmos 1969; Bjorck and Golub
     1973): with u and v orthonormal bases of the ranges of p and q,
@@ -115,43 +115,36 @@ def max_commutator_norm(us: np.ndarray, vs: np.ndarray, supports=None,
     basis of the first family's outcomes, q's block row of outcome i
     without its diagonal block is ``p_i q (1 - p_i)``, and nothing is
     subtracted from 1.  In factor form ``u^H v`` is the contraction over
-    the shared cells C of u on (A - B, C) with v on (C, B - A).  The
-    branches of the batch are taken in blocks (:func:`block_size`) whose
-    u, v and ``u^H v`` each fit :data:`BLOCK_ENTRIES`; a branch's products
-    do not depend on its block, so neither does its norm.
+    the shared cells C of u on (A - B, C) with v on (C, B - A).  The rows
+    are gathered from the two stacks in blocks (:func:`block_size`) whose
+    u, v and ``u^H v`` each fit :data:`BLOCK_ENTRIES`, so no whole stack is
+    copied; a branch's products do not depend on its block, so neither
+    does its norm.
     """
-    us = np.asarray(us)
-    vs = np.asarray(vs)
-    if us.ndim == 3:
-        return float(max_commutator_norm(us[None], vs[None], supports, cell_dim)[0])
-    if supports is None:
-        a = b = (0,)
-        d = us.shape[-2]
-    else:
-        a, b = (tuple(s) for s in supports)
-        d = cell_dim
+    a, b = (tuple(s) for s in supports)
     shared = [c for c in a if c in b]
     if not shared or us.shape[1] == 0 or vs.shape[1] == 0:
-        return np.zeros(len(us))
+        return np.zeros(len(rows))
+    d = cell_dim
     only_a = [c for c in a if c not in b]
     only_b = [c for c in b if c not in a]
     dx, dc, dy = d ** len(only_a), d ** len(shared), d ** len(only_b)
     (ka, ra), (kb, rb) = (us.shape[1], us.shape[3]), (vs.shape[1], vs.shape[3])
     if kb * (ka * ra * dy) ** 2 > ka * (kb * rb * dx) ** 2:
         # the norm is symmetric; write the smaller family basis in full
-        return max_commutator_norm(vs, us, (b, a), d)
-    # per branch: u and v as read, then g = u^H v; take the branches in blocks
+        return max_commutator_norm(vs, us, (b, a), d, rows)
+    # per branch: u and v as read, then g = u^H v; take the rows in blocks
     x, y = ka * ra * dx, kb * dy * rb
     step = block_size(max(x * dc, dc * y, x * y))
-    worst = np.empty(len(us))
-    for s in range(0, len(us), step):
-        worst[s:s + step] = _commutator_block(us[s:s + step], vs[s:s + step], a, b, only_a,
-                                              shared, only_b, d)
+    worst = np.empty(len(rows))
+    for s in range(0, len(rows), step):
+        at = rows[s:s + step]
+        worst[s:s + step] = _commutator_block(us[at], vs[at], a, b, only_a, shared, only_b, d)
     return worst
 
 
 def _commutator_block(us, vs, a, b, only_a, shared, only_b, d) -> np.ndarray:
-    """:func:`max_commutator_norm` of a block of branches ``(m, k, n, r)``: shape ``(m,)``."""
+    """:func:`max_commutator_norm` of a gathered block ``(m, k, n, r)`` of branches: ``(m,)``."""
     m, (ka, ra), (kb, rb) = len(us), (us.shape[1], us.shape[3]), (vs.shape[1], vs.shape[3])
     dx, dc, dy = d ** len(only_a), d ** len(shared), d ** len(only_b)
 

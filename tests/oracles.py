@@ -441,3 +441,58 @@ def basis_bits(events, n_cells, tol=1e-12):
             assert bits[cell] in (None, bit), (cell, bits[cell], bit)
             bits[cell] = bit
     return bits
+
+
+def ginibre_state(dim, seed=0):
+    """``g g^H / tr(g g^H)`` for a complex Gaussian ``g`` from ``default_rng(seed)``: full rank."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def permuted_slots(rho, perm, cell_dim):
+    """``rho`` with its tensor slots reordered: slot i of the result is slot ``perm[i]``."""
+    n = len(perm)
+    tensor = rho.reshape((cell_dim,) * (2 * n))
+    return tensor.transpose([*perm, *(n + p for p in perm)]).reshape(rho.shape)
+
+
+def mirrored_point(point, extent_x):
+    """The reflection x -> X - 1 - x of a lattice point."""
+    from eventnet.spacetime import Point
+
+    return Point(point.tau, extent_x - 1 - point.x)
+
+
+def mirror_slots(net):
+    """The slot permutation (for :func:`permuted_slots`) that reflects a state's cells.
+
+    Slot i of the mirrored state holds the cell at the mirror image of
+    ``net.cells[i]``.
+    """
+    index = {cell: i for i, cell in enumerate(net.cells)}
+    return [index[mirrored_point(cell, net.lattice.extent_x)] for cell in net.cells]
+
+
+def mirrored_foliation(foliation, extent_x):
+    """Each point reflected where it is listed, so each leaf of ``foliate`` lists x descending."""
+    from eventnet.spacetime import Foliation
+
+    return Foliation(tuple(tuple(mirrored_point(p, extent_x) for p in leaf)
+                           for leaf in foliation.leaves))
+
+
+def mirrored_steps(path, extent_x):
+    """A path of (tau, x, label) steps with every x reflected, in its order."""
+    return tuple((tau, extent_x - 1 - x, label) for tau, x, label in path)
+
+
+def relabelled_net(net, order):
+    """The net's lattice with its cells listed as ``net.cells[order[i]]``, cones as supports.
+
+    A state of ``net`` is one of this net after ``permuted_slots(rho, order, cell_dim)``.
+    """
+    from eventnet.spacetime import AlgebraNet
+
+    return AlgebraNet(net.lattice, net.cell_dim, cells=[net.cells[i] for i in order])

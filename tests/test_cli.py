@@ -963,6 +963,17 @@ def test_main_numeric_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+def test_main_commutation_abort_exits_2(capsys, mode):
+    # epr-overlap's spacelike families share a qubit and do not commute
+    path = Path(__file__).parent / "configs" / "abort-epr-overlap.json"
+    assert main(["--config", str(path), "--mode", mode, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: spacelike families at Point(tau=0, x=0) and "
+                            "Point(tau=0, x=1) fail to commute (norm 5.000e-01)\n")
+
+
 def test_main_seed_flag_overrides_config(tmp_path):
     path = tmp_path / "seeded.json"
     path.write_text(json.dumps({"scenario": "epr", "mode": "sample",

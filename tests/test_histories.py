@@ -379,6 +379,31 @@ def test_propagator_must_be_unitary():
                        propagators={0: np.diag([1.0, 2.0]).astype(complex)})
 
 
+def _with_entry(mat, value):
+    """A complex copy of ``mat`` whose entry (0, 1) is ``value``."""
+    out = np.array(mat, dtype=complex)
+    out[0, 1] = value
+    return out
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imaginary-inf"])
+@pytest.mark.parametrize("make, message", [
+    (lambda bad: State(_with_entry(np.eye(2) / 2, bad)),
+     "state is not self-adjoint (deviation inf)"),
+    (lambda bad: PotentialEvent([_with_entry(np.diag([1.0, 0.0]), bad), np.diag([0.0, 1.0])]),
+     "projection is not self-adjoint"),
+    (lambda bad: enumerate_tree(build_full_net(CausalLattice(1, 1), cell_dim=2, n_cells=1),
+                                foliate(CausalLattice(1, 1)), State.diagonal([0.75, 0.25]),
+                                propagators={0: _with_entry(np.eye(2), bad)}),
+     "propagator has a NaN or infinite entry"),
+], ids=["state", "potential-event", "propagator"])
+def test_non_finite_entries_are_refused(make, message, value):
+    with pytest.raises(ValueError) as exc:
+        make(value)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Factor-local branching against the dense ambient reference
 # ---------------------------------------------------------------------------

@@ -522,7 +522,7 @@ def test_family_commutators_read_the_stacks_a_block_at_a_time(monkeypatch):
     a, b = family(0, supports[0], np.ones(n, bool)), family(1, supports[1], np.ones(n, bool))
     # the norms of the stacks gathered whole, as the engine once gathered them
     every = np.arange(n)
-    whole = linalg.max_commutator_norm(a.iso[every], b.iso[every], supports, 2)
+    whole = linalg.max_commutator_norm(a.iso[every], b.iso[every], supports, 2, every)
     some = rng.random(n) < 0.5
     monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 2**14)
     for fires in (np.ones(n, bool), some):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventnet import linalg
+from eventnet import DimensionMismatchError, linalg
 from eventnet.linalg import (embed_factor, max_commutator_norm, partial_trace,
                              random_unitary, range_isometries, spectral_isometries,
                              spectral_projections, trace_normalize_in_place,
@@ -61,7 +61,7 @@ def test_principal_angle_norm_matches_dense_commutators(seed, kind, max_rank, sh
         iso_b, projs_b = _family(np.random.default_rng(seed), len(sb), max_rank)
     else:
         iso_b, projs_b = _family(rng, len(sb), max_rank)
-    got = max_commutator_norm(iso_a, iso_b, (sa, sb), CELL)
+    (got,) = max_commutator_norm(iso_a[None], iso_b[None], (sa, sb), CELL, [0])
     want = oracles.max_commutator_norm_dense(_ambient(projs_a, sa, n_cells),
                                              _ambient(projs_b, sb, n_cells))
     if kind == "disjoint":
@@ -76,11 +76,25 @@ def test_principal_angle_norm_is_batched_over_leading_axes():
     stack_a = np.stack([np.pad(a[0], ((0, 4 - len(a[0])), (0, 0), (0, 2 - a[0].shape[2])))
                         for a, _ in fams])
     stack_b = np.stack([b[0] for _, b in fams])
-    got = max_commutator_norm(stack_a, stack_b, (sa, sb), CELL)
+    got = max_commutator_norm(stack_a, stack_b, (sa, sb), CELL, np.arange(3))
     assert got.shape == (3,)
     for row, ((_, pa), (_, pb)) in zip(got, fams):
         want = oracles.max_commutator_norm_dense(_ambient(pa, sa, 3), _ambient(pb, sb, 3))
         assert abs(row - want) <= 1e-12
+    # the rows asked for, in their order, and each one's norm as in the whole batch
+    assert np.array_equal(max_commutator_norm(stack_a, stack_b, (sa, sb), CELL, [2, 0]),
+                          got[[2, 0]])
+
+
+def test_disjoint_supports_read_no_row():
+    # a row past the end of the stacks raises if it is read; disjoint supports read none
+    rng = np.random.default_rng(5)
+    u, v = _family(rng, 1, 1)[0][None], _family(rng, 2, 2)[0][None]
+    sa, sb = SUPPORTS["disjoint"]
+    got = max_commutator_norm(u, v, (sa, sb), CELL, np.array([0, 7]))
+    assert got.dtype == float and not got.any() and got.shape == (2,)
+    with pytest.raises(IndexError):
+        max_commutator_norm(u, u, (sa, sa), CELL, np.array([0, 7]))
 
 
 def test_principal_angle_norm_takes_the_batch_in_blocks(monkeypatch):
@@ -92,18 +106,19 @@ def test_principal_angle_norm_takes_the_batch_in_blocks(monkeypatch):
         g = rng.standard_normal((4096, 8, 8)) + 1j * rng.standard_normal((4096, 8, 8))
         return np.linalg.qr(g)[0].reshape(4096, 8, 4, 2).transpose(0, 2, 1, 3).copy()
 
-    u, v, supports = stack(), stack(), ((0, 1, 2), (1, 2, 3))
-    whole = max_commutator_norm(u, v, supports, CELL)
+    u, v, supports, rows = stack(), stack(), ((0, 1, 2), (1, 2, 3)), np.arange(4096)
+    whole = max_commutator_norm(u, v, supports, CELL, rows)
     monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 2**14)
     tracemalloc.start()
     try:
-        blocked = max_commutator_norm(u, v, supports, CELL)
+        blocked = max_commutator_norm(u, v, supports, CELL, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(blocked, whole)
     # tracing starts after the inputs are made, so the peak is what the call
-    # adds: at most six blocks of BLOCK_ENTRIES complex entries
+    # adds: at most six blocks of BLOCK_ENTRIES complex entries, the gathered
+    # rows among them
     assert peak <= 6 * 2**14 * 16, peak
 
 
@@ -119,14 +134,17 @@ def test_range_isometries_span_each_projection():
 
 
 def test_commuting_product_families_give_zero_on_the_whole_space():
+    # a family on the whole space is a family on one cell of the space's dimension
     p0 = np.diag([1.0, 0.0]).astype(complex)
     plus = 0.5 * np.ones((2, 2), dtype=complex)
     eye = np.eye(2, dtype=complex)
     left = range_isometries([np.kron(p0, eye), np.kron(eye - p0, eye)])
     right = range_isometries([np.kron(eye, plus), np.kron(eye, eye - plus)])
-    assert max_commutator_norm(left, right) <= 1e-15
-    half = max_commutator_norm(range_isometries([p0, eye - p0]),
-                               range_isometries([plus, eye - plus]))
+    (both,) = max_commutator_norm(left[None], right[None], ((0,), (0,)), 4, [0])
+    assert both <= 1e-15
+    (half,) = max_commutator_norm(range_isometries([p0, eye - p0])[None],
+                                  range_isometries([plus, eye - plus])[None], ((0,), (0,)), 2,
+                                  [0])
     assert half == pytest.approx(0.5, abs=1e-15)
 
 
@@ -240,3 +258,16 @@ def test_trace_normalized_in_place_is_the_complex_division():
     want.imag = (im - np.swapaxes(im, -1, -2)) / 2.0
     assert np.signbit(want.imag).any() and np.signbit(want.real).any()
     assert trace_normalized(stack).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: linalg.subspace_intersection(np.eye(2), np.eye(3), 1e-10),
+     "ambient dimensions differ: 2 vs 3"),
+    (lambda: embed_factor(np.eye(3), (0,), 2, CELL),
+     "operator of shape (3, 3) does not act on 1 cells of dim 2"),
+    (lambda: linalg.spin_projections([1.0, 0.0]), "direction must be a 3-vector"),
+], ids=["intersection-spaces", "embed-shape", "spin-direction"])
+def test_refusals(make, message):
+    with pytest.raises(DimensionMismatchError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -274,3 +274,11 @@ def test_each_check_takes_one_partial_trace(monkeypatch):
     calls.clear()
     mixture_check(sc.net, point, sc.initial)
     assert calls == [sc.net.support(point)]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, float("nan")])
+def test_refusals(epsilon):
+    net, omega, p = _single_cell([0.75, 0.25])
+    with pytest.raises(ValueError) as exc:
+        event_basis(detect_event(net, p, omega), epsilon)
+    assert str(exc.value) == "epsilon must lie strictly between 0 and 1"

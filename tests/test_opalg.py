@@ -19,6 +19,7 @@ from eventnet import (
     center_of_centralizer,
     centralizer,
     commutant,
+    commutant_of_operators,
     conditional_expectation,
     conditional_expectation_gns,
     diagonal_algebra,
@@ -556,3 +557,52 @@ def test_support_restrict_refuses_a_trace_below_prob_floor():
 def test_policy_roundtrip():
     rebuilt = NumericPolicy(**DEFAULT_POLICY.as_dict())
     assert rebuilt == DEFAULT_POLICY
+
+
+# ---------------------------------------------------------------------------
+# Refused inputs
+# ---------------------------------------------------------------------------
+
+P0 = np.diag([1.0, 0.0]).astype(complex)
+PLUS = 0.5 * np.ones((2, 2), dtype=complex)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: PotentialEvent([]), ValueError,
+     "a potential event needs at least one projection"),
+    (lambda: PotentialEvent([P0, np.eye(2) - P0], labels=["+"]), ValueError,
+     "labels and projections differ in length"),
+    (lambda: PotentialEvent([np.eye(2), np.zeros((3, 3))]), DimensionMismatchError,
+     "projections live on different spaces"),
+    (lambda: PotentialEvent([np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2)]), ValueError,
+     "projection is not self-adjoint"),
+    (lambda: PotentialEvent([P0, PLUS]), ValueError, "projections are not mutually orthogonal"),
+    (lambda: OperatorAlgebra([]), ValueError,
+     "an operator algebra needs at least one basis element"),
+    (lambda: OperatorAlgebra([np.eye(2), np.eye(3)]), DimensionMismatchError,
+     "basis elements live on different spaces"),
+    (lambda: full_matrix_algebra(2).coefficients(np.eye(3)), DimensionMismatchError,
+     "operator dim 3 vs ambient 2"),
+    (lambda: algebra_closure([]), ValueError,
+     "need generators or an explicit ambient dimension"),
+    (lambda: algebra_closure([PAULI_X, np.eye(3)]), DimensionMismatchError,
+     "generators live on different spaces"),
+    (lambda: commutant_of_operators([np.eye(3)], 2), DimensionMismatchError,
+     "operator does not act on the ambient space"),
+    (lambda: Operator(np.ones((2, 3))), DimensionMismatchError,
+     "operator must be square, got shape (2, 3)"),
+    (lambda: State(np.ones(3) / 3), DimensionMismatchError,
+     "state must be a square matrix, got (3,)"),
+    (lambda: State.from_vector([0.0, 0.0]), ValueError, "cannot normalize the zero vector"),
+    (lambda: centralizer(full_matrix_algebra(2), State(np.eye(3) / 3)), DimensionMismatchError,
+     "state and algebra live on different spaces"),
+    (lambda: gns_construct(full_matrix_algebra(2), State(np.eye(3) / 3)),
+     DimensionMismatchError, "state and algebra live on different spaces"),
+], ids=["event-empty", "event-labels", "event-spaces", "event-not-self-adjoint",
+        "event-not-orthogonal", "algebra-empty", "algebra-spaces", "algebra-coefficients",
+        "closure-empty", "closure-spaces", "commutant-space", "operator-not-square",
+        "state-not-square", "state-zero-vector", "centralizer-space", "gns-space"])
+def test_refusals(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message

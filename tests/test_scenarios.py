@@ -224,3 +224,23 @@ def test_build_scenario_rejects_bad_params():
 def test_build_scenario_forwards_params():
     sc = build_scenario("massive-control", {"extent_tau": 3})
     assert len(sc.foliation) == 3
+
+
+def _one_family(scenario):
+    """``scenario`` with only the first of its imposed families."""
+    point = next(iter(scenario.imposed))
+    return scenario._replace(imposed={point: scenario.imposed[point]})
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: massive_control(spectrum=(1.0,)), ConfigError,
+     "control spectrum needs at least two levels"),
+    (lambda: order_independence_check(_one_family(epr_scenario())), ValueError,
+     "order independence needs two imposed families"),
+    (lambda: nonlocality_demo(_one_family(epr_scenario())), ValueError,
+     "nonlocality demo needs two imposed families"),
+], ids=["control-levels", "order-independence-one-family", "nonlocality-one-family"])
+def test_refusals(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message

@@ -341,3 +341,18 @@ def test_net_rejects_bad_supports():
         AlgebraNet(lat, 2, supports={Point(0, 0): (0, 5), Point(1, 0): (1,)})
     with pytest.raises(ValueError):
         AlgebraNet(lat, 2, supports={Point(0, 0): (0, 1)})  # (1,0) missing
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AlgebraNet(CausalLattice(1, 2), 1), "cell dimension must be at least 2"),
+    (lambda: AlgebraNet(CausalLattice(1, 2), 2, cells=[Point(0, 0), Point(0, 0)]),
+     "tensor cells must be distinct"),
+    (lambda: AlgebraNet(CausalLattice(1, 2), 2, supports={Point(0, 0): [0, 0]}),
+     "support of Point(tau=0, x=0) repeats a cell"),
+    (lambda: build_full_net(CausalLattice(1, 2), 2, n_cells=3),
+     "lattice has fewer points than requested cells"),
+], ids=["cell-dim", "repeated-cells", "repeated-support-cell", "full-net-cells"])
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
