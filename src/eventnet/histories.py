@@ -605,9 +605,11 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
     ``rho`` is a stack of parent states and ``family[origin[i]]`` the
     isometry stack of parent i's family; ``rows`` (sorted) and ``ks`` are
     the children that :func:`_branch_point` chose.  The cells no outcome
-    reads and no later point keeps are traced out first; V is then
-    contracted on the support axes of every parent, and the support cells
-    that are not kept are traced out with it.  Each state is divided by its own trace, not by
+    reads and no later point keeps are traced out first; ``V^H`` is then
+    contracted on the support axes of every parent, for each of its
+    outcomes, and V for the chosen children alone, whose held cells are
+    expanded in a product that traces the dropped ones out
+    (:func:`_conditioned`).  Each state is divided by its own trace, not by
     its Born weight, which is taken separately on the support state: for
     weights near 1e-6 the two differ enough to miss unit trace by more than
     ``tol_trace``.  With ``gate``, V = U^H for a propagator U, its rank axes the support's own
@@ -617,8 +619,9 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
 
     The parents are taken in blocks of consecutive ones, each as large as
     :func:`linalg.block_size` allows for the largest temporary: per parent,
-    the contracted stack of ``outcomes * rank * ds * dr**2`` entries, or
-    the states of its children, at most ``outcomes * (dh * dr)**2``, where
+    the contracted stack of ``outcomes * rank * ds * dr**2`` entries, of
+    which its chosen children's share is gathered, or the states of its
+    children, at most ``outcomes * (dh * dr)**2``, where
     ``dr`` and ``dh`` are the dimensions of the kept cells off and on the
     support.  Each block gathers its parents' isometry stacks from
     ``family``.  A block's children are a slice of the result, normalized
@@ -651,37 +654,53 @@ def _collapse(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
 def _conditioned(rho: np.ndarray, cells: tuple[int, ...], support: tuple[int, ...],
                  keep: tuple[int, ...], iso: np.ndarray, rows: np.ndarray, ks: np.ndarray,
                  cell_dim: int, gate: bool) -> np.ndarray:
-    """One block of :func:`_collapse`: the children's states before normalization."""
+    """One block of :func:`_collapse`: the children's states before normalization.
+
+    Slots: s on the support, h on its kept (held) cells, x on its dropped
+    ones, a and b on the kept cells off it, r and q on an outcome's rank.
+    The parents' states are reduced to the support and those cells
+    (:func:`_reduce`) and laid out ``[s, a, b, s']``.  ``V^H rho`` is then
+    taken for every outcome of every parent, and ``y = (V^H rho) V`` for
+    the chosen children only, gathered first, so that ``y[r, a, b, q]`` is
+    ``(V^H rho V)[(r, a), (q, b)]``.  The held cells are expanded by two
+    batched products per child, ``z = V y`` and ``z conj(V)^T``, the second
+    contracting (x, q), so that it traces the dropped cells out.  Without
+    held cells the rank axes are traced instead, and a gate's y is already
+    the state.  Each form is ``[h, a, h', b]``, and one final copy puts its
+    slots in the order of ``keep``.
+    """
     d = cell_dim
     n, outcomes, ds, rank = iso.shape
     rest = tuple(c for c in keep if c not in support)
     held = tuple(c for c in support if c in keep)
     dropped = tuple(c for c in support if c not in keep)
-    dr = d ** len(rest)
-    t = _reduce(rho, cells, support + rest, d).reshape(n, 1, ds, dr * ds * dr)
-    # y[c, r, a, b, q] = (V^H rho V)[(r, a), (q, b)], a and b on the kept rest cells
-    t = (iso.conj().swapaxes(-1, -2) @ t).reshape(n, outcomes, rank, dr, ds, dr)
-    t = t.swapaxes(-1, -2).reshape(n, outcomes, rank * dr * dr, ds)
-    y = (t @ iso)[rows, ks].reshape(len(ks), rank, dr, dr, rank)
+    dr, dh, m = d ** len(rest), d ** len(held), len(ks)
+    # each stage takes the name of the one before, so that none outlives the next
+    y = _reduce(rho, cells, support + rest, d).reshape(n, ds, dr, ds, dr).swapaxes(-1, -2)
+    y = y.reshape(n, 1, ds, dr * dr * ds)
+    y = iso.conj().swapaxes(-1, -2) @ y  # [k, r, a, b, s'] per parent
+    v = iso[rows, ks]
+    y = y.reshape(n, outcomes, rank * dr * dr, ds)[rows, ks] @ v
     if gate:  # y[c, r, a, b, q] = (U rho U^H)[(r, a), (q, b)], r and q the held slots
-        out = y.swapaxes(-1, -2)
+        out = y.reshape(m, rank, dr, dr, rank).swapaxes(-1, -2)
     elif held:
-        pos = [support.index(c) for c in held + dropped]
-        v = iso[rows, ks].reshape((len(ks),) + (d,) * len(support) + (rank,))
-        v = v.transpose([0] + [1 + p for p in pos] + [len(support) + 1])
-        v = v.reshape(len(ks), d ** len(held), d ** len(dropped), rank)
-        out = np.einsum("ihsr,irabq->ihabsq", v, y)
-        out = np.einsum("ihabsq,iksq->ihakb", out, v.conj())
+        dx, ls = ds // dh, len(support)
+        v = v.reshape((m,) + (d,) * ls + (rank,))
+        v = v.transpose([0] + [1 + support.index(c) for c in held + dropped] + [ls + 1])
+        v = v.reshape(m, ds, rank)  # slots [h, x]
+        # V y is [h, x, a, b, q]; regrouped [h, a, b, (x, q)], it meets conj(V)^T over (x, q)
+        out = (v @ y.reshape(m, rank, dr * dr * rank)).reshape(m, dh, dx, dr * dr, rank)
+        out = out.swapaxes(2, 3).reshape(m, dh * dr * dr, dx * rank)
+        out = out @ v.reshape(m, dh, dx * rank).conj().swapaxes(-1, -2)
+        out = out.reshape(m, dh, dr, dr, dh).swapaxes(-1, -2)
     else:
-        out = np.einsum("irabr->iab", y)
-    slots = held + rest
-    if slots != keep:
-        k = len(keep)
-        perm = [slots.index(c) for c in keep]
-        out = out.reshape((len(ks),) + (d,) * (2 * k))
-        out = out.transpose([0] + [1 + p for p in perm] + [1 + k + p for p in perm])
-    dim = d ** len(keep)
-    return out.reshape(len(ks), dim, dim)
+        out = np.einsum("irabr->iab", y.reshape(m, rank, dr, dr, rank))
+    slots, k = held + rest, len(keep)
+    perm = [slots.index(c) for c in keep]
+    out = out.reshape((m,) + (d,) * (2 * k))
+    out = out.transpose([0] + [1 + p for p in perm] + [1 + k + p for p in perm])
+    dim = d ** k
+    return out.reshape(m, dim, dim)
 
 
 class _Frontier(namedtuple("_Frontier", ("rho", "cells", "row", "cum", "origin", "draws"))):

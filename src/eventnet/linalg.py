@@ -308,6 +308,46 @@ def spectral_projections(mat: np.ndarray,
     return vals, clusters, [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
 
 
+def _two_level_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a stack of 2x2 Hermitian matrices, in closed form.
+
+    Read as ``eigh`` reads it (the lower triangle), matrix i is
+    ``[[a, conj(l)], [l, c]]``, with eigenvalues ``m -+ r``, m = (a + c) / 2,
+    h = (a - c) / 2 and ``r = sqrt(h**2 + |l|**2)``.  The upper eigenvector
+    (p, q) is a column of ``rho - (m - r)``: ``(h + r, l)`` where a >= c and
+    ``(conj(l), r - h)`` where a < c, so that no difference cancels, and the
+    lower one is ``(-conj(q), conj(p))``.  That is the 2-by-2 symmetric Schur
+    rotation of the Jacobi method (Golub and Van Loan, *Matrix
+    Computations*), with the phase of l carried in the columns.  Each
+    matrix is first divided by the larger of ``|a - c|`` and ``|l|``, a
+    real division (the reciprocal of a subnormal overflows), so no sum of
+    squares overflows or loses a subnormal entry; an exactly degenerate
+    matrix (a = c, l = 0) gets the unit vectors.  Eigenvalues come in
+    ascending order, as ``eigh`` returns them.
+    """
+    a, c = mats[:, 0, 0].real, mats[:, 1, 1].real
+    low = mats[:, 1, 0]
+    diff = a - c
+    scale = np.maximum(np.abs(diff), np.abs(low))
+    flat = scale == 0.0
+    scale[flat] = 1.0
+    d = diff / scale
+    u = (low.real / scale) * 2.0 + (low.imag / scale) * 2.0j
+    w2 = u.real * u.real + u.imag * u.imag
+    root = np.sqrt(d * d + w2)                      # 2r / scale
+    t = root + np.abs(d)
+    t[flat] = 1.0
+    up = d >= 0.0
+    p, q = np.where(up, t, u.conj()), np.where(up, u, t)
+    half = (0.5 * scale) * root
+    mid = 0.5 * (a + c)
+    vecs = np.empty(mats.shape, dtype=complex)
+    vecs[:, 0, 0], vecs[:, 1, 0] = -q.conj(), p.conj()
+    vecs[:, 0, 1], vecs[:, 1, 1] = p, q
+    vecs /= np.sqrt(t * t + w2)[:, None, None]
+    return np.stack([mid - half, mid + half], axis=1), vecs
+
+
 def spectral_isometries(mats: np.ndarray,
                         gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The clustering of :func:`spectral_projections` for a stack ``(b, n, n)``.
@@ -317,8 +357,14 @@ def spectral_isometries(mats: np.ndarray,
     ``weights[i, k]`` is the eigenvalue sum of outcome k, added in
     ascending order, and ``iso[i, k]`` its ``(n, r)`` block of
     eigenvectors, also in ascending order.  Padding outcomes weigh -inf.
+    A stack of 2x2 matrices is decomposed in closed form
+    (:func:`_two_level_eigh`), where ``eigh`` would spend its per-matrix
+    overhead on four numbers; every other size goes to ``np.linalg.eigh``.
+    The closed form runs at every stack size, though ``eigh`` is faster on
+    a few matrices, so that a matrix's outcomes do not depend on the
+    stack it is decomposed in.
     """
-    vals, vecs = np.linalg.eigh(mats)
+    vals, vecs = (_two_level_eigh if mats.shape[-1] == 2 else np.linalg.eigh)(mats)
     count, n = vals.shape
     rows = np.arange(count)[:, None]
     starts = np.ones((count, n), dtype=bool)

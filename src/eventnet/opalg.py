@@ -212,6 +212,8 @@ class State:
         arr = np.array(rho, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError(f"state must be a square matrix, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("state has a NaN or infinite entry")
         skew = linalg.hermiticity_defect(arr)
         if skew > policy.tol_proj:
             raise ValueError(f"state is not self-adjoint (deviation {skew:.3e})")
@@ -296,6 +298,8 @@ class PotentialEvent:
             m = p.entries
             if m.shape[0] != n:
                 raise DimensionMismatchError("projections live on different spaces")
+            if not np.isfinite(m).all():
+                raise ValueError("projection has a NaN or infinite entry")
             if linalg.hermiticity_defect(m) > tol:
                 raise ValueError("projection is not self-adjoint")
             if np.max(np.abs(m @ m - m)) > tol:

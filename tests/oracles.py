@@ -5,6 +5,8 @@ index loops and brute-force product enumeration — so that agreement with
 the package's SVD-based routines is evidence, not circularity.
 """
 
+import decimal
+
 import numpy as np
 
 
@@ -94,6 +96,30 @@ def sequential_sum(values):
     for v in values:
         total += float(v)
     return total
+
+
+def two_level_reference(mat):
+    """Eigenvalues and upper spectral projection of a 2x2 Hermitian matrix, to 50 digits.
+
+    The lower triangle is read, as ``np.linalg.eigh`` reads it.  With
+    ``m = (a + c) / 2`` and ``r = sqrt(((a - c) / 2)**2 + |l|**2)`` taken in
+    ``decimal`` arithmetic from the exact values of the floats, the
+    eigenvalues are ``m -+ r`` and the projection onto the upper one is
+    ``(mat - (m - r)) / (2 r)``; both are rounded to floats at the end.  A
+    matrix with r = 0 has the identity as its projection.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, c = (decimal.Decimal(float(mat[i, i].real)) for i in (0, 1))
+        x, y = decimal.Decimal(float(mat[1, 0].real)), decimal.Decimal(float(mat[1, 0].imag))
+        m, h = (a + c) / 2, (a - c) / 2
+        r = (h * h + x * x + y * y).sqrt()
+        vals = np.array([float(m - r), float(m + r)])
+        if r == 0:
+            return vals, np.eye(2, dtype=complex)
+        low = complex(float(x / (2 * r)), float(y / (2 * r)))
+        upper = [[float((h + r) / (2 * r)), low.conjugate()], [low, float((r - h) / (2 * r))]]
+        return vals, np.array(upper)
 
 
 def binomial_four_sigma(p, n):

@@ -390,9 +390,9 @@ def _with_entry(mat, value):
                          ids=["nan", "inf", "imaginary-inf"])
 @pytest.mark.parametrize("make, message", [
     (lambda bad: State(_with_entry(np.eye(2) / 2, bad)),
-     "state is not self-adjoint (deviation inf)"),
+     "state has a NaN or infinite entry"),
     (lambda bad: PotentialEvent([_with_entry(np.diag([1.0, 0.0]), bad), np.diag([0.0, 1.0])]),
-     "projection is not self-adjoint"),
+     "projection has a NaN or infinite entry"),
     (lambda bad: enumerate_tree(build_full_net(CausalLattice(1, 1), cell_dim=2, n_cells=1),
                                 foliate(CausalLattice(1, 1)), State.diagonal([0.75, 0.25]),
                                 propagators={0: _with_entry(np.eye(2), bad)}),
@@ -686,6 +686,77 @@ def test_local_gate_tree_matches_dense_reference(gate_cells):
         node = stack.pop()
         assert node.state_cells == kept[node.point]
         stack.extend(node.children)
+
+
+# (support, keep) on the cells (0, 2, 3, 5), supports in slot orders that are not sorted:
+# held and dropped cells with kept cells off the support, held cells only, dropped
+# cells only (cell 5 is traced out first, as no outcome reads it), and held cells
+# without a kept cell off the support
+COLLAPSE_CASES = {
+    "held, dropped and rest": ((3, 0), (0, 2, 5)),
+    "held only": ((5, 2), (0, 2, 5)),
+    "dropped only": ((3,), (0, 2)),
+    "held, no rest": ((5, 3, 0), (3, 5)),
+}
+
+
+def _collapse_family(rng, branches, ds, rank):
+    """A ``(branches, outcomes, ds, rank)`` family in the engine's buffer layout.
+
+    Each entry branch splits a Haar basis into one outcome of rank ``rank``
+    and outcomes of rank 1, padded with zero columns to ``rank``.
+    """
+    ranks = [rank] + [1] * (ds - rank)
+    buf = np.zeros((branches, ds, len(ranks) * rank), dtype=complex)
+    for b in range(branches):
+        u, col = random_unitary(ds, rng), 0
+        for k, r in enumerate(ranks):
+            buf[b, :, k * rank:k * rank + r] = u[:, col:col + r]
+            col += r
+    return buf.reshape(branches, ds, len(ranks), rank).transpose(0, 2, 1, 3), ranks
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("case", sorted(COLLAPSE_CASES))
+def test_collapse_matches_the_dense_partial_trace(case, rank, monkeypatch):
+    rng = np.random.default_rng(17 + rank)
+    cells, d = (0, 2, 3, 5), 2
+    support, keep = COLLAPSE_CASES[case]
+    spos = tuple(cells.index(c) for c in support)
+    parents = np.stack([oracles.ginibre_state(16, seed=s) for s in range(5)])
+    family, ranks = _collapse_family(rng, 3, d ** len(support), rank)
+    origin = np.array([2, 0, 1, 1, 2])
+    # a random subset of each parent's outcomes, at least one
+    chosen = rng.random((5, len(ranks))) < 0.6
+    chosen[:, 0] = True
+    rows, ks = np.nonzero(chosen)
+    runs = []
+    for entries in (linalg.BLOCK_ENTRIES, 256):
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", entries)
+        runs.append(histories._collapse(parents, cells, support, keep, family, origin,
+                                        rows, ks, d))
+    assert runs[1].tobytes() == runs[0].tobytes()
+    for c, (i, k) in enumerate(zip(rows, ks)):
+        v = family[origin[i], k]
+        proj = linalg.embed_factor(v @ v.conj().T, spos, len(cells), d)
+        want = partial_trace(proj @ parents[i] @ proj, tuple(cells.index(x) for x in keep),
+                             len(cells), d)
+        want /= np.trace(want).real
+        assert np.abs(runs[0][c] - want).max() <= 1e-13, (case, rank, c)
+
+
+def test_gate_off_the_leading_cells_matches_the_dense_product(monkeypatch):
+    cells, support, d = (0, 2, 3, 5), (5, 2), 2
+    u = random_unitary(4, np.random.default_rng(31))
+    parents = np.stack([oracles.ginibre_state(16, seed=s) for s in range(5)])
+    full = linalg.embed_factor(u, tuple(cells.index(c) for c in support), len(cells), d)
+    runs = []
+    for entries in (linalg.BLOCK_ENTRIES, 256):
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", entries)
+        runs.append(histories._apply_gate(parents, cells, (support, u.conj().T[None, None]), d))
+    assert runs[1].tobytes() == runs[0].tobytes()
+    for got, rho in zip(runs[0], parents):
+        assert np.abs(got - full @ rho @ full.conj().T).max() <= 1e-13
 
 
 def test_imposed_family_on_a_cone_matches_dense():

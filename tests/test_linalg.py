@@ -1,6 +1,7 @@
 """Tests for the numeric kernels in ``eventnet.linalg``."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,92 @@ def test_spectral_isometries_match_the_single_matrix_rule():
             assert [c.tolist() for c in single] == [c.tolist() for c in clusters]
             for proj, c in zip(projs, clusters):
                 assert np.array_equal(proj, vecs[:, c] @ vecs[:, c].conj().T)
+
+
+def _two_level_stack(rng):
+    """Seeded 2x2 states that probe the closed form and the clustering at ``GAP``.
+
+    Diagonal matrices (either diagonal entry the larger), zero and
+    subnormal off-diagonals (real, imaginary and complex; a lone 5e-324),
+    exact degeneracy, rotated spectra split by ``GAP * (1 -+ 1e-3)`` and a
+    gapped random state, each at traces from 1e-12 to 1.
+    """
+    tiny = 5e-324
+    mats = []
+    for trace in np.geomspace(1e-12, 1.0, 7):
+        for a, b in [(0.7, 0.0), (0.3, 0.0), (0.5, 0.0), (1.0, 0.0), (0.5, tiny),
+                     (0.5, 1j * tiny), (0.5, complex(tiny, -tiny)), (0.7, 1e-310),
+                     (0.2, -1e-310j)]:
+            mats.append(np.array([[a, b], [np.conj(b), 1.0 - a]]) * trace)
+        for split in (GAP * (1 - 1e-3), GAP * (1 + 1e-3)):
+            low = (1.0 - split) / 2.0
+            u = random_unitary(2, rng)
+            mats.append(((u * [low, low + split]) @ u.conj().T) * trace)
+        mats.append(oracles.random_faithful_state(2, rng) * trace)
+    return np.stack(mats)
+
+
+def _check_two_level(stack):
+    """The closed form, matrix by matrix, against ``eigh`` and a 50-digit reference.
+
+    No warning and no floating-point flag but underflow.  The clusters are
+    ``eigh``'s.  Eigenvalues are within 4 ulp of the trace (of ``||rho||``
+    where rho is not positive and the trace is smaller), and each
+    cluster's projection within 1e-15, of the reference
+    (:func:`oracles.two_level_reference`); a pair of clusters is fixed only
+    to ``eps * ||rho|| / gap`` by any solver (Davis and Kahan), so for
+    them the 1e-15 is scaled by ``||rho|| / gap`` where that exceeds 1.
+    Residuals ``||rho v - lambda v||`` are at most ``1e-15 ||rho||``, and the
+    columns orthonormal to 1e-15.
+    """
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        vals, vecs = linalg._two_level_eigh(stack)
+        weights, counts, iso = spectral_isometries(stack, GAP)
+    eye = np.eye(2)
+    for i, mat in enumerate(stack):
+        ref_vals, upper = oracles.two_level_reference(mat)
+        norm = np.abs(ref_vals).max()
+        ulp = np.spacing(max(abs(mat[0, 0].real + mat[1, 1].real), norm))
+        assert vals[i, 0] <= vals[i, 1]
+        assert np.abs(vals[i] - ref_vals).max() <= 4 * ulp, (mat, vals[i], ref_vals)
+        assert np.abs(vecs[i].conj().T @ vecs[i] - eye).max() <= 1e-15
+        resid = np.linalg.norm(mat @ vecs[i] - vecs[i] * vals[i], axis=0)
+        assert resid.max() <= 1e-15 * norm, (mat, resid)
+        clusters = oracles.cluster_indices(np.linalg.eigh(mat)[0], GAP)
+        assert counts[i] == len(clusters)
+        if len(clusters) == 1:
+            projs, tol = [eye], 1e-15
+        else:  # decreasing weight: the upper eigenvalue's outcome first
+            projs = [upper, eye - upper]
+            tol = 1e-15 * max(1.0, norm / (ref_vals[1] - ref_vals[0]))
+        for k, proj in enumerate(projs):
+            blk = iso[i, k]
+            assert np.abs(blk @ blk.conj().T - proj).max() <= tol, (mat, k)
+            assert abs(weights[i, k] - np.trace(proj @ mat).real) <= 4 * ulp
+
+
+def test_two_level_closed_form_matches_eigh():
+    stack = _two_level_stack(np.random.default_rng(21))
+    _check_two_level(stack)
+    # the counts the cases were built for at trace 1: one outcome for each degenerate,
+    # subnormal or GAP * (1 - 1e-3) state, two for every other
+    counts = spectral_isometries(stack, GAP)[1].reshape(7, -1)
+    assert counts[-1].tolist() == [2, 2, 1, 2, 1, 1, 1, 2, 2, 1, 2, 2]
+
+
+_finite = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diag=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       off=st.tuples(_finite, _finite) | st.sampled_from([(0.0, 0.0), (5e-324, 0.0),
+                                                          (0.0, -5e-324), (1e-310, 1e-310)]),
+       exponent=st.integers(-12, 0))
+def test_two_level_closed_form_matches_eigh_on_drawn_states(diag, off, exponent):
+    (a, c), (x, y) = diag, off
+    mat = np.array([[a, complex(x, y)], [complex(x, -y), c]])
+    _check_two_level((mat * 10.0 ** exponent)[None])
 
 
 def test_batched_kernels_act_matrix_by_matrix():
